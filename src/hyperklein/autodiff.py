@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ATANH_MAX = 1.0 - 1e-15
+from .manifolds import ATANH_MAX
 
 
 class NumericalError(RuntimeError):

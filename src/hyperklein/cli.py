@@ -198,6 +198,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model, _ = nn.load_model(args.checkpoint)
     ds = _load_split_dataset(args.data, args.seed)
+    if ds.dim != model.in_dim:
+        raise DataError(f"feature dimension {ds.dim} does not match model input {model.in_dim}")
     if args.split == "all":
         idx = np.arange(ds.n)
     else:

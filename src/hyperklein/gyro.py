@@ -7,44 +7,19 @@ geodesic scaling directly in Klein coordinates, without exp/log round trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .manifolds import ATANH_MAX, KleinPoint, PoincarePoint
+from .manifolds import ATANH_MAX, KleinPoint, PoincarePoint, lorentz_factor
 
 
-@dataclass(frozen=True)
-class GyroParams:
-    """Ball radius of the gyrovector space.
-
-    The point types assume the unit ball, so the public surface keeps c at
-    1.0; the parameter exists to keep the formulas explicit about where the
-    radius enters.
-    """
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("ball radius c must be positive")
-
-    def gamma(self, coords: np.ndarray) -> float:
-        """Lorentz factor 1 / sqrt(1 - |x|^2 / c^2)."""
-        return 1.0 / float(np.sqrt(1.0 - (coords @ coords) / self.c**2))
-
-
-_DEFAULT = GyroParams()
-
-
-def einstein_add(x: KleinPoint, y: KleinPoint, params: GyroParams = _DEFAULT) -> KleinPoint:
+def einstein_add(x: KleinPoint, y: KleinPoint) -> KleinPoint:
     """Einstein velocity addition of two ball points."""
     a, b = x.coords, y.coords
-    c2 = params.c**2
-    gx = params.gamma(a)
+    gx = lorentz_factor(x)
     dot = float(a @ b)
-    out = (a + b / gx + (gx / (1.0 + gx)) * dot / c2 * a) / (1.0 + dot / c2)
+    out = (a + b / gx + (gx / (1.0 + gx)) * dot * a) / (1.0 + dot)
     return KleinPoint(out)
 
 
@@ -53,12 +28,12 @@ def einstein_neg(x: KleinPoint) -> KleinPoint:
     return KleinPoint(-x.coords)
 
 
-def einstein_scalar(r: float, x: KleinPoint, params: GyroParams = _DEFAULT) -> KleinPoint:
+def einstein_scalar(r: float, x: KleinPoint) -> KleinPoint:
     """Einstein scalar multiplication r (x), with r (0) = 0."""
     norm = float(np.linalg.norm(x.coords))
     if norm == 0.0:
         return KleinPoint(np.zeros_like(x.coords))
-    scale = params.c * float(np.tanh(r * np.arctanh(min(norm / params.c, ATANH_MAX))))
+    scale = float(np.tanh(r * np.arctanh(min(norm, ATANH_MAX))))
     return KleinPoint(scale * x.coords / norm)
 
 
@@ -81,32 +56,6 @@ def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     return PoincarePoint(num / (1.0 + 2.0 * dot + na * nb))
 
 
-def _log_origin(coords: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(coords))
-    if norm == 0.0:
-        return np.zeros_like(coords)
-    return float(np.arctanh(min(norm, ATANH_MAX))) / norm * coords
-
-
-def _exp_origin(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return np.zeros_like(vec)
-    return float(np.tanh(norm)) / norm * vec
-
-
-def einstein_apply(f: Callable[[np.ndarray], np.ndarray], x: KleinPoint) -> KleinPoint:
-    """Einstein version of an origin-preserving map on tangent coordinates.
-
-    Computes exp_o(f(log_o(x))) in the Klein model.  f must fix the origin.
-    """
-    probe = f(np.zeros_like(x.coords))
-    if float(np.linalg.norm(np.asarray(probe, dtype=np.float64))) > 1e-12:
-        raise ValueError("einstein_apply requires f(0) = 0")
-    image = np.asarray(f(_log_origin(x.coords)), dtype=np.float64)
-    return KleinPoint(_exp_origin(image))
-
-
 def einstein_matvec(matrix: np.ndarray, x: KleinPoint) -> KleinPoint:
     """Einstein matrix-vector multiplication M (x) on the Klein ball."""
     m = np.asarray(matrix, dtype=np.float64)
@@ -124,11 +73,6 @@ def einstein_matvec(matrix: np.ndarray, x: KleinPoint) -> KleinPoint:
     return KleinPoint(scale * mx / nmx)
 
 
-def bias_translate(x: KleinPoint, b: KleinPoint) -> KleinPoint:
-    """Translate x by the hyperbolic bias b; one Einstein addition."""
-    return einstein_add(x, b)
-
-
 def klein_geodesic_between(x: KleinPoint, y: KleinPoint, t: float) -> KleinPoint:
     """Geodesic through x at t=0 and y at t=1, as a gyrovector expression."""
     return einstein_add(x, einstein_scalar(t, einstein_add(einstein_neg(x), y)))
@@ -143,7 +87,7 @@ def einstein_midpoint(points: Sequence[KleinPoint], weights=None) -> KleinPoint:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(points),) or np.any(w < 0.0):
         raise ValueError("weights must be nonnegative, one per point")
-    gammas = np.array([w_i * _DEFAULT.gamma(p.coords) for w_i, p in zip(w, points)])
+    gammas = np.array([w_i * lorentz_factor(p) for w_i, p in zip(w, points)])
     total = float(gammas.sum())
     if total <= 0.0:
         raise ValueError("empty aggregation")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 EPS_BALL = 1e-7
+# largest argument at which atanh is evaluated, here and in the autodiff tape
 ATANH_MAX = 1.0 - 1e-15
 # input gate for "nearly valid" Lorentz data; stored values are renormalized
 _LORENTZ_INPUT_TOL = 1e-6
@@ -439,6 +440,3 @@ def _klein_transport_origin_broken(x: KleinPoint, v: TangentVector) -> TangentVe
         return TangentVector(Model.KLEIN, x, u.copy())
     coef = float(c @ u) * (s - 2.0) / (1.0 - s)
     return TangentVector(Model.KLEIN, x, coef * c + s * u)
-
-
-TransportFn = Callable[[KleinPoint, TangentVector], TangentVector]

@@ -1,11 +1,26 @@
 """Hyperbolic neural networks in Klein, Poincare, and Lorentz coordinates.
 
-The architecture is fixed at depth two: features are exp-mapped into the
-chosen model, pass through one hyperbolic linear layer and a hyperbolic ReLU,
-and a Euclidean readout produces class logits.  The Klein and Poincare layers
-use their gyrovector closed forms (matrix action plus one gyro-addition for
-the bias); the Lorentz layer has no such shortcut and pays for explicit
-tangent-space round trips.
+The architecture is fixed at depth two: one hyperbolic linear layer, a
+hyperbolic ReLU, and a Euclidean readout of class logits.  A feature row x
+is read as a tangent vector at the origin o, so the input point is exp_o(x)
+and the layer's tangent-space matrix action applies W to x itself.  With b
+the hidden bias point, R and r the readout weight and bias:
+
+    Klein     h = exp_o(W x) (+)_E b                  Einstein addition
+    Poincare  h = exp_o(W x) (+)_M b                  Mobius addition
+    Lorentz   h = exp_p(PT_{o->p} log_o b),  p = exp_o(W x)
+    logits    = R relu(log_o h) + r
+
+In the ball models exp_o(W x) is the gyro matrix action on exp_o(x), so
+these layers are the gyrovector closed forms: one matrix action and one
+gyro-addition for the bias.  The Lorentz layer has no such shortcut and
+transports the bias explicitly.  The hyperbolic ReLU exp_o(relu(log_o h))
+is followed by the readout's log_o, so the readout takes relu(log_o h).
+
+`klein_linear`, `poincare_linear`, `lorentz_linear`, `hyperbolic_activation`
+and `readout_logits` compute the same network one point at a time through
+`gyro` and `manifolds`; they are the reference the batched tape is tested
+against.
 
 Gradients are exact, computed by the tape in `autodiff`; the optimizer is a
 Riemannian Adam that retracts manifold-valued biases with the exponential map.
@@ -23,6 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericalError, Tensor
 from .manifolds import (
+    EPS_BALL,
     KleinPoint,
     LorentzPoint,
     Model,
@@ -33,6 +49,7 @@ from .manifolds import (
     klein_metric_inverse,
     log_map,
     make_point,
+    minkowski_inner,
     origin,
     transport_from_origin,
 )
@@ -169,12 +186,23 @@ def _preprocess(features: np.ndarray) -> np.ndarray:
     if feats.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    scale = np.where(norms > MAX_FEATURE_NORM, MAX_FEATURE_NORM / norms, 1.0)
-    return feats * scale
+    return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
 
 
 class _TapeRun:
-    """One differentiable forward pass; holds the parameter leaves."""
+    """One differentiable forward pass over a batch of rows.
+
+    The capped feature rows x are origin tangent vectors, so w = x W^T is
+    the tangent-space matrix action, with no exp/log of x:
+
+        Klein     hidden_out = exp_o(w) (+)_E b
+        Poincare  hidden_out = exp_o(w) (+)_M b
+        Lorentz   hidden_out = _lorentz_bias_rows(exp_o(w), b)
+        all       tangent = log_o(hidden_out)  (spatial part for Lorentz)
+                  logits = relu(tangent) R^T + r
+
+    Holds the parameter leaves, `hidden_out` and `tangent`.
+    """
 
     def __init__(self, model: HnnModel, features: np.ndarray):
         if features.shape[1] != model.in_dim:
@@ -186,25 +214,17 @@ class _TapeRun:
         self.bias = Tensor(model.hidden.bias.coords)
         self.readout_weight = Tensor(model.readout_weight)
         self.readout_bias = Tensor(model.readout_bias)
-        x = Tensor(_preprocess(features))
+        w = Tensor(_preprocess(features)) @ _transpose(self.weight)
 
         if model.flavor is Model.LORENTZ:
-            x0 = _lorentz_exp_origin(x)
-            w = _lorentz_log_origin_spatial(x0) @ _transpose(self.weight)
             self.hidden_out = _lorentz_bias_rows(_lorentz_exp_origin(w), self.bias)
-            tangent_h = _lorentz_log_origin_spatial(self.hidden_out)
-            z = _lorentz_exp_origin(ad.relu(tangent_h))
-            readout_in = _lorentz_log_origin_spatial(z)
+            self.tangent = _lorentz_log_origin_spatial(self.hidden_out)
         else:
-            x0 = _exp_origin_ball(x)
-            w = _log_origin_ball(x0) @ _transpose(self.weight)
-            h = _exp_origin_ball(w)
             add = _einstein_add_rows if model.flavor is Model.KLEIN else _mobius_add_rows
-            self.hidden_out = add(h, self.bias)
-            z = _exp_origin_ball(ad.relu(_log_origin_ball(self.hidden_out)))
-            readout_in = _log_origin_ball(z)
+            self.hidden_out = add(_exp_origin_ball(w), self.bias)
+            self.tangent = _log_origin_ball(self.hidden_out)
 
-        self.logits = readout_in @ _transpose(self.readout_weight) + self.readout_bias
+        self.logits = ad.relu(self.tangent) @ _transpose(self.readout_weight) + self.readout_bias
 
 
 def _transpose(t: Tensor) -> Tensor:
@@ -219,9 +239,9 @@ def _transpose(t: Tensor) -> Tensor:
 
 def klein_linear(params: LayerParams, x: KleinPoint) -> KleinPoint:
     """Klein layer: one gyro matrix action and one Einstein addition."""
-    from .gyro import bias_translate, einstein_matvec
+    from .gyro import einstein_add, einstein_matvec
 
-    return bias_translate(einstein_matvec(params.weight, x), params.bias)
+    return einstein_add(einstein_matvec(params.weight, x), params.bias)
 
 
 def poincare_linear(params: LayerParams, x: PoincarePoint) -> PoincarePoint:
@@ -276,11 +296,7 @@ def forward(model: HnnModel, features) -> np.ndarray:
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    run = _TapeRun(model, np.asarray(features, dtype=np.float64))
-    h = run.hidden_out
-    if model.flavor is Model.LORENTZ:
-        return _lorentz_log_origin_spatial(h).data.copy()
-    return _log_origin_ball(h).data.copy()
+    return _TapeRun(model, np.asarray(features, dtype=np.float64)).tangent.data.copy()
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -351,16 +367,12 @@ def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
         return scale * scale * grad
     h = grad.copy()
     h[0] = -h[0]
-    return h + _mink(bias.coords, h) * bias.coords
-
-
-def _mink(a, b):
-    return float(-a[0] * b[0] + a[1:] @ b[1:])
+    return h + minkowski_inner(bias.coords, h) * bias.coords
 
 
 # ball-valued biases are clamped to radius 1 - EPS_BALL by construction; this
 # caps a hyperboloid bias at the same hyperbolic distance from the origin
-_MAX_BIAS_DISTANCE = float(np.arctanh(1.0 - 1e-7))
+_MAX_BIAS_DISTANCE = float(np.arctanh(1.0 - EPS_BALL))
 _MAX_BIAS_STEP = 1.0
 
 
@@ -384,11 +396,11 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     rgrad = _riemannian_bias_grad(bias, grads["bias"])
     step_vec = -lr * state._update("bias", rgrad)
     if isinstance(bias, LorentzPoint):
-        step_vec = step_vec + _mink(bias.coords, step_vec) * bias.coords
+        step_vec = step_vec + minkowski_inner(bias.coords, step_vec) * bias.coords
         # projecting the coordinate-wise step back to the tangent space can
         # inflate its arclength by O(time); a unit trust region keeps the
         # retraction well-conditioned in hyperboloid coordinates
-        length = float(np.sqrt(max(_mink(step_vec, step_vec), 0.0)))
+        length = float(np.sqrt(max(minkowski_inner(step_vec, step_vec), 0.0)))
         if length > _MAX_BIAS_STEP:
             step_vec = step_vec * (_MAX_BIAS_STEP / length)
     new_bias = exp_map(bias, TangentVector(model.flavor, bias, step_vec))

@@ -1,0 +1,64 @@
+"""Tests for the command-line contract: exit codes and byte-identical outputs."""
+
+import pytest
+
+from hyperklein import cli, nn
+from hyperklein.autodiff import NumericalError
+from hyperklein.data import gen_tree_dataset, save_dataset
+
+
+@pytest.fixture
+def tree_file(tmp_path):
+    path = tmp_path / "tree.json"
+    save_dataset(gen_tree_dataset(4, 8, 0.1, seed=0), path)
+    return path
+
+
+def train_argv(data, out, epochs=20):
+    return ["train", "--data", str(data), "--hidden", "6", "--epochs", str(epochs), "--out", str(out)]
+
+
+def test_identical_train_runs_write_identical_bytes(tree_file, tmp_path):
+    for run in ("a", "b"):
+        assert cli.main(train_argv(tree_file, tmp_path / run)) == cli.EXIT_OK
+    for name in ("loss.csv", "features2d.csv", "checkpoint.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_bad_flag_exits_1(tree_file):
+    assert cli.main(["train", "--data", str(tree_file), "--no-such-flag"]) == cli.EXIT_USAGE
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    code = cli.main(train_argv(tmp_path / "missing.json", tmp_path / "out"))
+    assert code == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_numerical_error_in_training_exits_3(tree_file, tmp_path, monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise NumericalError("numerical overflow in div")
+
+    monkeypatch.setattr(nn, "train", overflow)
+    assert cli.main(train_argv(tree_file, tmp_path / "out")) == cli.EXIT_NUMERIC
+    assert "numerical overflow in div" in capsys.readouterr().err
+
+
+def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys):
+    assert cli.main(train_argv(tree_file, tmp_path / "out", epochs=1)) == cli.EXIT_OK
+    narrow = tmp_path / "narrow.json"
+    save_dataset(gen_tree_dataset(4, 6, 0.1, seed=0), narrow)
+    argv = ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"), "--data", str(narrow)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "feature dimension 6 does not match model input 8" in capsys.readouterr().err
+
+
+def test_selftest_passes():
+    assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_OK
+
+
+def test_injected_transport_defect_exits_4(capsys):
+    code = cli.main(["selftest", "--samples", "20", "--inject-transport-defect"])
+    assert code == cli.EXIT_SELFTEST
+    err = capsys.readouterr().err
+    assert "transport_conjugation" in err and "transport_gyro" in err

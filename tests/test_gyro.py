@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperklein.gyro import (
-    GyroParams,
-    bias_translate,
     einstein_add,
-    einstein_apply,
     einstein_matvec,
     einstein_midpoint,
     einstein_neg,
@@ -192,25 +189,6 @@ class TestMobiusAdd:
             np.testing.assert_allclose(lhs.coords, rhs.coords, atol=1e-9)
 
 
-class TestEinsteinApply:
-    def test_identity_map(self):
-        x = KleinPoint([0.8, 0.0])
-        out = einstein_apply(lambda v: v, x)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-12)
-
-    def test_doubling_map_matches_scalar(self):
-        out = einstein_apply(lambda v: 2.0 * v, KleinPoint([0.5, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-12)
-
-    def test_relu_map(self):
-        out = einstein_apply(lambda v: np.maximum(v, 0.0), KleinPoint([-0.5, 0.5]))
-        np.testing.assert_allclose(out.coords, [0.0, 0.5533696351790970], atol=1e-12)
-
-    def test_non_origin_preserving_rejected(self):
-        with pytest.raises(ValueError):
-            einstein_apply(lambda v: v + 1.0, KleinPoint([0.1, 0.1]))
-
-
 class TestEinsteinMatvec:
     def test_identity_matrix(self):
         x = KleinPoint([0.4, -0.3])
@@ -276,17 +254,11 @@ class TestEinsteinMatvec:
 
 
 class TestBiasTranslate:
-    def test_zero_bias(self):
-        x = KleinPoint([0.2, 0.6])
-        np.testing.assert_allclose(bias_translate(x, KleinPoint([0.0, 0.0])).coords, x.coords)
+    """The Klein layer translates by its bias point with one Einstein addition."""
 
     def test_zero_point(self):
         b = KleinPoint([0.2, 0.6])
-        np.testing.assert_allclose(bias_translate(KleinPoint([0.0, 0.0]), b).coords, b.coords)
-
-    def test_collinear(self):
-        out = bias_translate(KleinPoint([0.5, 0.0]), KleinPoint([0.5, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-15)
+        np.testing.assert_allclose(einstein_add(KleinPoint([0.0, 0.0]), b).coords, b.coords)
 
     def test_equals_transported_exponential(self):
         rng = np.random.default_rng(10)
@@ -295,9 +267,7 @@ class TestBiasTranslate:
             x, b = sample_klein(rng, dim), sample_klein(rng, dim)
             o = origin(Model.KLEIN, dim)
             via = exp_map(x, transport_from_origin(x, log_map(o, b)))
-            np.testing.assert_allclose(
-                bias_translate(x, b).coords, via.coords, atol=1e-8
-            )
+            np.testing.assert_allclose(einstein_add(x, b).coords, via.coords, atol=1e-8)
 
 
 class TestGeodesicBetween:
@@ -353,12 +323,3 @@ class TestEinsteinMidpoint:
         pts = [sample_klein(rng, 3, max_norm=0.999) for _ in range(5)]
         out = einstein_midpoint(pts, rng.uniform(0.0, 1.0, size=5))
         assert np.linalg.norm(out.coords) < 1.0
-
-
-class TestGyroParams:
-    def test_gamma_at_origin(self):
-        assert GyroParams().gamma(np.zeros(3)) == 1.0
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            GyroParams(c=0.0)

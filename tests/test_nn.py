@@ -1,6 +1,7 @@
 """Tests for the hyperbolic layers, gradients, optimizer, and training loop."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -182,9 +183,30 @@ class TestCrossEntropy:
 class TestForward:
     def test_zero_row_reduces_to_bias_path(self):
         model = offset_bias_model(Model.KLEIN, 3, 4, 3, seed=2)
-        logits = nn.forward(model, np.zeros((1, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # capping a zero-norm row must not warn
+            logits = nn.forward(model, np.zeros((1, 3)))
         z = nn.hyperbolic_activation(Model.KLEIN, model.hidden.bias)
         np.testing.assert_allclose(logits[0], nn.readout_logits(model, z), atol=1e-12)
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_rows_match_single_point_layers(self, flavor):
+        # the single-point layers are the reference for the batched tape
+        linear = {
+            Model.KLEIN: nn.klein_linear,
+            Model.POINCARE: nn.poincare_linear,
+            Model.LORENTZ: nn.lorentz_linear,
+        }[flavor]
+        model = offset_bias_model(flavor, 3, 4, 3, seed=2)
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(6, 3))
+        logits = nn.forward(model, rows)
+        o = origin(flavor, 3)
+        for row, got in zip(rows, logits):
+            v = np.concatenate(([0.0], row)) if flavor is Model.LORENTZ else row
+            h = linear(model.hidden, exp_map(o, tangent(o, v)))
+            want = nn.readout_logits(model, nn.hyperbolic_activation(flavor, h))
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_rows_independent(self):
         model = offset_bias_model(Model.POINCARE, 3, 4, 3, seed=3)
