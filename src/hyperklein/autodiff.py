@@ -3,14 +3,20 @@
 A Tensor wraps a float64 ndarray and records the operation that produced it;
 `backward` replays the tape in reverse topological order.  The op set is
 exactly what the hyperbolic layers need: arithmetic with broadcasting,
-matmul, reductions, the hyperbolic/inverse-hyperbolic family, and a few
-structural ops (where, concatenation, column slicing, row picking).
+matmul, reductions, a few elementwise functions, the smooth ratios
+tanh(t)/t, atanh(t)/t, sinh(t)/t, asinh(t)/t and the row norm as single
+nodes, and a few structural ops (concatenation, column slicing, row picking).
 
-Every op checks its output for non-finite values and raises NumericalError
-naming the offending op, so overflow surfaces at the source.
+By default every op checks its output for non-finite values and raises
+NumericalError naming the op and the first row that holds one, so overflow
+surfaces at the source.  `guarded` runs a whole pass with the per-op checks
+off and checks once, on the arrays the pass returns; only if one of them is
+non-finite does it replay the pass checked, to raise the per-op error.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -21,10 +27,36 @@ class NumericalError(RuntimeError):
     """A tape operation produced a non-finite value."""
 
 
-def _checked(name: str, data: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
-        raise NumericalError(f"numerical overflow in {name}")
-    return data
+# per-op checking; `guarded` turns it off for the length of one pass
+_checking = ContextVar("autodiff_checking", default=True)
+
+
+def _check(name: str, data: np.ndarray) -> None:
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row = f" at row {int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))}" if bad.ndim else ""
+        raise NumericalError(f"numerical overflow in {name}{row}")
+
+
+def guarded(tape_pass):
+    """Run `tape_pass()` unchecked, then check the arrays it returns.
+
+    If any returned array holds a non-finite value, the pass is replayed with
+    per-op checks, which raises the NumericalError of the first op that
+    overflowed.  Both runs ignore numpy's floating-point warnings, so a
+    saturating pass reports only through NumericalError.
+    """
+    with np.errstate(all="ignore"):
+        token = _checking.set(False)
+        try:
+            result = tape_pass()
+        finally:
+            _checking.reset(token)
+        if all(np.isfinite(a).all() for a in result):
+            return result
+        tape_pass()
+    # every tape node passed its check, so the overflow is in the gradients
+    raise NumericalError("numerical overflow in backward")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -41,7 +73,9 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_bk")
 
     def __init__(self, data, parents=(), bk=None, name="input"):
-        self.data = _checked(name, np.asarray(data, dtype=np.float64))
+        self.data = np.asarray(data, dtype=np.float64)
+        if _checking.get():
+            _check(name, self.data)
         self.grad = None
         self._parents = parents
         self._bk = bk
@@ -51,9 +85,11 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(grad), self.data.shape)
+        # the first gradient is kept by reference and later ones are added out
+        # of place, so no array that another node holds is written to
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
         order, seen = [], set()
@@ -74,8 +110,14 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # an operand that is not a Tensor is a constant: it gets no node and no
+    # gradient, and the op has this tensor as its only parent
+
     def __add__(self, other):
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            out = Tensor(self.data + other, (self,), name="add")
+            out._bk = self._accumulate
+            return out
         out = Tensor(self.data + other.data, (self, other), name="add")
         out._bk = lambda g: (self._accumulate(g), other._accumulate(g))
         return out
@@ -88,13 +130,22 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        if not isinstance(other, Tensor):
+            out = Tensor(self.data - other, (self,), name="sub")
+            out._bk = self._accumulate
+            return out
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        out = Tensor(other - self.data, (self,), name="sub")
+        out._bk = lambda g: self._accumulate(-g)
+        return out
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            out = Tensor(self.data * other, (self,), name="mul")
+            out._bk = lambda g: self._accumulate(g * other)
+            return out
         out = Tensor(self.data * other.data, (self, other), name="mul")
         out._bk = lambda g: (
             self._accumulate(g * other.data),
@@ -105,7 +156,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            out = Tensor(self.data / other, (self,), name="div")
+            out._bk = lambda g: self._accumulate(g / other)
+            return out
         out = Tensor(self.data / other.data, (self, other), name="div")
         out._bk = lambda g: (
             self._accumulate(g / other.data),
@@ -114,7 +168,9 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        out = Tensor(other / self.data, (self,), name="div")
+        out._bk = lambda g: self._accumulate(-g * other / self.data**2)
+        return out
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -143,7 +199,9 @@ def as_tensor(value) -> Tensor:
 
 def _unary(name, fn, dfn):
     def op(t: Tensor) -> Tensor:
-        out_data = _checked(name, fn(t.data))
+        # a checked op reports overflow through NumericalError, not a warning
+        with np.errstate(all="ignore"):
+            out_data = fn(t.data)
         out = Tensor(out_data, (t,), name=name)
         out._bk = lambda g: t._accumulate(g * dfn(t.data, out_data))
         return out
@@ -152,30 +210,11 @@ def _unary(name, fn, dfn):
     return op
 
 
-tanh = _unary("tanh", np.tanh, lambda x, y: 1.0 - y * y)
-sinh = _unary("sinh", np.sinh, lambda x, y: np.cosh(x))
 cosh = _unary("cosh", np.cosh, lambda x, y: np.sinh(x))
 exp = _unary("exp", np.exp, lambda x, y: y)
 log = _unary("log", np.log, lambda x, y: 1.0 / x)
 sqrt = _unary("sqrt", np.sqrt, lambda x, y: 0.5 / y)
-asinh = _unary("asinh", np.arcsinh, lambda x, y: 1.0 / np.sqrt(1.0 + x * x))
 relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64))
-atanh = _unary(
-    "atanh",
-    lambda x: np.arctanh(np.clip(x, -ATANH_MAX, ATANH_MAX)),
-    lambda x, y: 1.0 / (1.0 - np.clip(x, -ATANH_MAX, ATANH_MAX) ** 2),
-)
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select on a constant boolean mask; grads flow branchwise."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(np.where(cond, a.data, b.data), (a, b), name="where")
-    out._bk = lambda g: (
-        a._accumulate(np.where(cond, g, 0.0)),
-        b._accumulate(np.where(cond, 0.0, g)),
-    )
-    return out
 
 
 def concat_cols(parts: list) -> Tensor:
@@ -226,33 +265,53 @@ def pick(t: Tensor, indices: np.ndarray) -> Tensor:
 _SERIES_SWITCH = 1e-6
 
 
-def _safe_ratio(t: Tensor, exact_fn, series_fn) -> Tensor:
-    small = t.data < _SERIES_SWITCH
-    t_safe = where(small, Tensor(np.ones_like(t.data)), t)
-    return where(small, series_fn(t), exact_fn(t_safe))
+def _smooth_ratio(name: str, t: Tensor, f, df, d: float) -> Tensor:
+    """f(t)/t as one node; below _SERIES_SWITCH the series 1 + t^2/d.
+
+    `df(s, f(s))` is f'(s).  The ratio's derivative is (f'(t) - f(t)/t)/t
+    above the switch and 2t/d below it.
+    """
+    x = t.data
+    small = x < _SERIES_SWITCH
+    s = np.where(small, 1.0, x)
+    with np.errstate(all="ignore"):  # as in `_unary`
+        fs = f(s)
+    y = np.where(small, 1.0 + x * x / d, fs / s)
+    out = Tensor(y, (t,), name=name)
+    out._bk = lambda g: t._accumulate(g * np.where(small, 2.0 * x / d, (df(s, fs) - y) / s))
+    return out
 
 
 def tanhc(t: Tensor) -> Tensor:
     """tanh(t)/t, smooth at zero; t must be nonnegative."""
-    return _safe_ratio(t, lambda s: tanh(s) / s, lambda s: 1.0 - s * s / 3.0)
+    return _smooth_ratio("tanhc", t, np.tanh, lambda s, f: 1.0 - f * f, -3.0)
 
 
 def atanhc(t: Tensor) -> Tensor:
-    """atanh(t)/t, smooth at zero; t must be nonnegative."""
-    return _safe_ratio(t, lambda s: atanh(s) / s, lambda s: 1.0 + s * s / 3.0)
+    """atanh(t)/t, smooth at zero; t must be nonnegative and is clipped at ATANH_MAX."""
+    return _smooth_ratio(
+        "atanhc",
+        t,
+        lambda s: np.arctanh(np.minimum(s, ATANH_MAX)),
+        lambda s, f: 1.0 / (1.0 - np.minimum(s, ATANH_MAX) ** 2),
+        3.0,
+    )
 
 
 def sinhc(t: Tensor) -> Tensor:
     """sinh(t)/t, smooth at zero; t must be nonnegative."""
-    return _safe_ratio(t, lambda s: sinh(s) / s, lambda s: 1.0 + s * s / 6.0)
+    return _smooth_ratio("sinhc", t, np.sinh, lambda s, f: np.cosh(s), 6.0)
 
 
 def asinhc(t: Tensor) -> Tensor:
     """asinh(t)/t, smooth at zero; t must be nonnegative."""
-    return _safe_ratio(t, lambda s: asinh(s) / s, lambda s: 1.0 - s * s / 6.0)
+    return _smooth_ratio("asinhc", t, np.arcsinh, lambda s, f: 1.0 / np.sqrt(1.0 + s * s), -6.0)
 
 
 def row_norm(t: Tensor) -> Tensor:
     """Euclidean norm of each row, shape (N, 1); smooth floor at zero."""
-    sumsq = (t * t).sum(axis=1, keepdims=True)
-    return sqrt(sumsq + 1e-32)
+    x = t.data
+    n = np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-32)
+    out = Tensor(n, (t,), name="row_norm")
+    out._bk = lambda g: t._accumulate(g * x / n)
+    return out

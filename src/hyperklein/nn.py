@@ -24,6 +24,12 @@ against.
 
 Gradients are exact, computed by the tape in `autodiff`; the optimizer is a
 Riemannian Adam that retracts manifold-valued biases with the exponential map.
+
+`forward`, `hidden_tangent` and `gradients` run their tape pass through
+`autodiff.guarded`: unchecked, with one finiteness check of the logits, the
+tangent, or the loss and the four gradients.  Only when that check fails is
+the pass replayed with per-op checks, to raise the NumericalError that names
+the op and the row; `train` adds the flavor and the epoch to its message.
 """
 
 from __future__ import annotations
@@ -214,7 +220,7 @@ class _TapeRun:
         self.bias = Tensor(model.hidden.bias.coords)
         self.readout_weight = Tensor(model.readout_weight)
         self.readout_bias = Tensor(model.readout_bias)
-        w = Tensor(_preprocess(features)) @ _transpose(self.weight)
+        w = _times_transpose(_preprocess(features), self.weight)
 
         if model.flavor is Model.LORENTZ:
             self.hidden_out = _lorentz_bias_rows(_lorentz_exp_origin(w), self.bias)
@@ -224,12 +230,18 @@ class _TapeRun:
             self.hidden_out = add(_exp_origin_ball(w), self.bias)
             self.tangent = _log_origin_ball(self.hidden_out)
 
-        self.logits = ad.relu(self.tangent) @ _transpose(self.readout_weight) + self.readout_bias
+        readout = _times_transpose(ad.relu(self.tangent), self.readout_weight)
+        self.logits = readout + self.readout_bias
 
 
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.data.T, (t,), name="transpose")
-    out._bk = lambda g: t._accumulate(g.T)
+def _times_transpose(rows, w: Tensor) -> Tensor:
+    """rows W^T as one node; rows given as an array are a constant."""
+    if not isinstance(rows, Tensor):
+        out = Tensor(rows @ w.data.T, (w,), name="matmul")
+        out._bk = lambda g: w._accumulate((rows.T @ g).T)
+        return out
+    out = Tensor(rows.data @ w.data.T, (rows, w), name="matmul")
+    out._bk = lambda g: (rows._accumulate(g @ w.data), w._accumulate((rows.data.T @ g).T))
     return out
 
 
@@ -291,12 +303,16 @@ def readout_logits(model: HnnModel, x: Point) -> np.ndarray:
 
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
-    return _TapeRun(model, np.asarray(features, dtype=np.float64)).logits.data.copy()
+    feats = np.asarray(features, dtype=np.float64)
+    (logits,) = ad.guarded(lambda: (_TapeRun(model, feats).logits.data,))
+    return logits.copy()
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    return _TapeRun(model, np.asarray(features, dtype=np.float64)).tangent.data.copy()
+    feats = np.asarray(features, dtype=np.float64)
+    (tangent,) = ad.guarded(lambda: (_TapeRun(model, feats).tangent.data,))
+    return tangent.copy()
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -322,16 +338,21 @@ def gradients(model: HnnModel, features, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= model.n_classes):
         raise ValueError("labels out of range")
-    run = _TapeRun(model, feats)
-    loss = _mean_cross_entropy(run.logits, labels)
-    loss.backward()
-    grads = {
-        "weight": run.weight.grad,
-        "bias": run.bias.grad,
-        "readout_weight": run.readout_weight.grad,
-        "readout_bias": run.readout_bias.grad,
-    }
-    return float(loss.data), grads
+
+    def tape_pass():
+        run = _TapeRun(model, feats)
+        loss = _mean_cross_entropy(run.logits, labels)
+        loss.backward()
+        return (
+            loss.data,
+            run.weight.grad,
+            run.bias.grad,
+            run.readout_weight.grad,
+            run.readout_bias.grad,
+        )
+
+    loss, *grads = ad.guarded(tape_pass)
+    return float(loss), dict(zip(("weight", "bias", "readout_weight", "readout_bias"), grads))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +472,8 @@ def train(model: HnnModel, dataset, config: TrainConfig):
     """Full-batch training with early stopping on validation accuracy.
 
     Returns the best-validation model and the per-epoch metric records.
-    Epoch seconds cover the gradient and update work only.
+    Epoch seconds cover the gradient and update work only.  A NumericalError
+    is raised again with the flavor and the epoch in its message.
     """
     train_x = dataset.features[dataset.train_idx]
     train_y = dataset.labels[dataset.train_idx]
@@ -470,11 +492,14 @@ def train(model: HnnModel, dataset, config: TrainConfig):
 
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        loss, grads = gradients(model, train_x, train_y)
-        model = riemannian_adam_step(state, model, grads)
-        seconds = time.perf_counter() - start
+        try:
+            loss, grads = gradients(model, train_x, train_y)
+            model = riemannian_adam_step(state, model, grads)
+            seconds = time.perf_counter() - start
 
-        val_acc = accuracy(model, val_x, val_y) if val_y.size else float("nan")
+            val_acc = accuracy(model, val_x, val_y) if val_y.size else float("nan")
+        except NumericalError as err:
+            raise NumericalError(f"{err} ({model.flavor.value}, epoch {epoch})") from err
         metrics.append(EpochRecord(epoch, loss, val_acc, seconds))
 
         if val_y.size and val_acc >= best_acc - slack:

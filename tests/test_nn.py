@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperklein import nn
+from hyperklein import autodiff, nn
+from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset
 from hyperklein.manifolds import (
     KleinPoint,
@@ -278,6 +279,94 @@ class TestGradients:
         model = nn.init_model(Model.KLEIN, 2, 2, 2, seed=10)
         with pytest.raises(ValueError):
             nn.gradients(model, np.zeros((1, 2)), np.array([2]))
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_arrays_share_no_memory(self, flavor):
+        # the tape hands gradients on by reference, so a returned array must
+        # not alias another gradient, a parameter or a later call's result
+        model = offset_bias_model(flavor, 4, 3, 3, seed=13)
+        feats = np.random.default_rng(14).normal(size=(5, 4))
+        labels = np.array([0, 1, 2, 1, 0])
+        first = list(nn.gradients(model, feats, labels)[1].values())
+        second = list(nn.gradients(model, feats, labels)[1].values())
+        hidden = model.hidden
+        params = [hidden.weight, hidden.bias.coords, model.readout_weight, model.readout_bias]
+        for i, g in enumerate(first):
+            others = first[i + 1 :] + params + second
+            assert not any(np.shares_memory(g, other) for other in others)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+
+def saturating_model(flavor):
+    """Hidden weights x1e3 push the hidden layer past float64 saturation."""
+    ds = gen_tree_dataset(6, 8, 0.1, 0)
+    model = nn.init_model(flavor, ds.dim, 16, ds.n_classes, seed=0)
+    model.hidden.weight = model.hidden.weight * 1e3
+    return model, ds
+
+
+def count_nodes(monkeypatch):
+    counter = [0]
+    init = autodiff.Tensor.__init__
+
+    def counted(obj, *args, **kwargs):
+        counter[0] += 1
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", counted)
+    return counter
+
+
+class TestNumericalGuard:
+    @pytest.mark.parametrize("flavor,op", [(Model.KLEIN, "sqrt"), (Model.LORENTZ, "cosh")])
+    def test_saturating_pass_names_the_op_and_row(self, flavor, op):
+        model, ds = saturating_model(flavor)
+        with pytest.raises(NumericalError, match=rf"overflow in {op} at row \d+$"):
+            nn.forward(model, ds.features)
+        with pytest.raises(NumericalError, match=rf"overflow in {op} at row \d+$"):
+            nn.gradients(model, ds.features, ds.labels)
+
+    def test_poincare_saturates_without_error(self):
+        model, ds = saturating_model(Model.POINCARE)
+        assert np.all(np.isfinite(nn.forward(model, ds.features)))
+        loss, grads = nn.gradients(model, ds.features, ds.labels)
+        assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_train_names_op_row_flavor_and_epoch(self):
+        model, ds = saturating_model(Model.KLEIN)
+        with pytest.raises(NumericalError, match=r"overflow in sqrt at row \d+ \(klein, epoch 0\)"):
+            nn.train(model, ds, nn.TrainConfig(epochs=3))
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_finite_pass_builds_its_tape_once(self, flavor, monkeypatch):
+        model = offset_bias_model(flavor, 4, 3, 3, seed=15)
+        feats = np.random.default_rng(16).normal(size=(5, 4))
+        labels = np.array([0, 1, 2, 1, 0])
+        nodes = count_nodes(monkeypatch)
+        run = nn._TapeRun(model, feats)
+        nn._mean_cross_entropy(run.logits, labels)
+        tape, nodes[0] = nodes[0], 0
+        nn.gradients(model, feats, labels)
+        assert nodes[0] == tape
+        nodes[0] = 0
+        nn._TapeRun(model, feats)
+        forward_tape, nodes[0] = nodes[0], 0
+        nn.forward(model, feats)
+        assert nodes[0] == forward_tape
+        nodes[0] = 0
+        nn.hidden_tangent(model, feats)
+        assert nodes[0] == forward_tape
+
+    def test_saturating_pass_is_replayed(self, monkeypatch):
+        model, ds = saturating_model(Model.KLEIN)
+        nodes = count_nodes(monkeypatch)
+        with pytest.raises(NumericalError):
+            nn._TapeRun(model, ds.features)
+        checked_only, nodes[0] = nodes[0], 0
+        with pytest.raises(NumericalError):
+            nn.forward(model, ds.features)
+        assert nodes[0] > checked_only
 
 
 class TestRiemannianAdam:
