@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float64 ndarray and records the operation that produced it;
-`backward` replays the tape in reverse topological order.  The op set is
-exactly what the hyperbolic layers need: arithmetic with broadcasting,
-matmul, reductions, a few elementwise functions, the smooth ratios
-tanh(t)/t, atanh(t)/t, sinh(t)/t, asinh(t)/t and the row norm as single
-nodes, and a few structural ops (concatenation, column slicing, row picking).
+`backward` replays the tape in reverse topological order.  The generic op set
+is small: arithmetic with broadcasting, matmul, sums and relu.  The network's
+heavy stages are single nodes that `nn` builds with a closed-form backward;
+`smooth_ratio` gives them the value and slope of tanh(t)/t, atanh(t)/t,
+sinh(t)/t and asinh(t)/t, which are smooth through t = 0.
 
 By default every op checks its output for non-finite values and raises
 NumericalError naming the op and the first row that holds one, so overflow
@@ -197,121 +197,53 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _unary(name, fn, dfn):
-    def op(t: Tensor) -> Tensor:
-        # a checked op reports overflow through NumericalError, not a warning
-        with np.errstate(all="ignore"):
-            out_data = fn(t.data)
-        out = Tensor(out_data, (t,), name=name)
-        out._bk = lambda g: t._accumulate(g * dfn(t.data, out_data))
-        return out
-
-    op.__name__ = name
-    return op
-
-
-cosh = _unary("cosh", np.cosh, lambda x, y: np.sinh(x))
-exp = _unary("exp", np.exp, lambda x, y: y)
-log = _unary("log", np.log, lambda x, y: 1.0 / x)
-sqrt = _unary("sqrt", np.sqrt, lambda x, y: 0.5 / y)
-relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64))
-
-
-def concat_cols(parts: list) -> Tensor:
-    """Concatenate 2-d tensors along axis 1."""
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts), name="concat")
-
-    def bk(g):
-        start = 0
-        for p in parts:
-            width = p.data.shape[1]
-            p._accumulate(g[:, start : start + width])
-            start += width
-
-    out._bk = bk
+def relu(t: Tensor) -> Tensor:
+    """max(t, 0) elementwise; the slope at zero is zero."""
+    out = Tensor(np.maximum(t.data, 0.0), (t,), name="relu")
+    out._bk = lambda g: t._accumulate(g * (t.data > 0.0))
     return out
 
 
-def cols(t: Tensor, start: int, stop) -> Tensor:
-    """Column slice t[:, start:stop]."""
-    out = Tensor(t.data[:, start:stop], (t,), name="cols")
+# -- smooth ratios f(t)/t (removable singularities at zero) -------------------
 
-    def bk(g):
-        full = np.zeros_like(t.data)
-        full[:, start:stop] = g
-        t._accumulate(full)
+# Below the switch f(t)/t is its series 1 + c2 t^2 + c4 t^4, which is exact to
+# float64 there.  Above it the slope (f'(t) - f(t)/t)/t subtracts two values
+# near 1; at t >= 1e-3 that leaves at least nine correct digits.
+_SERIES_SWITCH = 1e-3
 
-    out._bk = bk
-    return out
-
-
-def pick(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Row-wise gather t[i, indices[i]] of a 2-d tensor."""
-    rows = np.arange(t.data.shape[0])
-    out = Tensor(t.data[rows, indices], (t,), name="pick")
-
-    def bk(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, (rows, indices), g)
-        t._accumulate(full)
-
-    out._bk = bk
-    return out
+# f, f' (given t and f(t)), c2, c4
+_RATIOS = {
+    "tanhc": (np.tanh, lambda t, f: 1.0 - f * f, -1.0 / 3.0, 2.0 / 15.0),
+    # atanh is evaluated at most at ATANH_MAX, and so is its slope
+    "atanhc": (
+        lambda t: np.arctanh(np.minimum(t, ATANH_MAX)),
+        lambda t, f: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
+        1.0 / 3.0,
+        1.0 / 5.0,
+    ),
+    "sinhc": (np.sinh, lambda t, f: np.cosh(t), 1.0 / 6.0, 1.0 / 120.0),
+    "asinhc": (np.arcsinh, lambda t, f: 1.0 / np.sqrt(1.0 + t * t), -1.0 / 6.0, 3.0 / 40.0),
+}
 
 
-# -- smooth ratio helpers (removable singularities at zero) -----------------
+def smooth_ratio(name: str, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope of f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
 
-_SERIES_SWITCH = 1e-6
-
-
-def _smooth_ratio(name: str, t: Tensor, f, df, d: float) -> Tensor:
-    """f(t)/t as one node; below _SERIES_SWITCH the series 1 + t^2/d.
-
-    `df(s, f(s))` is f'(s).  The ratio's derivative is (f'(t) - f(t)/t)/t
-    above the switch and 2t/d below it.
+    These are plain arrays, for the tape nodes whose closed-form backward
+    chains through the ratio.  Overflow gives inf or nan; the nodes call
+    this under np.errstate and report it through their check.
     """
-    x = t.data
-    small = x < _SERIES_SWITCH
-    s = np.where(small, 1.0, x)
-    with np.errstate(all="ignore"):  # as in `_unary`
-        fs = f(s)
-    y = np.where(small, 1.0 + x * x / d, fs / s)
-    out = Tensor(y, (t,), name=name)
-    out._bk = lambda g: t._accumulate(g * np.where(small, 2.0 * x / d, (df(s, fs) - y) / s))
-    return out
-
-
-def tanhc(t: Tensor) -> Tensor:
-    """tanh(t)/t, smooth at zero; t must be nonnegative."""
-    return _smooth_ratio("tanhc", t, np.tanh, lambda s, f: 1.0 - f * f, -3.0)
-
-
-def atanhc(t: Tensor) -> Tensor:
-    """atanh(t)/t, smooth at zero; t must be nonnegative and is clipped at ATANH_MAX."""
-    return _smooth_ratio(
-        "atanhc",
-        t,
-        lambda s: np.arctanh(np.minimum(s, ATANH_MAX)),
-        lambda s, f: 1.0 / (1.0 - np.minimum(s, ATANH_MAX) ** 2),
-        3.0,
-    )
-
-
-def sinhc(t: Tensor) -> Tensor:
-    """sinh(t)/t, smooth at zero; t must be nonnegative."""
-    return _smooth_ratio("sinhc", t, np.sinh, lambda s, f: np.cosh(s), 6.0)
-
-
-def asinhc(t: Tensor) -> Tensor:
-    """asinh(t)/t, smooth at zero; t must be nonnegative."""
-    return _smooth_ratio("asinhc", t, np.arcsinh, lambda s, f: 1.0 / np.sqrt(1.0 + s * s), -6.0)
-
-
-def row_norm(t: Tensor) -> Tensor:
-    """Euclidean norm of each row, shape (N, 1); smooth floor at zero."""
-    x = t.data
-    n = np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-32)
-    out = Tensor(n, (t,), name="row_norm")
-    out._bk = lambda g: t._accumulate(g * x / n)
-    return out
+    fn, dfn, c2, c4 = _RATIOS[name]
+    small = t < _SERIES_SWITCH
+    if not small.any():
+        f = fn(t)
+        value = f / t
+        return value, (dfn(t, f) - value) / t
+    s = np.where(small, 1.0, t)
+    f = fn(s)
+    y = f / s
+    dy = (dfn(s, f) - y) / s
+    t2 = t * t
+    value = np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
+    slope = np.where(small, t * (2.0 * c2 + 4.0 * c4 * t2), dy)
+    return value, slope

@@ -13,9 +13,28 @@ the hidden bias point, R and r the readout weight and bias:
 
 In the ball models exp_o(W x) is the gyro matrix action on exp_o(x), so
 these layers are the gyrovector closed forms: one matrix action and one
-gyro-addition for the bias.  The Lorentz layer has no such shortcut and
-transports the bias explicitly.  The hyperbolic ReLU exp_o(relu(log_o h))
-is followed by the readout's log_o, so the readout takes relu(log_o h).
+gyro-addition for the bias.  That is the paper's transport theorem: the
+tangent-space construction of the bias, exp_p(PT_{o->p} log_o b), is exactly
+the Einstein addition in Klein coordinates and the Mobius addition in
+Poincare coordinates.  The Lorentz layer transports the bias explicitly.
+The hyperbolic ReLU exp_o(relu(log_o h)) is followed by the readout's log_o,
+so the readout takes relu(log_o h).
+
+Every one of these steps keeps a row in span(w, b), w = W x, so the whole
+layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
+|b|^2 (for Lorentz, b is the bias's origin tangent log_o b):
+
+    Klein     exp_o(w) = tanhc|w| w, then (+)_E with 1/gamma = sqrt(1 - |exp_o(w)|^2);
+              z = atanhc|h| h
+    Poincare  exp_o(w) = tanhc|w| w, then (+)_M;  z = atanhc|h| h
+    Lorentz   exp_o(w) = (cosh|w|, sinhc|w| w); transport and exp give the
+              spatial part h_s = sinhc|w| (cosh t + sinhc(t) k) w + sinhc(t) b,
+              k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
+              z = asinhc|h_s| h_s
+
+The batched tape builds that layer as one node with a closed-form backward
+through the (N, 1) scalars, one node per stage in all: hidden_linear,
+<flavor>_layer, relu, readout, cross_entropy.
 
 `klein_linear`, `poincare_linear`, `lorentz_linear`, `hyperbolic_activation`
 and `readout_logits` compute the same network one point at a time through
@@ -29,7 +48,8 @@ Riemannian Adam that retracts manifold-valued biases with the exponential map.
 `autodiff.guarded`: unchecked, with one finiteness check of the logits, the
 tangent, or the loss and the four gradients.  Only when that check fails is
 the pass replayed with per-op checks, to raise the NumericalError that names
-the op and the row; `train` adds the flavor and the epoch to its message.
+the stage node and the row; `train` adds the flavor and the epoch to its
+message.
 """
 
 from __future__ import annotations
@@ -38,6 +58,7 @@ import copy
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -128,62 +149,194 @@ def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed
 
 
 # ---------------------------------------------------------------------------
-# tape building blocks (rows of points, one manifold point per row)
+# tape nodes, one per stage; rows of points, one manifold point per row
 
 
-def _log_origin_ball(x: Tensor) -> Tensor:
-    return ad.atanhc(ad.row_norm(x)) * x
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, m) arrays, as an (N, 1) column."""
+    return np.einsum("ij,ij->i", x, y)[:, None]
 
 
-def _exp_origin_ball(v: Tensor) -> Tensor:
-    return ad.tanhc(ad.row_norm(v)) * v
-
-
-def _einstein_add_rows(x: Tensor, b: Tensor) -> Tensor:
-    dot = (x * b).sum(axis=1, keepdims=True)
-    gx = 1.0 / ad.sqrt(1.0 - (x * x).sum(axis=1, keepdims=True))
-    return (x + b * (1.0 / gx) + (gx / (1.0 + gx)) * dot * x) * (1.0 / (1.0 + dot))
-
-
-def _mobius_add_rows(x: Tensor, b: Tensor) -> Tensor:
-    dot = (x * b).sum(axis=1, keepdims=True)
-    nx = (x * x).sum(axis=1, keepdims=True)
-    nb = (b * b).sum()
-    num = (1.0 + 2.0 * dot + nb) * x + (1.0 - nx) * b
-    return num * (1.0 / (1.0 + 2.0 * dot + nx * nb))
-
-
-def _lorentz_exp_origin(w: Tensor) -> Tensor:
-    n = ad.row_norm(w)
-    return ad.concat_cols([ad.cosh(n), ad.sinhc(n) * w])
-
-
-def _lorentz_log_origin_spatial(x: Tensor) -> Tensor:
-    s = ad.cols(x, 1, None)
-    return ad.asinhc(ad.row_norm(s)) * s
-
-
-def _as_row(t: Tensor) -> Tensor:
-    out = Tensor(t.data[None, :], (t,), name="row")
-    out._bk = lambda g: t._accumulate(g)
+def _hidden_linear(rows: np.ndarray, weight: Tensor) -> Tensor:
+    """rows W^T; the capped feature rows are a constant."""
+    out = Tensor(rows @ weight.data.T, (weight,), name="hidden_linear")
+    out._bk = lambda g: weight._accumulate(g.T @ rows)
     return out
 
 
-def _lorentz_bias_rows(h: Tensor, b: Tensor) -> Tensor:
-    """Translate rows of h by the bias point b: exp_h(transport(log_o(b)))."""
-    b = _as_row(b)
-    b_s = ad.cols(b, 1, None)
-    v_s = ad.asinhc(ad.row_norm(b_s)) * b_s  # origin tangent, time part zero
-    h_t = ad.cols(h, 0, 1)
-    h_s = ad.cols(h, 1, None)
-    inner = (h_s * v_s).sum(axis=1, keepdims=True)
-    coef = inner * (1.0 / (1.0 + h_t))
+# Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
+# s = |b|^2 to the point exp_o(w) (+) b = alpha w + beta b.  They return
+# alpha, beta, a function taking (dL/dalpha, dL/dbeta) to (dL/dp, dL/dq,
+# dL/ds), and the point's time coordinate (None in the ball models).
+
+
+def _klein_coefficients(p, q, s):
+    """Einstein addition exp_o(w) (+)_E b, with exp_o(w) = tanhc(|w|) w."""
+    n = np.sqrt(p + 1e-32)
+    tau, dtau = ad.smooth_ratio("tanhc", n)
+    inv_gamma = np.sqrt(1.0 - tau * tau * p)
+    gamma = 1.0 / inv_gamma
+    cf = gamma / (1.0 + gamma)
+    dot = tau * q
+    inv = 1.0 / (1.0 + dot)
+    lift = 1.0 + cf * dot
+    alpha = tau * lift * inv
+    beta = inv_gamma * inv
+
+    def back(g_alpha, g_beta):
+        g_lift = g_alpha * tau * inv
+        g_dot = g_lift * cf - (g_alpha * alpha + g_beta * beta) * inv
+        # d cf / d inv_gamma = -cf^2
+        g_inv_gamma = g_beta * inv - g_lift * dot * cf * cf
+        g_sq = -0.5 * g_inv_gamma * gamma  # of |exp_o(w)|^2 = tau^2 p
+        g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
+        return g_sq * tau * tau + g_tau * dtau / (2.0 * n), g_dot * tau, 0.0
+
+    return alpha, beta, back, None
+
+
+def _poincare_coefficients(p, q, s):
+    """Mobius addition exp_o(w) (+)_M b, with exp_o(w) = tanhc(|w|) w."""
+    n = np.sqrt(p + 1e-32)
+    tau, dtau = ad.smooth_ratio("tanhc", n)
+    sq = tau * tau * p
+    dot = tau * q
+    lift = 1.0 + 2.0 * dot + s
+    inv = 1.0 / (1.0 + 2.0 * dot + sq * s)
+    alpha = lift * tau * inv
+    beta = (1.0 - sq) * inv
+
+    def back(g_alpha, g_beta):
+        g_den = -(g_alpha * alpha + g_beta * beta) * inv
+        g_lift = g_alpha * tau * inv
+        g_sq = g_den * s - g_beta * inv
+        g_dot = 2.0 * (g_den + g_lift)
+        g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
+        g_p = g_sq * tau * tau + g_tau * dtau / (2.0 * n)
+        return g_p, g_dot * tau, g_lift + g_den * sq
+
+    return alpha, beta, back, None
+
+
+def _lorentz_coefficients(p, q, s):
+    """exp_h(PT_{o->h} v) for h = exp_o(w) = (cosh|w|, sinhc(|w|) w); here b
+    is the bias's origin tangent v, and alpha w + beta v is the spatial part."""
+    n = np.sqrt(p + 1e-32)
+    sig, dsig = ad.smooth_ratio("sinhc", n)
+    h_t = np.cosh(n)
+    inner = sig * q
+    inv = 1.0 / (1.0 + h_t)
+    coef = inner * inv
     p_t = coef * (1.0 + h_t)
-    p_s = v_s + coef * h_s
-    quad = (p_s * p_s).sum(axis=1, keepdims=True) - p_t * p_t
-    t = ad.sqrt(ad.relu(quad) + 1e-32)
-    p = ad.concat_cols([p_t, p_s])
-    return ad.cosh(t) * h + ad.sinhc(t) * p
+    # the transported tangent p = (p_t, v + coef sinhc(|w|) w) and its
+    # Minkowski square from those coordinates (|v|^2 in exact arithmetic)
+    quad = s + 2.0 * coef * inner + coef * coef * sig * sig * p - p_t * p_t
+    t = np.sqrt(np.maximum(quad, 0.0) + 1e-32)
+    big_s, dbig_s = ad.smooth_ratio("sinhc", t)
+    big_c = np.cosh(t)
+    alpha = sig * (big_c + big_s * coef)
+    beta = big_s
+
+    def back(g_alpha, g_beta):
+        g_t = g_alpha * sig * np.sinh(t) + (g_alpha * sig * coef + g_beta) * dbig_s
+        g_quad = np.where(quad > 0.0, g_t / (2.0 * t), 0.0)
+        g_p_t = -2.0 * p_t * g_quad
+        g_coef = (
+            g_alpha * sig * big_s
+            + 2.0 * g_quad * (inner + coef * sig * sig * p)
+            + g_p_t * (1.0 + h_t)
+        )
+        g_inner = g_coef * inv
+        g_h_t = g_p_t * coef - g_coef * coef * inv
+        g_sig = (
+            g_alpha * (big_c + big_s * coef)
+            + 2.0 * g_quad * coef * (q + coef * sig * p)
+            + g_inner * q
+        )
+        g_n = g_h_t * np.sinh(n) + g_sig * dsig
+        g_p = g_quad * coef * coef * sig * sig + g_n / (2.0 * n)
+        g_q = 2.0 * g_quad * coef * sig + g_inner * sig
+        return g_p, g_q, g_quad
+
+    return alpha, beta, back, big_c * h_t + big_s * p_t
+
+
+def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, b_back=None):
+    """One node for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b.
+
+    k is the origin log's ratio of |h|, named by `log_ratio`.  The backward
+    takes G1 = gz.w and G2 = gz.b per row back through the (N, 1) scalars
+    to dL/dp, dL/dq and dL/ds, and then
+        gw = k alpha gz + 2 dL/dp w + dL/dq b
+        gb = gz^T (k beta) + w^T dL/dq + 2 sum(dL/ds) b,
+    which `b_back` takes on to the bias coordinates (b is the bias itself
+    when not given).  Returns the node and the hidden points.
+    """
+    if b is None:
+        b, b_back = bias.data, lambda g: g
+    wd = w.data
+    with np.errstate(all="ignore"):  # a checked node reports through NumericalError
+        p = _row_dots(wd, wd)
+        q = (wd @ b)[:, None]
+        s = float(b @ b)
+        alpha, beta, back, h_time = coefficients(p, q, s)
+        hidden = alpha * wd + beta * b
+        r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
+        k, dk = ad.smooth_ratio(log_ratio, r)
+        z = Tensor(k * hidden, (w, bias), name=name)
+
+    def bk(gz):
+        with np.errstate(all="ignore"):
+            g1 = _row_dots(gz, wd)
+            g2 = (gz @ b)[:, None]
+            g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
+            g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
+            g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
+            g_p, g_q, g_s = back(g_alpha, g_beta)
+            g_p = g_p + g_sq * alpha * alpha
+            g_q = g_q + 2.0 * g_sq * alpha * beta
+            g_s = np.sum(g_s + g_sq * beta * beta)
+            w._accumulate(k * alpha * gz + 2.0 * g_p * wd + g_q * b)
+            gb = (k * beta)[:, 0] @ gz + g_q[:, 0] @ wd + 2.0 * g_s * b
+            bias._accumulate(b_back(gb))
+
+    z._bk = bk
+    if h_time is not None:
+        hidden = np.concatenate((h_time, hidden), axis=1)
+    return z, hidden
+
+
+def _lorentz_layer(w: Tensor, bias: Tensor):
+    """The bias enters through its origin tangent v = asinhc(|b_s|) b_s; the
+    gradient of its time coordinate is zero."""
+    b_s = bias.data[1:]
+    bn = np.sqrt(b_s @ b_s + 1e-32)
+    with np.errstate(all="ignore"):
+        rho, drho = ad.smooth_ratio("asinhc", bn)
+    v = rho * b_s
+
+    def b_back(gv):
+        return np.concatenate(([0.0], rho * gv + (gv @ b_s) * drho / bn * b_s))
+
+    return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, v, b_back)
+
+
+_LAYERS = {
+    Model.KLEIN: partial(_span_layer, "klein_layer", _klein_coefficients, "atanhc"),
+    Model.POINCARE: partial(_span_layer, "poincare_layer", _poincare_coefficients, "atanhc"),
+    Model.LORENTZ: _lorentz_layer,
+}
+
+
+def _readout(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """a R^T + r as one node."""
+    out = Tensor(a.data @ weight.data.T + bias.data, (a, weight, bias), name="readout")
+    out._bk = lambda g: (
+        a._accumulate(g @ weight.data),
+        weight._accumulate(g.T @ a.data),
+        bias._accumulate(g.sum(axis=0)),
+    )
+    return out
 
 
 def _preprocess(features: np.ndarray) -> np.ndarray:
@@ -199,15 +352,24 @@ class _TapeRun:
     """One differentiable forward pass over a batch of rows.
 
     The capped feature rows x are origin tangent vectors, so w = x W^T is
-    the tangent-space matrix action, with no exp/log of x:
+    the tangent-space matrix action, with no exp/log of x.  By the paper's
+    transport theorem the bias step (exp_o, parallel transport, exp) is the
+    Einstein addition in Klein and the Mobius addition in Poincare
+    coordinates; like the explicit Lorentz transport it keeps each row in
+    span(w, b) (for Lorentz, span(w, v) with v = log_o(b)), and so does
+    the origin log:
 
-        Klein     hidden_out = exp_o(w) (+)_E b
-        Poincare  hidden_out = exp_o(w) (+)_M b
-        Lorentz   hidden_out = _lorentz_bias_rows(exp_o(w), b)
-        all       tangent = log_o(hidden_out)  (spatial part for Lorentz)
-                  logits = relu(tangent) R^T + r
+        tangent = log_o(exp_o(w) (+) b) = a w + c b
+        logits  = relu(tangent) R^T + r
 
-    Holds the parameter leaves, `hidden_out` and `tangent`.
+    where a and c are per-row scalars of |w|^2, w.b and |b|^2 (see
+    `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
+
+    The tape has one node per stage: hidden_linear, <flavor>_layer, relu,
+    readout (and cross_entropy in `_mean_cross_entropy`).  Holds the
+    parameter leaves, `tangent` (the layer node), `logits` and `hidden_out`,
+    the hidden points as a plain array (with the time coordinate for
+    Lorentz).
     """
 
     def __init__(self, model: HnnModel, features: np.ndarray):
@@ -220,29 +382,9 @@ class _TapeRun:
         self.bias = Tensor(model.hidden.bias.coords)
         self.readout_weight = Tensor(model.readout_weight)
         self.readout_bias = Tensor(model.readout_bias)
-        w = _times_transpose(_preprocess(features), self.weight)
-
-        if model.flavor is Model.LORENTZ:
-            self.hidden_out = _lorentz_bias_rows(_lorentz_exp_origin(w), self.bias)
-            self.tangent = _lorentz_log_origin_spatial(self.hidden_out)
-        else:
-            add = _einstein_add_rows if model.flavor is Model.KLEIN else _mobius_add_rows
-            self.hidden_out = add(_exp_origin_ball(w), self.bias)
-            self.tangent = _log_origin_ball(self.hidden_out)
-
-        readout = _times_transpose(ad.relu(self.tangent), self.readout_weight)
-        self.logits = readout + self.readout_bias
-
-
-def _times_transpose(rows, w: Tensor) -> Tensor:
-    """rows W^T as one node; rows given as an array are a constant."""
-    if not isinstance(rows, Tensor):
-        out = Tensor(rows @ w.data.T, (w,), name="matmul")
-        out._bk = lambda g: w._accumulate((rows.T @ g).T)
-        return out
-    out = Tensor(rows.data @ w.data.T, (rows, w), name="matmul")
-    out._bk = lambda g: (rows._accumulate(g @ w.data), w._accumulate((rows.data.T @ g).T))
-    return out
+        w = _hidden_linear(_preprocess(features), self.weight)
+        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, self.bias)
+        self.logits = _readout(ad.relu(self.tangent), self.readout_weight, self.readout_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +467,22 @@ def cross_entropy(logits, label: int) -> float:
 
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    shift = logits.data.max(axis=1, keepdims=True)  # constant: gradient-free stabilizer
-    shifted = logits - shift
-    lse = ad.log(ad.exp(shifted).sum(axis=1, keepdims=True))
-    per_row = lse.sum(axis=1) - ad.pick(shifted, labels)
-    return per_row.sum() * (1.0 / labels.size)
+    """Mean of the rows' cross-entropies as one node; gradient (softmax - onehot)/N."""
+    rows = np.arange(labels.size)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    scale = 1.0 / labels.size
+    per_row = np.log(total)[:, 0] - shifted[rows, labels]
+    out = Tensor(per_row.sum() * scale, (logits,), name="cross_entropy")
+
+    def bk(g):
+        grad = e * (g * scale / total)
+        grad[rows, labels] -= g * scale
+        logits._accumulate(grad)
+
+    out._bk = bk
+    return out
 
 
 def gradients(model: HnnModel, features, labels):

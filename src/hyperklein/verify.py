@@ -550,7 +550,7 @@ def _suite_forward_validity(samples, rng, **_):
         model = nn.init_model(flavor, n, m, c, seed=int(rng.integers(2**31)))
         feats = rng.normal(size=(batch, n)) * float(rng.uniform(0.1, 10.0))
         run = nn._TapeRun(model, feats)
-        hidden = run.hidden_out.data
+        hidden = run.hidden_out
         if not np.all(np.isfinite(run.logits.data)) or not np.all(np.isfinite(hidden)):
             return float("inf"), json.dumps({"flavor": flavor.value})
         if flavor is Model.LORENTZ:

@@ -229,6 +229,39 @@ class TestForward:
             nn.forward(model, np.zeros((2, 5)))
 
 
+def assert_gradients_match_finite_differences(model, feats, labels, h=1e-5, tol=1e-6):
+    """Every coordinate of every parameter against central differences."""
+    _, grads = nn.gradients(model, feats, labels)
+
+    def loss_with(key, arr):
+        trial = copy.deepcopy(model)
+        if key == "weight":
+            trial.hidden.weight = arr
+        elif key == "bias":
+            object.__setattr__(trial.hidden.bias, "coords", arr)
+        else:
+            setattr(trial, key, arr)
+        return nn.gradients(trial, feats, labels)[0]
+
+    current = {
+        "weight": model.hidden.weight,
+        "bias": model.hidden.bias.coords,
+        "readout_weight": model.readout_weight,
+        "readout_bias": model.readout_bias,
+    }
+    for key, base in current.items():
+        assert grads[key].shape == base.shape
+        for i in np.ndindex(base.shape):
+            p, m = base.copy(), base.copy()
+            p[i] += h
+            m[i] -= h
+            numeric = (loss_with(key, p) - loss_with(key, m)) / (2 * h)
+            assert grads[key][i] == pytest.approx(numeric, abs=tol), (key, i)
+    if model.flavor is Model.LORENTZ:
+        # the loss reads the bias through its spatial part only
+        assert grads["bias"][0] == 0.0
+
+
 class TestGradients:
     @pytest.mark.parametrize("flavor", list(Model))
     def test_matches_finite_differences(self, flavor):
@@ -236,21 +269,29 @@ class TestGradients:
         model = offset_bias_model(flavor, 4, 3, 3, seed=7)
         feats = rng.normal(size=(6, 4))
         labels = rng.integers(0, 3, size=6)
-        loss, grads = nn.gradients(model, feats, labels)
+        assert_gradients_match_finite_differences(model, feats, labels)
 
-        def loss_with_bias(coords):
-            trial = copy.deepcopy(model)
-            object.__setattr__(trial.hidden.bias, "coords", coords)
-            return nn.gradients(trial, feats, labels)[0]
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_matches_finite_differences_large_weights(self, flavor):
+        # hidden rows w = x W^T of norm about 3, where the layer's scalars
+        # (1/gamma, the transported bias) are far from their values at 0
+        rng = np.random.default_rng(20)
+        model = offset_bias_model(flavor, 4, 3, 3, seed=21)
+        feats = rng.normal(size=(6, 4))
+        labels = rng.integers(0, 3, size=6)
+        norms = np.linalg.norm(nn._preprocess(feats) @ model.hidden.weight.T, axis=1)
+        model.hidden.weight = model.hidden.weight * (3.0 / np.median(norms))
+        assert_gradients_match_finite_differences(model, feats, labels)
 
-        h = 1e-5
-        base = model.hidden.bias.coords
-        for i in range(base.size):
-            p, m = base.copy(), base.copy()
-            p[i] += h
-            m[i] -= h
-            numeric = (loss_with_bias(p) - loss_with_bias(m)) / (2 * h)
-            assert grads["bias"][i] == pytest.approx(numeric, abs=1e-6)
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_zero_rows_give_finite_gradients(self, flavor):
+        # |w| = 0 sits on the series branch of every smooth ratio
+        model = offset_bias_model(flavor, 3, 4, 3, seed=22)
+        feats = np.zeros((3, 3))
+        feats[1] = [0.5, -1.0, 2.0]
+        _, grads = nn.gradients(model, feats, np.array([0, 1, 2]))
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert_gradients_match_finite_differences(model, feats, np.array([0, 1, 2]))
 
     def test_saturated_correct_logits_give_tiny_gradients(self):
         model = nn.init_model(Model.KLEIN, 2, 2, 2, seed=8)
@@ -319,7 +360,9 @@ def count_nodes(monkeypatch):
 
 
 class TestNumericalGuard:
-    @pytest.mark.parametrize("flavor,op", [(Model.KLEIN, "sqrt"), (Model.LORENTZ, "cosh")])
+    @pytest.mark.parametrize(
+        "flavor,op", [(Model.KLEIN, "klein_layer"), (Model.LORENTZ, "lorentz_layer")]
+    )
     def test_saturating_pass_names_the_op_and_row(self, flavor, op):
         model, ds = saturating_model(flavor)
         with pytest.raises(NumericalError, match=rf"overflow in {op} at row \d+$"):
@@ -335,7 +378,7 @@ class TestNumericalGuard:
 
     def test_train_names_op_row_flavor_and_epoch(self):
         model, ds = saturating_model(Model.KLEIN)
-        with pytest.raises(NumericalError, match=r"overflow in sqrt at row \d+ \(klein, epoch 0\)"):
+        with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+ \(klein, epoch 0\)"):
             nn.train(model, ds, nn.TrainConfig(epochs=3))
 
     @pytest.mark.parametrize("flavor", list(Model))
@@ -498,7 +541,7 @@ class TestFlavorParity:
             model = offset_bias_model(flavor, 5, 6, 3, seed=19)
             feats = rng.normal(size=(50, 5)) * 8.0
             run = nn._TapeRun(model, feats)
-            hidden = run.hidden_out.data
+            hidden = run.hidden_out
             assert np.all(np.isfinite(run.logits.data))
             if flavor is Model.LORENTZ:
                 resid = np.abs(-hidden[:, 0] ** 2 + (hidden[:, 1:] ** 2).sum(axis=1) + 1.0)
