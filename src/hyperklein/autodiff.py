@@ -2,10 +2,11 @@
 
 A Tensor wraps a float64 ndarray and records the operation that produced it;
 `backward` replays the tape in reverse topological order.  The generic op set
-is small: arithmetic with broadcasting, matmul, sums and relu.  The network's
-heavy stages are single nodes that `nn` builds with a closed-form backward;
-`smooth_ratio` gives them the value and slope of tanh(t)/t, atanh(t)/t,
-sinh(t)/t and asinh(t)/t, which are smooth through t = 0.
+is small: arithmetic with broadcasting, matmul, sums, relu and the row norm.
+The network's heavy stages are single nodes that `nn` builds with a
+closed-form backward; `smooth_ratio` gives them the value and slope of
+tanh(t)/t, atanh(t)/t, sinh(t)/t and asinh(t)/t, which are smooth through
+t = 0.
 
 By default every op checks its output for non-finite values and raises
 NumericalError naming the op and the first row that holds one, so overflow
@@ -201,6 +202,16 @@ def relu(t: Tensor) -> Tensor:
     """max(t, 0) elementwise; the slope at zero is zero."""
     out = Tensor(np.maximum(t.data, 0.0), (t,), name="relu")
     out._bk = lambda g: t._accumulate(g * (t.data > 0.0))
+    return out
+
+
+def row_norm(t: Tensor) -> Tensor:
+    """Euclidean norm of each row, shape (N, 1); the floor 1e-32 under the
+    square keeps the slope x / n finite on a zero row."""
+    x = t.data
+    n = np.sqrt(np.einsum("ij,ij->i", x, x)[:, None] + 1e-32)
+    out = Tensor(n, (t,), name="row_norm")
+    out._bk = lambda g: t._accumulate(g * x / n)
     return out
 
 

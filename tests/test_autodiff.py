@@ -144,6 +144,27 @@ class TestSmoothHelpers:
         np.testing.assert_allclose(value, want_value, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(slope, want_slope, rtol=1e-9, atol=0.0)
 
+    def test_row_norm_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        scales = np.array([[1e-3], [0.1], [1.0], [5.0]])
+        x = rng.normal(size=(4, 3)) * scales
+        weights = rng.normal(size=(4, 1))
+        check(lambda t: (ad.row_norm(t) * weights).sum(), x, atol=1e-8)
+
+    def test_row_norm(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 3))
+        leaf = Tensor(x)
+        ad.row_norm(leaf).sum().backward()
+        np.testing.assert_allclose(
+            leaf.grad, x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-10
+        )
+
+    def test_row_norm_zero_row_finite(self):
+        leaf = Tensor(np.zeros((1, 3)))
+        ad.row_norm(leaf).sum().backward()
+        assert np.isfinite(leaf.grad).all()
+
 
 class TestNumericalGuard:
     def test_overflow_names_the_op(self):
