@@ -206,10 +206,9 @@ def relu(t: Tensor) -> Tensor:
 
 
 def row_norm(t: Tensor) -> Tensor:
-    """Euclidean norm of each row, shape (N, 1); the floor 1e-32 under the
-    square keeps the slope x / n finite on a zero row."""
+    """Euclidean norm of each row, shape (N, 1); smooth floor at zero."""
     x = t.data
-    n = np.sqrt(np.einsum("ij,ij->i", x, x)[:, None] + 1e-32)
+    n = np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-32)
     out = Tensor(n, (t,), name="row_norm")
     out._bk = lambda g: t._accumulate(g * x / n)
     return out
@@ -246,10 +245,6 @@ def smooth_ratio(name: str, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     fn, dfn, c2, c4 = _RATIOS[name]
     small = t < _SERIES_SWITCH
-    if not small.any():
-        f = fn(t)
-        value = f / t
-        return value, (dfn(t, f) - value) / t
     s = np.where(small, 1.0, t)
     f = fn(s)
     y = f / s

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyperklein import autodiff as ad
+from hyperklein import nn
 from hyperklein.autodiff import NumericalError, Tensor
 
 
@@ -167,14 +168,18 @@ class TestSmoothHelpers:
 
 
 class TestNumericalGuard:
+    # the checks run on the network's stage nodes, built the way nn builds them
     def test_overflow_names_the_op(self):
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow in mul"):
-            Tensor(np.array([1e300])) * 1e300
+        rows, weight = np.array([[1e300]]), Tensor(np.array([[1e300]]))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow in hidden_linear"):
+            nn._hidden_linear(rows, weight)
 
-    def test_division_by_zero_names_the_op_and_row(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NumericalError, match=r"overflow in div at row 1$"):
-                1.0 / Tensor(np.array([[2.0], [0.0], [1.0]]))
+    def test_overflow_names_the_op_and_row(self):
+        a = Tensor(np.array([[2.0], [1e300], [1.0]]))
+        weight, bias = Tensor(np.array([[1e300]])), Tensor(np.zeros(1))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=r"overflow in readout at row 1$"):
+                nn._readout(a, weight, bias)
 
     def test_non_finite_leaf_rejected(self):
         with pytest.raises(NumericalError):
