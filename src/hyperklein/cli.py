@@ -1,9 +1,9 @@
-"""Command-line front end: train, eval, convert, bench, selftest.
+"""Command-line front end: train, eval, convert, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error,
 4 self-test failure.  All outputs are reproducible byte-for-byte given the
-same configuration and seed; timing lives in metrics.json only, never in
-the deterministic CSV streams.
+same configuration and seed; timing lives in metrics.json and on stderr
+only, never in the deterministic CSV and JSON streams.
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ def _build_parser() -> _Parser:
     conv_p.add_argument("--dst", choices=[m.value for m in Model], required=True)
     conv_p.add_argument("--input", required=True)
     conv_p.add_argument("--output", required=True)
-
-    bench_p = sub.add_parser("bench", help="per-flavor epoch timings")
-    bench_p.add_argument("--data", required=True)
-    bench_p.add_argument("--epochs", type=int, default=50)
-    bench_p.add_argument("--trials", type=int, default=3)
-    bench_p.add_argument("--seed", type=int, default=42)
-    bench_p.add_argument("--out", default=".", help="output directory")
 
     self_p = sub.add_parser("selftest", help="run every verification suite")
     self_p.add_argument("--samples", type=int, default=None, help="override per-suite sample count")
@@ -243,39 +236,13 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    ds = _load_split_dataset(args.data, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for flavor in (Model.KLEIN, Model.POINCARE, Model.LORENTZ):
-        per_trial = []
-        for trial in range(args.trials):
-            model = nn.init_model(flavor, ds.dim, 16, ds.n_classes, args.seed + trial)
-            _, metrics = nn.train(
-                model, ds, nn.TrainConfig(lr=0.01, epochs=args.epochs, patience=max(args.epochs, 1))
-            )
-            per_trial.append(float(np.mean([m.seconds for m in metrics])))
-        results[flavor.value] = {
-            "mean_epoch_seconds": float(np.mean(per_trial)),
-            "std_epoch_seconds": float(np.std(per_trial)),
-            "trials": args.trials,
-        }
-    for flavor, row in results.items():
-        print(
-            f"{flavor:9s} {row['mean_epoch_seconds']:.6f} s/epoch "
-            f"+- {row['std_epoch_seconds']:.6f} over {row['trials']} trials"
-        )
-    (out / "bench.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
-    return EXIT_OK
-
-
 def _cmd_selftest(args) -> int:
     kwargs = {"broken_transport": True} if args.inject_transport_defect else {}
     reports = verify.run_all(samples=args.samples, seed=args.seed, **kwargs)
     failed = []
     for report in reports:
         print(report.to_json())
+        print(f"{report.suite}: {report.seconds:.3f} s", file=sys.stderr)
         if not report.passed:
             failed.append(report.suite)
     if failed:
@@ -294,7 +261,6 @@ def main(argv=None) -> int:
         "train": _cmd_train,
         "eval": _cmd_eval,
         "convert": _cmd_convert,
-        "bench": _cmd_bench,
         "selftest": _cmd_selftest,
     }
     try:

@@ -4,6 +4,18 @@ Points live in the Klein ball, the Poincare ball, or on the upper sheet of
 the Lorentz hyperboloid.  All operations are pure functions; conversions
 between models are isometries and tangent vectors move with the associated
 pushforward maps.
+
+Every formula is written once, as a row kernel (`convert_rows`,
+`pushforward_rows`, `metric_inner_rows`, `distance_rows`, `exp_rows`,
+`log_rows`, `geodesic_rows`, `transport_rows`): it takes (N, d) arrays, one
+point or tangent vector per row, and returns (N, d) rows or (N,) scalars.
+Ball rows are Klein or Poincare coordinates, hyperboloid rows are [time,
+spatial...].  Rows may be zero-padded: a point of a lower dimension, with
+zeros appended, maps to the same result with zeros appended.  Each kernel
+that returns points or tangent vectors checks every row for finiteness,
+clamps ball rows to norm 1 - EPS_BALL and puts hyperboloid rows back on the
+sheet, as the point classes do.  The point functions (`exp_map`,
+`distance`, ...) validate their arguments and call the kernels with N = 1.
 """
 
 from __future__ import annotations
@@ -27,23 +39,130 @@ class Model(str, enum.Enum):
     LORENTZ = "lorentz"
 
 
+# ---------------------------------------------------------------------------
+# row helpers
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the others; (N, d)
+    rows give an (N, 1) column.
+
+    Each sum runs left to right, so zero entries appended to a row leave its
+    value unchanged, bit for bit, and no row depends on the others; numpy's
+    pairwise sums would regroup the terms by the row length.
+    """
+    return np.add.accumulate(a * b, axis=-1)[..., -1:]
+
+
+def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Minkowski products -a_0 b_0 + a_s . b_s, as an (N, 1) column."""
+    return row_dots(a[:, 1:], b[:, 1:]) - a[:, :1] * b[:, :1]
+
+
+def _finite(rows: np.ndarray, what: str = "coordinates") -> np.ndarray:
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} must be finite")
+    return rows
+
+
+def clamp_rows(rows: np.ndarray) -> np.ndarray:
+    """Check finite ball rows; rescale each onto norm 1 - EPS_BALL when it
+    falls outside the ball."""
+    limit = 1.0 - EPS_BALL
+    norm = np.sqrt(row_dots(_finite(rows), rows))
+    return rows * (limit / np.maximum(norm, limit))
+
+
+def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
+    """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s."""
+    time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
+    return np.concatenate((time, spatial), axis=1)
+
+
+def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Rows comp + <base, comp> base: the Minkowski-orthogonal projection of
+    comp onto the tangent space at the hyperboloid rows base.  With tol, a
+    row whose residual <base, comp> exceeds tol max(1, |comp|) is rejected."""
+    residual = minkowski_rows(base, comp)
+    if tol is not None and np.any(np.abs(residual) > tol * np.maximum(1.0, np.sqrt(row_dots(comp, comp)))):
+        raise ValueError("components are not Minkowski-orthogonal to the base")
+    return comp + residual * base
+
+
+def _checked_lorentz_tangent(base: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Project finite rows that are nearly tangent at base."""
+    return lorentz_tangent_rows(base, _finite(comp, "components"), _LORENTZ_INPUT_TOL)
+
+
+def gamma_rows(c: np.ndarray) -> np.ndarray:
+    """Lorentz factors 1 / sqrt(1 - |c|^2) of Klein rows, as a column."""
+    return 1.0 / np.sqrt(1.0 - row_dots(c, c))
+
+
+def _conformal(x: np.ndarray) -> np.ndarray:
+    """Conformal scales 2 / (1 - |x|^2) of Poincare rows, as a column."""
+    return 2.0 / (1.0 - row_dots(x, x))
+
+
+def _acosh(arg: np.ndarray) -> np.ndarray:
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+# -- smooth ratios f(t)/t (removable singularities at zero) -------------------
+
+# Below the switch f(t)/t is its series 1 + c2 t^2 + c4 t^4, which is exact to
+# float64 there.  Above it the slope (f'(t) - f(t)/t)/t subtracts two values
+# near 1; at t >= 1e-3 that leaves at least nine correct digits.
+_SERIES_SWITCH = 1e-3
+
+# f, f' (given t and f(t)), c2, c4
+_RATIOS = {
+    "tanhc": (np.tanh, lambda t, f: 1.0 - f * f, -1.0 / 3.0, 2.0 / 15.0),
+    # atanh is evaluated at most at ATANH_MAX, and so is its slope
+    "atanhc": (
+        lambda t: np.arctanh(np.minimum(t, ATANH_MAX)),
+        lambda t, f: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
+        1.0 / 3.0,
+        1.0 / 5.0,
+    ),
+    "sinhc": (np.sinh, lambda t, f: np.cosh(t), 1.0 / 6.0, 1.0 / 120.0),
+    "asinhc": (np.arcsinh, lambda t, f: 1.0 / np.sqrt(1.0 + t * t), -1.0 / 6.0, 3.0 / 40.0),
+}
+
+
+def smooth_ratio(name: str, t: np.ndarray):
+    """Value and slope of f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
+
+    The row kernels take the value; the network's tape nodes also chain their
+    closed-form backward through the slope.  Overflow gives inf or nan;
+    callers that can overflow run this under np.errstate and check their
+    outputs.
+    """
+    fn, dfn, c2, c4 = _RATIOS[name]
+    small = t < _SERIES_SWITCH
+    s = np.where(small, 1.0, t)
+    f = fn(s)
+    y = f / s
+    t2 = t * t
+    value = np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
+    dy = (dfn(s, f) - y) / s
+    return value, np.where(small, t * (2.0 * c2 + 4.0 * c4 * t2), dy)
+
+
+# ---------------------------------------------------------------------------
+# points and tangent vectors
+
+
 def clamp_to_ball(coords) -> np.ndarray:
     """Rescale coords onto norm 1 - EPS_BALL when they fall outside the ball."""
-    coords = np.asarray(coords, dtype=np.float64)
-    norm = float(np.linalg.norm(coords))
-    limit = 1.0 - EPS_BALL
-    if norm > limit:
-        coords = coords * (limit / norm)
-    return coords
+    return clamp_rows(np.asarray(coords, dtype=np.float64)[None])[0]
 
 
 def _as_vector(coords, min_size: int) -> np.ndarray:
     arr = np.asarray(coords, dtype=np.float64)
     if arr.ndim != 1 or arr.size < min_size:
         raise ValueError(f"expected a 1-d vector of length >= {min_size}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
-    return arr
+    return _finite(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +212,11 @@ class LorentzPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = _as_vector(self.coords, 2).copy()
-        time = float(np.sqrt(1.0 + float(arr[1:] @ arr[1:])))
-        if arr[0] <= 0.0 or abs(arr[0] - time) > _LORENTZ_INPUT_TOL * max(1.0, time):
+        arr = _as_vector(self.coords, 2)
+        out = lorentz_rows(arr[None, 1:])[0]
+        if arr[0] <= 0.0 or abs(arr[0] - out[0]) > _LORENTZ_INPUT_TOL * max(1.0, out[0]):
             raise ValueError("coordinates do not lie on the upper hyperboloid sheet")
-        arr[0] = time
-        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "coords", out)
 
     @property
     def model(self) -> Model:
@@ -126,6 +244,14 @@ _POINT_TYPES = {
 }
 
 
+def _point_row(model: Model, rows: np.ndarray) -> Point:
+    """The point of model whose coordinates are the one row of a kernel's
+    output; the kernel has checked it, so it is not validated again."""
+    point = object.__new__(_POINT_TYPES[model])
+    object.__setattr__(point, "coords", rows[0])
+    return point
+
+
 def make_point(model: Model, coords) -> Point:
     return _POINT_TYPES[Model(model)](coords)
 
@@ -140,7 +266,7 @@ def origin(model: Model, dim: int) -> Point:
 
 
 def minkowski_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(-a[0] * b[0] + a[1:] @ b[1:])
+    return float(minkowski_rows(a[None], b[None])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,22 +289,22 @@ class TangentVector:
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.shape != self.base.coords.shape:
             raise ValueError("components length must match the model dimensionality")
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("components must be finite")
+        _finite(comp, "components")
         if model is Model.LORENTZ:
-            residual = minkowski_inner(self.base.coords, comp)
-            if abs(residual) > _LORENTZ_INPUT_TOL * max(1.0, float(np.linalg.norm(comp))):
-                raise ValueError("components are not Minkowski-orthogonal to the base")
-            comp = comp + residual * self.base.coords
+            comp = lorentz_tangent_rows(self.base.coords[None], comp[None], _LORENTZ_INPUT_TOL)[0]
         object.__setattr__(self, "components", comp)
+
+
+def _tangent_row(base: Point, rows: np.ndarray) -> TangentVector:
+    """The tangent vector at base held by the one row of a kernel's output."""
+    v = object.__new__(TangentVector)
+    for name, value in (("model", base.model), ("base", base), ("components", rows[0])):
+        object.__setattr__(v, name, value)
+    return v
 
 
 def tangent(base: Point, components) -> TangentVector:
     return TangentVector(base.model, base, components)
-
-
-def zero_tangent(base: Point) -> TangentVector:
-    return TangentVector(base.model, base, np.zeros_like(base.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +313,27 @@ def zero_tangent(base: Point) -> TangentVector:
 
 def lorentz_factor(x: KleinPoint) -> float:
     """Dilation factor 1 / sqrt(1 - |x|^2) of a Klein ball point."""
-    return 1.0 / float(np.sqrt(1.0 - x.coords @ x.coords))
+    return float(gamma_rows(x.coords[None])[0, 0])
 
 
-def poincare_conformal_factor(x: PoincarePoint) -> float:
-    """Conformal scale 2 / (1 - |x|^2) of a Poincare ball point."""
-    return 2.0 / float(1.0 - x.coords @ x.coords)
+def metric_inner_rows(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Riemannian inner products of tangent rows a and b at the rows x, (N,)."""
+    if model is Model.KLEIN:
+        s = 1.0 - row_dots(x, x)
+        out = row_dots(a, b) / s + row_dots(x, a) * row_dots(x, b) / s**2
+    elif model is Model.POINCARE:
+        rho = _conformal(x)
+        out = rho * rho * row_dots(a, b)
+    else:
+        out = minkowski_rows(a, b)
+    return out[:, 0]
 
 
 def metric_inner(x: Point, u: TangentVector, v: TangentVector) -> float:
     """Riemannian inner product of u and v in the tangent space at x."""
     if u.model is not x.model or v.model is not x.model:
         raise ValueError("tangent vectors do not belong to the model of x")
-    a, b = u.components, v.components
-    if isinstance(x, KleinPoint):
-        c = x.coords
-        s = 1.0 - float(c @ c)
-        return float((a @ b) / s + (c @ a) * (c @ b) / s**2)
-    if isinstance(x, PoincarePoint):
-        rho = poincare_conformal_factor(x)
-        return float(rho * rho * (a @ b))
-    return minkowski_inner(a, b)
+    return float(metric_inner_rows(x.model, x.coords[None], u.components[None], v.components[None])[0])
 
 
 def metric_norm(x: Point, u: TangentVector) -> float:
@@ -222,24 +348,56 @@ def klein_metric_inverse(x: KleinPoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conversions between models
+# conversions between models (through Klein coordinates)
+
+
+def _to_klein(src: Model, x: np.ndarray) -> np.ndarray:
+    if src is Model.POINCARE:
+        return clamp_rows(2.0 * x / (1.0 + row_dots(x, x)))
+    if src is Model.LORENTZ:
+        return clamp_rows(x[:, 1:] / x[:, :1])
+    return x
+
+
+def convert_rows(src: Model, dst: Model, x: np.ndarray) -> np.ndarray:
+    """Rows of src-model points in dst-model coordinates."""
+    if src is dst:
+        return x
+    c = _to_klein(src, x)
+    if dst is Model.POINCARE:
+        return clamp_rows(c / (1.0 + np.sqrt(1.0 - row_dots(c, c))))
+    if dst is Model.LORENTZ:
+        return lorentz_rows(gamma_rows(c) * c)
+    return c
 
 
 def convert_point(p: Point, dst: Model) -> Point:
     dst = Model(dst)
     if p.model is dst:
         return p
-    if isinstance(p, PoincarePoint):
-        klein = KleinPoint(2.0 * p.coords / (1.0 + float(p.coords @ p.coords)))
-        return klein if dst is Model.KLEIN else convert_point(klein, dst)
-    if isinstance(p, LorentzPoint):
-        klein = KleinPoint(p.spatial / p.time)
-        return klein if dst is Model.KLEIN else convert_point(klein, dst)
-    c = p.coords
+    return _point_row(dst, convert_rows(p.model, dst, p.coords[None]))
+
+
+def pushforward_rows(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tangent rows u at the src-model rows x, carried to the dst model."""
+    if src is dst:
+        return u
+    if src is Model.POINCARE:
+        q = 1.0 + row_dots(x, x)
+        u = _finite(2.0 * u / q - 4.0 * row_dots(x, u) / q**2 * x, "components")
+    elif src is Model.LORENTZ:
+        xt = x[:, :1]
+        u = _finite(-u[:, :1] / xt**2 * x[:, 1:] + u[:, 1:] / xt, "components")
+    c = _to_klein(src, x)
     if dst is Model.POINCARE:
-        return PoincarePoint(c / (1.0 + float(np.sqrt(1.0 - c @ c))))
-    lam = lorentz_factor(p)
-    return LorentzPoint(np.concatenate(([lam], lam * c)))
+        s = np.sqrt(1.0 - row_dots(c, c))
+        return _finite(u / (1.0 + s) + row_dots(c, u) / (s * (1.0 + s) ** 2) * c, "components")
+    if dst is Model.LORENTZ:
+        lam = gamma_rows(c)
+        radial = row_dots(c, u) * lam**3
+        comp = np.concatenate((radial, lam * u + radial * c), axis=1)
+        return _checked_lorentz_tangent(lorentz_rows(lam * c), comp)
+    return u
 
 
 def pushforward(v: TangentVector, dst: Model) -> TangentVector:
@@ -247,63 +405,31 @@ def pushforward(v: TangentVector, dst: Model) -> TangentVector:
     dst = Model(dst)
     if v.model is dst:
         return v
-    if v.model is Model.POINCARE:
-        x, u = v.base.coords, v.components
-        q = 1.0 + float(x @ x)
-        comp = 2.0 * u / q - 4.0 * float(x @ u) / q**2 * x
-        out = TangentVector(Model.KLEIN, convert_point(v.base, Model.KLEIN), comp)
-        return out if dst is Model.KLEIN else pushforward(out, dst)
-    if v.model is Model.LORENTZ:
-        xt, xs = v.base.time, v.base.spatial
-        vt, vs = v.components[0], v.components[1:]
-        comp = -vt / xt**2 * xs + vs / xt
-        out = TangentVector(Model.KLEIN, convert_point(v.base, Model.KLEIN), comp)
-        return out if dst is Model.KLEIN else pushforward(out, dst)
-    x, u = v.base.coords, v.components
-    if dst is Model.POINCARE:
-        s = float(np.sqrt(1.0 - x @ x))
-        comp = u / (1.0 + s) + float(x @ u) / (s * (1.0 + s) ** 2) * x
-        return TangentVector(Model.POINCARE, convert_point(v.base, Model.POINCARE), comp)
-    lam = lorentz_factor(v.base)
-    radial = float(x @ u) * lam**3
-    comp = np.concatenate(([radial], lam * u + radial * x))
-    return TangentVector(Model.LORENTZ, convert_point(v.base, Model.LORENTZ), comp)
+    comp = pushforward_rows(v.model, dst, v.base.coords[None], v.components[None])
+    return _tangent_row(convert_point(v.base, dst), comp)
 
 
 # ---------------------------------------------------------------------------
 # distances, geodesics, exponential and logarithmic maps
 
 
-def _acosh_clamped(arg: float) -> float:
-    return float(np.arccosh(max(arg, 1.0)))
+def distance_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Geodesic distances between the rows of x and y, (N,)."""
+    if model is Model.KLEIN:
+        arg = (1.0 - row_dots(x, y)) / np.sqrt((1.0 - row_dots(x, x)) * (1.0 - row_dots(y, y)))
+    elif model is Model.POINCARE:
+        d = x - y
+        arg = 1.0 + 2.0 * row_dots(d, d) / ((1.0 - row_dots(x, x)) * (1.0 - row_dots(y, y)))
+    else:
+        arg = -minkowski_rows(x, y)
+    return _acosh(arg)[:, 0]
 
 
 def distance(x: Point, y: Point) -> float:
     """Geodesic distance between two points of the same model."""
     if x.model is not y.model:
         raise ValueError("distance requires points of the same model")
-    if isinstance(x, KleinPoint):
-        a, b = x.coords, y.coords
-        arg = (1.0 - float(a @ b)) / float(np.sqrt((1.0 - a @ a) * (1.0 - b @ b)))
-        return _acosh_clamped(arg)
-    if isinstance(x, PoincarePoint):
-        a, b = x.coords, y.coords
-        d2 = float((a - b) @ (a - b))
-        arg = 1.0 + 2.0 * d2 / float((1.0 - a @ a) * (1.0 - b @ b))
-        return _acosh_clamped(arg)
-    return _acosh_clamped(-minkowski_inner(x.coords, y.coords))
-
-
-def _sinhc(t: float) -> float:
-    if abs(t) < 1e-6:
-        return 1.0 + t * t / 6.0
-    return float(np.sinh(t) / t)
-
-
-def _lorentz_from_spatial(spatial: np.ndarray) -> LorentzPoint:
-    # recomputing the time component restores the sheet constraint exactly
-    time = np.sqrt(1.0 + float(spatial @ spatial))
-    return LorentzPoint(np.concatenate(([time], spatial)))
+    return float(distance_rows(x.model, x.coords[None], y.coords[None])[0])
 
 
 def _require_based_at(x: Point, v: TangentVector) -> None:
@@ -313,85 +439,81 @@ def _require_based_at(x: Point, v: TangentVector) -> None:
         raise ValueError("tangent vector is not based at x")
 
 
+def geodesic_rows(model: Model, x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points at arclength t (N,) along the unit-speed geodesics from x with velocity v."""
+    speed = metric_inner_rows(model, x, v, v)
+    off = np.abs(speed - 1.0)
+    if np.any(off > 1e-8):
+        worst = float(speed[np.argmax(off)])
+        raise ValueError(f"geodesic velocity must be unit speed, got squared speed {worst}")
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    if model is Model.KLEIN:
+        lam2 = 1.0 / (1.0 - row_dots(x, x))
+        # lambda^2 factor: required for d(gamma(0), gamma(t)) = |t|
+        den = np.cosh(t) + lam2 * row_dots(x, v) * np.sinh(t)
+        return clamp_rows(x + np.sinh(t) * v / den)
+    if model is Model.LORENTZ:
+        return lorentz_rows((np.cosh(t) * x + np.sinh(t) * v)[:, 1:])
+    return exp_rows(model, x, t * v)
+
+
 def geodesic_unit(x: Point, v: TangentVector, t: float) -> Point:
     """Point at arclength t along the unit-speed geodesic from x with velocity v."""
     _require_based_at(x, v)
-    speed = metric_inner(x, v, v)
-    if abs(speed - 1.0) > 1e-8:
-        raise ValueError(f"geodesic velocity must be unit speed, got squared speed {speed}")
-    if isinstance(x, KleinPoint):
-        c, u = x.coords, v.components
-        lam2 = 1.0 / (1.0 - float(c @ c))
-        # lambda^2 factor: required for d(gamma(0), gamma(t)) = |t|
-        den = np.cosh(t) + lam2 * float(c @ u) * np.sinh(t)
-        return KleinPoint(c + np.sinh(t) * u / den)
-    if isinstance(x, LorentzPoint):
-        out = np.cosh(t) * x.coords + np.sinh(t) * v.components
-        return _lorentz_from_spatial(out[1:])
-    return exp_map(x, TangentVector(x.model, x, t * v.components))
+    out = geodesic_rows(x.model, x.coords[None], v.components[None], np.array([t]))
+    return _point_row(x.model, out)
+
+
+def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Endpoints of the geodesic segments leaving the rows x with tangents v."""
+    if model is Model.KLEIN:
+        t = np.sqrt(np.maximum(metric_inner_rows(model, x, v, v), 0.0))[:, None]
+        lam2 = 1.0 / (1.0 - row_dots(x, x))
+        # tanh(t)/t form of the geodesic: stays finite for arbitrarily long steps
+        tc = smooth_ratio("tanhc", t)[0]
+        return clamp_rows(x + tc * v / (1.0 + lam2 * row_dots(x, v) * tc))
+    if model is Model.POINCARE:
+        from .gyro import mobius_add_rows  # local import to avoid a module cycle
+
+        half = 0.5 * _conformal(x)
+        step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v)))[0] * v
+        return mobius_add_rows(x, clamp_rows(step))
+    t = np.sqrt(np.maximum(minkowski_rows(v, v), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # the sheet rows are checked
+        out = np.cosh(t) * x + smooth_ratio("sinhc", t)[0] * v
+    return lorentz_rows(out[:, 1:])
 
 
 def exp_map(x: Point, v: TangentVector) -> Point:
     """Endpoint of the geodesic segment leaving x with tangent v."""
     _require_based_at(x, v)
-    if isinstance(x, KleinPoint):
-        c, u = x.coords, v.components
-        t = metric_norm(x, v)
-        lam2 = 1.0 / (1.0 - float(c @ c))
-        # tanh(t)/t form of the geodesic: stays finite for arbitrarily long steps
-        tc = _tanhc(t)
-        den = 1.0 + lam2 * float(c @ u) * tc
-        return KleinPoint(c + tc * u / den)
-    if isinstance(x, PoincarePoint):
-        from .gyro import mobius_add  # local import to avoid a module cycle
-
-        rho = poincare_conformal_factor(x)
-        n = float(np.linalg.norm(v.components))
-        step = 0.5 * rho * _tanhc(0.5 * rho * n) * v.components
-        return mobius_add(x, PoincarePoint(step))
-    t = float(np.sqrt(max(minkowski_inner(v.components, v.components), 0.0)))
-    out = np.cosh(t) * x.coords + _sinhc(t) * v.components
-    return _lorentz_from_spatial(out[1:])
+    return _point_row(x.model, exp_rows(x.model, x.coords[None], v.components[None]))
 
 
-def _tanhc(t: float) -> float:
-    if abs(t) < 1e-6:
-        return 1.0 - t * t / 3.0
-    return float(np.tanh(t) / t)
+def log_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tangent rows at x whose exponentials reach the rows y."""
+    if model is Model.KLEIN:
+        u = y - x
+        un = np.sqrt(metric_inner_rows(model, x, u, u))[:, None]
+        dist = distance_rows(model, x, y)[:, None]
+        return _finite(np.where(un > 0.0, dist / np.where(un > 0.0, un, 1.0), 0.0) * u, "components")
+    if model is Model.POINCARE:
+        from .gyro import mobius_add_rows
 
-
-def _atanhc(t: float) -> float:
-    if abs(t) < 1e-6:
-        return 1.0 + t * t / 3.0
-    return float(np.arctanh(min(t, ATANH_MAX)) / t)
+        w = mobius_add_rows(clamp_rows(-x), y)
+        scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))[0]
+        return _finite(scale * w, "components")
+    alpha = np.maximum(-minkowski_rows(x, y), 1.0)
+    denom = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))
+    ratio = np.where(denom > 0.0, _acosh(alpha) / np.where(denom > 0.0, denom, 1.0), 1.0)
+    return _checked_lorentz_tangent(x, ratio * (y - alpha * x))
 
 
 def log_map(x: Point, y: Point) -> TangentVector:
     """Tangent vector at x whose exponential reaches y."""
     if x.model is not y.model:
         raise ValueError("log_map requires points of the same model")
-    if isinstance(x, KleinPoint):
-        u = y.coords - x.coords
-        un = float(np.sqrt(metric_quadratic_klein(x.coords, u)))
-        if un == 0.0:
-            return zero_tangent(x)
-        return TangentVector(Model.KLEIN, x, distance(x, y) / un * u)
-    if isinstance(x, PoincarePoint):
-        from .gyro import mobius_add
-
-        w = mobius_add(PoincarePoint(-x.coords), y).coords
-        rho = poincare_conformal_factor(x)
-        return TangentVector(Model.POINCARE, x, (2.0 / rho) * _atanhc(float(np.linalg.norm(w))) * w)
-    alpha = max(-minkowski_inner(x.coords, y.coords), 1.0)
-    w = y.coords - alpha * x.coords
-    denom = float(np.sqrt(max(alpha * alpha - 1.0, 0.0)))
-    ratio = _acosh_clamped(alpha) / denom if denom > 0.0 else 1.0
-    return TangentVector(Model.LORENTZ, x, ratio * w)
-
-
-def metric_quadratic_klein(c: np.ndarray, u: np.ndarray) -> float:
-    s = 1.0 - float(c @ c)
-    return float((u @ u) / s + (c @ u) ** 2 / s**2)
+    return _tangent_row(x, log_rows(x.model, x.coords[None], y.coords[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,34 +531,40 @@ def _require_origin_base(v: TangentVector) -> None:
         raise ValueError("transport_from_origin requires a vector based at the origin")
 
 
+def transport_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Parallel transport of origin tangent rows v to the tangent spaces at the rows x."""
+    if model is Model.KLEIN:
+        s = np.sqrt(1.0 - row_dots(x, x))
+        return _finite(s * (v - row_dots(x, v) / (1.0 + s) * x), "components")
+    if model is Model.POINCARE:
+        return _finite((1.0 - row_dots(x, x)) * v, "components")
+    o_plus_x = x.copy()
+    o_plus_x[:, 0] += 1.0
+    comp = v + minkowski_rows(x, v) / o_plus_x[:, :1] * o_plus_x
+    return _checked_lorentz_tangent(x, comp)
+
+
 def transport_from_origin(x: Point, v: TangentVector) -> TangentVector:
     """Parallel transport of an origin tangent vector to the tangent space at x."""
     if v.model is not x.model:
         raise ValueError("tangent vector does not belong to the model of x")
     _require_origin_base(v)
-    if isinstance(x, KleinPoint):
-        c, u = x.coords, v.components
-        s = float(np.sqrt(1.0 - c @ c))
-        return TangentVector(Model.KLEIN, x, s * (u - float(c @ u) / (1.0 + s) * c))
-    if isinstance(x, PoincarePoint):
-        return TangentVector(Model.POINCARE, x, (1.0 - float(x.coords @ x.coords)) * v.components)
-    c, u = x.coords, v.components
-    coef = minkowski_inner(c, u) / (1.0 + x.time)
-    o = np.zeros_like(c)
-    o[0] = 1.0
-    return TangentVector(Model.LORENTZ, x, u + coef * (o + c))
+    return _tangent_row(x, transport_rows(x.model, x.coords[None], v.components[None]))
 
 
-def _klein_transport_origin_broken(x: KleinPoint, v: TangentVector) -> TangentVector:
-    """Known-bad closed form for the Klein origin transport.
+def klein_transport_broken_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Known-bad closed form for the Klein origin transport, row by row.
 
     Its radial component violates metric preservation; it exists only so the
     verification suites can demonstrate that they catch the defect.
     """
+    s = np.sqrt(1.0 - row_dots(x, x))
+    gap = 1.0 - s
+    coef = np.where(gap == 0.0, 0.0, row_dots(x, v) * (s - 2.0) / np.where(gap == 0.0, 1.0, gap))
+    return _finite(coef * x + s * v, "components")
+
+
+def _klein_transport_origin_broken(x: KleinPoint, v: TangentVector) -> TangentVector:
+    """Point form of `klein_transport_broken_rows`."""
     _require_origin_base(v)
-    c, u = x.coords, v.components
-    s = float(np.sqrt(1.0 - c @ c))
-    if 1.0 - s == 0.0:
-        return TangentVector(Model.KLEIN, x, u.copy())
-    coef = float(c @ u) * (s - 2.0) / (1.0 - s)
-    return TangentVector(Model.KLEIN, x, coef * c + s * u)
+    return _tangent_row(x, klein_transport_broken_rows(x.coords[None], v.components[None]))

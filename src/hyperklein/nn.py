@@ -78,6 +78,7 @@ from .manifolds import (
     make_point,
     minkowski_inner,
     origin,
+    smooth_ratio,
     transport_from_origin,
 )
 
@@ -173,7 +174,7 @@ def _hidden_linear(rows: np.ndarray, weight: Tensor) -> Tensor:
 def _klein_coefficients(p, q, s):
     """Einstein addition exp_o(w) (+)_E b, with exp_o(w) = tanhc(|w|) w."""
     n = np.sqrt(p + 1e-32)
-    tau, dtau = ad.smooth_ratio("tanhc", n)
+    tau, dtau = smooth_ratio("tanhc", n)
     inv_gamma = np.sqrt(1.0 - tau * tau * p)
     gamma = 1.0 / inv_gamma
     cf = gamma / (1.0 + gamma)
@@ -198,7 +199,7 @@ def _klein_coefficients(p, q, s):
 def _poincare_coefficients(p, q, s):
     """Mobius addition exp_o(w) (+)_M b, with exp_o(w) = tanhc(|w|) w."""
     n = np.sqrt(p + 1e-32)
-    tau, dtau = ad.smooth_ratio("tanhc", n)
+    tau, dtau = smooth_ratio("tanhc", n)
     sq = tau * tau * p
     dot = tau * q
     lift = 1.0 + 2.0 * dot + s
@@ -220,45 +221,29 @@ def _poincare_coefficients(p, q, s):
 
 def _lorentz_coefficients(p, q, s):
     """exp_h(PT_{o->h} v) for h = exp_o(w) = (cosh|w|, sinhc(|w|) w); here b
-    is the bias's origin tangent v, and alpha w + beta v is the spatial part."""
+    is the bias's origin tangent v, and alpha w + beta v is the spatial part.
+    Transport is an isometry, so the transported tangent's norm is t = |v|."""
     n = np.sqrt(p + 1e-32)
-    sig, dsig = ad.smooth_ratio("sinhc", n)
+    sig, dsig = smooth_ratio("sinhc", n)
     h_t = np.cosh(n)
-    inner = sig * q
+    inner = sig * q  # <h, (0, v)>, the time coordinate of the transported v
     inv = 1.0 / (1.0 + h_t)
     coef = inner * inv
-    p_t = coef * (1.0 + h_t)
-    # the transported tangent p = (p_t, v + coef sinhc(|w|) w) and its
-    # Minkowski square from those coordinates (|v|^2 in exact arithmetic)
-    quad = s + 2.0 * coef * inner + coef * coef * sig * sig * p - p_t * p_t
-    t = np.sqrt(np.maximum(quad, 0.0) + 1e-32)
-    big_s, dbig_s = ad.smooth_ratio("sinhc", t)
+    t = np.sqrt(s + 1e-32)
+    big_s, dbig_s = smooth_ratio("sinhc", t)
     big_c = np.cosh(t)
     alpha = sig * (big_c + big_s * coef)
     beta = big_s
 
     def back(g_alpha, g_beta):
         g_t = g_alpha * sig * np.sinh(t) + (g_alpha * sig * coef + g_beta) * dbig_s
-        g_quad = np.where(quad > 0.0, g_t / (2.0 * t), 0.0)
-        g_p_t = -2.0 * p_t * g_quad
-        g_coef = (
-            g_alpha * sig * big_s
-            + 2.0 * g_quad * (inner + coef * sig * sig * p)
-            + g_p_t * (1.0 + h_t)
-        )
+        g_coef = g_alpha * sig * big_s
         g_inner = g_coef * inv
-        g_h_t = g_p_t * coef - g_coef * coef * inv
-        g_sig = (
-            g_alpha * (big_c + big_s * coef)
-            + 2.0 * g_quad * coef * (q + coef * sig * p)
-            + g_inner * q
-        )
-        g_n = g_h_t * np.sinh(n) + g_sig * dsig
-        g_p = g_quad * coef * coef * sig * sig + g_n / (2.0 * n)
-        g_q = 2.0 * g_quad * coef * sig + g_inner * sig
-        return g_p, g_q, g_quad
+        g_sig = g_alpha * (big_c + big_s * coef) + g_inner * q
+        g_n = -g_coef * coef * inv * np.sinh(n) + g_sig * dsig
+        return g_n / (2.0 * n), g_inner * sig, g_t / (2.0 * t)
 
-    return alpha, beta, back, big_c * h_t + big_s * p_t
+    return alpha, beta, back, big_c * h_t + big_s * inner
 
 
 def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, b_back=None):
@@ -282,7 +267,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, 
         alpha, beta, back, h_time = coefficients(p, q, s)
         hidden = alpha * wd + beta * b
         r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
-        k, dk = ad.smooth_ratio(log_ratio, r)
+        k, dk = smooth_ratio(log_ratio, r)
         z = Tensor(k * hidden, (w, bias), name=name)
 
     def bk(gz):
@@ -312,7 +297,7 @@ def _lorentz_layer(w: Tensor, bias: Tensor):
     b_s = bias.data[1:]
     bn = np.sqrt(b_s @ b_s + 1e-32)
     with np.errstate(all="ignore"):
-        rho, drho = ad.smooth_ratio("asinhc", bn)
+        rho, drho = smooth_ratio("asinhc", bn)
     v = rho * b_s
 
     def b_back(gv):

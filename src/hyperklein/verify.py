@@ -2,44 +2,58 @@
 
 Each suite draws a deterministic sample stream, evaluates one identity through
 two independent code paths, and reports the worst absolute error against a
-pinned tolerance.  The hyperboloid-conjugation oracle recomputes any Klein
-operation by mapping through the Lorentz model, which exercises entirely
-different formulas than the Klein closed forms it checks.
+pinned tolerance, with the inputs of the sample that has it.  The
+hyperboloid-conjugation oracle recomputes a Klein operation by mapping
+through the Lorentz (or Poincare) model, which exercises entirely different
+formulas than the Klein closed forms it checks.
+
+The geometry suites draw all their samples up front, each of dimension 1 to
+16, zero-padded to width 16, and evaluate each side of their identity with
+one call of a row kernel of `manifolds` or `gyro` (one call per model where
+the suite covers all three).  The kernels keep padding zeros at zero, so a
+padded sample gives the same errors as the unpadded one.  The network suites
+(`layer_commutation`, `gradient_check`, `forward_validity`,
+`training_trend`) run the batched network itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import nn
 from .data import gen_tree_dataset
 from .gyro import (
-    einstein_add,
-    einstein_matvec,
-    einstein_scalar,
-    gyration,
-    mobius_add,
+    einstein_add_rows,
+    einstein_matvec_rows,
+    einstein_scalar_rows,
+    gyration_rows,
+    mobius_add_rows,
 )
 from .manifolds import (
-    KleinPoint,
     Model,
     TangentVector,
-    _klein_transport_origin_broken,
+    _point_row,
+    clamp_rows,
     convert_point,
-    distance,
+    convert_rows,
+    distance_rows,
     exp_map,
-    geodesic_unit,
-    log_map,
-    metric_inner,
-    metric_norm,
-    minkowski_inner,
+    exp_rows,
+    geodesic_rows,
+    klein_transport_broken_rows,
+    log_rows,
+    lorentz_tangent_rows,
+    metric_inner_rows,
     origin,
-    pushforward,
+    pushforward_rows,
+    row_dots,
     tangent,
-    transport_from_origin,
+    transport_rows,
 )
 
 
@@ -51,6 +65,8 @@ class PropertyReport:
     tolerance: float
     passed: bool
     worst_case_input: str
+    # wall time of the run; not part of the deterministic JSON record
+    seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -65,17 +81,68 @@ class PropertyReport:
         )
 
 
-def sample_ball(dim: int, max_norm: float, rng: np.random.Generator) -> KleinPoint:
-    """Uniform direction on the sphere, radius uniform in [0, max_norm]."""
+# every sample has dimension 1..WIDTH and is zero-padded to WIDTH
+WIDTH = 16
+_MODELS = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)
+_MODEL_NAMES = np.array([m.value for m in _MODELS])
+_VIAS = (Model.POINCARE, Model.LORENTZ)
+
+
+def _dims(rng, n):
+    return rng.integers(1, WIDTH + 1, size=n)
+
+
+def _mask(sizes):
+    """(N, WIDTH) rows that are True on each row's first `size` entries."""
+    return np.arange(WIDTH) < sizes[:, None]
+
+
+def _normal(rng, dims):
+    """Standard normal rows, zero past each row's dimension."""
+    return rng.normal(size=(dims.size, WIDTH)) * _mask(dims)
+
+
+def _max_abs(diff):
+    return np.max(np.abs(diff), axis=1)
+
+
+def sample_ball(dims, max_norm: float, rng: np.random.Generator) -> np.ndarray:
+    """Klein rows of the given dimensions, zero-padded to WIDTH: uniform
+    direction on the sphere, radius uniform in [0, max_norm]."""
     if not 0.0 < max_norm < 1.0:
         raise ValueError("max_norm must lie in (0, 1)")
-    direction = rng.normal(size=dim)
-    norm = float(np.linalg.norm(direction))
-    if norm < 1e-12:
-        direction = np.zeros(dim)
-        direction[0] = 1.0
-        norm = 1.0
-    return KleinPoint(float(rng.uniform(0.0, max_norm)) * direction / norm)
+    direction = _normal(rng, dims)
+    norm = np.sqrt(row_dots(direction, direction))
+    flat = norm < 1e-12
+    direction = np.where(flat, np.eye(1, WIDTH), direction)
+    radius = rng.uniform(0.0, max_norm, size=(dims.size, 1))
+    return clamp_rows(radius * direction / np.where(flat, 1.0, norm))
+
+
+def _worst(err, **fields):
+    """The largest entry of err and a JSON record of its row's inputs.
+
+    A field (rows, n) or (rows, n, k), with per-row sizes n and k, records
+    that row cut to n entries (an n x k matrix); a per-row array records the
+    row's entry; any other value is recorded as it is.
+    """
+    i = int(np.argmax(err))
+
+    def pick(value):
+        if isinstance(value, tuple):
+            rows, *sizes = value
+            return rows[i][tuple(slice(int(n[i])) for n in sizes)].tolist()
+        if isinstance(value, np.ndarray):
+            return value[i].tolist()
+        return value
+
+    return float(err[i]), json.dumps({k: pick(v) for k, v in fields.items()})
+
+
+def _worst_via(errs, **fields):
+    """`_worst` over one error array per model in _VIAS, recording the model."""
+    via = np.where(errs[1] > errs[0], _VIAS[1].value, _VIAS[0].value)
+    return _worst(np.maximum(*errs), via=via, **fields)
 
 
 def finite_diff_grad(fn, point: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -107,32 +174,22 @@ def finite_diff_grad(fn, point: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def conjugation_oracle(op_name: str, inputs: dict, via: Model = Model.LORENTZ):
-    """Evaluate a Klein operation by conjugating through another model.
+    """Evaluate a Klein operation row by row by conjugating through another model.
 
-    Supported ops: distance, exp, log, transport, geodesic.  Inputs are Klein
-    points / origin tangents; the result comes back in Klein coordinates.
+    Supported ops: distance (Klein rows x, y; returns (N,) distances) and
+    transport (Klein rows x, origin tangent rows v; returns Klein tangent
+    rows at x).
     """
     via = Model(via)
     if via is Model.KLEIN:
         raise ValueError("the oracle must route through a different model")
+    x = inputs["x"]
+    xv = convert_rows(Model.KLEIN, via, x)
     if op_name == "distance":
-        return distance(convert_point(inputs["x"], via), convert_point(inputs["y"], via))
-    if op_name == "exp":
-        x, v = inputs["x"], inputs["v"]
-        out = exp_map(convert_point(x, via), pushforward(v, via))
-        return convert_point(out, Model.KLEIN)
-    if op_name == "log":
-        x, y = inputs["x"], inputs["y"]
-        out = log_map(convert_point(x, via), convert_point(y, via))
-        return pushforward(out, Model.KLEIN)
+        return distance_rows(via, xv, convert_rows(Model.KLEIN, via, inputs["y"]))
     if op_name == "transport":
-        x, v = inputs["x"], inputs["v"]
-        out = transport_from_origin(convert_point(x, via), pushforward(v, via))
-        return pushforward(out, Model.KLEIN)
-    if op_name == "geodesic":
-        x, v, t = inputs["x"], inputs["v"], inputs["t"]
-        out = geodesic_unit(convert_point(x, via), pushforward(v, via), t)
-        return convert_point(out, Model.KLEIN)
+        v = pushforward_rows(Model.KLEIN, via, np.zeros_like(x), inputs["v"])
+        return pushforward_rows(via, Model.KLEIN, xv, transport_rows(via, xv, v))
     raise ValueError(f"unknown oracle operation {op_name!r}")
 
 
@@ -140,306 +197,231 @@ def conjugation_oracle(op_name: str, inputs: dict, via: Model = Model.LORENTZ):
 # suites
 
 
-def _dims(rng):
-    return int(rng.integers(1, 17))
-
-
-def _serialize(**kw):
-    def conv(v):
-        if isinstance(v, (KleinPoint,)):
-            return v.coords.tolist()
-        if isinstance(v, TangentVector):
-            return v.components.tolist()
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        return v
-
-    return json.dumps({k: conv(v) for k, v in kw.items()})
-
-
 def _suite_round_trip(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        x = sample_ball(_dims(rng), 0.95, rng)
-        for via in (Model.POINCARE, Model.LORENTZ):
-            back = convert_point(convert_point(x, via), Model.KLEIN)
-            err = float(np.max(np.abs(back.coords - x.coords)))
-            if err > worst:
-                worst, arg = err, _serialize(x=x, via=via.value)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x = sample_ball(dims, 0.95, rng)
+    errs = [
+        _max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x)) - x)
+        for via in _VIAS
+    ]
+    return _worst_via(errs, x=(x, dims))
 
 
 def _suite_distance_isometry(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x, y = sample_ball(dim, 0.95, rng), sample_ball(dim, 0.95, rng)
-        d = distance(x, y)
-        for via in (Model.POINCARE, Model.LORENTZ):
-            err = abs(distance(convert_point(x, via), convert_point(y, via)) - d)
-            if err > worst:
-                worst, arg = err, _serialize(x=x, y=y, via=via.value)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x, y = sample_ball(dims, 0.95, rng), sample_ball(dims, 0.95, rng)
+    d = distance_rows(Model.KLEIN, x, y)
+    errs = [
+        np.abs(distance_rows(via, convert_rows(Model.KLEIN, via, x), convert_rows(Model.KLEIN, via, y)) - d)
+        for via in _VIAS
+    ]
+    return _worst_via(errs, x=(x, dims), y=(y, dims))
 
 
 def _suite_pushforward_metric(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x = sample_ball(dim, 0.95, rng)
-        u = tangent(x, rng.normal(size=dim))
-        w = tangent(x, rng.normal(size=dim))
-        ref = metric_inner(x, u, w)
-        for via in (Model.POINCARE, Model.LORENTZ):
-            y = convert_point(x, via)
-            err = abs(metric_inner(y, pushforward(u, via), pushforward(w, via)) - ref)
-            if err > worst:
-                worst, arg = err, _serialize(x=x, u=u, w=w, via=via.value)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x = sample_ball(dims, 0.95, rng)
+    u, w = _normal(rng, dims), _normal(rng, dims)
+    ref = metric_inner_rows(Model.KLEIN, x, u, w)
+    errs = []
+    for via in _VIAS:
+        y = convert_rows(Model.KLEIN, via, x)
+        pu, pw = (pushforward_rows(Model.KLEIN, via, x, t) for t in (u, w))
+        errs.append(np.abs(metric_inner_rows(via, y, pu, pw) - ref))
+    return _worst_via(errs, x=(x, dims), u=(u, dims), w=(w, dims))
+
+
+def _tangent_rows(model, x, raw):
+    """Tangent rows at x from WIDTH-wide raw rows: the Lorentz spatial part."""
+    if model is Model.LORENTZ:
+        return lorentz_tangent_rows(x, np.pad(raw, ((0, 0), (1, 0))))
+    return raw
+
+
+def _by_model(samples, dims, check, **extra):
+    """Row i checks model i % 3.  check(model, rows) returns that model's
+    errors and a dict of the point and tangent rows to record; the result
+    is `_worst` over all rows."""
+    err = np.zeros(samples)
+    record = {}
+    for k, model in enumerate(_MODELS):
+        rows = slice(k, None, len(_MODELS))
+        err[rows], arrays = check(model, rows)
+        for key, value in arrays.items():
+            record.setdefault(key, np.zeros((samples, WIDTH + 1)))[rows, : value.shape[1]] = value
+    kind = np.arange(samples) % len(_MODELS)
+    width = dims + (kind == 2)  # hyperboloid rows carry a time coordinate
+    fields = {key: (value, width) for key, value in record.items()}
+    return _worst(err, **fields, **extra, model=_MODEL_NAMES[kind])
+
+
+def _unit_tangents(model, x, raw):
+    v = _tangent_rows(model, x, raw)
+    n = np.sqrt(np.maximum(metric_inner_rows(model, x, v, v), 0.0))
+    return v / np.where(n == 0.0, 1.0, n)[:, None]
 
 
 def _suite_exp_log_inverse(samples, rng, **_):
-    worst, arg = 0.0, ""
-    count = 0
-    while count < samples:
-        dim = _dims(rng)
-        model = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)[count % 3]
-        x = convert_point(sample_ball(dim, 0.95, rng), model)
-        raw = rng.normal(size=dim)
-        v = tangent(x, raw) if model is not Model.LORENTZ else _lorentz_tangent(x, raw)
-        n = metric_norm(x, v)
-        if n == 0.0:
-            continue
-        v = tangent(x, v.components * (float(rng.uniform(0.0, 3.0)) / n))
-        back = log_map(x, exp_map(x, v))
-        err = float(np.max(np.abs(back.components - v.components)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x.coords, v=v, model=model.value)
-        count += 1
-    return worst, arg
+    dims = _dims(rng, samples)
+    ball, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    length = rng.uniform(0.0, 3.0, size=(samples, 1))
 
+    def check(model, rows):
+        x = convert_rows(Model.KLEIN, model, ball[rows])
+        v = _unit_tangents(model, x, raw[rows]) * length[rows]
+        return _max_abs(log_rows(model, x, exp_rows(model, x, v)) - v), {"x": x, "v": v}
 
-def _lorentz_tangent(x, spatial):
-    raw = np.concatenate(([0.0], spatial))
-    raw = raw + minkowski_inner(x.coords, raw) * x.coords
-    return TangentVector(Model.LORENTZ, x, raw)
+    return _by_model(samples, dims, check)
 
 
 def _suite_geodesic_speed(samples, rng, **_):
-    worst, arg = 0.0, ""
-    count = 0
-    while count < samples:
-        dim = _dims(rng)
-        model = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)[count % 3]
-        x = convert_point(sample_ball(dim, 0.95, rng), model)
-        raw = rng.normal(size=dim)
-        v = tangent(x, raw) if model is not Model.LORENTZ else _lorentz_tangent(x, raw)
-        n = metric_norm(x, v)
-        if n == 0.0:
-            continue
-        v = tangent(x, v.components / n)
-        t = float(rng.uniform(-5.0, 5.0))
-        err = abs(distance(x, geodesic_unit(x, v, t)) - abs(t))
-        if err > worst:
-            worst, arg = err, _serialize(x=x.coords, v=v, t=t, model=model.value)
-        count += 1
-    return worst, arg
+    dims = _dims(rng, samples)
+    ball, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    t = rng.uniform(-5.0, 5.0, size=samples)
+
+    def check(model, rows):
+        x = convert_rows(Model.KLEIN, model, ball[rows])
+        v = _unit_tangents(model, x, raw[rows])
+        y = geodesic_rows(model, x, v, t[rows])
+        return np.abs(distance_rows(model, x, y) - np.abs(t[rows])), {"x": x, "v": v}
+
+    return _by_model(samples, dims, check, t=t)
 
 
 def _suite_transport_isometry(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for i in range(samples):
-        dim = _dims(rng)
-        model = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)[i % 3]
-        x = convert_point(sample_ball(dim, 0.95, rng), model)
-        o = origin(model, dim)
-        raw_u, raw_w = rng.normal(size=dim), rng.normal(size=dim)
-        u = tangent(o, raw_u) if model is not Model.LORENTZ else _lorentz_tangent(o, raw_u)
-        w = tangent(o, raw_w) if model is not Model.LORENTZ else _lorentz_tangent(o, raw_w)
-        err = abs(
-            metric_inner(x, transport_from_origin(x, u), transport_from_origin(x, w))
-            - metric_inner(o, u, w)
-        )
-        if err > worst:
-            worst, arg = err, _serialize(x=x.coords, u=u, w=w, model=model.value)
-    return worst, arg
+    dims = _dims(rng, samples)
+    ball = sample_ball(dims, 0.95, rng)
+    raw_u, raw_w = _normal(rng, dims), _normal(rng, dims)
+
+    def check(model, rows):
+        x = convert_rows(Model.KLEIN, model, ball[rows])
+        o = convert_rows(Model.KLEIN, model, np.zeros_like(ball[rows]))
+        u, w = _tangent_rows(model, o, raw_u[rows]), _tangent_rows(model, o, raw_w[rows])
+        moved = metric_inner_rows(model, x, transport_rows(model, x, u), transport_rows(model, x, w))
+        return np.abs(moved - metric_inner_rows(model, o, u, w)), {"x": x, "u": u, "w": w}
+
+    return _by_model(samples, dims, check)
 
 
-def _suite_transport_conjugation(samples, rng, *, transport_fn=transport_from_origin, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x = sample_ball(dim, 0.95, rng)
-        v = tangent(origin(Model.KLEIN, dim), rng.normal(size=dim))
-        direct = transport_fn(x, v)
-        via = conjugation_oracle("transport", {"x": x, "v": v})
-        err = float(np.max(np.abs(direct.components - via.components)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, v=v)
-    return worst, arg
+_klein_transport = partial(transport_rows, Model.KLEIN)
+
+
+def _suite_transport_conjugation(samples, rng, *, transport_fn=_klein_transport, **_):
+    dims = _dims(rng, samples)
+    x, v = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    direct = transport_fn(x, v)
+    err = _max_abs(direct - conjugation_oracle("transport", {"x": x, "v": v}))
+    return _worst(err, x=(x, dims), v=(v, dims))
 
 
 def _suite_scalar_mult_tangent(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x = sample_ball(dim, 0.95, rng)
-        r = float(rng.uniform(-3.0, 3.0))
-        o = origin(Model.KLEIN, dim)
-        direct = einstein_scalar(r, x)
-        via = exp_map(o, tangent(o, r * log_map(o, x).components))
-        err = float(np.max(np.abs(direct.coords - via.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, r=r)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x = sample_ball(dims, 0.95, rng)
+    r = rng.uniform(-3.0, 3.0, size=samples)
+    o = np.zeros_like(x)
+    via = exp_rows(Model.KLEIN, o, r[:, None] * log_rows(Model.KLEIN, o, x))
+    return _worst(_max_abs(einstein_scalar_rows(r, x) - via), x=(x, dims), r=r)
 
 
-def _suite_transport_gyro(samples, rng, *, transport_fn=transport_from_origin, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x = sample_ball(dim, 0.95, rng)
-        o = origin(Model.KLEIN, dim)
-        raw = rng.normal(size=dim)
-        norm = float(np.linalg.norm(raw))
-        if norm == 0.0:
-            continue
-        v = tangent(o, raw * (float(rng.uniform(0.0, 2.0)) / norm))
-        direct = transport_fn(x, v)
-        via = log_map(x, einstein_add(x, exp_map(o, v)))
-        err = float(np.max(np.abs(direct.components - via.components)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, v=v)
-    return worst, arg
+def _suite_transport_gyro(samples, rng, *, transport_fn=_klein_transport, **_):
+    dims = _dims(rng, samples)
+    x, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    norm = np.sqrt(row_dots(raw, raw))
+    v = raw * (rng.uniform(0.0, 2.0, size=(samples, 1)) / np.where(norm == 0.0, 1.0, norm))
+    direct = transport_fn(x, v)
+    via = log_rows(Model.KLEIN, x, einstein_add_rows(x, exp_rows(Model.KLEIN, np.zeros_like(x), v)))
+    return _worst(_max_abs(direct - via), x=(x, dims), v=(v, dims))
 
 
-def _random_matrix(rng, rows, cols):
-    return rng.normal(size=(rows, cols)) / np.sqrt(cols)
+def _random_matrices(rng, rows, cols):
+    """(N, WIDTH, WIDTH) matrices, normal / sqrt(cols) in each leading
+    rows x cols block and zero outside it."""
+    m = rng.normal(size=(rows.size, WIDTH, WIDTH)) / np.sqrt(cols)[:, None, None]
+    return m * (_mask(rows)[:, :, None] & _mask(cols)[:, None, :])
+
+
+def _matvec(m, x):
+    return np.einsum("nij,nj->ni", m, x)
 
 
 def _suite_matvec_compose(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        mid, out = int(rng.integers(1, 17)), int(rng.integers(1, 17))
-        m1 = _random_matrix(rng, out, mid)
-        m2 = _random_matrix(rng, mid, dim)
-        x = sample_ball(dim, 0.95, rng)
-        lhs = einstein_matvec(m1 @ m2, x)
-        rhs = einstein_matvec(m1, einstein_matvec(m2, x))
-        err = float(np.max(np.abs(lhs.coords - rhs.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x)
-    return worst, arg
+    dims, mid, out = (_dims(rng, samples) for _ in range(3))
+    m1, m2 = _random_matrices(rng, out, mid), _random_matrices(rng, mid, dims)
+    x = sample_ball(dims, 0.95, rng)
+    lhs = einstein_matvec_rows(m1 @ m2, x)
+    rhs = einstein_matvec_rows(m1, einstein_matvec_rows(m2, x))
+    return _worst(
+        _max_abs(lhs - rhs), x=(x, dims), m1=(m1, out, mid), m2=(m2, mid, dims), mid=mid, out=out
+    )
 
 
 def _suite_matvec_scale(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        out = int(rng.integers(1, 17))
-        m = _random_matrix(rng, out, dim)
-        r = float(rng.uniform(1e-3, 3.0))
-        x = sample_ball(dim, 0.95, rng)
-        lhs = einstein_matvec(r * m, x)
-        rhs = einstein_scalar(r, einstein_matvec(m, x))
-        err = float(np.max(np.abs(lhs.coords - rhs.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, r=r)
-    return worst, arg
+    dims, out = _dims(rng, samples), _dims(rng, samples)
+    m = _random_matrices(rng, out, dims)
+    r = rng.uniform(1e-3, 3.0, size=samples)
+    x = sample_ball(dims, 0.95, rng)
+    lhs = einstein_matvec_rows(r[:, None, None] * m, x)
+    rhs = einstein_scalar_rows(r, einstein_matvec_rows(m, x))
+    return _worst(_max_abs(lhs - rhs), x=(x, dims), r=r, m=(m, out, dims))
 
 
 def _suite_matvec_orthogonal(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-        q = q * np.sign(np.diag(r))
-        x = sample_ball(dim, 0.95, rng)
-        err = float(np.max(np.abs(einstein_matvec(q, x).coords - q @ x.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x)
-    return worst, arg
+    dims = _dims(rng, samples)
+    block = _mask(dims)[:, :, None] & _mask(dims)[:, None, :]
+    # the identity outside the dims x dims block keeps the QR block-diagonal
+    a = np.where(block, rng.normal(size=block.shape), np.eye(WIDTH))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :] * block
+    x = sample_ball(dims, 0.95, rng)
+    err = _max_abs(einstein_matvec_rows(q, x) - _matvec(q, x))
+    return _worst(err, x=(x, dims), q=(q, dims, dims))
 
 
 def _suite_matvec_tangent(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        out = int(rng.integers(1, 17))
-        m = _random_matrix(rng, out, dim)
-        x = sample_ball(dim, 0.95, rng)
-        direct = einstein_matvec(m, x)
-        o_in, o_out = origin(Model.KLEIN, dim), origin(Model.KLEIN, out)
-        via = exp_map(o_out, tangent(o_out, m @ log_map(o_in, x).components))
-        err = float(np.max(np.abs(direct.coords - via.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=x)
-    return worst, arg
+    dims, out = _dims(rng, samples), _dims(rng, samples)
+    m = _random_matrices(rng, out, dims)
+    x = sample_ball(dims, 0.95, rng)
+    o = np.zeros_like(x)
+    via = exp_rows(Model.KLEIN, o, _matvec(m, log_rows(Model.KLEIN, o, x)))
+    err = _max_abs(einstein_matvec_rows(m, x) - via)
+    return _worst(err, x=(x, dims), m=(m, out, dims), out=out)
 
 
 def _suite_gyro_group(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x, y, z = (sample_ball(dim, 0.95, rng) for _ in range(3))
-        comm = einstein_add(x, y).coords - gyration(x, y, einstein_add(y, x)).coords
-        assoc = (
-            einstein_add(x, einstein_add(y, z)).coords
-            - einstein_add(einstein_add(x, y), gyration(x, y, z)).coords
-        )
-        err = max(float(np.max(np.abs(comm))), float(np.max(np.abs(assoc))))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, y=y, z=z)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x, y, z = (sample_ball(dims, 0.95, rng) for _ in range(3))
+    comm = einstein_add_rows(x, y) - gyration_rows(x, y, einstein_add_rows(y, x))
+    assoc = einstein_add_rows(x, einstein_add_rows(y, z)) - einstein_add_rows(
+        einstein_add_rows(x, y), gyration_rows(x, y, z)
+    )
+    err = np.maximum(_max_abs(comm), _max_abs(assoc))
+    return _worst(err, x=(x, dims), y=(y, dims), z=(z, dims))
 
 
 def _suite_gyration_inner(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x, y, u, w = (sample_ball(dim, 0.95, rng) for _ in range(4))
-        gu, gw = gyration(x, y, u).coords, gyration(x, y, w).coords
-        err = abs(float(gu @ gw) - float(u.coords @ w.coords))
-        if err > worst:
-            worst, arg = err, _serialize(x=x, y=y, u=u, w=w)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x, y, u, w = (sample_ball(dims, 0.95, rng) for _ in range(4))
+    gu, gw = gyration_rows(x, y, u), gyration_rows(x, y, w)
+    err = np.abs(row_dots(gu, gw) - row_dots(u, w))[:, 0]
+    return _worst(err, x=(x, dims), y=(y, dims), u=(u, dims), w=(w, dims))
 
 
 def _suite_mobius_einstein(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        xb = convert_point(sample_ball(dim, 0.95, rng), Model.POINCARE)
-        yb = convert_point(sample_ball(dim, 0.95, rng), Model.POINCARE)
-        lhs = convert_point(mobius_add(xb, yb), Model.KLEIN)
-        rhs = einstein_add(convert_point(xb, Model.KLEIN), convert_point(yb, Model.KLEIN))
-        err = float(np.max(np.abs(lhs.coords - rhs.coords)))
-        if err > worst:
-            worst, arg = err, _serialize(x=xb.coords, y=yb.coords)
-    return worst, arg
+    dims = _dims(rng, samples)
+    xb, yb = (convert_rows(Model.KLEIN, Model.POINCARE, sample_ball(dims, 0.95, rng)) for _ in range(2))
+    lhs = convert_rows(Model.POINCARE, Model.KLEIN, mobius_add_rows(xb, yb))
+    rhs = einstein_add_rows(*(convert_rows(Model.POINCARE, Model.KLEIN, p) for p in (xb, yb)))
+    return _worst(_max_abs(lhs - rhs), x=(xb, dims), y=(yb, dims))
 
 
 def _suite_oracle_consistency(samples, rng, **_):
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        x = sample_ball(dim, 0.95, rng)
-        v = tangent(origin(Model.KLEIN, dim), rng.normal(size=dim))
-        a = conjugation_oracle("transport", {"x": x, "v": v}, via=Model.LORENTZ)
-        b = conjugation_oracle("transport", {"x": x, "v": v}, via=Model.POINCARE)
-        err = float(np.max(np.abs(a.components - b.components)))
-        y = sample_ball(dim, 0.95, rng)
-        err = max(
-            err,
-            abs(
-                conjugation_oracle("distance", {"x": x, "y": y}, via=Model.LORENTZ)
-                - conjugation_oracle("distance", {"x": x, "y": y}, via=Model.POINCARE)
-            ),
-        )
-        if err > worst:
-            worst, arg = err, _serialize(x=x, v=v, y=y)
-    return worst, arg
+    dims = _dims(rng, samples)
+    x, v = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    y = sample_ball(dims, 0.95, rng)
+    a, b = (conjugation_oracle("transport", {"x": x, "v": v}, via=via) for via in _VIAS[::-1])
+    da, db = (conjugation_oracle("distance", {"x": x, "y": y}, via=via) for via in _VIAS[::-1])
+    err = np.maximum(_max_abs(a - b), np.abs(da - db))
+    return _worst(err, x=(x, dims), v=(v, dims), y=(y, dims))
 
 
 def _corresponding_models(km: nn.HnnModel):
@@ -511,7 +493,7 @@ def _max_rel_grad_error(model, feats, labels, grads):
             model.flavor,
             nn.LayerParams(
                 arr if key == "weight" else model.hidden.weight.copy(),
-                _point_with(model.hidden.bias, arr) if key == "bias" else model.hidden.bias,
+                _point_row(model.flavor, arr[None]) if key == "bias" else model.hidden.bias,
             ),
             arr if key == "readout_weight" else model.readout_weight.copy(),
             arr if key == "readout_bias" else model.readout_bias.copy(),
@@ -531,13 +513,6 @@ def _max_rel_grad_error(model, feats, labels, grads):
         denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grads[key])))
         worst = max(worst, float(np.max(np.abs(grads[key] - numeric) / denom)))
     return worst
-
-
-def _point_with(point, coords):
-    cls = type(point)
-    fresh = object.__new__(cls)
-    object.__setattr__(fresh, "coords", np.asarray(coords, dtype=np.float64))
-    return fresh
 
 
 def _suite_forward_validity(samples, rng, **_):
@@ -581,26 +556,19 @@ def _suite_training_trend(samples, rng, **_):
 
 def _suite_boundary_stress(samples, rng, **_):
     """Near the ball boundary only finiteness and validity are asserted."""
-    worst, arg = 0.0, ""
-    for _ in range(samples):
-        dim = _dims(rng)
-        direction = rng.normal(size=dim)
-        direction /= max(float(np.linalg.norm(direction)), 1e-12)
-        radius = 1.0 - float(rng.uniform(1e-6, 1e-3))
-        x = KleinPoint(radius * direction)
-        y = sample_ball(dim, 0.95, rng)
-        values = [distance(x, y)]
-        for via in (Model.POINCARE, Model.LORENTZ):
-            back = convert_point(convert_point(x, via), Model.KLEIN)
-            values.append(float(np.max(np.abs(back.coords))))
-        v = log_map(x, y)
-        values.append(float(np.max(np.abs(exp_map(x, v).coords))))
-        bad = 0.0 if all(np.isfinite(values)) else float("inf")
-        overflow = max(float(np.linalg.norm(einstein_add(x, y).coords)) - 1.0, 0.0)
-        err = max(bad, overflow)
-        if err > worst:
-            worst, arg = err, _serialize(x=x, y=y)
-    return worst, arg
+    dims = _dims(rng, samples)
+    direction = _normal(rng, dims)
+    direction /= np.maximum(np.sqrt(row_dots(direction, direction)), 1e-12)
+    x = clamp_rows((1.0 - rng.uniform(1e-6, 1e-3, size=(samples, 1))) * direction)
+    y = sample_ball(dims, 0.95, rng)
+    values = [distance_rows(Model.KLEIN, x, y)]
+    for via in _VIAS:
+        values.append(_max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x))))
+    values.append(_max_abs(exp_rows(Model.KLEIN, x, log_rows(Model.KLEIN, x, y))))
+    bad = np.where(np.isfinite(values).all(axis=0), 0.0, np.inf)
+    added = einstein_add_rows(x, y)
+    overflow = np.maximum(np.sqrt(row_dots(added, added))[:, 0] - 1.0, 0.0)
+    return _worst(np.maximum(bad, overflow), x=(x, dims), y=(y, dims))
 
 
 _SUITES = {
@@ -643,9 +611,10 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, **kwargs) ->
         raise ValueError("sample count must be nonnegative")
     if n == 0:
         return PropertyReport(name, 0, 0.0, tol, True, "")
-    rng = np.random.default_rng(seed)
-    worst, arg = fn(n, rng, **kwargs)
-    return PropertyReport(name, n, worst, tol, bool(worst <= tol), arg)
+    start = time.perf_counter()
+    worst, arg = fn(n, np.random.default_rng(seed), **kwargs)
+    seconds = time.perf_counter() - start
+    return PropertyReport(name, n, worst, tol, bool(worst <= tol), arg, seconds)
 
 
 def run_all(samples: int | None = None, seed: int = 0, broken_transport: bool = False):
@@ -654,6 +623,6 @@ def run_all(samples: int | None = None, seed: int = 0, broken_transport: bool = 
     for name in _SUITES:
         kwargs = {}
         if broken_transport and name in ("transport_conjugation", "transport_gyro"):
-            kwargs["transport_fn"] = _klein_transport_origin_broken
+            kwargs["transport_fn"] = klein_transport_broken_rows
         reports.append(run_suite(name, samples=samples, seed=seed, **kwargs))
     return reports

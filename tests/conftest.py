@@ -35,3 +35,36 @@ def write_texas_like(path, seed=0):
 @pytest.fixture(scope="session")
 def texas_file(tmp_path_factory):
     return write_texas_like(tmp_path_factory.mktemp("data") / "texas_like.json", seed=0)
+
+
+def _rows_close(got, want, rtol):
+    """Each row of got within rtol of want's row, relative to that row's norm."""
+    got, want = got.reshape(len(got), -1), want.reshape(len(want), -1)
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= rtol * np.linalg.norm(want, axis=1)), err.max()
+
+
+def _pad_columns(a, width):
+    return np.pad(a, ((0, 0), (0, width))) if a.ndim == 2 else a
+
+
+@pytest.fixture
+def check_row_kernel():
+    """Check a row kernel against its one-row calls and its zero-padded rows.
+
+    fn(*args) must equal fn called on each row alone within 1e-15 of the
+    row's norm; with `pad` zero columns appended to every 2-d argument it
+    must give the same rows with `pad` zeros appended.
+    """
+
+    def check(fn, args, pad=11):
+        whole = fn(*args)
+        single = np.concatenate([fn(*(a[i : i + 1] for a in args)) for i in range(len(args[0]))])
+        _rows_close(whole, single, 1e-15)
+        padded = fn(*(_pad_columns(a, pad) for a in args))
+        if whole.ndim == 2:
+            assert np.all(padded[:, whole.shape[1] :] == 0.0)
+            padded = padded[:, : whole.shape[1]]
+        _rows_close(padded, whole, 1e-15)
+
+    return check

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyperklein import cli, nn
+from hyperklein import cli, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset, save_dataset
 
@@ -60,5 +60,17 @@ def test_selftest_passes():
 def test_injected_transport_defect_exits_4(capsys):
     code = cli.main(["selftest", "--samples", "20", "--inject-transport-defect"])
     assert code == cli.EXIT_SELFTEST
-    err = capsys.readouterr().err
-    assert "transport_conjugation" in err and "transport_gyro" in err
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("FAILED suites:")]
+    assert failed == ["FAILED suites: transport_conjugation, transport_gyro"]
+
+
+def test_selftest_stdout_is_deterministic_and_stderr_times_each_suite(capsys):
+    outs = []
+    for _ in range(2):
+        assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    timed = [line.split(":")[0] for line in captured.err.splitlines()]
+    assert timed == verify.suite_names() and len(timed) == 22

@@ -7,19 +7,25 @@ from hypothesis import strategies as st
 
 from hyperklein.gyro import (
     einstein_add,
+    einstein_add_rows,
     einstein_matvec,
+    einstein_matvec_rows,
     einstein_midpoint,
     einstein_neg,
     einstein_scalar,
+    einstein_scalar_rows,
     gyration,
+    gyration_rows,
     klein_geodesic_between,
     mobius_add,
+    mobius_add_rows,
 )
 from hyperklein.manifolds import (
     KleinPoint,
     Model,
     PoincarePoint,
     convert_point,
+    convert_rows,
     exp_map,
     log_map,
     origin,
@@ -248,6 +254,10 @@ class TestEinsteinMatvec:
                 einstein_matvec(q, x).coords, q @ x.coords, atol=1e-10
             )
 
+    def test_tiny_point_maps_linearly(self):
+        out = einstein_matvec(2.0 * np.eye(2), KleinPoint([1e-17, 0.0]))
+        np.testing.assert_array_equal(out.coords, [2e-17, 0.0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             einstein_matvec(np.eye(3), KleinPoint([0.1, 0.1]))
@@ -323,3 +333,44 @@ class TestEinsteinMidpoint:
         pts = [sample_klein(rng, 3, max_norm=0.999) for _ in range(5)]
         out = einstein_midpoint(pts, rng.uniform(0.0, 1.0, size=5))
         assert np.linalg.norm(out.coords) < 1.0
+
+
+ROWS = 64
+
+
+def ball_rows(rng, dim=5):
+    """ROWS Klein points of radius up to 1 - 1e-6, row 0 the origin."""
+    direction = rng.normal(size=(ROWS, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = rng.uniform(0.0, 1.0 - 1e-6, size=(ROWS, 1))
+    radius[0], radius[1] = 0.0, 1.0 - 1e-6
+    return radius * direction
+
+
+def gyro_kernel_cases():
+    rng = np.random.default_rng(50)
+    x, y, z = ball_rows(rng), ball_rows(rng), ball_rows(rng)
+    xb, yb = (convert_rows(Model.KLEIN, Model.POINCARE, p) for p in (x, y))
+    r = rng.uniform(-3.0, 3.0, size=ROWS)
+    return {
+        "einstein_add": (einstein_add_rows, (x, y)),
+        "einstein_scalar": (einstein_scalar_rows, (r, x)),
+        "gyration": (gyration_rows, (x, y, z)),
+        "mobius_add": (mobius_add_rows, (xb, yb)),
+    }
+
+
+@pytest.mark.parametrize("kernel", list(gyro_kernel_cases()))
+def test_row_kernel_matches_one_row_calls_and_padding(check_row_kernel, kernel):
+    fn, args = gyro_kernel_cases()[kernel]
+    check_row_kernel(fn, args)
+
+
+def test_matvec_row_kernel_matches_one_row_calls_and_padding(check_row_kernel):
+    rng = np.random.default_rng(51)
+    m = rng.normal(size=(ROWS, 4, 5))
+    m[2] = 0.0
+    x = ball_rows(rng)
+    check_row_kernel(einstein_matvec_rows, (m, x), pad=0)  # matrices pad on two axes, below
+    padded = einstein_matvec_rows(np.pad(m, ((0, 0), (0, 12), (0, 11))), np.pad(x, ((0, 0), (0, 11))))
+    np.testing.assert_array_equal(padded, np.pad(einstein_matvec_rows(m, x), ((0, 0), (0, 12))))

@@ -1,5 +1,7 @@
 """Unit tests for the coordinate models: conversions, metric, geodesics, transport."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,19 +15,29 @@ from hyperklein.manifolds import (
     _klein_transport_origin_broken,
     clamp_to_ball,
     convert_point,
+    convert_rows,
     distance,
+    distance_rows,
     exp_map,
+    exp_rows,
+    geodesic_rows,
     geodesic_unit,
     klein_metric_inverse,
+    klein_transport_broken_rows,
     log_map,
+    log_rows,
     lorentz_factor,
+    lorentz_tangent_rows,
     metric_inner,
+    metric_inner_rows,
     metric_norm,
     minkowski_inner,
     origin,
     pushforward,
+    pushforward_rows,
     tangent,
     transport_from_origin,
+    transport_rows,
 )
 
 LN3 = 1.0986122886681098  # atanh(0.8)
@@ -427,3 +439,75 @@ class TestClampToBall:
         np.testing.assert_allclose(
             clamp_to_ball([3.0, 4.0]), np.array([0.6, 0.8]) * (1.0 - EPS_BALL)
         )
+
+
+ROWS = 64
+
+
+def kernel_points(rng, model, dim=5):
+    """ROWS points of model: Klein radii up to 1 - 1e-6, row 0 the origin."""
+    direction = rng.normal(size=(ROWS, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = rng.uniform(0.0, 1.0 - 1e-6, size=(ROWS, 1))
+    radius[0], radius[1] = 0.0, 1.0 - 1e-6
+    return convert_rows(Model.KLEIN, model, radius * direction)
+
+
+def kernel_tangents(rng, model, x):
+    """Tangent rows at x of metric norm up to 3, row 0 zero."""
+    raw = rng.normal(size=(ROWS, x.shape[1] - (model is Model.LORENTZ)))
+    raw[0] = 0.0
+    if model is Model.LORENTZ:
+        raw = lorentz_tangent_rows(x, np.pad(raw, ((0, 0), (1, 0))))
+    norm = np.sqrt(metric_inner_rows(model, x, raw, raw))
+    return raw * (rng.uniform(0.0, 3.0, size=ROWS) / np.where(norm > 0.0, norm, 1.0))[:, None]
+
+
+def kernel_cases(model):
+    rng = np.random.default_rng(40)
+    x, y = kernel_points(rng, model), kernel_points(rng, model)
+    u, w = kernel_tangents(rng, model, x), kernel_tangents(rng, model, x)
+    unit = kernel_tangents(rng, model, x)
+    unit[0] = kernel_tangents(rng, model, x)[1]
+    unit /= np.sqrt(metric_inner_rows(model, x, unit, unit))[:, None]
+    o = convert_rows(Model.KLEIN, model, np.zeros((ROWS, 5)))
+    cases = {
+        "metric_inner": (partial(metric_inner_rows, model), (x, u, w)),
+        "distance": (partial(distance_rows, model), (x, y)),
+        "exp": (partial(exp_rows, model), (x, u)),
+        "log": (partial(log_rows, model), (x, y)),
+        "geodesic": (partial(geodesic_rows, model), (x, unit, rng.uniform(-5.0, 5.0, size=ROWS))),
+        "transport": (partial(transport_rows, model), (x, kernel_tangents(rng, model, o))),
+    }
+    for dst in Model:
+        if dst is not model:
+            cases[f"convert_{dst.value}"] = (partial(convert_rows, model, dst), (x,))
+            cases[f"pushforward_{dst.value}"] = (partial(pushforward_rows, model, dst), (x, u))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "model,kernel", [(m, k) for m in Model for k in kernel_cases(m)], ids=lambda v: getattr(v, "value", v)
+)
+def test_row_kernel_matches_one_row_calls_and_padding(check_row_kernel, model, kernel):
+    fn, args = kernel_cases(model)[kernel]
+    check_row_kernel(fn, args)
+
+
+def test_broken_transport_row_kernel(check_row_kernel):
+    rng = np.random.default_rng(41)
+    x = kernel_points(rng, Model.KLEIN)
+    check_row_kernel(klein_transport_broken_rows, (x, kernel_tangents(rng, Model.KLEIN, x)))
+
+
+def test_exp_rows_check_every_row():
+    x = np.zeros((3, 2))
+    v = np.array([[0.1, 0.0], [np.nan, 0.0], [0.0, 0.2]])
+    with pytest.raises(ValueError, match="must be finite"):
+        exp_rows(Model.KLEIN, x, v)
+
+
+def test_kernel_rows_are_clamped_to_the_ball():
+    x = np.array([[0.0, 0.0], [0.5, 0.0]])
+    out = exp_rows(Model.KLEIN, x, np.array([[50.0, 0.0], [0.0, 0.0]]))
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0 - EPS_BALL, 0.5], rtol=1e-15)

@@ -3,6 +3,7 @@
 import copy
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -260,6 +261,38 @@ def assert_gradients_match_finite_differences(model, feats, labels, h=1e-5, tol=
     if model.flavor is Model.LORENTZ:
         # the loss reads the bias through its spatial part only
         assert grads["bias"][0] == 0.0
+
+
+def mp_lorentz_layer(w, bias):
+    """log_o(exp_h(PT_{o->h} log_o(b))), h = exp_o(w), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        w = mpmath.matrix([mpmath.mpf(float(a)) for a in w])
+        b_s = mpmath.matrix([mpmath.mpf(float(a)) for a in bias[1:]])
+        n, bn = mpmath.norm(w), mpmath.norm(b_s)
+        h_t, h_s = mpmath.cosh(n), mpmath.sinh(n) / n * w
+        v = mpmath.asinh(bn) / bn * b_s
+        coef = (h_s.T * v)[0] / (1 + h_t)
+        u_t, u_s = coef * (1 + h_t), v + coef * h_s
+        un = mpmath.sqrt((u_s.T * u_s)[0] - u_t**2)
+        y_s = mpmath.cosh(un) * h_s + mpmath.sinh(un) / un * u_s
+        yn = mpmath.norm(y_s)
+        return np.array([float(a) for a in mpmath.asinh(yn) / yn * y_s])
+
+
+class TestLorentzLayerExact:
+    @pytest.mark.parametrize("w_norm", [1.0, 5.0, 10.0, 15.0, 20.0])
+    def test_rows_match_high_precision(self, w_norm):
+        # the transported bias keeps its norm, so no coordinate of size
+        # cosh|w| enters the layer's scalars
+        rng = np.random.default_rng(31)
+        model = offset_bias_model(Model.LORENTZ, 3, 3, 2, seed=30, scale=0.8)
+        model.hidden.weight = w_norm * np.eye(3)
+        feats = rng.normal(size=(8, 3))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        got = nn.hidden_tangent(model, feats)
+        for row, x in zip(got, feats):
+            want = mp_lorentz_layer(w_norm * x, model.hidden.bias.coords)
+            assert np.linalg.norm(row - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestGradients:

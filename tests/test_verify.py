@@ -1,8 +1,13 @@
 """Tests for the property suites themselves."""
 
+import json
+
+import numpy as np
 import pytest
 
 from hyperklein import verify
+from hyperklein.gyro import einstein_matvec, einstein_scalar
+from hyperklein.manifolds import KleinPoint, Model, exp_map, log_map, origin, tangent
 
 
 @pytest.mark.parametrize("seed", [1, 21, 45])
@@ -11,3 +16,53 @@ def test_gradient_check_steps_around_relu_kinks(seed):
     # and a fixed 1e-6 one is too noisy at seed 21
     report = verify.run_suite("gradient_check", samples=20, seed=seed)
     assert report.passed, report.worst_case_input
+
+
+def _replay_matvec_compose(w):
+    m1, m2, x = np.asarray(w["m1"]), np.asarray(w["m2"]), KleinPoint(w["x"])
+    assert m1.shape == (w["out"], w["mid"]) and m2.shape == (w["mid"], x.dim)
+    return einstein_matvec(m1 @ m2, x).coords - einstein_matvec(m1, einstein_matvec(m2, x)).coords
+
+
+def _replay_matvec_scale(w):
+    m, r, x = np.asarray(w["m"]), w["r"], KleinPoint(w["x"])
+    return einstein_matvec(r * m, x).coords - einstein_scalar(r, einstein_matvec(m, x)).coords
+
+
+def _replay_matvec_orthogonal(w):
+    q, x = np.asarray(w["q"]), KleinPoint(w["x"])
+    return einstein_matvec(q, x).coords - q @ x.coords
+
+
+def _replay_matvec_tangent(w):
+    m, x = np.asarray(w["m"]), KleinPoint(w["x"])
+    assert m.shape == (w["out"], x.dim)
+    o_in, o_out = origin(Model.KLEIN, x.dim), origin(Model.KLEIN, w["out"])
+    via = exp_map(o_out, tangent(o_out, m @ log_map(o_in, x).components))
+    return einstein_matvec(m, x).coords - via.coords
+
+
+@pytest.mark.parametrize(
+    "suite,keys,replay",
+    [
+        ("matvec_compose", {"x", "m1", "m2", "mid", "out"}, _replay_matvec_compose),
+        ("matvec_scale", {"x", "r", "m"}, _replay_matvec_scale),
+        ("matvec_orthogonal", {"x", "q"}, _replay_matvec_orthogonal),
+        ("matvec_tangent", {"x", "m", "out"}, _replay_matvec_tangent),
+    ],
+)
+def test_matvec_worst_case_can_be_replayed(suite, keys, replay):
+    report = verify.run_suite(suite, samples=200, seed=0)
+    worst = json.loads(report.worst_case_input)
+    assert set(worst) == keys
+    err = float(np.max(np.abs(replay(worst))))
+    assert err == pytest.approx(report.max_abs_error, rel=1e-6)
+
+
+def test_worst_reports_the_largest_error_and_its_row():
+    rows = np.arange(12.0).reshape(3, 4)
+    err, record = verify._worst(
+        np.array([1e-3, 5e-3, 2e-3]), x=(rows, np.array([2, 3, 1])), r=np.array([0.1, 0.2, 0.3]), via="lorentz"
+    )
+    assert err == 5e-3
+    assert json.loads(record) == {"x": [4.0, 5.0, 6.0], "r": 0.2, "via": "lorentz"}
