@@ -1,20 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and records the node that produced it;
-`backward` replays the tape in reverse topological order.  The only generic
-op is relu: the network's stages are single nodes that `nn` builds as
-`Tensor(data, parents)` with a closed-form backward.
+A Tensor wraps a float64 ndarray, records the node that produced it and
+keeps the name of its stage; `backward` runs the backward closures in reverse
+topological order.  The only generic op is relu: the network's stages are
+single nodes that `nn` builds as `Tensor(data, parents)` with a closed-form
+backward.
 
-By default every op checks its output for non-finite values and raises
-NumericalError naming the op and the first row that holds one, so overflow
-surfaces at the source.  `guarded` runs a whole pass with the per-op checks
-off and checks once, on the arrays the pass returns; only if one of them is
-non-finite does it replay the pass checked, to raise the per-op error.
+Building a node checks nothing.  `check` raises NumericalError naming a
+node's stage and the first row that holds a non-finite value; `nn` calls it
+on the stage nodes of a pass only when that pass returned a non-finite array.
 """
 
 from __future__ import annotations
-
-from contextvars import ContextVar
 
 import numpy as np
 
@@ -23,45 +20,12 @@ class NumericalError(RuntimeError):
     """A tape operation produced a non-finite value."""
 
 
-# per-op checking; `guarded` turns it off for the length of one pass
-_checking = ContextVar("autodiff_checking", default=True)
-
-
-def _check(name: str, data: np.ndarray) -> None:
-    bad = ~np.isfinite(data)
-    if bad.any():
-        row = f" at row {int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))}" if bad.ndim else ""
-        raise NumericalError(f"numerical overflow in {name}{row}")
-
-
-def guarded(tape_pass):
-    """Run `tape_pass()` unchecked, then check the arrays it returns.
-
-    If any returned array holds a non-finite value, the pass is replayed with
-    per-op checks, which raises the NumericalError of the first op that
-    overflowed.  Both runs ignore numpy's floating-point warnings, so a
-    saturating pass reports only through NumericalError.
-    """
-    with np.errstate(all="ignore"):
-        token = _checking.set(False)
-        try:
-            result = tape_pass()
-        finally:
-            _checking.reset(token)
-        if all(np.isfinite(a).all() for a in result):
-            return result
-        tape_pass()
-    # every tape node passed its check, so the overflow is in the gradients
-    raise NumericalError("numerical overflow in backward")
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_bk")
+    __slots__ = ("data", "grad", "name", "_parents", "_bk")
 
     def __init__(self, data, parents=(), bk=None, name="input"):
         self.data = np.asarray(data, dtype=np.float64)
-        if _checking.get():
-            _check(name, self.data)
+        self.name = name
         self.grad = None
         self._parents = parents
         self._bk = bk
@@ -91,6 +55,14 @@ class Tensor:
         for node in reversed(order):
             if node._bk is not None:
                 node._bk(node.grad)
+
+
+def check(node: Tensor) -> None:
+    """Raise NumericalError if the node's output holds a non-finite value."""
+    bad = ~np.isfinite(node.data)
+    if bad.any():
+        row = f" at row {int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))}" if bad.ndim else ""
+        raise NumericalError(f"numerical overflow in {node.name}{row}")
 
 
 def relu(t: Tensor) -> Tensor:

@@ -32,24 +32,22 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
               k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
               z = asinhc|h_s| h_s
 
-The batched tape builds that layer as one node with a closed-form backward
-through the (N, 1) scalars, one node per stage in all: hidden_linear,
-<flavor>_layer, relu, readout, cross_entropy.
-
-`klein_linear`, `poincare_linear`, `lorentz_linear`, `hyperbolic_activation`
-and `readout_logits` compute the same network one point at a time through
-`gyro` and `manifolds`; they are the reference the batched tape is tested
-against.
+The tape builds that layer as one node with a closed-form backward through
+the (N, 1) scalars, one node per stage in all: hidden_linear,
+<flavor>_layer, relu, readout, cross_entropy.  This is the only
+implementation of the network; the tests hold it to the `manifolds` and
+`gyro` row kernels composed step by step.
 
 Gradients are exact, computed by the tape in `autodiff`; the optimizer is a
 Riemannian Adam that retracts manifold-valued biases with the exponential map.
 
-`forward`, `hidden_tangent` and `gradients` run their tape pass through
-`autodiff.guarded`: unchecked, with one finiteness check of the logits, the
-tangent, or the loss and the four gradients.  Only when that check fails is
-the pass replayed with per-op checks, to raise the NumericalError that names
-the stage node and the row; `train` adds the flavor and the epoch to its
-message.
+`forward`, `hidden_tangent` and `gradients` run one tape pass under
+np.errstate(all="ignore") and check only the arrays it returns: the logits,
+the tangent, or the loss and the four gradients.  Only when one of them is
+non-finite are the pass's stage nodes scanned, in the order they were built,
+for the first one that holds a non-finite value; its NumericalError names the
+stage and the row, and `train` adds the flavor and the epoch.  The parameter
+leaves are finite by construction, so they need no scan.
 """
 
 from __future__ import annotations
@@ -74,12 +72,10 @@ from .manifolds import (
     TangentVector,
     exp_map,
     klein_metric_inverse,
-    log_map,
     make_point,
     minkowski_inner,
     origin,
     smooth_ratio,
-    transport_from_origin,
 )
 
 MAX_FEATURE_NORM = 5.0
@@ -115,6 +111,10 @@ class HnnModel:
             raise ValueError("bias model must match the network flavor")
         self.readout_weight = np.asarray(self.readout_weight, dtype=np.float64)
         self.readout_bias = np.asarray(self.readout_bias, dtype=np.float64)
+        if self.readout_weight.ndim != 2 or not np.all(np.isfinite(self.readout_weight)):
+            raise ValueError("readout weight must be a finite 2-d matrix")
+        if not np.all(np.isfinite(self.readout_bias)):
+            raise ValueError("readout bias must be finite")
         if self.readout_weight.shape[1] != self.hidden.weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
         if self.readout_weight.shape[0] != self.readout_bias.size:
@@ -260,7 +260,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, 
     if b is None:
         b, b_back = bias.data, lambda g: g
     wd = w.data
-    with np.errstate(all="ignore"):  # a checked node reports through NumericalError
+    with np.errstate(all="ignore"):  # overflow shows as inf or nan, which callers check
         p = _row_dots(wd, wd)
         q = (wd @ b)[:, None]
         s = float(b @ b)
@@ -324,6 +324,25 @@ def _readout(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
+def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean of the rows' cross-entropies as one node; gradient (softmax - onehot)/N."""
+    rows = np.arange(labels.size)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    scale = 1.0 / labels.size
+    per_row = np.log(total)[:, 0] - shifted[rows, labels]
+    out = Tensor(per_row.sum() * scale, (logits,), name="cross_entropy")
+
+    def bk(g):
+        grad = e * (g * scale / total)
+        grad[rows, labels] -= g * scale
+        logits._accumulate(grad)
+
+    out._bk = bk
+    return out
+
+
 def _preprocess(features: np.ndarray) -> np.ndarray:
     """Cap feature rows at MAX_FEATURE_NORM to keep tanh saturation in check."""
     feats = np.asarray(features, dtype=np.float64)
@@ -351,13 +370,13 @@ class _TapeRun:
     `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
 
     The tape has one node per stage: hidden_linear, <flavor>_layer, relu,
-    readout (and cross_entropy in `_mean_cross_entropy`).  Holds the
-    parameter leaves, `tangent` (the layer node), `logits` and `hidden_out`,
-    the hidden points as a plain array (with the time coordinate for
-    Lorentz).
+    readout, and cross_entropy when labels are given.  Holds the parameter
+    leaves, `stages` (the stage nodes in the order they were built),
+    `tangent` (the layer node), `logits`, `loss` and `hidden_out`, the hidden
+    points as a plain array (with the time coordinate for Lorentz).
     """
 
-    def __init__(self, model: HnnModel, features: np.ndarray):
+    def __init__(self, model: HnnModel, features: np.ndarray, labels=None):
         if features.shape[1] != model.in_dim:
             raise ValueError(
                 f"feature dimension {features.shape[1]} does not match model input {model.in_dim}"
@@ -369,127 +388,57 @@ class _TapeRun:
         self.readout_bias = Tensor(model.readout_bias)
         w = _hidden_linear(_preprocess(features), self.weight)
         self.tangent, self.hidden_out = _LAYERS[model.flavor](w, self.bias)
-        self.logits = _readout(ad.relu(self.tangent), self.readout_weight, self.readout_bias)
+        active = ad.relu(self.tangent)
+        self.logits = _readout(active, self.readout_weight, self.readout_bias)
+        self.stages = [w, self.tangent, active, self.logits]
+        if labels is not None:
+            self.loss = _mean_cross_entropy(self.logits, labels)
+            self.stages.append(self.loss)
 
 
-# ---------------------------------------------------------------------------
-# single-point layer operations (the batched tape computes the same values)
+def _checked_pass(model: HnnModel, features, outputs, labels=None):
+    """Build one tape pass and return `outputs(run)`, checked once.
 
-
-def klein_linear(params: LayerParams, x: KleinPoint) -> KleinPoint:
-    """Klein layer: one gyro matrix action and one Einstein addition."""
-    from .gyro import einstein_add, einstein_matvec
-
-    return einstein_add(einstein_matvec(params.weight, x), params.bias)
-
-
-def poincare_linear(params: LayerParams, x: PoincarePoint) -> PoincarePoint:
-    """Poincare layer: Mobius matrix action plus Mobius bias addition."""
-    from .gyro import mobius_add
-
-    o_in = origin(Model.POINCARE, x.dim)
-    w = params.weight @ log_map(o_in, x).components
-    o_out = origin(Model.POINCARE, params.weight.shape[0])
-    image = exp_map(o_out, TangentVector(Model.POINCARE, o_out, w))
-    return mobius_add(image, params.bias)
-
-
-def lorentz_linear(params: LayerParams, x: LorentzPoint) -> LorentzPoint:
-    """Hyperboloid layer: tangent-space matrix action, then transported bias."""
-    o_in = origin(Model.LORENTZ, x.dim)
-    w = params.weight @ log_map(o_in, x).components[1:]
-    o_out = origin(Model.LORENTZ, params.weight.shape[0])
-    image = exp_map(o_out, TangentVector(Model.LORENTZ, o_out, np.concatenate(([0.0], w))))
-    shift = transport_from_origin(image, log_map(o_out, params.bias))
-    return exp_map(image, shift)
-
-
-def hyperbolic_activation(flavor: Model, x: Point) -> Point:
-    """ReLU conjugated through the tangent space at the origin."""
-    flavor = Model(flavor)
-    o = origin(flavor, x.dim)
-    v = log_map(o, x).components
-    if flavor is Model.LORENTZ:
-        lifted = np.concatenate(([0.0], np.maximum(v[1:], 0.0)))
-    else:
-        lifted = np.maximum(v, 0.0)
-    return exp_map(o, TangentVector(flavor, o, lifted))
-
-
-def readout_logits(model: HnnModel, x: Point) -> np.ndarray:
-    """Euclidean readout on the origin-tangent coordinates of x."""
-    if x.model is not model.flavor:
-        raise ValueError("point model does not match the network flavor")
-    if x.dim != model.hidden_dim:
-        raise ValueError("readout expects a point of the hidden width")
-    v = log_map(origin(model.flavor, x.dim), x).components
-    if model.flavor is Model.LORENTZ:
-        v = v[1:]
-    return model.readout_weight @ v + model.readout_bias
+    The pass and `outputs` run under np.errstate(all="ignore"), so a
+    saturating pass reports only through NumericalError.  If an array that
+    `outputs` returns holds a non-finite value, the first stage node that
+    holds one raises its NumericalError; if every stage node is finite, the
+    overflow was in the backward.
+    """
+    with np.errstate(all="ignore"):
+        run = _TapeRun(model, np.asarray(features, dtype=np.float64), labels)
+        result = outputs(run)
+    if all(np.isfinite(a).all() for a in result):
+        return result
+    for node in run.stages:
+        ad.check(node)
+    raise NumericalError("numerical overflow in backward")
 
 
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
-    feats = np.asarray(features, dtype=np.float64)
-    (logits,) = ad.guarded(lambda: (_TapeRun(model, feats).logits.data,))
+    (logits,) = _checked_pass(model, features, lambda run: (run.logits.data,))
     return logits.copy()
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    feats = np.asarray(features, dtype=np.float64)
-    (tangent,) = ad.guarded(lambda: (_TapeRun(model, feats).tangent.data,))
+    (tangent,) = _checked_pass(model, features, lambda run: (run.tangent.data,))
     return tangent.copy()
 
 
-def cross_entropy(logits, label: int) -> float:
-    """Negative log softmax probability of the label, max-stabilized."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not 0 <= int(label) < z.size:
-        raise ValueError(f"label {label} out of range for {z.size} classes")
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[int(label)])
-
-
-def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of the rows' cross-entropies as one node; gradient (softmax - onehot)/N."""
-    rows = np.arange(labels.size)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    scale = 1.0 / labels.size
-    per_row = np.log(total)[:, 0] - shifted[rows, labels]
-    out = Tensor(per_row.sum() * scale, (logits,), name="cross_entropy")
-
-    def bk(g):
-        grad = e * (g * scale / total)
-        grad[rows, labels] -= g * scale
-        logits._accumulate(grad)
-
-    out._bk = bk
-    return out
+def _loss_and_gradients(run: _TapeRun):
+    run.loss.backward()
+    leaves = (run.weight, run.bias, run.readout_weight, run.readout_bias)
+    return (run.loss.data, *(leaf.grad for leaf in leaves))
 
 
 def gradients(model: HnnModel, features, labels):
     """Mean cross-entropy and its exact gradients for every parameter."""
-    feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= model.n_classes):
         raise ValueError("labels out of range")
-
-    def tape_pass():
-        run = _TapeRun(model, feats)
-        loss = _mean_cross_entropy(run.logits, labels)
-        loss.backward()
-        return (
-            loss.data,
-            run.weight.grad,
-            run.bias.grad,
-            run.readout_weight.grad,
-            run.readout_bias.grad,
-        )
-
-    loss, *grads = ad.guarded(tape_pass)
+    loss, *grads = _checked_pass(model, features, _loss_and_gradients, labels)
     return float(loss), dict(zip(("weight", "bias", "readout_weight", "readout_bias"), grads))
 
 

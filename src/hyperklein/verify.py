@@ -498,9 +498,10 @@ def _max_rel_grad_error(model, feats, labels, grads):
             arr if key == "readout_weight" else model.readout_weight.copy(),
             arr if key == "readout_bias" else model.readout_bias.copy(),
         )
-        run = nn._TapeRun(trial, feats)
-        loss = nn._mean_cross_entropy(run.logits, labels)
-        return float(loss.data), run.tangent.data > 0.0
+        loss, tangent = nn._checked_pass(
+            trial, feats, lambda run: (run.loss.data, run.tangent.data), labels
+        )
+        return float(loss), tangent > 0.0
 
     worst = 0.0
     for key, current in (

@@ -8,6 +8,7 @@ from hyperklein import autodiff as ad
 from hyperklein import nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
+from hyperklein.manifolds import KleinPoint, Model, origin
 from hyperklein.manifolds import smooth_ratio
 
 
@@ -93,20 +94,51 @@ class TestSmoothHelpers:
         np.testing.assert_allclose(slope, want_slope, rtol=1e-9, atol=0.0)
 
 
+def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):
+    """A Klein network with the bias at the origin and two classes."""
+    weight = np.array(weight)
+    return nn.HnnModel(
+        Model.KLEIN,
+        nn.LayerParams(weight, origin(Model.KLEIN, len(weight))),
+        np.array(readout_weight),
+        np.array(readout_bias),
+    )
+
+
 class TestNumericalGuard:
-    # the checks run on the network's stage nodes, built the way nn builds them
+    # a pass whose returned arrays are not all finite scans its stage nodes,
+    # in the order it built them, for the first one that holds a non-finite value
     def test_overflow_names_the_op(self):
-        rows, weight = np.array([[1e300]]), Tensor(np.array([[1e300]]))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow in hidden_linear"):
-            nn._hidden_linear(rows, weight)
+        model = one_unit_model([[1.0], [0.0]], weight=[[1e308, 1e308]])
+        with pytest.raises(NumericalError, match=r"overflow in hidden_linear at row 1$"):
+            nn.forward(model, np.array([[0.0, 0.0], [3.0, 4.0]]))
 
     def test_overflow_names_the_op_and_row(self):
-        a = Tensor(np.array([[2.0], [1e300], [1.0]]))
-        weight, bias = Tensor(np.array([[1e300]])), Tensor(np.zeros(1))
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalError, match=r"overflow in readout at row 1$"):
-                nn._readout(a, weight, bias)
+        model = one_unit_model([[1e308], [0.0]])
+        with pytest.raises(NumericalError, match=r"overflow in readout at row 1$"):
+            nn.forward(model, np.array([[0.5], [5.0]]))
+
+    def test_overflow_in_the_loss_names_its_stage(self):
+        # finite logits 2e308 apart; the loss node holds one number, no rows
+        model = one_unit_model([[0.0], [0.0]], readout_bias=[1e308, -1e308])
+        with pytest.raises(NumericalError, match=r"overflow in cross_entropy$"):
+            nn.gradients(model, np.array([[0.5]]), np.array([1]))
+
+    def test_overflow_after_finite_stages_is_in_backward(self):
+        # every stage is finite, but dL/da = g R with g = (1, -1) overflows
+        model = one_unit_model([[1.5e308], [-1.5e308]])
+        with pytest.raises(NumericalError, match=r"^numerical overflow in backward$"):
+            nn.gradients(model, np.array([[1e-10]]), np.array([1]))
 
     def test_non_finite_leaf_rejected(self):
-        with pytest.raises(NumericalError):
-            Tensor(np.array([np.nan]))
+        # every parameter leaf is checked when its model is built, so the scan
+        # needs only the stage nodes
+        nan = float("nan")
+        with pytest.raises(ValueError, match="weight must be a finite 2-d matrix"):
+            one_unit_model([[1.0], [0.0]], weight=[[nan]])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            KleinPoint([nan])
+        with pytest.raises(ValueError, match="readout weight must be a finite 2-d matrix"):
+            one_unit_model([[nan], [0.0]])
+        with pytest.raises(ValueError, match="readout bias must be finite"):
+            one_unit_model([[1.0], [0.0]], readout_bias=[0.0, nan])

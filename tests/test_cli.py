@@ -1,5 +1,7 @@
 """Tests for the command-line contract: exit codes and byte-identical outputs."""
 
+import json
+
 import pytest
 
 from hyperklein import cli, nn, verify
@@ -37,11 +39,55 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 def test_numerical_error_in_training_exits_3(tree_file, tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
-        raise NumericalError("numerical overflow in div")
+        raise NumericalError("numerical overflow in klein_layer at row 0 (klein, epoch 0)")
 
     monkeypatch.setattr(nn, "train", overflow)
     assert cli.main(train_argv(tree_file, tmp_path / "out")) == cli.EXIT_NUMERIC
-    assert "numerical overflow in div" in capsys.readouterr().err
+    assert "numerical overflow in klein_layer at row 0" in capsys.readouterr().err
+
+
+def eval_all(checkpoint, data):
+    return cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--split", "all"])
+
+
+@pytest.mark.parametrize("flavor,row", [("klein", 2), ("lorentz", 1)])
+def test_saturating_checkpoint_exits_3_naming_stage_and_row(tree_file, tmp_path, capsys, flavor, row):
+    # hidden weights x1e3 push the layer past float64 saturation
+    model = nn.init_model(flavor, 8, 6, 5, seed=42)
+    model.hidden.weight = model.hidden.weight * 1e3
+    nn.save_model(model, tmp_path / "checkpoint.json")
+    assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical error: numerical overflow in {flavor}_layer at row {row}"]
+
+
+def _nan_at(key, row=None):
+    def corrupt(doc):
+        (doc[key] if row is None else doc[key][row])[1] = float("nan")
+
+    return corrupt
+
+
+# a corrupt parameter fails when the model is built, with the usage exit code
+CORRUPT_CHECKPOINTS = {
+    "nan_weight": (_nan_at("weight", 0), "weight must be a finite 2-d matrix"),
+    "nan_readout_bias": (_nan_at("readout_bias"), "readout bias must be finite"),
+    "flat_readout_weight": (
+        lambda doc: doc.update(readout_weight=doc["readout_weight"][0]),
+        "readout weight must be a finite 2-d matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_is_rejected_at_load(tree_file, tmp_path, capsys, case):
+    corrupt, message = CORRUPT_CHECKPOINTS[case]
+    nn.save_model(nn.init_model("klein", 8, 6, 5, seed=42), tmp_path / "checkpoint.json")
+    doc = json.loads((tmp_path / "checkpoint.json").read_text())
+    corrupt(doc)
+    (tmp_path / "checkpoint.json").write_text(json.dumps(doc))
+    assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys):

@@ -8,25 +8,26 @@ import numpy as np
 import pytest
 
 from hyperklein import autodiff, nn
-from hyperklein.autodiff import NumericalError
+from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.data import gen_tree_dataset
+from hyperklein.gyro import einstein_add_rows, mobius_add_rows
 from hyperklein.manifolds import (
     KleinPoint,
     Model,
     convert_point,
     distance,
     exp_map,
+    exp_rows,
+    log_map,
+    log_rows,
     make_point,
     minkowski_inner,
     origin,
     tangent,
+    transport_rows,
 )
 
 LN3 = 1.0986122886681098
-
-
-def identity_layer(flavor, dim):
-    return nn.LayerParams(np.eye(dim), origin(flavor, dim))
 
 
 def offset_bias_model(flavor, n, m, c, seed, scale=0.4):
@@ -40,104 +41,130 @@ def offset_bias_model(flavor, n, m, c, seed, scale=0.4):
     return model
 
 
+def layer_model(flavor, weight, bias=None):
+    """A network with the given hidden layer, the bias at the origin unless
+    given; the readout copies the hidden tangent's coordinates into the
+    logits (padded to two classes) with a zero bias."""
+    m = len(weight)
+    bias = origin(flavor, m) if bias is None else bias
+    return nn.HnnModel(flavor, nn.LayerParams(weight, bias), np.eye(max(m, 2), m), np.zeros(max(m, 2)))
+
+
+def features_of(point):
+    """The feature row whose input point exp_o(x) is the given point."""
+    o = origin(point.model, point.dim)
+    v = log_map(o, point).components
+    return (v[1:] if point.model is Model.LORENTZ else v)[None]
+
+
+def hidden_point(model, feats):
+    """The hidden layer's output points, before the activation."""
+    return nn._TapeRun(model, feats).hidden_out
+
+
 class TestKleinLinear:
+    # the Klein layer is one gyro matrix action and one Einstein addition;
+    # with the bias at the origin it acts on origin tangents as W itself
     def test_identity(self):
-        x = KleinPoint([0.4, -0.1])
-        out = nn.klein_linear(identity_layer(Model.KLEIN, 2), x)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-14)
+        x = np.array([[0.4, -0.1], [1.5, 2.0], [0.0, 0.0]])
+        out = nn.hidden_tangent(layer_model(Model.KLEIN, np.eye(2)), x)
+        np.testing.assert_allclose(out, x, rtol=1e-14, atol=1e-16)
 
     def test_rotation(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        params = nn.LayerParams(rot, origin(Model.KLEIN, 2))
-        out = nn.klein_linear(params, KleinPoint([0.5, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.0, 0.5], atol=1e-14)
+        out = hidden_point(layer_model(Model.KLEIN, rot), features_of(KleinPoint([0.5, 0.0])))
+        np.testing.assert_allclose(out, [[0.0, 0.5]], atol=1e-14)
 
     def test_doubling(self):
-        params = nn.LayerParams(2.0 * np.eye(2), origin(Model.KLEIN, 2))
-        out = nn.klein_linear(params, KleinPoint([0.5, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-14)
+        model = layer_model(Model.KLEIN, 2.0 * np.eye(2))
+        out = hidden_point(model, features_of(KleinPoint([0.5, 0.0])))
+        np.testing.assert_allclose(out, [[0.8, 0.0]], atol=1e-14)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.klein_linear(identity_layer(Model.KLEIN, 3), KleinPoint([0.1, 0.1]))
+        model = layer_model(Model.KLEIN, np.eye(3))
+        with pytest.raises(ValueError, match="feature dimension 2 does not match model input 3"):
+            nn.hidden_tangent(model, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="feature dimension 2 does not match model input 3"):
+            nn.gradients(model, np.zeros((1, 2)), np.array([0]))
 
 
 class TestPoincareLinear:
     def test_identity(self):
         x = make_point(Model.POINCARE, [0.3, 0.2])
-        out = nn.poincare_linear(identity_layer(Model.POINCARE, 2), x)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-12)
+        out = hidden_point(layer_model(Model.POINCARE, np.eye(2)), features_of(x))
+        np.testing.assert_allclose(out, [x.coords], atol=1e-12)
 
     def test_doubling_matches_klein(self):
         xb = make_point(Model.POINCARE, [0.2679491924311227, 0.0])
-        params = nn.LayerParams(2.0 * np.eye(2), origin(Model.POINCARE, 2))
-        out = nn.poincare_linear(params, xb)
-        back = convert_point(out, Model.KLEIN)
+        out = hidden_point(layer_model(Model.POINCARE, 2.0 * np.eye(2)), features_of(xb))
+        back = convert_point(make_point(Model.POINCARE, out[0]), Model.KLEIN)
         np.testing.assert_allclose(back.coords, [0.8, 0.0], atol=1e-12)
 
     def test_commutes_with_isometry(self):
+        # Klein and Poincare layers with corresponding biases give corresponding
+        # hidden points; a Poincare origin tangent is half the Klein one
         rng = np.random.default_rng(9)
         for _ in range(50):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             weight = rng.normal(size=(m, n))
             bias_k = KleinPoint(rng.uniform(-0.4, 0.4, size=m))
-            xk = KleinPoint(rng.uniform(-0.4, 0.4, size=n))
-            klein_out = nn.klein_linear(nn.LayerParams(weight, bias_k), xk)
-            poincare_out = nn.poincare_linear(
-                nn.LayerParams(weight, convert_point(bias_k, Model.POINCARE)),
-                convert_point(xk, Model.POINCARE),
-            )
-            np.testing.assert_allclose(
-                convert_point(poincare_out, Model.KLEIN).coords, klein_out.coords, atol=1e-8
-            )
+            feats = rng.uniform(-0.4, 0.4, size=(3, n))
+            klein_out = hidden_point(layer_model(Model.KLEIN, weight, bias_k), feats)
+            poincare = layer_model(Model.POINCARE, weight / 2.0, convert_point(bias_k, Model.POINCARE))
+            for row, want in zip(hidden_point(poincare, feats), klein_out):
+                got = convert_point(make_point(Model.POINCARE, row), Model.KLEIN)
+                np.testing.assert_allclose(got.coords, want, atol=1e-8)
 
 
 class TestLorentzLinear:
     def test_identity(self):
         x = convert_point(KleinPoint([0.3, -0.2]), Model.LORENTZ)
-        out = nn.lorentz_linear(identity_layer(Model.LORENTZ, 2), x)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-10)
+        out = hidden_point(layer_model(Model.LORENTZ, np.eye(2)), features_of(x))
+        np.testing.assert_allclose(out, [x.coords], atol=1e-10)
 
     def test_origin_maps_to_origin(self):
         rng = np.random.default_rng(10)
-        params = nn.LayerParams(rng.normal(size=(3, 2)), origin(Model.LORENTZ, 3))
-        out = nn.lorentz_linear(params, origin(Model.LORENTZ, 2))
-        np.testing.assert_allclose(out.coords, origin(Model.LORENTZ, 3).coords, atol=1e-12)
+        out = hidden_point(layer_model(Model.LORENTZ, rng.normal(size=(3, 2))), np.zeros((1, 2)))
+        np.testing.assert_allclose(out, [origin(Model.LORENTZ, 3).coords], atol=1e-12)
 
     def test_doubling_matches_klein(self):
         x = convert_point(KleinPoint([0.5, 0.0]), Model.LORENTZ)
-        params = nn.LayerParams(2.0 * np.eye(2), origin(Model.LORENTZ, 2))
-        out = nn.lorentz_linear(params, x)
+        out = hidden_point(layer_model(Model.LORENTZ, 2.0 * np.eye(2)), features_of(x))
         np.testing.assert_allclose(
-            convert_point(out, Model.KLEIN).coords, [0.8, 0.0], atol=1e-10
+            convert_point(make_point(Model.LORENTZ, out[0]), Model.KLEIN).coords,
+            [0.8, 0.0],
+            atol=1e-10,
         )
 
     def test_output_on_hyperboloid(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            params = nn.LayerParams(
-                rng.normal(size=(4, 3)),
-                convert_point(KleinPoint(rng.uniform(-0.3, 0.3, size=4)), Model.LORENTZ),
-            )
-            x = convert_point(KleinPoint(rng.uniform(-0.4, 0.4, size=3)), Model.LORENTZ)
-            out = nn.lorentz_linear(params, x)
-            assert abs(minkowski_inner(out.coords, out.coords) + 1.0) < 1e-9
+            bias = convert_point(KleinPoint(rng.uniform(-0.3, 0.3, size=4)), Model.LORENTZ)
+            model = layer_model(Model.LORENTZ, rng.normal(size=(4, 3)), bias)
+            for out in hidden_point(model, rng.uniform(-0.4, 0.4, size=(3, 3))):
+                assert abs(minkowski_inner(out, out) + 1.0) < 1e-9
 
 
 class TestActivation:
+    # the hyperbolic ReLU is exp_o(relu(log_o h)), and the readout reads it
+    # back through log_o, so the readout takes relu of the layer's tangent
     def test_nonnegative_region_fixed(self):
-        x = KleinPoint([0.3, 0.4])
-        out = nn.hyperbolic_activation(Model.KLEIN, x)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-12)
+        x = np.array([[0.3, 0.4], [2.0, 0.0]])
+        logits = nn.forward(layer_model(Model.KLEIN, np.eye(2)), x)
+        np.testing.assert_allclose(logits, x, rtol=1e-14)
 
     def test_origin_fixed(self):
         for flavor in Model:
-            o = origin(flavor, 3)
-            out = nn.hyperbolic_activation(flavor, o)
-            np.testing.assert_allclose(out.coords, o.coords, atol=1e-15)
+            model = layer_model(flavor, np.ones((3, 2)))
+            o = origin(flavor, 3).coords
+            np.testing.assert_allclose(hidden_point(model, np.zeros((1, 2))), [o], atol=1e-15)
+            np.testing.assert_array_equal(nn.forward(model, np.zeros((1, 2))), np.zeros((1, 3)))
 
     def test_mixed_sign_value(self):
-        out = nn.hyperbolic_activation(Model.KLEIN, KleinPoint([-0.5, 0.5]))
+        feats = features_of(KleinPoint([-0.5, 0.5]))
+        active = nn.forward(layer_model(Model.KLEIN, np.eye(2)), feats)[0]
+        o = origin(Model.KLEIN, 2)
+        out = exp_map(o, tangent(o, active))
         np.testing.assert_allclose(out.coords, [0.0, 0.5533696351790970], atol=1e-12)
 
 
@@ -145,41 +172,71 @@ class TestReadout:
     def test_origin_gives_bias(self):
         model = nn.init_model(Model.KLEIN, 2, 2, 3, seed=0)
         model.readout_bias = np.array([0.5, -1.0, 2.0])
-        out = nn.readout_logits(model, origin(Model.KLEIN, 2))
-        np.testing.assert_allclose(out, model.readout_bias)
+        out = nn.forward(model, np.zeros((1, 2)))
+        np.testing.assert_allclose(out, [model.readout_bias])
 
     def test_identity_weights(self):
-        model = nn.HnnModel(
-            Model.KLEIN, identity_layer(Model.KLEIN, 2), np.eye(2), np.zeros(2)
-        )
-        out = nn.readout_logits(model, KleinPoint([0.8, 0.0]))
-        np.testing.assert_allclose(out, [LN3, 0.0], atol=1e-10)
+        # a zero feature row reaches the hidden layer as the bias point itself
+        model = layer_model(Model.KLEIN, np.eye(2), KleinPoint([0.8, 0.0]))
+        out = nn.forward(model, np.zeros((1, 2)))
+        np.testing.assert_allclose(out, [[LN3, 0.0]], atol=1e-10)
 
     def test_weight_scaling_linearity(self):
         model = nn.init_model(Model.KLEIN, 2, 3, 4, seed=1)
         model.readout_bias = np.linspace(-1, 1, 4)
-        x = KleinPoint([0.2, -0.5, 0.1])
-        base = nn.readout_logits(model, x) - model.readout_bias
+        x = np.array([[0.2, -0.5], [1.0, 0.7]])
+        base = nn.forward(model, x) - model.readout_bias
         model.readout_weight = 2.0 * model.readout_weight
-        doubled = nn.readout_logits(model, x) - model.readout_bias
+        doubled = nn.forward(model, x) - model.readout_bias
         np.testing.assert_allclose(doubled, 2.0 * base, atol=1e-12)
 
 
 class TestCrossEntropy:
+    # the loss stage on one row: -log softmax(z)[label], max-stabilized
+    @staticmethod
+    def loss(logits, label):
+        node = nn._mean_cross_entropy(Tensor(np.array([logits], dtype=float)), np.array([label]))
+        return float(node.data)
+
     def test_uniform_logits(self):
-        assert nn.cross_entropy(np.zeros(5), 2) == pytest.approx(1.6094379124341003, abs=1e-12)
+        assert self.loss(np.zeros(5), 2) == pytest.approx(1.6094379124341003, abs=1e-12)
 
     def test_saturated_no_overflow(self):
-        assert nn.cross_entropy(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.loss([1000.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_class_value(self):
-        assert nn.cross_entropy(np.array([1.0, 0.0]), 0) == pytest.approx(
-            0.3132616875182228, abs=1e-12
-        )
+        assert self.loss([1.0, 0.0], 0) == pytest.approx(0.3132616875182228, abs=1e-12)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            nn.cross_entropy(np.zeros(3), 3)
+        model = nn.init_model(Model.KLEIN, 2, 2, 3, seed=10)
+        for label in (3, -1):
+            with pytest.raises(ValueError, match="labels out of range"):
+                nn.gradients(model, np.zeros((1, 2)), np.array([label]))
+
+
+def kernel_reference(model, feats):
+    """The network's tangent and logits composed from the `manifolds` and
+    `gyro` row kernels: exp_o of w = x W^T, the bias step, log_o, ReLU and
+    the readout."""
+    flavor, bias = model.flavor, model.hidden.bias.coords
+    w = nn._preprocess(feats) @ model.hidden.weight.T
+    o = np.tile(origin(flavor, model.hidden_dim).coords, (len(w), 1))
+    b = np.tile(bias, (len(w), 1))
+    if flavor is Model.LORENTZ:
+        p = exp_rows(flavor, o, np.concatenate((np.zeros((len(w), 1)), w), axis=1))
+        h = exp_rows(flavor, p, transport_rows(flavor, p, log_rows(flavor, o, b)))
+        z = log_rows(flavor, o, h)[:, 1:]
+    else:
+        add = einstein_add_rows if flavor is Model.KLEIN else mobius_add_rows
+        z = log_rows(flavor, o, add(exp_rows(flavor, o, w), b))
+    return z, np.maximum(z, 0.0) @ model.readout_weight.T + model.readout_bias
+
+
+def assert_rows_close(got, want, rtol):
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= rtol * np.linalg.norm(want, axis=1)), err.max()
 
 
 class TestForward:
@@ -188,27 +245,21 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # capping a zero-norm row must not warn
             logits = nn.forward(model, np.zeros((1, 3)))
-        z = nn.hyperbolic_activation(Model.KLEIN, model.hidden.bias)
-        np.testing.assert_allclose(logits[0], nn.readout_logits(model, z), atol=1e-12)
+        o = origin(Model.KLEIN, 4)
+        active = np.maximum(log_map(o, model.hidden.bias).components, 0.0)
+        want = model.readout_weight @ active + model.readout_bias
+        np.testing.assert_allclose(logits[0], want, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.4])
     @pytest.mark.parametrize("flavor", list(Model))
-    def test_rows_match_single_point_layers(self, flavor):
-        # the single-point layers are the reference for the batched tape
-        linear = {
-            Model.KLEIN: nn.klein_linear,
-            Model.POINCARE: nn.poincare_linear,
-            Model.LORENTZ: nn.lorentz_linear,
-        }[flavor]
-        model = offset_bias_model(flavor, 3, 4, 3, seed=2)
-        rng = np.random.default_rng(3)
-        rows = rng.normal(size=(6, 3))
-        logits = nn.forward(model, rows)
-        o = origin(flavor, 3)
-        for row, got in zip(rows, logits):
-            v = np.concatenate(([0.0], row)) if flavor is Model.LORENTZ else row
-            h = linear(model.hidden, exp_map(o, tangent(o, v)))
-            want = nn.readout_logits(model, nn.hyperbolic_activation(flavor, h))
-            np.testing.assert_allclose(got, want, atol=1e-12)
+    def test_rows_match_row_kernels(self, flavor, scale):
+        # the row kernels, composed step by step, are the reference for the
+        # tape's closed-form layer; bias at the origin and off it
+        model = offset_bias_model(flavor, 16, 16, 3, seed=2, scale=scale)
+        feats = np.random.default_rng(3).normal(size=(512, 16))
+        z, logits = kernel_reference(model, feats)
+        assert_rows_close(nn.hidden_tangent(model, feats), z, 1e-11)
+        assert_rows_close(nn.forward(model, feats), logits, 1e-11)
 
     def test_rows_independent(self):
         model = offset_bias_model(Model.POINCARE, 3, 4, 3, seed=3)
@@ -416,33 +467,36 @@ class TestNumericalGuard:
 
     @pytest.mark.parametrize("flavor", list(Model))
     def test_finite_pass_builds_its_tape_once(self, flavor, monkeypatch):
+        # four parameter leaves and a node per stage: hidden_linear,
+        # <flavor>_layer, relu, readout and, for the loss, cross_entropy
         model = offset_bias_model(flavor, 4, 3, 3, seed=15)
         feats = np.random.default_rng(16).normal(size=(5, 4))
         labels = np.array([0, 1, 2, 1, 0])
+        run = nn._TapeRun(model, feats, labels)
+        assert [node.name for node in run.stages] == [
+            "hidden_linear", f"{flavor.value}_layer", "relu", "readout", "cross_entropy"
+        ]
         nodes = count_nodes(monkeypatch)
-        run = nn._TapeRun(model, feats)
-        nn._mean_cross_entropy(run.logits, labels)
-        tape, nodes[0] = nodes[0], 0
         nn.gradients(model, feats, labels)
-        assert nodes[0] == tape
+        assert nodes[0] == 9
         nodes[0] = 0
-        nn._TapeRun(model, feats)
-        forward_tape, nodes[0] = nodes[0], 0
         nn.forward(model, feats)
-        assert nodes[0] == forward_tape
+        assert nodes[0] == 8
         nodes[0] = 0
         nn.hidden_tangent(model, feats)
-        assert nodes[0] == forward_tape
+        assert nodes[0] == 8
 
-    def test_saturating_pass_is_replayed(self, monkeypatch):
+    def test_saturating_pass_builds_its_tape_once(self, monkeypatch):
+        # the failing stage is found among the nodes the pass already holds
         model, ds = saturating_model(Model.KLEIN)
         nodes = count_nodes(monkeypatch)
-        with pytest.raises(NumericalError):
-            nn._TapeRun(model, ds.features)
-        checked_only, nodes[0] = nodes[0], 0
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
             nn.forward(model, ds.features)
-        assert nodes[0] > checked_only
+        assert nodes[0] == 8
+        nodes[0] = 0
+        with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
+            nn.gradients(model, ds.features, ds.labels)
+        assert nodes[0] == 9
 
 
 class TestRiemannianAdam:

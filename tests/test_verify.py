@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hyperklein import verify
+from hyperklein import nn, verify
+from hyperklein.autodiff import NumericalError
+from hyperklein.data import gen_tree_dataset
 from hyperklein.gyro import einstein_matvec, einstein_scalar
 from hyperklein.manifolds import KleinPoint, Model, exp_map, log_map, origin, tangent
 
@@ -17,6 +19,22 @@ def test_gradient_check_steps_around_relu_kinks(seed):
     report = verify.run_suite("gradient_check", samples=20, seed=seed)
     assert report.passed, report.worst_case_input
 
+
+
+def test_gradient_check_raises_on_a_non_finite_loss():
+    # hidden weights x1e3 saturate the Klein layer; a nan trial loss must
+    # not vanish into the running maximum of the errors
+    ds = gen_tree_dataset(6, 8, 0.1, 0)
+    model = nn.init_model(Model.KLEIN, ds.dim, 16, ds.n_classes, seed=0)
+    model.hidden.weight = model.hidden.weight * 1e3
+    grads = {
+        "weight": np.zeros_like(model.hidden.weight),
+        "bias": np.zeros_like(model.hidden.bias.coords),
+        "readout_weight": np.zeros_like(model.readout_weight),
+        "readout_bias": np.zeros_like(model.readout_bias),
+    }
+    with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
+        verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
 
 def _replay_matvec_compose(w):
     m1, m2, x = np.asarray(w["m1"]), np.asarray(w["m2"]), KleinPoint(w["x"])
