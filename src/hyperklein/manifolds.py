@@ -166,17 +166,13 @@ def _as_vector(coords, min_size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KleinPoint:
-    """Point of the Klein ball; coordinates are clamped to norm <= 1 - EPS_BALL."""
+class _BallPoint:
+    """Body shared by the two ball models' points; each subclass names its `model`."""
 
     coords: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coords", clamp_to_ball(_as_vector(self.coords, 1)))
-
-    @property
-    def model(self) -> Model:
-        return Model.KLEIN
 
     @property
     def dim(self) -> int:
@@ -184,21 +180,17 @@ class KleinPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class PoincarePoint:
+class KleinPoint(_BallPoint):
+    """Point of the Klein ball; coordinates are clamped to norm <= 1 - EPS_BALL."""
+
+    model = Model.KLEIN
+
+
+@dataclass(frozen=True, eq=False)
+class PoincarePoint(_BallPoint):
     """Point of the Poincare ball; same clamping policy as the Klein ball."""
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", clamp_to_ball(_as_vector(self.coords, 1)))
-
-    @property
-    def model(self) -> Model:
-        return Model.POINCARE
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
+    model = Model.POINCARE
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,8 +555,3 @@ def klein_transport_broken_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     coef = np.where(gap == 0.0, 0.0, row_dots(x, v) * (s - 2.0) / np.where(gap == 0.0, 1.0, gap))
     return _finite(coef * x + s * v, "components")
 
-
-def _klein_transport_origin_broken(x: KleinPoint, v: TangentVector) -> TangentVector:
-    """Point form of `klein_transport_broken_rows`."""
-    _require_origin_base(v)
-    return _tangent_row(x, klein_transport_broken_rows(x.coords[None], v.components[None]))

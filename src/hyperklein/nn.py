@@ -32,22 +32,25 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
               k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
               z = asinhc|h_s| h_s
 
-The tape builds that layer as one node with a closed-form backward through
-the (N, 1) scalars, one node per stage in all: hidden_linear,
-<flavor>_layer, relu, readout, cross_entropy.  This is the only
-implementation of the network; the tests hold it to the `manifolds` and
-`gyro` row kernels composed step by step.
+The tape is the chain of the pass's five stages, hidden_linear ->
+<flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
+with a closed-form backward; the layer's goes through the (N, 1) scalars.
+The stages read the model's arrays directly: the backward walks the chain
+from the loss to hidden_linear, and each stage writes its own parameters'
+gradients into the pass's `grads`.  This is the only implementation of the
+network; the tests hold it to the `manifolds` and `gyro` row kernels
+composed step by step.
 
-Gradients are exact, computed by the tape in `autodiff`; the optimizer is a
-Riemannian Adam that retracts manifold-valued biases with the exponential map.
+Gradients are exact; the optimizer is a Riemannian Adam that retracts
+manifold-valued biases with the exponential map.
 
 `forward`, `hidden_tangent` and `gradients` run one tape pass under
 np.errstate(all="ignore") and check only the arrays it returns: the logits,
 the tangent, or the loss and the four gradients.  Only when one of them is
-non-finite are the pass's stage nodes scanned, in the order they were built,
-for the first one that holds a non-finite value; its NumericalError names the
-stage and the row, and `train` adds the flavor and the epoch.  The parameter
-leaves are finite by construction, so they need no scan.
+non-finite are the pass's stages scanned, in the order they were built, for
+the first one that holds a non-finite value; its NumericalError names the
+stage and the row, and `train` adds the flavor and the epoch.  The model's
+parameters are finite by construction, so they need no scan.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed
 
 
 # ---------------------------------------------------------------------------
-# tape nodes, one per stage; rows of points, one manifold point per row
+# the tape's stages; rows of points, one manifold point per row
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -158,11 +161,13 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)[:, None]
 
 
-def _hidden_linear(rows: np.ndarray, weight: Tensor) -> Tensor:
-    """rows W^T; the capped feature rows are a constant."""
-    out = Tensor(rows @ weight.data.T, (weight,), name="hidden_linear")
-    out._bk = lambda g: weight._accumulate(g.T @ rows)
-    return out
+def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
+    """rows W^T, the first stage; the capped feature rows are a constant."""
+
+    def back(g):
+        grads["weight"] = g.T @ rows
+
+    return Tensor(rows @ weight.T, None, back, "hidden_linear")
 
 
 # Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
@@ -246,8 +251,8 @@ def _lorentz_coefficients(p, q, s):
     return alpha, beta, back, big_c * h_t + big_s * inner
 
 
-def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, b_back=None):
-    """One node for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b.
+def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None):
+    """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b.
 
     k is the origin log's ratio of |h|, named by `log_ratio`.  The backward
     takes G1 = gz.w and G2 = gz.b per row back through the (N, 1) scalars
@@ -255,46 +260,46 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias: Tensor, b=None, 
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz^T (k beta) + w^T dL/dq + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates (b is the bias itself
-    when not given).  Returns the node and the hidden points.
+    when not given) for grads["bias"].  Returns the stage and the hidden
+    points.
     """
     if b is None:
-        b, b_back = bias.data, lambda g: g
+        b, b_back = bias, lambda g: g
     wd = w.data
     with np.errstate(all="ignore"):  # overflow shows as inf or nan, which callers check
         p = _row_dots(wd, wd)
         q = (wd @ b)[:, None]
         s = float(b @ b)
-        alpha, beta, back, h_time = coefficients(p, q, s)
+        alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
         hidden = alpha * wd + beta * b
         r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
         k, dk = smooth_ratio(log_ratio, r)
-        z = Tensor(k * hidden, (w, bias), name=name)
+        z = k * hidden
 
-    def bk(gz):
+    def back(gz):
         with np.errstate(all="ignore"):
             g1 = _row_dots(gz, wd)
             g2 = (gz @ b)[:, None]
             g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
             g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
             g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
-            g_p, g_q, g_s = back(g_alpha, g_beta)
+            g_p, g_q, g_s = coefficients_back(g_alpha, g_beta)
             g_p = g_p + g_sq * alpha * alpha
             g_q = g_q + 2.0 * g_sq * alpha * beta
             g_s = np.sum(g_s + g_sq * beta * beta)
-            w._accumulate(k * alpha * gz + 2.0 * g_p * wd + g_q * b)
             gb = (k * beta)[:, 0] @ gz + g_q[:, 0] @ wd + 2.0 * g_s * b
-            bias._accumulate(b_back(gb))
+            grads["bias"] = b_back(gb)
+            return k * alpha * gz + 2.0 * g_p * wd + g_q * b
 
-    z._bk = bk
     if h_time is not None:
         hidden = np.concatenate((h_time, hidden), axis=1)
-    return z, hidden
+    return Tensor(z, w, back, name), hidden
 
 
-def _lorentz_layer(w: Tensor, bias: Tensor):
+def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
     """The bias enters through its origin tangent v = asinhc(|b_s|) b_s; the
     gradient of its time coordinate is zero."""
-    b_s = bias.data[1:]
+    b_s = bias[1:]
     bn = np.sqrt(b_s @ b_s + 1e-32)
     with np.errstate(all="ignore"):
         rho, drho = smooth_ratio("asinhc", bn)
@@ -303,7 +308,7 @@ def _lorentz_layer(w: Tensor, bias: Tensor):
     def b_back(gv):
         return np.concatenate(([0.0], rho * gv + (gv @ b_s) * drho / bn * b_s))
 
-    return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, v, b_back)
+    return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, grads, v, b_back)
 
 
 _LAYERS = {
@@ -313,34 +318,37 @@ _LAYERS = {
 }
 
 
-def _readout(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """a R^T + r as one node."""
-    out = Tensor(a.data @ weight.data.T + bias.data, (a, weight, bias), name="readout")
-    out._bk = lambda g: (
-        a._accumulate(g @ weight.data),
-        weight._accumulate(g.T @ a.data),
-        bias._accumulate(g.sum(axis=0)),
-    )
-    return out
+def _relu(t: Tensor) -> Tensor:
+    """max(t, 0) elementwise; the slope at zero is zero."""
+    return Tensor(np.maximum(t.data, 0.0), t, lambda g: g * (t.data > 0.0), "relu")
+
+
+def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Tensor:
+    """a R^T + r as one stage."""
+
+    def back(g):
+        grads["readout_weight"] = g.T @ a.data
+        grads["readout_bias"] = g.sum(axis=0)
+        return g @ weight
+
+    return Tensor(a.data @ weight.T + bias, a, back, "readout")
 
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of the rows' cross-entropies as one node; gradient (softmax - onehot)/N."""
+    """Mean of the rows' cross-entropies as one stage; gradient (softmax - onehot)/N."""
     rows = np.arange(labels.size)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     scale = 1.0 / labels.size
     per_row = np.log(total)[:, 0] - shifted[rows, labels]
-    out = Tensor(per_row.sum() * scale, (logits,), name="cross_entropy")
 
-    def bk(g):
+    def back(g):
         grad = e * (g * scale / total)
         grad[rows, labels] -= g * scale
-        logits._accumulate(grad)
+        return grad
 
-    out._bk = bk
-    return out
+    return Tensor(per_row.sum() * scale, logits, back, "cross_entropy")
 
 
 def _preprocess(features: np.ndarray) -> np.ndarray:
@@ -369,11 +377,13 @@ class _TapeRun:
     where a and c are per-row scalars of |w|^2, w.b and |b|^2 (see
     `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
 
-    The tape has one node per stage: hidden_linear, <flavor>_layer, relu,
-    readout, and cross_entropy when labels are given.  Holds the parameter
-    leaves, `stages` (the stage nodes in the order they were built),
-    `tangent` (the layer node), `logits`, `loss` and `hidden_out`, the hidden
-    points as a plain array (with the time coordinate for Lorentz).
+    The tape is the chain of stages hidden_linear, <flavor>_layer, relu,
+    readout, and cross_entropy when labels are given, each a Tensor linked to
+    the one before it.  The stages read the model's arrays directly, and
+    their backwards write the parameter gradients into `grads`.  Holds
+    `stages` (in the order they were built), `tangent` (the layer stage),
+    `logits`, `loss`, `grads` and `hidden_out`, the hidden points as a plain
+    array (with the time coordinate for Lorentz).
     """
 
     def __init__(self, model: HnnModel, features: np.ndarray, labels=None):
@@ -381,15 +391,11 @@ class _TapeRun:
             raise ValueError(
                 f"feature dimension {features.shape[1]} does not match model input {model.in_dim}"
             )
-        self.model = model
-        self.weight = Tensor(model.hidden.weight)
-        self.bias = Tensor(model.hidden.bias.coords)
-        self.readout_weight = Tensor(model.readout_weight)
-        self.readout_bias = Tensor(model.readout_bias)
-        w = _hidden_linear(_preprocess(features), self.weight)
-        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, self.bias)
-        active = ad.relu(self.tangent)
-        self.logits = _readout(active, self.readout_weight, self.readout_bias)
+        self.grads = {}
+        w = _hidden_linear(_preprocess(features), model.hidden.weight, self.grads)
+        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, model.hidden.bias.coords, self.grads)
+        active = _relu(self.tangent)
+        self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
         self.stages = [w, self.tangent, active, self.logits]
         if labels is not None:
             self.loss = _mean_cross_entropy(self.logits, labels)
@@ -401,9 +407,9 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
 
     The pass and `outputs` run under np.errstate(all="ignore"), so a
     saturating pass reports only through NumericalError.  If an array that
-    `outputs` returns holds a non-finite value, the first stage node that
-    holds one raises its NumericalError; if every stage node is finite, the
-    overflow was in the backward.
+    `outputs` returns holds a non-finite value, the first stage that holds
+    one raises its NumericalError; if every stage is finite, the overflow
+    was in the backward.
     """
     with np.errstate(all="ignore"):
         run = _TapeRun(model, np.asarray(features, dtype=np.float64), labels)
@@ -427,10 +433,12 @@ def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     return tangent.copy()
 
 
+_PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
+
+
 def _loss_and_gradients(run: _TapeRun):
     run.loss.backward()
-    leaves = (run.weight, run.bias, run.readout_weight, run.readout_bias)
-    return (run.loss.data, *(leaf.grad for leaf in leaves))
+    return (run.loss.data, *(run.grads[key] for key in _PARAMETERS))
 
 
 def gradients(model: HnnModel, features, labels):
@@ -439,7 +447,7 @@ def gradients(model: HnnModel, features, labels):
     if np.any(labels < 0) or np.any(labels >= model.n_classes):
         raise ValueError("labels out of range")
     loss, *grads = _checked_pass(model, features, _loss_and_gradients, labels)
-    return float(loss), dict(zip(("weight", "bias", "readout_weight", "readout_bias"), grads))
+    return float(loss), dict(zip(_PARAMETERS, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +627,18 @@ def save_model(model: HnnModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Read a checkpoint back; returns (model, full document)."""
+    """Read a checkpoint back; returns (model, full document).
+
+    A document that is not a JSON object, or lacks a field the model needs,
+    raises ValueError naming it.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    for key in ("flavor", *_PARAMETERS):
+        if key not in doc:
+            raise ValueError(f"checkpoint has no {key!r} field")
     flavor = Model(doc["flavor"])
     model = HnnModel(
         flavor=flavor,

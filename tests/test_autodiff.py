@@ -1,10 +1,9 @@
-"""Tests for the reverse-mode tape, its numerical guard and the smooth ratios."""
+"""Tests for the tape's chain of stages, its numerical guard and the smooth ratios."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from hyperklein import autodiff as ad
 from hyperklein import nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
@@ -12,24 +11,35 @@ from hyperklein.manifolds import KleinPoint, Model, origin
 from hyperklein.manifolds import smooth_ratio
 
 
-class TestArithmetic:
-    def test_shared_gradient_is_not_written_in_place(self):
-        # out = u + a hands one gradient array to both u and a, and u hands it
-        # on to a and b; adding a's second share into that array would change b's
-        leaf = Tensor(np.array([0.5, -1.0]))
-        a = Tensor(leaf.data * 2.0, (leaf,), bk=lambda g: leaf._accumulate(g * 2.0))
-        b = Tensor(leaf.data * 3.0, (leaf,), bk=lambda g: leaf._accumulate(g * 3.0))
-        u = Tensor(a.data + b.data, (a, b), bk=lambda g: (a._accumulate(g), b._accumulate(g)))
-        out = Tensor(u.data + a.data, (u, a), bk=lambda g: (u._accumulate(g), a._accumulate(g)))
-        out.backward()
-        np.testing.assert_array_equal(leaf.grad, [7.0, 7.0])
+class TestChain:
+    def test_backward_walks_the_chain_once_from_last_to_first(self):
+        # each stage's backward runs once, and what it returns is the
+        # gradient that the stage before it receives
+        calls = []
+
+        def recorder(name, factor):
+            def back(g):
+                calls.append((name, g.copy()))
+                return g * factor
+
+            return back
+
+        first = Tensor(np.array([0.5, -1.0]), None, recorder("first", 2.0), "first")
+        middle = Tensor(first.data * 3.0, first, recorder("middle", 3.0), "middle")
+        last = Tensor(middle.data + 1.0, middle, recorder("last", 5.0), "last")
+        last.backward()
+        assert [name for name, _ in calls] == ["last", "middle", "first"]
+        np.testing.assert_array_equal(calls[0][1], [1.0, 1.0])
+        np.testing.assert_array_equal(calls[1][1], [5.0, 5.0])
+        np.testing.assert_array_equal(calls[2][1], [15.0, 15.0])
 
 
 class TestUnaryOps:
     def test_relu_gradient_zero_on_inactive(self):
-        leaf = Tensor(np.array([-1.0, 0.0, 2.0]))
-        ad.relu(leaf).backward()
-        np.testing.assert_array_equal(leaf.grad, [0.0, 0.0, 1.0])
+        received = []
+        first = Tensor(np.array([-1.0, 0.0, 2.0]), None, received.append)
+        nn._relu(first).backward()
+        np.testing.assert_array_equal(received[0], [0.0, 0.0, 1.0])
 
 
 BELOW, ABOVE = np.nextafter(SWITCH, 0.0), np.nextafter(SWITCH, 1.0)
@@ -131,8 +141,8 @@ class TestNumericalGuard:
             nn.gradients(model, np.array([[1e-10]]), np.array([1]))
 
     def test_non_finite_leaf_rejected(self):
-        # every parameter leaf is checked when its model is built, so the scan
-        # needs only the stage nodes
+        # every parameter is checked when its model is built, so the scan
+        # needs only the stages
         nan = float("nan")
         with pytest.raises(ValueError, match="weight must be a finite 2-d matrix"):
             one_unit_model([[1.0], [0.0]], weight=[[nan]])

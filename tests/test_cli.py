@@ -64,18 +64,25 @@ def test_saturating_checkpoint_exits_3_naming_stage_and_row(tree_file, tmp_path,
 def _nan_at(key, row=None):
     def corrupt(doc):
         (doc[key] if row is None else doc[key][row])[1] = float("nan")
+        return doc
 
     return corrupt
 
 
-# a corrupt parameter fails when the model is built, with the usage exit code
+# a corrupt checkpoint fails when it is loaded, with the usage exit code; each
+# case maps the saved document to the one written in its place
 CORRUPT_CHECKPOINTS = {
     "nan_weight": (_nan_at("weight", 0), "weight must be a finite 2-d matrix"),
     "nan_readout_bias": (_nan_at("readout_bias"), "readout bias must be finite"),
     "flat_readout_weight": (
-        lambda doc: doc.update(readout_weight=doc["readout_weight"][0]),
+        lambda doc: {**doc, "readout_weight": doc["readout_weight"][0]},
         "readout weight must be a finite 2-d matrix",
     ),
+    "missing_readout_bias": (
+        lambda doc: {key: value for key, value in doc.items() if key != "readout_bias"},
+        "checkpoint has no 'readout_bias' field",
+    ),
+    "not_an_object": (lambda doc: [doc], "checkpoint is not a JSON object"),
 }
 
 
@@ -84,8 +91,7 @@ def test_corrupt_checkpoint_is_rejected_at_load(tree_file, tmp_path, capsys, cas
     corrupt, message = CORRUPT_CHECKPOINTS[case]
     nn.save_model(nn.init_model("klein", 8, 6, 5, seed=42), tmp_path / "checkpoint.json")
     doc = json.loads((tmp_path / "checkpoint.json").read_text())
-    corrupt(doc)
-    (tmp_path / "checkpoint.json").write_text(json.dumps(doc))
+    (tmp_path / "checkpoint.json").write_text(json.dumps(corrupt(doc)))
     assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 

@@ -1,4 +1,4 @@
-"""Microbenchmarks of each flavor's layer node, forward and backward, on a
+"""Microbenchmarks of each flavor's layer stage, forward and backward, on a
 1,234 x 16 batch.
 
 The tier-1 run calls each once (`--benchmark-disable` in pyproject.toml);
@@ -24,28 +24,27 @@ def layer_inputs(flavor):
     raw = rng.normal(size=o.coords.shape) * 0.3
     if flavor is Model.LORENTZ:
         raw[0] = 0.0
-    return w, Tensor(exp_map(o, tangent(o, raw)).coords)
+    return w, exp_map(o, tangent(o, raw)).coords
 
 
 @pytest.mark.parametrize("flavor", list(Model))
 def test_layer_forward(benchmark, flavor):
     w, bias = layer_inputs(flavor)
-    z, hidden = benchmark(nn._LAYERS[flavor], w, bias)
-    assert z.shape == (ROWS, WIDTH)
+    z, hidden = benchmark(nn._LAYERS[flavor], w, bias, {})
+    assert z.data.shape == (ROWS, WIDTH) and z.prev is w
     assert np.all(np.isfinite(z.data)) and np.all(np.isfinite(hidden))
 
 
 @pytest.mark.parametrize("flavor", list(Model))
 def test_layer_backward(benchmark, flavor):
     w, bias = layer_inputs(flavor)
-    z, _ = nn._LAYERS[flavor](w, bias)
-    gz = np.random.default_rng(1).normal(size=z.shape)
+    grads = {}
+    z, _ = nn._LAYERS[flavor](w, bias, grads)
+    gz = np.random.default_rng(1).normal(size=z.data.shape)
 
     def backward():
-        w.grad = bias.grad = None
-        z._bk(gz)
-        return w.grad, bias.grad
+        return z.back(gz), grads["bias"]
 
     gw, gb = benchmark(backward)
-    assert gw.shape == w.shape and gb.shape == bias.shape
+    assert gw.shape == w.data.shape and gb.shape == bias.shape
     assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))

@@ -467,8 +467,8 @@ class TestNumericalGuard:
 
     @pytest.mark.parametrize("flavor", list(Model))
     def test_finite_pass_builds_its_tape_once(self, flavor, monkeypatch):
-        # four parameter leaves and a node per stage: hidden_linear,
-        # <flavor>_layer, relu, readout and, for the loss, cross_entropy
+        # one node per stage: hidden_linear, <flavor>_layer, relu, readout
+        # and, for the loss, cross_entropy
         model = offset_bias_model(flavor, 4, 3, 3, seed=15)
         feats = np.random.default_rng(16).normal(size=(5, 4))
         labels = np.array([0, 1, 2, 1, 0])
@@ -478,13 +478,13 @@ class TestNumericalGuard:
         ]
         nodes = count_nodes(monkeypatch)
         nn.gradients(model, feats, labels)
-        assert nodes[0] == 9
+        assert nodes[0] == 5
         nodes[0] = 0
         nn.forward(model, feats)
-        assert nodes[0] == 8
+        assert nodes[0] == 4
         nodes[0] = 0
         nn.hidden_tangent(model, feats)
-        assert nodes[0] == 8
+        assert nodes[0] == 4
 
     def test_saturating_pass_builds_its_tape_once(self, monkeypatch):
         # the failing stage is found among the nodes the pass already holds
@@ -492,11 +492,11 @@ class TestNumericalGuard:
         nodes = count_nodes(monkeypatch)
         with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
             nn.forward(model, ds.features)
-        assert nodes[0] == 8
+        assert nodes[0] == 4
         nodes[0] = 0
         with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
             nn.gradients(model, ds.features, ds.labels)
-        assert nodes[0] == 9
+        assert nodes[0] == 5
 
 
 class TestRiemannianAdam:
