@@ -33,18 +33,13 @@ class RunConfig:
     command: str
     flavor: Model = Model.KLEIN
     hidden: int = 16
-    lr: float = 0.01
-    epochs: int = 5000
-    patience: int = 100
     seed: int = 42
     data_path: str = ""
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit value")
 
@@ -59,25 +54,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hyperklein", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_train_flags(p):
-        p.add_argument("--data", required=True, help="dataset JSON file")
-        p.add_argument("--model", choices=[m.value for m in Model], default="klein")
-        p.add_argument("--hidden", type=int, default=16)
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--epochs", type=int, default=5000)
-        p.add_argument("--patience", type=int, default=100)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", default=".", help="output directory")
+    run, training = RunConfig("train"), nn.TrainConfig()
 
     train_p = sub.add_parser("train", help="train one model and write metrics")
-    add_train_flags(train_p)
+    train_p.add_argument("--data", required=True, help="dataset JSON file")
+    train_p.add_argument("--model", choices=[m.value for m in Model], default=run.flavor.value)
+    train_p.add_argument("--hidden", type=int, default=run.hidden)
+    train_p.add_argument("--lr", type=float, default=training.lr)
+    train_p.add_argument("--epochs", type=int, default=training.epochs)
+    train_p.add_argument("--patience", type=int, default=training.patience)
+    train_p.add_argument("--seed", type=int, default=run.seed)
+    train_p.add_argument("--out", default=run.out_dir, help="output directory")
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--data", required=True)
     eval_p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
-    eval_p.add_argument("--seed", type=int, default=42, help="seed for splitting unsplit data")
+    eval_p.add_argument("--seed", type=int, default=run.seed, help="seed for splitting unsplit data")
 
     conv_p = sub.add_parser("convert", help="convert a CSV of points between models")
     conv_p.add_argument("--src", choices=[m.value for m in Model], required=True)
@@ -126,13 +119,12 @@ def _principal_2d(tangents: np.ndarray) -> np.ndarray:
 
 
 def _cmd_train(args) -> int:
+    # every setting is checked before the output directory is made
+    training = nn.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
     config = RunConfig(
         command="train",
         flavor=Model(args.model),
         hidden=args.hidden,
-        lr=args.lr,
-        epochs=args.epochs,
-        patience=args.patience,
         seed=args.seed,
         data_path=args.data,
         out_dir=args.out,
@@ -142,9 +134,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     model = nn.init_model(config.flavor, ds.dim, config.hidden, ds.n_classes, config.seed)
-    model, metrics = nn.train(
-        model, ds, nn.TrainConfig(lr=config.lr, epochs=config.epochs, patience=config.patience)
-    )
+    model, metrics = nn.train(model, ds, training)
     test_acc = (
         nn.accuracy(model, ds.features[ds.test_idx], ds.labels[ds.test_idx])
         if ds.test_idx.size
@@ -168,9 +158,9 @@ def _cmd_train(args) -> int:
         out / "checkpoint.json",
         extra={
             "config": {
-                "lr": config.lr,
-                "epochs": config.epochs,
-                "patience": config.patience,
+                "lr": training.lr,
+                "epochs": training.epochs,
+                "patience": training.patience,
                 "hidden": config.hidden,
                 "data": str(config.data_path),
             },

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 EPS_BALL = 1e-7
-# largest argument at which atanh is evaluated, here and in the autodiff tape
+# largest argument at which atanh is evaluated, here and in the network's tape (`nn`)
 ATANH_MAX = 1.0 - 1e-15
 # input gate for "nearly valid" Lorentz data; stored values are renormalized
 _LORENTZ_INPUT_TOL = 1e-6
@@ -459,11 +459,12 @@ def geodesic_unit(x: Point, v: TangentVector, t: float) -> Point:
 def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Endpoints of the geodesic segments leaving the rows x with tangents v."""
     if model is Model.KLEIN:
-        t = np.sqrt(np.maximum(metric_inner_rows(model, x, v, v), 0.0))[:, None]
-        lam2 = 1.0 / (1.0 - row_dots(x, x))
+        s, xv = 1.0 - row_dots(x, x), row_dots(x, v)
+        t = np.sqrt(np.maximum(row_dots(v, v) / s + xv * xv / s**2, 0.0))  # metric norm of v
+        lam2 = 1.0 / s
         # tanh(t)/t form of the geodesic: stays finite for arbitrarily long steps
         tc = smooth_ratio("tanhc", t)[0]
-        return clamp_rows(x + tc * v / (1.0 + lam2 * row_dots(x, v) * tc))
+        return clamp_rows(x + tc * v / (1.0 + lam2 * xv * tc))
     if model is Model.POINCARE:
         from .gyro import mobius_add_rows  # local import to avoid a module cycle
 

@@ -32,10 +32,16 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
               k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
               z = asinhc|h_s| h_s
 
+A model, `HnnModel`, is flat and frozen: its fields are the flavor and the
+four parameters W, b, R, r under the names of their gradients (`weight`,
+`bias`, `readout_weight`, `readout_bias`).  The optimizer, the checkpoints
+and the gradient checks address the parameters by those names, and derive
+new models with `dataclasses.replace`, which re-runs the model's checks.
+
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
 with a closed-form backward; the layer's goes through the (N, 1) scalars.
-The stages read the model's arrays directly: the backward walks the chain
+The stages read the model's fields directly: the backward walks the chain
 from the loss to hidden_linear, and each stage writes its own parameters'
 gradients into the pass's `grads`.  This is the only implementation of the
 network; the tests hold it to the `manifolds` and `gyro` row kernels
@@ -49,16 +55,16 @@ np.errstate(all="ignore") and check only the arrays it returns: the logits,
 the tangent, or the loss and the four gradients.  Only when one of them is
 non-finite are the pass's stages scanned, in the order they were built, for
 the first one that holds a non-finite value; its NumericalError names the
-stage and the row, and `train` adds the flavor and the epoch.  The model's
-parameters are finite by construction, so they need no scan.
+stage and the row, and `train` adds the flavor and the epoch.  A model's
+parameters are finite by construction, since its checks run whenever one is
+built and no model can be changed after that, so they need no scan.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -83,59 +89,68 @@ from .manifolds import (
 
 MAX_FEATURE_NORM = 5.0
 
-
-@dataclass
-class LayerParams:
-    """Weight matrix and manifold-valued bias of one hyperbolic linear layer."""
-
-    weight: np.ndarray
-    bias: Point
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if self.weight.ndim != 2 or not np.all(np.isfinite(self.weight)):
-            raise ValueError("weight must be a finite 2-d matrix")
-        if self.bias.dim != self.weight.shape[0]:
-            raise ValueError("bias dimension must match the weight output dimension")
+_PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HnnModel:
-    """Two-layer hyperbolic network: hyperbolic linear + Euclidean readout."""
+    """Two-layer hyperbolic network: hyperbolic linear + Euclidean readout.
+
+    The fields after `flavor` are the parameters under their gradient keys;
+    the bias is a point of the flavor's model.  `dataclasses.replace`
+    derives a new model and re-runs these checks, so all are finite.
+    """
 
     flavor: Model
-    hidden: LayerParams
+    weight: np.ndarray
+    bias: Point
     readout_weight: np.ndarray
     readout_bias: np.ndarray
 
     def __post_init__(self):
-        self.flavor = Model(self.flavor)
-        if self.hidden.bias.model is not self.flavor:
+        weight = np.asarray(self.weight, dtype=np.float64)
+        if weight.ndim != 2 or not np.all(np.isfinite(weight)):
+            raise ValueError("weight must be a finite 2-d matrix")
+        if self.bias.dim != weight.shape[0]:
+            raise ValueError("bias dimension must match the weight output dimension")
+        flavor = Model(self.flavor)
+        if self.bias.model is not flavor:
             raise ValueError("bias model must match the network flavor")
-        self.readout_weight = np.asarray(self.readout_weight, dtype=np.float64)
-        self.readout_bias = np.asarray(self.readout_bias, dtype=np.float64)
-        if self.readout_weight.ndim != 2 or not np.all(np.isfinite(self.readout_weight)):
+        readout_weight = np.asarray(self.readout_weight, dtype=np.float64)
+        readout_bias = np.asarray(self.readout_bias, dtype=np.float64)
+        if readout_weight.ndim != 2 or not np.all(np.isfinite(readout_weight)):
             raise ValueError("readout weight must be a finite 2-d matrix")
-        if not np.all(np.isfinite(self.readout_bias)):
+        if not np.all(np.isfinite(readout_bias)):
             raise ValueError("readout bias must be finite")
-        if self.readout_weight.shape[1] != self.hidden.weight.shape[0]:
+        if readout_weight.shape[1] != weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
-        if self.readout_weight.shape[0] != self.readout_bias.size:
+        if readout_weight.shape[0] != readout_bias.size:
             raise ValueError("readout bias length must match the class count")
-        if self.n_classes < 2:
+        if readout_bias.size < 2:
             raise ValueError("need at least two classes")
+        for name, value in (
+            ("flavor", flavor),
+            ("weight", weight),
+            ("readout_weight", readout_weight),
+            ("readout_bias", readout_bias),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def in_dim(self) -> int:
-        return self.hidden.weight.shape[1]
+        return self.weight.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.hidden.weight.shape[0]
+        return self.weight.shape[0]
 
     @property
     def n_classes(self) -> int:
         return self.readout_bias.size
+
+    def parameter_arrays(self) -> dict:
+        """Each parameter's array under its gradient key; the bias's is its coordinates."""
+        return {key: self.bias.coords if key == "bias" else getattr(self, key) for key in _PARAMETERS}
 
 
 def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed: int) -> HnnModel:
@@ -144,12 +159,7 @@ def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed
     flavor = Model(flavor)
     w = rng.uniform(-1.0, 1.0, size=(hidden_dim, in_dim)) / np.sqrt(in_dim)
     wr = rng.uniform(-1.0, 1.0, size=(n_classes, hidden_dim)) / np.sqrt(hidden_dim)
-    return HnnModel(
-        flavor=flavor,
-        hidden=LayerParams(weight=w, bias=origin(flavor, hidden_dim)),
-        readout_weight=wr,
-        readout_bias=np.zeros(n_classes),
-    )
+    return HnnModel(flavor, w, origin(flavor, hidden_dim), wr, np.zeros(n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +389,9 @@ class _TapeRun:
 
     The tape is the chain of stages hidden_linear, <flavor>_layer, relu,
     readout, and cross_entropy when labels are given, each a Tensor linked to
-    the one before it.  The stages read the model's arrays directly, and
-    their backwards write the parameter gradients into `grads`.  Holds
+    the one before it.  The stages read the model's parameter fields
+    directly, and their backwards write each parameter's gradient into
+    `grads` under the field's name.  Holds
     `stages` (in the order they were built), `tangent` (the layer stage),
     `logits`, `loss`, `grads` and `hidden_out`, the hidden points as a plain
     array (with the time coordinate for Lorentz).
@@ -392,8 +403,8 @@ class _TapeRun:
                 f"feature dimension {features.shape[1]} does not match model input {model.in_dim}"
             )
         self.grads = {}
-        w = _hidden_linear(_preprocess(features), model.hidden.weight, self.grads)
-        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, model.hidden.bias.coords, self.grads)
+        w = _hidden_linear(_preprocess(features), model.weight, self.grads)
+        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
         active = _relu(self.tangent)
         self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
         self.stages = [w, self.tangent, active, self.logits]
@@ -433,9 +444,6 @@ def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     return tangent.copy()
 
 
-_PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
-
-
 def _loss_and_gradients(run: _TapeRun):
     run.loss.backward()
     return (run.loss.data, *(run.grads[key] for key in _PARAMETERS))
@@ -454,25 +462,27 @@ def gradients(model: HnnModel, features, labels):
 # Riemannian Adam
 
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 @dataclass
 class GradState:
     """Adam accumulators; moments are kept coordinate-wise per parameter."""
 
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     moments: dict = field(default_factory=dict)
 
     def _update(self, key: str, grad: np.ndarray) -> np.ndarray:
         m, v = self.moments.get(key, (np.zeros_like(grad), np.zeros_like(grad)))
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         self.moments[key] = (m, v)
-        m_hat = m / (1.0 - self.beta1**self.step)
-        v_hat = v / (1.0 - self.beta2**self.step)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / (1.0 - _ADAM_BETA1**self.step)
+        v_hat = v / (1.0 - _ADAM_BETA2**self.step)
+        return m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
@@ -504,11 +514,12 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     """One optimizer step; Euclidean params use plain Adam, the bias retracts."""
     state.step += 1
     lr = state.lr
-    new_weight = model.hidden.weight - lr * state._update("weight", grads["weight"])
-    new_rw = model.readout_weight - lr * state._update("readout_weight", grads["readout_weight"])
-    new_rb = model.readout_bias - lr * state._update("readout_bias", grads["readout_bias"])
+    euclidean = {
+        key: getattr(model, key) - lr * state._update(key, grads[key])
+        for key in ("weight", "readout_weight", "readout_bias")
+    }
 
-    bias = model.hidden.bias
+    bias = model.bias
     rgrad = _riemannian_bias_grad(bias, grads["bias"])
     step_vec = -lr * state._update("bias", rgrad)
     if isinstance(bias, LorentzPoint):
@@ -522,13 +533,7 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     new_bias = exp_map(bias, TangentVector(model.flavor, bias, step_vec))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
-
-    return HnnModel(
-        flavor=model.flavor,
-        hidden=LayerParams(weight=new_weight, bias=new_bias),
-        readout_weight=new_rw,
-        readout_bias=new_rb,
-    )
+    return replace(model, bias=new_bias, **euclidean)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +549,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 0 or self.patience < 1:
-            raise ValueError("epochs must be >= 0 and patience >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
 
 @dataclass
@@ -598,7 +605,7 @@ def train(model: HnnModel, dataset, config: TrainConfig):
         metrics.append(EpochRecord(epoch, loss, val_acc, seconds))
 
         if val_y.size and val_acc >= best_acc - slack:
-            best_model = copy.deepcopy(model)
+            best_model = model
             best_epoch = epoch
         best_acc = max(best_acc, val_acc) if val_y.size else best_acc
         if val_y.size and epoch - best_epoch >= config.patience:
@@ -615,10 +622,7 @@ def save_model(model: HnnModel, path, extra: dict | None = None) -> None:
     doc = {
         "flavor": model.flavor.value,
         "dims": {"in": model.in_dim, "hidden": model.hidden_dim, "classes": model.n_classes},
-        "weight": model.hidden.weight.tolist(),
-        "bias": model.hidden.bias.coords.tolist(),
-        "readout_weight": model.readout_weight.tolist(),
-        "readout_bias": model.readout_bias.tolist(),
+        **{key: a.tolist() for key, a in model.parameter_arrays().items()},
     }
     doc.update(extra or {})
     with open(path, "w", encoding="utf-8") as fh:
@@ -640,13 +644,6 @@ def load_model(path):
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} field")
     flavor = Model(doc["flavor"])
-    model = HnnModel(
-        flavor=flavor,
-        hidden=LayerParams(
-            weight=np.asarray(doc["weight"], dtype=np.float64),
-            bias=make_point(flavor, np.asarray(doc["bias"], dtype=np.float64)),
-        ),
-        readout_weight=np.asarray(doc["readout_weight"], dtype=np.float64),
-        readout_bias=np.asarray(doc["readout_bias"], dtype=np.float64),
-    )
-    return model, doc
+    params = {key: np.asarray(doc[key], dtype=np.float64) for key in _PARAMETERS}
+    params["bias"] = make_point(flavor, params["bias"])
+    return HnnModel(flavor, **params), doc

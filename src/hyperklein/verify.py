@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -426,18 +426,14 @@ def _suite_oracle_consistency(samples, rng, **_):
 
 def _corresponding_models(km: nn.HnnModel):
     """Poincare and Lorentz parameter sets computing the same function as km."""
-    bm = nn.HnnModel(
-        Model.POINCARE,
-        nn.LayerParams(km.hidden.weight / 2.0, convert_point(km.hidden.bias, Model.POINCARE)),
-        2.0 * km.readout_weight,
-        km.readout_bias.copy(),
+    bm = replace(
+        km,
+        flavor=Model.POINCARE,
+        weight=km.weight / 2.0,
+        bias=convert_point(km.bias, Model.POINCARE),
+        readout_weight=2.0 * km.readout_weight,
     )
-    lm = nn.HnnModel(
-        Model.LORENTZ,
-        nn.LayerParams(km.hidden.weight.copy(), convert_point(km.hidden.bias, Model.LORENTZ)),
-        km.readout_weight.copy(),
-        km.readout_bias.copy(),
-    )
+    lm = replace(km, flavor=Model.LORENTZ, bias=convert_point(km.bias, Model.LORENTZ))
     return bm, lm
 
 
@@ -449,7 +445,7 @@ def _suite_layer_commutation(samples, rng, **_):
         c = int(rng.integers(2, 5))
         km = nn.init_model(Model.KLEIN, n, m, c, seed=int(rng.integers(2**31)))
         o = origin(Model.KLEIN, m)
-        km.hidden.bias = exp_map(o, tangent(o, rng.normal(size=m) * 0.5))
+        km = replace(km, bias=exp_map(o, tangent(o, rng.normal(size=m) * 0.5)))
         bm, lm = _corresponding_models(km)
         feats = rng.normal(size=(8, n)) * 2.0
         base = nn.forward(km, feats)
@@ -475,7 +471,7 @@ def _suite_gradient_check(samples, rng, **_):
         raw = rng.normal(size=o.coords.shape) * 0.3
         if flavor is Model.LORENTZ:
             raw[0] = 0.0
-        model.hidden.bias = exp_map(o, TangentVector(flavor, o, raw))
+        model = replace(model, bias=exp_map(o, TangentVector(flavor, o, raw)))
         feats = rng.normal(size=(batch, n)) * 2.0
         labels = rng.integers(0, c, size=batch)
         _, grads = nn.gradients(model, feats, labels)
@@ -489,27 +485,15 @@ def _suite_gradient_check(samples, rng, **_):
 
 def _max_rel_grad_error(model, feats, labels, grads):
     def loss_with(key, arr):
-        trial = nn.HnnModel(
-            model.flavor,
-            nn.LayerParams(
-                arr if key == "weight" else model.hidden.weight.copy(),
-                _point_row(model.flavor, arr[None]) if key == "bias" else model.hidden.bias,
-            ),
-            arr if key == "readout_weight" else model.readout_weight.copy(),
-            arr if key == "readout_bias" else model.readout_bias.copy(),
-        )
+        # a trial bias is taken as given: a step off the hyperboloid is not projected back
+        trial = replace(model, **{key: _point_row(model.flavor, arr[None]) if key == "bias" else arr})
         loss, tangent = nn._checked_pass(
             trial, feats, lambda run: (run.loss.data, run.tangent.data), labels
         )
         return float(loss), tangent > 0.0
 
     worst = 0.0
-    for key, current in (
-        ("weight", model.hidden.weight),
-        ("bias", model.hidden.bias.coords),
-        ("readout_weight", model.readout_weight),
-        ("readout_bias", model.readout_bias),
-    ):
+    for key, current in model.parameter_arrays().items():
         numeric = finite_diff_grad(lambda a, k=key: loss_with(k, a), current)
         denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grads[key])))
         worst = max(worst, float(np.max(np.abs(grads[key] - numeric) / denom)))

@@ -109,7 +109,8 @@ def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):
     weight = np.array(weight)
     return nn.HnnModel(
         Model.KLEIN,
-        nn.LayerParams(weight, origin(Model.KLEIN, len(weight))),
+        weight,
+        origin(Model.KLEIN, len(weight)),
         np.array(readout_weight),
         np.array(readout_bias),
     )

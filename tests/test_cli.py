@@ -1,6 +1,7 @@
 """Tests for the command-line contract: exit codes and byte-identical outputs."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,24 @@ def test_bad_flag_exits_1(tree_file):
     assert cli.main(["train", "--data", str(tree_file), "--no-such-flag"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--patience", "0", "patience must be >= 1"),
+        ("--lr", "0", "learning rate must be positive"),
+        ("--epochs", "-1", "epochs must be >= 0"),
+        ("--seed", "-1", "seed must fit in an unsigned 64-bit value"),
+        ("--hidden", "0", "hidden must be >= 1"),
+    ],
+)
+def test_bad_training_setting_exits_1_before_writing(tree_file, tmp_path, capsys, flag, value, message):
+    # every setting is checked before the output directory is made
+    out = tmp_path / "out"
+    assert cli.main(train_argv(tree_file, out) + [flag, value]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = cli.main(train_argv(tmp_path / "missing.json", tmp_path / "out"))
     assert code == cli.EXIT_DATA
@@ -54,7 +73,7 @@ def eval_all(checkpoint, data):
 def test_saturating_checkpoint_exits_3_naming_stage_and_row(tree_file, tmp_path, capsys, flavor, row):
     # hidden weights x1e3 push the layer past float64 saturation
     model = nn.init_model(flavor, 8, 6, 5, seed=42)
-    model.hidden.weight = model.hidden.weight * 1e3
+    model = replace(model, weight=model.weight * 1e3)
     nn.save_model(model, tmp_path / "checkpoint.json")
     assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()

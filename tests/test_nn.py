@@ -1,7 +1,7 @@
 """Tests for the hyperbolic layers, gradients, optimizer, and training loop."""
 
-import copy
 import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
 import numpy as np
@@ -14,6 +14,7 @@ from hyperklein.gyro import einstein_add_rows, mobius_add_rows
 from hyperklein.manifolds import (
     KleinPoint,
     Model,
+    _point_row,
     convert_point,
     distance,
     exp_map,
@@ -37,8 +38,7 @@ def offset_bias_model(flavor, n, m, c, seed, scale=0.4):
     raw = rng.normal(size=o.coords.shape) * scale
     if flavor is Model.LORENTZ:
         raw[0] = 0.0
-    model.hidden.bias = exp_map(o, tangent(o, raw))
-    return model
+    return replace(model, bias=exp_map(o, tangent(o, raw)))
 
 
 def layer_model(flavor, weight, bias=None):
@@ -47,7 +47,7 @@ def layer_model(flavor, weight, bias=None):
     logits (padded to two classes) with a zero bias."""
     m = len(weight)
     bias = origin(flavor, m) if bias is None else bias
-    return nn.HnnModel(flavor, nn.LayerParams(weight, bias), np.eye(max(m, 2), m), np.zeros(max(m, 2)))
+    return nn.HnnModel(flavor, weight, bias, np.eye(max(m, 2), m), np.zeros(max(m, 2)))
 
 
 def features_of(point):
@@ -171,7 +171,7 @@ class TestActivation:
 class TestReadout:
     def test_origin_gives_bias(self):
         model = nn.init_model(Model.KLEIN, 2, 2, 3, seed=0)
-        model.readout_bias = np.array([0.5, -1.0, 2.0])
+        model = replace(model, readout_bias=np.array([0.5, -1.0, 2.0]))
         out = nn.forward(model, np.zeros((1, 2)))
         np.testing.assert_allclose(out, [model.readout_bias])
 
@@ -183,10 +183,10 @@ class TestReadout:
 
     def test_weight_scaling_linearity(self):
         model = nn.init_model(Model.KLEIN, 2, 3, 4, seed=1)
-        model.readout_bias = np.linspace(-1, 1, 4)
+        model = replace(model, readout_bias=np.linspace(-1, 1, 4))
         x = np.array([[0.2, -0.5], [1.0, 0.7]])
         base = nn.forward(model, x) - model.readout_bias
-        model.readout_weight = 2.0 * model.readout_weight
+        model = replace(model, readout_weight=2.0 * model.readout_weight)
         doubled = nn.forward(model, x) - model.readout_bias
         np.testing.assert_allclose(doubled, 2.0 * base, atol=1e-12)
 
@@ -220,8 +220,8 @@ def kernel_reference(model, feats):
     """The network's tangent and logits composed from the `manifolds` and
     `gyro` row kernels: exp_o of w = x W^T, the bias step, log_o, ReLU and
     the readout."""
-    flavor, bias = model.flavor, model.hidden.bias.coords
-    w = nn._preprocess(feats) @ model.hidden.weight.T
+    flavor, bias = model.flavor, model.bias.coords
+    w = nn._preprocess(feats) @ model.weight.T
     o = np.tile(origin(flavor, model.hidden_dim).coords, (len(w), 1))
     b = np.tile(bias, (len(w), 1))
     if flavor is Model.LORENTZ:
@@ -246,7 +246,7 @@ class TestForward:
             warnings.simplefilter("error")  # capping a zero-norm row must not warn
             logits = nn.forward(model, np.zeros((1, 3)))
         o = origin(Model.KLEIN, 4)
-        active = np.maximum(log_map(o, model.hidden.bias).components, 0.0)
+        active = np.maximum(log_map(o, model.bias).components, 0.0)
         want = model.readout_weight @ active + model.readout_bias
         np.testing.assert_allclose(logits[0], want, atol=1e-12)
 
@@ -286,22 +286,11 @@ def assert_gradients_match_finite_differences(model, feats, labels, h=1e-5, tol=
     _, grads = nn.gradients(model, feats, labels)
 
     def loss_with(key, arr):
-        trial = copy.deepcopy(model)
-        if key == "weight":
-            trial.hidden.weight = arr
-        elif key == "bias":
-            object.__setattr__(trial.hidden.bias, "coords", arr)
-        else:
-            setattr(trial, key, arr)
+        # a trial bias is taken as given, like a kernel's output row
+        trial = replace(model, **{key: _point_row(model.flavor, arr[None]) if key == "bias" else arr})
         return nn.gradients(trial, feats, labels)[0]
 
-    current = {
-        "weight": model.hidden.weight,
-        "bias": model.hidden.bias.coords,
-        "readout_weight": model.readout_weight,
-        "readout_bias": model.readout_bias,
-    }
-    for key, base in current.items():
+    for key, base in model.parameter_arrays().items():
         assert grads[key].shape == base.shape
         for i in np.ndindex(base.shape):
             p, m = base.copy(), base.copy()
@@ -337,12 +326,12 @@ class TestLorentzLayerExact:
         # cosh|w| enters the layer's scalars
         rng = np.random.default_rng(31)
         model = offset_bias_model(Model.LORENTZ, 3, 3, 2, seed=30, scale=0.8)
-        model.hidden.weight = w_norm * np.eye(3)
+        model = replace(model, weight=w_norm * np.eye(3))
         feats = rng.normal(size=(8, 3))
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         got = nn.hidden_tangent(model, feats)
         for row, x in zip(got, feats):
-            want = mp_lorentz_layer(w_norm * x, model.hidden.bias.coords)
+            want = mp_lorentz_layer(w_norm * x, model.bias.coords)
             assert np.linalg.norm(row - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -363,8 +352,8 @@ class TestGradients:
         model = offset_bias_model(flavor, 4, 3, 3, seed=21)
         feats = rng.normal(size=(6, 4))
         labels = rng.integers(0, 3, size=6)
-        norms = np.linalg.norm(nn._preprocess(feats) @ model.hidden.weight.T, axis=1)
-        model.hidden.weight = model.hidden.weight * (3.0 / np.median(norms))
+        norms = np.linalg.norm(nn._preprocess(feats) @ model.weight.T, axis=1)
+        model = replace(model, weight=model.weight * (3.0 / np.median(norms)))
         assert_gradients_match_finite_differences(model, feats, labels)
 
     @pytest.mark.parametrize("flavor", list(Model))
@@ -379,7 +368,7 @@ class TestGradients:
 
     def test_saturated_correct_logits_give_tiny_gradients(self):
         model = nn.init_model(Model.KLEIN, 2, 2, 2, seed=8)
-        model.readout_bias = np.array([50.0, -50.0])
+        model = replace(model, readout_bias=np.array([50.0, -50.0]))
         feats = np.random.default_rng(9).normal(size=(4, 2))
         labels = np.zeros(4, dtype=np.int64)
         _, grads = nn.gradients(model, feats, labels)
@@ -390,10 +379,7 @@ class TestGradients:
         # the single hidden coordinate is negative, so the activation zeroes it
         # and neither the weight nor the bias can receive any signal
         model = nn.HnnModel(
-            Model.KLEIN,
-            nn.LayerParams(np.array([[-1.0]]), origin(Model.KLEIN, 1)),
-            np.array([[1.0], [0.5]]),
-            np.zeros(2),
+            Model.KLEIN, np.array([[-1.0]]), origin(Model.KLEIN, 1), np.array([[1.0], [0.5]]), np.zeros(2)
         )
         _, grads = nn.gradients(model, np.array([[1.0]]), np.array([0]))
         assert np.all(grads["weight"] == 0.0)
@@ -414,8 +400,7 @@ class TestGradients:
         labels = np.array([0, 1, 2, 1, 0])
         first = list(nn.gradients(model, feats, labels)[1].values())
         second = list(nn.gradients(model, feats, labels)[1].values())
-        hidden = model.hidden
-        params = [hidden.weight, hidden.bias.coords, model.readout_weight, model.readout_bias]
+        params = list(model.parameter_arrays().values())
         for i, g in enumerate(first):
             others = first[i + 1 :] + params + second
             assert not any(np.shares_memory(g, other) for other in others)
@@ -427,8 +412,7 @@ def saturating_model(flavor):
     """Hidden weights x1e3 push the hidden layer past float64 saturation."""
     ds = gen_tree_dataset(6, 8, 0.1, 0)
     model = nn.init_model(flavor, ds.dim, 16, ds.n_classes, seed=0)
-    model.hidden.weight = model.hidden.weight * 1e3
-    return model, ds
+    return replace(model, weight=model.weight * 1e3), ds
 
 
 def count_nodes(monkeypatch):
@@ -502,16 +486,10 @@ class TestNumericalGuard:
 class TestRiemannianAdam:
     def test_zero_gradients_leave_model_unchanged(self):
         model = offset_bias_model(Model.KLEIN, 3, 3, 3, seed=11)
-        zero = {
-            "weight": np.zeros_like(model.hidden.weight),
-            "bias": np.zeros_like(model.hidden.bias.coords),
-            "readout_weight": np.zeros_like(model.readout_weight),
-            "readout_bias": np.zeros_like(model.readout_bias),
-        }
+        zero = {key: np.zeros_like(a) for key, a in model.parameter_arrays().items()}
         out = nn.riemannian_adam_step(nn.GradState(lr=0.1), model, zero)
-        np.testing.assert_array_equal(out.hidden.weight, model.hidden.weight)
-        np.testing.assert_array_equal(out.hidden.bias.coords, model.hidden.bias.coords)
-        np.testing.assert_array_equal(out.readout_weight, model.readout_weight)
+        for key, a in model.parameter_arrays().items():
+            np.testing.assert_array_equal(out.parameter_arrays()[key], a)
 
     def test_riemannian_gradient_at_origin_is_euclidean(self):
         bias = origin(Model.KLEIN, 3)
@@ -527,7 +505,7 @@ class TestRiemannianAdam:
             "readout_bias": np.zeros(2),
         }
         out = nn.riemannian_adam_step(nn.GradState(lr=0.1), model, grads)
-        moved = distance(model.hidden.bias, out.hidden.bias)
+        moved = distance(model.bias, out.bias)
         assert 0.0 < moved <= 0.1 + 1e-9
 
     def test_lorentz_step_keeps_constraint(self):
@@ -542,7 +520,7 @@ class TestRiemannianAdam:
         state = nn.GradState(lr=0.05)
         for _ in range(5):
             model = nn.riemannian_adam_step(state, model, grads)
-            c = model.hidden.bias.coords
+            c = model.bias.coords
             assert abs(minkowski_inner(c, c) + 1.0) < 1e-9
 
 
@@ -570,11 +548,50 @@ class TestTrain:
         _, metrics = nn.train(model, ds, nn.TrainConfig(epochs=50, patience=50))
         assert metrics[-1].train_loss < metrics[0].train_loss
 
+    def test_each_epoch_calls_the_module_level_step_functions(self, monkeypatch):
+        # perfbench times and samples each epoch by swapping nn.gradients and
+        # nn.riemannian_adam_step for wrappers, so train must call them
+        # through the module, once per epoch
+        calls = {"gradients": 0, "riemannian_adam_step": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _inner=getattr(nn, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(nn, name, counted)
+        ds = gen_tree_dataset(3, 6, 0.1, seed=0)
+        model = nn.init_model(Model.KLEIN, ds.dim, 4, ds.n_classes, seed=0)
+        _, metrics = nn.train(model, ds, nn.TrainConfig(epochs=7, patience=7))
+        assert len(metrics) == 7
+        assert calls == {"gradients": 7, "riemannian_adam_step": 7}
+
     def test_early_stopping_bounds_epochs(self):
         ds = gen_tree_dataset(4, 8, 0.1, seed=5)
         model = nn.init_model(Model.KLEIN, ds.dim, 4, ds.n_classes, seed=6)
         _, metrics = nn.train(model, ds, nn.TrainConfig(epochs=3000, patience=5))
         assert len(metrics) < 3000
+
+
+class TestModelInvariant:
+    # a pass scans no parameter for non-finite values: every model's are
+    # finite because no model can be changed after its checks ran
+    @pytest.mark.parametrize("name", [f.name for f in fields(nn.HnnModel)])
+    def test_fields_cannot_be_assigned(self, name):
+        model = nn.init_model(Model.KLEIN, 2, 3, 2, seed=0)
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+
+    def test_replace_rejects_non_finite_parameters(self):
+        model = nn.init_model(Model.KLEIN, 2, 3, 2, seed=0)
+        weight = model.weight.copy()
+        weight[0, 1] = np.nan
+        with pytest.raises(ValueError, match="weight must be a finite 2-d matrix"):
+            replace(model, weight=weight)
+        readout_bias = model.readout_bias.copy()
+        readout_bias[1] = np.inf
+        with pytest.raises(ValueError, match="readout bias must be finite"):
+            replace(model, readout_bias=readout_bias)
 
 
 class TestCheckpoint:
@@ -585,10 +602,8 @@ class TestCheckpoint:
             nn.save_model(model, path, extra={"seed": 1, "config": {"lr": 0.01}})
             loaded, doc = nn.load_model(path)
             assert doc["seed"] == 1
-            np.testing.assert_allclose(loaded.hidden.weight, model.hidden.weight, atol=1e-15)
-            np.testing.assert_allclose(
-                loaded.hidden.bias.coords, model.hidden.bias.coords, atol=1e-15
-            )
+            np.testing.assert_allclose(loaded.weight, model.weight, atol=1e-15)
+            np.testing.assert_allclose(loaded.bias.coords, model.bias.coords, atol=1e-15)
             feats = np.random.default_rng(16).normal(size=(3, 3))
             np.testing.assert_allclose(
                 nn.forward(loaded, feats), nn.forward(model, feats), atol=1e-12
@@ -601,22 +616,14 @@ class TestFlavorParity:
         for _ in range(20):
             n, m, c = int(rng.integers(2, 7)), int(rng.integers(2, 7)), int(rng.integers(2, 5))
             km = offset_bias_model(Model.KLEIN, n, m, c, seed=int(rng.integers(10000)))
-            bm = nn.HnnModel(
-                Model.POINCARE,
-                nn.LayerParams(
-                    km.hidden.weight / 2.0, convert_point(km.hidden.bias, Model.POINCARE)
-                ),
-                2.0 * km.readout_weight,
-                km.readout_bias.copy(),
+            bm = replace(
+                km,
+                flavor=Model.POINCARE,
+                weight=km.weight / 2.0,
+                bias=convert_point(km.bias, Model.POINCARE),
+                readout_weight=2.0 * km.readout_weight,
             )
-            lm = nn.HnnModel(
-                Model.LORENTZ,
-                nn.LayerParams(
-                    km.hidden.weight.copy(), convert_point(km.hidden.bias, Model.LORENTZ)
-                ),
-                km.readout_weight.copy(),
-                km.readout_bias.copy(),
-            )
+            lm = replace(km, flavor=Model.LORENTZ, bias=convert_point(km.bias, Model.LORENTZ))
             feats = rng.normal(size=(6, n)) * 2.0
             base = nn.forward(km, feats)
             np.testing.assert_allclose(nn.forward(bm, feats), base, atol=1e-6)

@@ -1,6 +1,7 @@
 """Tests for the property suites themselves."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,13 +27,8 @@ def test_gradient_check_raises_on_a_non_finite_loss():
     # not vanish into the running maximum of the errors
     ds = gen_tree_dataset(6, 8, 0.1, 0)
     model = nn.init_model(Model.KLEIN, ds.dim, 16, ds.n_classes, seed=0)
-    model.hidden.weight = model.hidden.weight * 1e3
-    grads = {
-        "weight": np.zeros_like(model.hidden.weight),
-        "bias": np.zeros_like(model.hidden.bias.coords),
-        "readout_weight": np.zeros_like(model.readout_weight),
-        "readout_bias": np.zeros_like(model.readout_bias),
-    }
+    model = replace(model, weight=model.weight * 1e3)
+    grads = {key: np.zeros_like(a) for key, a in model.parameter_arrays().items()}
     with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
         verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
 
