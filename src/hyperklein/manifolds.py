@@ -130,23 +130,33 @@ _RATIOS = {
 }
 
 
-def smooth_ratio(name: str, t: np.ndarray):
-    """Value and slope of f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
-
-    The row kernels take the value; the network's tape nodes also chain their
-    closed-form backward through the slope.  Overflow gives inf or nan;
-    callers that can overflow run this under np.errstate and check their
-    outputs.
-    """
-    fn, dfn, c2, c4 = _RATIOS[name]
+def _above_switch(name: str, t: np.ndarray):
+    """The rows below the switch, t with those set to 1, f of it and f(t)/t."""
     small = t < _SERIES_SWITCH
     s = np.where(small, 1.0, t)
-    f = fn(s)
-    y = f / s
+    f = _RATIOS[name][0](s)
+    return small, s, f, f / s
+
+
+def smooth_ratio(name: str, t: np.ndarray) -> np.ndarray:
+    """f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
+
+    Forward passes take only this value; `smooth_slope` gives its slope, which
+    only the network's backward reads.  Overflow gives inf or nan; callers
+    that can overflow run this under np.errstate and check their outputs.
+    """
+    small, _, _, y = _above_switch(name, t)
+    _, _, c2, c4 = _RATIOS[name]
     t2 = t * t
-    value = np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
-    dy = (dfn(s, f) - y) / s
-    return value, np.where(small, t * (2.0 * c2 + 4.0 * c4 * t2), dy)
+    return np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
+
+
+def smooth_slope(name: str, t: np.ndarray) -> np.ndarray:
+    """The slope of `smooth_ratio(name, t)` in t, for the tape's closed-form
+    backwards; same switch, series and overflow behaviour."""
+    small, s, f, y = _above_switch(name, t)
+    _, dfn, c2, c4 = _RATIOS[name]
+    return np.where(small, t * (2.0 * c2 + 4.0 * c4 * (t * t)), (dfn(s, f) - y) / s)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +473,17 @@ def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         t = np.sqrt(np.maximum(row_dots(v, v) / s + xv * xv / s**2, 0.0))  # metric norm of v
         lam2 = 1.0 / s
         # tanh(t)/t form of the geodesic: stays finite for arbitrarily long steps
-        tc = smooth_ratio("tanhc", t)[0]
+        tc = smooth_ratio("tanhc", t)
         return clamp_rows(x + tc * v / (1.0 + lam2 * xv * tc))
     if model is Model.POINCARE:
         from .gyro import mobius_add_rows  # local import to avoid a module cycle
 
         half = 0.5 * _conformal(x)
-        step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v)))[0] * v
+        step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v))) * v
         return mobius_add_rows(x, clamp_rows(step))
     t = np.sqrt(np.maximum(minkowski_rows(v, v), 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # the sheet rows are checked
-        out = np.cosh(t) * x + smooth_ratio("sinhc", t)[0] * v
+        out = np.cosh(t) * x + smooth_ratio("sinhc", t) * v
     return lorentz_rows(out[:, 1:])
 
 
@@ -494,7 +504,7 @@ def log_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         from .gyro import mobius_add_rows
 
         w = mobius_add_rows(clamp_rows(-x), y)
-        scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))[0]
+        scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))
         return _finite(scale * w, "components")
     alpha = np.maximum(-minkowski_rows(x, y), 1.0)
     denom = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))

@@ -43,9 +43,10 @@ The tape is the chain of the pass's five stages, hidden_linear ->
 with a closed-form backward; the layer's goes through the (N, 1) scalars.
 The stages read the model's fields directly: the backward walks the chain
 from the loss to hidden_linear, and each stage writes its own parameters'
-gradients into the pass's `grads`.  This is the only implementation of the
-network; the tests hold it to the `manifolds` and `gyro` row kernels
-composed step by step.
+gradients into the pass's `grads`.  The smooth ratios' slopes are computed
+in the backward only, so a pass that returns logits or tangents computes
+none.  This is the only implementation of the network; the tests hold it
+to the `manifolds` and `gyro` row kernels composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
@@ -57,7 +58,8 @@ non-finite are the pass's stages scanned, in the order they were built, for
 the first one that holds a non-finite value; its NumericalError names the
 stage and the row, and `train` adds the flavor and the epoch.  A model's
 parameters are finite by construction, since its checks run whenever one is
-built and no model can be changed after that, so they need no scan.
+built and no model, nor any of its read-only arrays, can be changed after
+that, so they need no scan.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -85,6 +87,7 @@ from .manifolds import (
     minkowski_inner,
     origin,
     smooth_ratio,
+    smooth_slope,
 )
 
 MAX_FEATURE_NORM = 5.0
@@ -98,7 +101,8 @@ class HnnModel:
 
     The fields after `flavor` are the parameters under their gradient keys;
     the bias is a point of the flavor's model.  `dataclasses.replace`
-    derives a new model and re-runs these checks, so all are finite.
+    derives a new model and re-runs these checks, so all are finite; the
+    arrays, copied here but for the bias's coordinates, are all read-only.
     """
 
     flavor: Model
@@ -108,7 +112,7 @@ class HnnModel:
     readout_bias: np.ndarray
 
     def __post_init__(self):
-        weight = np.asarray(self.weight, dtype=np.float64)
+        weight = np.array(self.weight, dtype=np.float64)
         if weight.ndim != 2 or not np.all(np.isfinite(weight)):
             raise ValueError("weight must be a finite 2-d matrix")
         if self.bias.dim != weight.shape[0]:
@@ -116,8 +120,8 @@ class HnnModel:
         flavor = Model(self.flavor)
         if self.bias.model is not flavor:
             raise ValueError("bias model must match the network flavor")
-        readout_weight = np.asarray(self.readout_weight, dtype=np.float64)
-        readout_bias = np.asarray(self.readout_bias, dtype=np.float64)
+        readout_weight = np.array(self.readout_weight, dtype=np.float64)
+        readout_bias = np.array(self.readout_bias, dtype=np.float64)
         if readout_weight.ndim != 2 or not np.all(np.isfinite(readout_weight)):
             raise ValueError("readout weight must be a finite 2-d matrix")
         if not np.all(np.isfinite(readout_bias)):
@@ -128,6 +132,8 @@ class HnnModel:
             raise ValueError("readout bias length must match the class count")
         if readout_bias.size < 2:
             raise ValueError("need at least two classes")
+        for array in (weight, self.bias.coords, readout_weight, readout_bias):
+            array.flags.writeable = False
         for name, value in (
             ("flavor", flavor),
             ("weight", weight),
@@ -189,7 +195,7 @@ def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
 def _klein_coefficients(p, q, s):
     """Einstein addition exp_o(w) (+)_E b, with exp_o(w) = tanhc(|w|) w."""
     n = np.sqrt(p + 1e-32)
-    tau, dtau = smooth_ratio("tanhc", n)
+    tau = smooth_ratio("tanhc", n)
     inv_gamma = np.sqrt(1.0 - tau * tau * p)
     gamma = 1.0 / inv_gamma
     cf = gamma / (1.0 + gamma)
@@ -206,7 +212,7 @@ def _klein_coefficients(p, q, s):
         g_inv_gamma = g_beta * inv - g_lift * dot * cf * cf
         g_sq = -0.5 * g_inv_gamma * gamma  # of |exp_o(w)|^2 = tau^2 p
         g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
-        return g_sq * tau * tau + g_tau * dtau / (2.0 * n), g_dot * tau, 0.0
+        return g_sq * tau * tau + g_tau * smooth_slope("tanhc", n) / (2.0 * n), g_dot * tau, 0.0
 
     return alpha, beta, back, None
 
@@ -214,7 +220,7 @@ def _klein_coefficients(p, q, s):
 def _poincare_coefficients(p, q, s):
     """Mobius addition exp_o(w) (+)_M b, with exp_o(w) = tanhc(|w|) w."""
     n = np.sqrt(p + 1e-32)
-    tau, dtau = smooth_ratio("tanhc", n)
+    tau = smooth_ratio("tanhc", n)
     sq = tau * tau * p
     dot = tau * q
     lift = 1.0 + 2.0 * dot + s
@@ -228,7 +234,7 @@ def _poincare_coefficients(p, q, s):
         g_sq = g_den * s - g_beta * inv
         g_dot = 2.0 * (g_den + g_lift)
         g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
-        g_p = g_sq * tau * tau + g_tau * dtau / (2.0 * n)
+        g_p = g_sq * tau * tau + g_tau * smooth_slope("tanhc", n) / (2.0 * n)
         return g_p, g_dot * tau, g_lift + g_den * sq
 
     return alpha, beta, back, None
@@ -239,18 +245,19 @@ def _lorentz_coefficients(p, q, s):
     is the bias's origin tangent v, and alpha w + beta v is the spatial part.
     Transport is an isometry, so the transported tangent's norm is t = |v|."""
     n = np.sqrt(p + 1e-32)
-    sig, dsig = smooth_ratio("sinhc", n)
+    sig = smooth_ratio("sinhc", n)
     h_t = np.cosh(n)
     inner = sig * q  # <h, (0, v)>, the time coordinate of the transported v
     inv = 1.0 / (1.0 + h_t)
     coef = inner * inv
     t = np.sqrt(s + 1e-32)
-    big_s, dbig_s = smooth_ratio("sinhc", t)
+    big_s = smooth_ratio("sinhc", t)
     big_c = np.cosh(t)
     alpha = sig * (big_c + big_s * coef)
     beta = big_s
 
     def back(g_alpha, g_beta):
+        dsig, dbig_s = smooth_slope("sinhc", n), smooth_slope("sinhc", t)
         g_t = g_alpha * sig * np.sinh(t) + (g_alpha * sig * coef + g_beta) * dbig_s
         g_coef = g_alpha * sig * big_s
         g_inner = g_coef * inv
@@ -283,11 +290,12 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
         hidden = alpha * wd + beta * b
         r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
-        k, dk = smooth_ratio(log_ratio, r)
+        k = smooth_ratio(log_ratio, r)
         z = k * hidden
 
     def back(gz):
         with np.errstate(all="ignore"):
+            dk = smooth_slope(log_ratio, r)
             g1 = _row_dots(gz, wd)
             g2 = (gz @ b)[:, None]
             g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
@@ -312,10 +320,11 @@ def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
     b_s = bias[1:]
     bn = np.sqrt(b_s @ b_s + 1e-32)
     with np.errstate(all="ignore"):
-        rho, drho = smooth_ratio("asinhc", bn)
+        rho = smooth_ratio("asinhc", bn)
     v = rho * b_s
 
     def b_back(gv):
+        drho = smooth_slope("asinhc", bn)
         return np.concatenate(([0.0], rho * gv + (gv @ b_s) * drho / bn * b_s))
 
     return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, grads, v, b_back)
@@ -347,7 +356,8 @@ def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Te
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean of the rows' cross-entropies as one stage; gradient (softmax - onehot)/N."""
     rows = np.arange(labels.size)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    # a loop over the few columns is far cheaper than max(axis=1); a max rounds nothing
+    shifted = logits.data - reduce(np.maximum, logits.data.T)[:, None]
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     scale = 1.0 / labels.size
@@ -366,6 +376,10 @@ def _preprocess(features: np.ndarray) -> np.ndarray:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
+    # an idle cap scales by 1; the margin sends each row that np.linalg.norm's
+    # summation order could round to the cap, and each non-finite row, to the scaling
+    if np.all(_row_dots(feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)):
+        return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
 
@@ -476,7 +490,7 @@ class GradState:
     moments: dict = field(default_factory=dict)
 
     def _update(self, key: str, grad: np.ndarray) -> np.ndarray:
-        m, v = self.moments.get(key, (np.zeros_like(grad), np.zeros_like(grad)))
+        m, v = self.moments[key] if key in self.moments else (np.zeros_like(grad),) * 2
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         self.moments[key] = (m, v)

@@ -8,7 +8,7 @@ from hyperklein import nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
 from hyperklein.manifolds import KleinPoint, Model, origin
-from hyperklein.manifolds import smooth_ratio
+from hyperklein.manifolds import smooth_ratio, smooth_slope
 
 
 class TestChain:
@@ -70,20 +70,22 @@ class TestSmoothHelpers:
     )
     def test_agrees_with_exact_ratio(self, name, exact):
         t = np.array((1e-9,) + NEAR_SWITCH + (0.1, 0.5, 0.99))
-        got, _ = smooth_ratio(name, t)
+        got = smooth_ratio(name, t)
         with mpmath.workdps(50):
             want = np.array([float(exact(mpmath.mpf(float(v)))) for v in t])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_value_and_grad_at_zero(self):
         for name in ("tanhc", "atanhc", "sinhc", "asinhc"):
-            value, slope = smooth_ratio(name, np.array([[0.0]]))
+            t = np.array([[0.0]])
+            value, slope = smooth_ratio(name, t), smooth_slope(name, t)
             assert value[0, 0] == 1.0
             assert slope[0, 0] == 0.0
 
     def test_gradient_continuity_across_switch(self):
         for name in ("tanhc", "atanhc", "sinhc", "asinhc"):
-            value, slope = smooth_ratio(name, np.array([BELOW, ABOVE]))
+            t = np.array([BELOW, ABOVE])
+            value, slope = smooth_ratio(name, t), smooth_slope(name, t)
             assert value[0] == pytest.approx(value[1], rel=1e-15)
             assert slope[0] == pytest.approx(slope[1], rel=1e-9)
 
@@ -98,7 +100,7 @@ class TestSmoothHelpers:
     )
     def test_gradient_matches_finite_differences(self, name, exact, t_values):
         t = np.array(t_values)
-        value, slope = smooth_ratio(name, t)
+        value, slope = smooth_ratio(name, t), smooth_slope(name, t)
         want_value, want_slope = mp_ratio_and_slope(exact, t_values)
         np.testing.assert_allclose(value, want_value, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(slope, want_slope, rtol=1e-9, atol=0.0)

@@ -1,5 +1,6 @@
 """Microbenchmarks of each flavor's layer stage, forward and backward, on a
-1,234 x 16 batch.
+1,234 x 16 batch, and of the forward-only pass `nn.forward` on 2,047 x 16
+rows of the tree-d10 data and on its first row.
 
 The tier-1 run calls each once (`--benchmark-disable` in pyproject.toml);
 to time them:
@@ -12,6 +13,7 @@ import pytest
 
 from hyperklein import nn
 from hyperklein.autodiff import Tensor
+from hyperklein.data import gen_tree_dataset
 from hyperklein.manifolds import Model, exp_map, origin, tangent
 
 ROWS, WIDTH = 1234, 16
@@ -48,3 +50,17 @@ def test_layer_backward(benchmark, flavor):
     gw, gb = benchmark(backward)
     assert gw.shape == w.data.shape and gb.shape == bias.shape
     assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
+
+
+@pytest.fixture(scope="module")
+def tree_features():
+    return gen_tree_dataset(10, WIDTH, 0.1, seed=0).features
+
+
+@pytest.mark.parametrize("rows", [2047, 1])
+@pytest.mark.parametrize("flavor", list(Model))
+def test_forward(benchmark, tree_features, flavor, rows):
+    model = nn.init_model(flavor, WIDTH, WIDTH, 4, seed=0)
+    feats = tree_features[:rows]
+    logits = benchmark(nn.forward, model, feats)
+    assert logits.shape == (rows, 4) and np.all(np.isfinite(logits))

@@ -9,7 +9,7 @@ import pytest
 
 from hyperklein import autodiff, nn
 from hyperklein.autodiff import NumericalError, Tensor
-from hyperklein.data import gen_tree_dataset
+from hyperklein.data import gen_tree_dataset, load_dataset
 from hyperklein.gyro import einstein_add_rows, mobius_add_rows
 from hyperklein.manifolds import (
     KleinPoint,
@@ -215,6 +215,70 @@ class TestCrossEntropy:
             with pytest.raises(ValueError, match="labels out of range"):
                 nn.gradients(model, np.zeros((1, 2)), np.array([label]))
 
+    def test_loss_and_gradient_equal_the_max_over_axis_form_bit_for_bit(self):
+        # the stage takes each row's max column by column; ties at the max
+        # and +-300 spreads must give the max(axis=1) formulation's bits
+        rng = np.random.default_rng(23)
+        logits = rng.uniform(-300.0, 300.0, size=(40, 7))
+        logits[::4, :3] = logits[::4].max(axis=1, keepdims=True)
+        logits[1] = 0.0
+        logits[2] = [-0.0, 0.0, -0.0, 0.0, -300.0, 300.0, 300.0]
+        labels = rng.integers(0, 7, size=40)
+        node = nn._mean_cross_entropy(Tensor(logits), labels)
+        grad = node.back(np.ones_like(node.data))
+
+        rows, scale = np.arange(40), 1.0 / 40
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        want_loss = (np.log(total)[:, 0] - shifted[rows, labels]).sum() * scale
+        want_grad = e * (1.0 * scale / total)
+        want_grad[rows, labels] -= scale
+        assert node.data.tobytes() == want_loss.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def norm_capped(feats):
+    """The feature cap as a scaling by MAX_FEATURE_NORM / max(|x|, MAX_FEATURE_NORM)."""
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    return feats * (nn.MAX_FEATURE_NORM / np.maximum(norms, nn.MAX_FEATURE_NORM))
+
+
+def rows_of_norm(norm):
+    rows = np.random.default_rng(24).normal(size=(50, 16))
+    return rows * (norm / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+class TestPreprocess:
+    @pytest.mark.parametrize(
+        "feats",
+        [gen_tree_dataset(6, 16, 0.1, seed=0).features, rows_of_norm(nn.MAX_FEATURE_NORM * (1 - 1e-9))],
+        ids=["tree", "just_under_cap"],
+    )
+    def test_idle_cap_returns_the_rows_unscaled(self, feats):
+        out = nn._preprocess(feats)
+        assert out.tobytes() == feats.tobytes()
+        assert out.tobytes() == norm_capped(feats).tobytes()
+
+    def test_texas_shaped_rows_equal_the_norm_formulation_bit_for_bit(self, texas_file):
+        feats = load_dataset(texas_file).features
+        assert nn._preprocess(feats).tobytes() == norm_capped(feats).tobytes()
+
+    def test_random_rows_x10_equal_the_norm_formulation_bit_for_bit(self):
+        feats = np.random.default_rng(25).normal(size=(300, 16)) * 10.0
+        assert nn._preprocess(feats).tobytes() == norm_capped(feats).tobytes()
+
+    def test_rows_whose_norm_rounds_over_the_cap_are_scaled(self):
+        # rows at the cap with a wide spread of entries: the row-dot and
+        # np.linalg.norm sum them in different orders, so some rows have a
+        # squared norm below 25 yet a norm that rounds above 5
+        rng = np.random.default_rng(28)
+        rows = rng.normal(size=(4000, 150)) * np.exp(2.0 * rng.normal(size=(4000, 150)))
+        rows *= nn.MAX_FEATURE_NORM / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows[nn._row_dots(rows, rows)[:, 0] < nn.MAX_FEATURE_NORM**2]
+        assert np.any(np.linalg.norm(rows, axis=1) > nn.MAX_FEATURE_NORM)
+        assert nn._preprocess(rows).tobytes() == norm_capped(rows).tobytes()
+
 
 def kernel_reference(model, feats):
     """The network's tangent and logits composed from the `manifolds` and
@@ -274,6 +338,23 @@ class TestForward:
         row = np.array([0.3, -1.0, 0.7])
         logits = nn.forward(model, np.stack([row, row]))
         np.testing.assert_array_equal(logits[0], logits[1])
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_forward_only_passes_compute_no_slopes(self, flavor, monkeypatch):
+        # the smooth ratios' slopes are read only by the backward
+        model = offset_bias_model(flavor, 4, 3, 3, seed=26)
+        feats = np.random.default_rng(27).normal(size=(6, 4))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+
+        def no_slope(name, t):
+            raise AssertionError(f"{name} slope computed")
+
+        monkeypatch.setattr(nn, "smooth_slope", no_slope)
+        assert np.all(np.isfinite(nn.forward(model, feats)))
+        assert np.all(np.isfinite(nn.hidden_tangent(model, feats)))
+        assert 0.0 <= nn.accuracy(model, feats, labels) <= 1.0
+        with pytest.raises(AssertionError, match="slope computed"):
+            nn.gradients(model, feats, labels)
 
     def test_feature_dim_mismatch(self):
         model = nn.init_model(Model.KLEIN, 3, 4, 3, seed=6)
@@ -592,6 +673,28 @@ class TestModelInvariant:
         readout_bias[1] = np.inf
         with pytest.raises(ValueError, match="readout bias must be finite"):
             replace(model, readout_bias=readout_bias)
+
+    @pytest.mark.parametrize("key", nn._PARAMETERS)
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_parameters_cannot_be_written_in_place(self, flavor, key):
+        model = offset_bias_model(flavor, 2, 3, 2, seed=0)
+        array = model.parameter_arrays()[key]
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = np.nan
+        assert np.all(np.isfinite(nn.forward(model, np.ones((1, 2)))))
+
+    def test_model_does_not_alias_the_arrays_it_was_built_from(self):
+        model = nn.init_model(Model.KLEIN, 2, 3, 2, seed=0)
+        feats = np.ones((1, 2))
+        before = nn.forward(model, feats)
+        weight, readout_weight, readout_bias = np.ones((3, 2)), np.ones((2, 3)), np.zeros(2)
+        derived = replace(model, weight=weight)
+        built = nn.HnnModel(Model.KLEIN, weight, model.bias, readout_weight, readout_bias)
+        derived_logits, built_logits = nn.forward(derived, feats), nn.forward(built, feats)
+        weight[0, 0], readout_weight[0, 0], readout_bias[0] = 7.0, 7.0, 7.0
+        np.testing.assert_array_equal(nn.forward(derived, feats), derived_logits)
+        np.testing.assert_array_equal(nn.forward(built, feats), built_logits)
+        np.testing.assert_array_equal(nn.forward(model, feats), before)
 
 
 class TestCheckpoint:
