@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -76,19 +77,36 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
     if missing.size:
         raise DataError(f"invalid dataset: class {int(missing[0])} has no members")
     n = features.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=np.int64)
     for part in ("train", "val", "test"):
         idx = np.asarray(splits.get(part, []), dtype=np.int64)
         if idx.size == 0:
             continue
         if idx.min() < 0 or idx.max() >= n:
             raise DataError(f"invalid dataset: {part} indices out of range")
-        if np.unique(idx).size != idx.size or seen[idx].any():
+        seen += np.bincount(idx, minlength=n)  # far cheaper than np.unique
+        if seen.max() > 1:
             raise DataError("invalid dataset: split index sets must be disjoint")
-        seen[idx] = True
     train = np.asarray(splits.get("train", []), dtype=np.int64)
-    if train.size and np.unique(labels[train]).size != n_classes:
+    if train.size and not np.bincount(labels[train], minlength=n_classes).all():
         raise DataError("invalid dataset: every class must appear in the train split")
+
+
+def _numbers(values, kinds: str, what: str) -> np.ndarray:
+    """The array numpy infers for values, of one of the dtype kinds; numpy reads
+    true and false among numbers as 1 and 0, so rows with a 0 or 1 are checked too."""
+    try:
+        array = np.asarray(values)
+    except ValueError as err:  # ragged rows
+        raise DataError(f"invalid dataset: {err}") from err
+    rows = []
+    if array.size and array.ndim and array.dtype.kind in kinds:
+        suspect = ((array == 0) | (array == 1)).reshape(len(array), -1).any(axis=1)
+        rows = [values[i] for i in np.flatnonzero(suspect)]
+    items = chain.from_iterable(rows) if array.ndim == 2 else rows
+    if array.size and (array.dtype.kind not in kinds or bool in map(type, items)):
+        raise DataError(f"invalid dataset: {what}")
+    return array
 
 
 def load_dataset(path) -> Dataset:
@@ -100,13 +118,11 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"parse error: line {err.lineno}: {err.msg}") from err
     if not isinstance(doc, dict) or "features" not in doc or "labels" not in doc:
         raise DataError("invalid dataset: need 'features' and 'labels' fields")
-    try:
-        features = np.asarray(doc["features"], dtype=np.float64)
-        labels = np.asarray(doc["labels"], dtype=np.int64)
-    except (TypeError, ValueError) as err:
-        raise DataError(f"invalid dataset: {err}") from err
-    splits = doc.get("splits") or {}
-    return Dataset(features, labels, dict(splits), str(doc.get("name", "dataset")))
+    features = _numbers(doc["features"], "iuf", "features must be numbers")
+    labels = _numbers(doc["labels"], "iu", "labels must be integers")
+    splits = dict(doc.get("splits") or {})
+    splits = {key: _numbers(v, "iu", f"{key} indices must be integers") for key, v in splits.items()}
+    return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -115,48 +115,47 @@ def _acosh(arg: np.ndarray) -> np.ndarray:
 # near 1; at t >= 1e-3 that leaves at least nine correct digits.
 _SERIES_SWITCH = 1e-3
 
-# f, f' (given t and f(t)), c2, c4
+# f, f', c2, c4
 _RATIOS = {
-    "tanhc": (np.tanh, lambda t, f: 1.0 - f * f, -1.0 / 3.0, 2.0 / 15.0),
+    "tanhc": (np.tanh, lambda t: 1.0 - np.square(np.tanh(t)), -1.0 / 3.0, 2.0 / 15.0),
     # atanh is evaluated at most at ATANH_MAX, and so is its slope
     "atanhc": (
         lambda t: np.arctanh(np.minimum(t, ATANH_MAX)),
-        lambda t, f: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
+        lambda t: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
         1.0 / 3.0,
         1.0 / 5.0,
     ),
-    "sinhc": (np.sinh, lambda t, f: np.cosh(t), 1.0 / 6.0, 1.0 / 120.0),
-    "asinhc": (np.arcsinh, lambda t, f: 1.0 / np.sqrt(1.0 + t * t), -1.0 / 6.0, 3.0 / 40.0),
+    "sinhc": (np.sinh, np.cosh, 1.0 / 6.0, 1.0 / 120.0),
+    "asinhc": (np.arcsinh, lambda t: 1.0 / np.sqrt(1.0 + t * t), -1.0 / 6.0, 3.0 / 40.0),
 }
-
-
-def _above_switch(name: str, t: np.ndarray):
-    """The rows below the switch, t with those set to 1, f of it and f(t)/t."""
-    small = t < _SERIES_SWITCH
-    s = np.where(small, 1.0, t)
-    f = _RATIOS[name][0](s)
-    return small, s, f, f / s
 
 
 def smooth_ratio(name: str, t: np.ndarray) -> np.ndarray:
     """f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
 
-    Forward passes take only this value; `smooth_slope` gives its slope, which
-    only the network's backward reads.  Overflow gives inf or nan; callers
-    that can overflow run this under np.errstate and check their outputs.
+    The series runs only when a row is below the switch.  Forward passes
+    take only this value; `smooth_slope` gives its slope, which only the
+    network's backward reads.  Overflow gives inf or nan; callers that can
+    overflow run this under np.errstate and check their outputs.
     """
-    small, _, _, y = _above_switch(name, t)
-    _, _, c2, c4 = _RATIOS[name]
+    f, _, c2, c4 = _RATIOS[name]
+    small = t < _SERIES_SWITCH
+    if not small.any():
+        return f(t) / t
+    s = np.where(small, 1.0, t)
     t2 = t * t
-    return np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
+    return np.where(small, 1.0 + t2 * (c2 + t2 * c4), f(s) / s)
 
 
-def smooth_slope(name: str, t: np.ndarray) -> np.ndarray:
-    """The slope of `smooth_ratio(name, t)` in t, for the tape's closed-form
-    backwards; same switch, series and overflow behaviour."""
-    small, s, f, y = _above_switch(name, t)
-    _, dfn, c2, c4 = _RATIOS[name]
-    return np.where(small, t * (2.0 * c2 + 4.0 * c4 * (t * t)), (dfn(s, f) - y) / s)
+def smooth_slope(name: str, t: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """The slope of `smooth_ratio(name, t)`, given as `ratio`, in t for the tape's
+    closed-form backwards; same switch, series and overflow behaviour."""
+    _, df, c2, c4 = _RATIOS[name]
+    small = t < _SERIES_SWITCH
+    if not small.any():
+        return (df(t) - ratio) / t
+    s = np.where(small, 1.0, t)
+    return np.where(small, t * (2.0 * c2 + 4.0 * c4 * (t * t)), (df(s) - ratio) / s)
 
 
 # ---------------------------------------------------------------------------

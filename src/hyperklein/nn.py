@@ -51,15 +51,16 @@ to the `manifolds` and `gyro` row kernels composed step by step.
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
 
-`forward`, `hidden_tangent` and `gradients` run one tape pass under
-np.errstate(all="ignore") and check only the arrays it returns: the logits,
-the tangent, or the loss and the four gradients.  Only when one of them is
-non-finite are the pass's stages scanned, in the order they were built, for
-the first one that holds a non-finite value; its NumericalError names the
-stage and the row, and `train` adds the flavor and the epoch.  A model's
-parameters are finite by construction, since its checks run whenever one is
-built and no model, nor any of its read-only arrays, can be changed after
-that, so they need no scan.
+`forward`, `hidden_tangent` and `gradients` run one tape pass and check
+only the arrays it returns: the logits, the tangent, or the loss and the
+four gradients.  Only when one of them is non-finite are the pass's stages
+scanned, in the order they were built, for the first one that holds a
+non-finite value; its NumericalError names the stage and the row, and
+`train` adds the flavor and the epoch.  The pass, its backward included,
+runs inside one np.errstate(all="ignore"), entered by `_checked_pass`; no
+stage enters its own.  A model's parameters are finite by construction,
+since its checks run whenever one is built and no model, nor any of its
+read-only arrays, can be changed after that, so they need no scan.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
 # Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
 # s = |b|^2 to the point exp_o(w) (+) b = alpha w + beta b.  They return
 # alpha, beta, a function taking (dL/dalpha, dL/dbeta) to (dL/dp, dL/dq,
-# dL/ds), and the point's time coordinate (None in the ball models).
+# dL/ds), and a function giving the point's time coordinate (ball: None).
 
 
 def _klein_coefficients(p, q, s):
@@ -212,7 +213,7 @@ def _klein_coefficients(p, q, s):
         g_inv_gamma = g_beta * inv - g_lift * dot * cf * cf
         g_sq = -0.5 * g_inv_gamma * gamma  # of |exp_o(w)|^2 = tau^2 p
         g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
-        return g_sq * tau * tau + g_tau * smooth_slope("tanhc", n) / (2.0 * n), g_dot * tau, 0.0
+        return g_sq * tau * tau + g_tau * smooth_slope("tanhc", n, tau) / (2.0 * n), g_dot * tau, 0.0
 
     return alpha, beta, back, None
 
@@ -234,7 +235,7 @@ def _poincare_coefficients(p, q, s):
         g_sq = g_den * s - g_beta * inv
         g_dot = 2.0 * (g_den + g_lift)
         g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
-        g_p = g_sq * tau * tau + g_tau * smooth_slope("tanhc", n) / (2.0 * n)
+        g_p = g_sq * tau * tau + g_tau * smooth_slope("tanhc", n, tau) / (2.0 * n)
         return g_p, g_dot * tau, g_lift + g_den * sq
 
     return alpha, beta, back, None
@@ -257,7 +258,7 @@ def _lorentz_coefficients(p, q, s):
     beta = big_s
 
     def back(g_alpha, g_beta):
-        dsig, dbig_s = smooth_slope("sinhc", n), smooth_slope("sinhc", t)
+        dsig, dbig_s = smooth_slope("sinhc", n, sig), smooth_slope("sinhc", t, big_s)
         g_t = g_alpha * sig * np.sinh(t) + (g_alpha * sig * coef + g_beta) * dbig_s
         g_coef = g_alpha * sig * big_s
         g_inner = g_coef * inv
@@ -265,7 +266,7 @@ def _lorentz_coefficients(p, q, s):
         g_n = -g_coef * coef * inv * np.sinh(n) + g_sig * dsig
         return g_n / (2.0 * n), g_inner * sig, g_t / (2.0 * t)
 
-    return alpha, beta, back, big_c * h_t + big_s * inner
+    return alpha, beta, back, lambda: big_c * h_t + big_s * inner
 
 
 def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None):
@@ -277,41 +278,39 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz^T (k beta) + w^T dL/dq + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates (b is the bias itself
-    when not given) for grads["bias"].  Returns the stage and the hidden
-    points.
+    when not given) for grads["bias"].  Returns the stage and a function
+    giving the hidden points, which only `verify` and the tests read.
     """
     if b is None:
         b, b_back = bias, lambda g: g
     wd = w.data
-    with np.errstate(all="ignore"):  # overflow shows as inf or nan, which callers check
-        p = _row_dots(wd, wd)
-        q = (wd @ b)[:, None]
-        s = float(b @ b)
-        alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
-        hidden = alpha * wd + beta * b
-        r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
-        k = smooth_ratio(log_ratio, r)
-        z = k * hidden
+    p = _row_dots(wd, wd)
+    q = (wd @ b)[:, None]
+    s = float(b @ b)
+    alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
+    hidden = alpha * wd + beta * b
+    r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
+    k = smooth_ratio(log_ratio, r)
+    z = k * hidden
 
     def back(gz):
-        with np.errstate(all="ignore"):
-            dk = smooth_slope(log_ratio, r)
-            g1 = _row_dots(gz, wd)
-            g2 = (gz @ b)[:, None]
-            g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
-            g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
-            g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
-            g_p, g_q, g_s = coefficients_back(g_alpha, g_beta)
-            g_p = g_p + g_sq * alpha * alpha
-            g_q = g_q + 2.0 * g_sq * alpha * beta
-            g_s = np.sum(g_s + g_sq * beta * beta)
-            gb = (k * beta)[:, 0] @ gz + g_q[:, 0] @ wd + 2.0 * g_s * b
-            grads["bias"] = b_back(gb)
-            return k * alpha * gz + 2.0 * g_p * wd + g_q * b
+        dk = smooth_slope(log_ratio, r, k)
+        g1 = _row_dots(gz, wd)
+        g2 = (gz @ b)[:, None]
+        g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
+        g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
+        g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
+        g_p, g_q, g_s = coefficients_back(g_alpha, g_beta)
+        g_p = g_p + g_sq * alpha * alpha
+        g_q = g_q + 2.0 * g_sq * alpha * beta
+        g_s = np.sum(g_s + g_sq * beta * beta)
+        gb = (k * beta)[:, 0] @ gz + g_q[:, 0] @ wd + 2.0 * g_s * b
+        grads["bias"] = b_back(gb)
+        return k * alpha * gz + 2.0 * g_p * wd + g_q * b
 
-    if h_time is not None:
-        hidden = np.concatenate((h_time, hidden), axis=1)
-    return Tensor(z, w, back, name), hidden
+    if h_time is None:
+        return Tensor(z, w, back, name), lambda: hidden
+    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden), axis=1)
 
 
 def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
@@ -319,12 +318,11 @@ def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
     gradient of its time coordinate is zero."""
     b_s = bias[1:]
     bn = np.sqrt(b_s @ b_s + 1e-32)
-    with np.errstate(all="ignore"):
-        rho = smooth_ratio("asinhc", bn)
+    rho = smooth_ratio("asinhc", bn)
     v = rho * b_s
 
     def b_back(gv):
-        drho = smooth_slope("asinhc", bn)
+        drho = smooth_slope("asinhc", bn, rho)
         return np.concatenate(([0.0], rho * gv + (gv @ b_s) * drho / bn * b_s))
 
     return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, grads, v, b_back)
@@ -378,7 +376,7 @@ def _preprocess(features: np.ndarray) -> np.ndarray:
         raise ValueError("features must be a 2-d matrix")
     # an idle cap scales by 1; the margin sends each row that np.linalg.norm's
     # summation order could round to the cap, and each non-finite row, to the scaling
-    if np.all(_row_dots(feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)):
+    if (_row_dots(feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)).all():
         return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
@@ -408,7 +406,9 @@ class _TapeRun:
     `grads` under the field's name.  Holds
     `stages` (in the order they were built), `tangent` (the layer stage),
     `logits`, `loss`, `grads` and `hidden_out`, the hidden points as a plain
-    array (with the time coordinate for Lorentz).
+    array (with the time coordinate for Lorentz), built when read.  No stage
+    enters np.errstate: a caller that builds a run itself enters it if its
+    inputs can saturate, and reads `hidden_out` inside it.
     """
 
     def __init__(self, model: HnnModel, features: np.ndarray, labels=None):
@@ -418,13 +418,15 @@ class _TapeRun:
             )
         self.grads = {}
         w = _hidden_linear(_preprocess(features), model.weight, self.grads)
-        self.tangent, self.hidden_out = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
+        self.tangent, self._hidden_points = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
         active = _relu(self.tangent)
         self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
         self.stages = [w, self.tangent, active, self.logits]
         if labels is not None:
             self.loss = _mean_cross_entropy(self.logits, labels)
             self.stages.append(self.loss)
+
+    hidden_out = property(lambda run: run._hidden_points())
 
 
 def _checked_pass(model: HnnModel, features, outputs, labels=None):
@@ -449,13 +451,13 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
     (logits,) = _checked_pass(model, features, lambda run: (run.logits.data,))
-    return logits.copy()
+    return logits
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
     (tangent,) = _checked_pass(model, features, lambda run: (run.tangent.data,))
-    return tangent.copy()
+    return tangent
 
 
 def _loss_and_gradients(run: _TapeRun):

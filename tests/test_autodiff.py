@@ -7,7 +7,7 @@ import pytest
 from hyperklein import nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
-from hyperklein.manifolds import KleinPoint, Model, origin
+from hyperklein.manifolds import ATANH_MAX, KleinPoint, Model, origin
 from hyperklein.manifolds import smooth_ratio, smooth_slope
 
 
@@ -78,14 +78,16 @@ class TestSmoothHelpers:
     def test_value_and_grad_at_zero(self):
         for name in ("tanhc", "atanhc", "sinhc", "asinhc"):
             t = np.array([[0.0]])
-            value, slope = smooth_ratio(name, t), smooth_slope(name, t)
+            value = smooth_ratio(name, t)
+            slope = smooth_slope(name, t, value)
             assert value[0, 0] == 1.0
             assert slope[0, 0] == 0.0
 
     def test_gradient_continuity_across_switch(self):
         for name in ("tanhc", "atanhc", "sinhc", "asinhc"):
             t = np.array([BELOW, ABOVE])
-            value, slope = smooth_ratio(name, t), smooth_slope(name, t)
+            value = smooth_ratio(name, t)
+            slope = smooth_slope(name, t, value)
             assert value[0] == pytest.approx(value[1], rel=1e-15)
             assert slope[0] == pytest.approx(slope[1], rel=1e-9)
 
@@ -100,10 +102,70 @@ class TestSmoothHelpers:
     )
     def test_gradient_matches_finite_differences(self, name, exact, t_values):
         t = np.array(t_values)
-        value, slope = smooth_ratio(name, t), smooth_slope(name, t)
+        value = smooth_ratio(name, t)
+        slope = smooth_slope(name, t, value)
         want_value, want_slope = mp_ratio_and_slope(exact, t_values)
         np.testing.assert_allclose(value, want_value, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(slope, want_slope, rtol=1e-9, atol=0.0)
+
+
+# the formulation that evaluates both the series and f(t)/t on every row
+# and picks with np.where; f' takes t and f(t)
+WHERE_FORMS = {
+    "tanhc": (np.tanh, lambda t, f: 1.0 - f * f, -1.0 / 3.0, 2.0 / 15.0),
+    "atanhc": (
+        lambda t: np.arctanh(np.minimum(t, ATANH_MAX)),
+        lambda t, f: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
+        1.0 / 3.0,
+        1.0 / 5.0,
+    ),
+    "sinhc": (np.sinh, lambda t, f: np.cosh(t), 1.0 / 6.0, 1.0 / 120.0),
+    "asinhc": (np.arcsinh, lambda t, f: 1.0 / np.sqrt(1.0 + t * t), -1.0 / 6.0, 3.0 / 40.0),
+}
+
+
+def where_ratio_and_slope(name, t):
+    f, df, c2, c4 = WHERE_FORMS[name]
+    small = t < SWITCH
+    s = np.where(small, 1.0, t)
+    fs = f(s)
+    y = fs / s
+    t2 = t * t
+    ratio = np.where(small, 1.0 + t2 * (c2 + t2 * c4), y)
+    slope = np.where(small, t * (2.0 * c2 + 4.0 * c4 * (t * t)), (df(s, fs) - y) / s)
+    return ratio, slope
+
+
+class TestSeriesOnlyWhereNeeded:
+    # the series runs only when a row is below the switch; either way every
+    # bit matches the np.where formulation
+    @pytest.mark.parametrize("name", sorted(WHERE_FORMS))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (SWITCH, ABOVE, 0.01, 0.5, 0.99, 3.0, 20.0),
+            (0.0, 1e-9, BELOW, SWITCH, 0.01, 0.5, 0.99, 3.0),
+            (np.nan, np.inf, SWITCH, 0.5),
+            (np.nan, 0.0, np.inf, 1e-4),
+        ],
+        ids=["above", "mixed", "nan_inf", "nan_inf_mixed"],
+    )
+    def test_bits_match_the_where_formulation(self, name, rows):
+        t = np.array(rows)[:, None]
+        with np.errstate(all="ignore"):  # sinh(inf) / inf
+            value = smooth_ratio(name, t)
+            slope = smooth_slope(name, t, value)
+            want_value, want_slope = where_ratio_and_slope(name, t)
+        assert value.tobytes() == want_value.tobytes()
+        assert slope.tobytes() == want_slope.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(WHERE_FORMS))
+    def test_zero_row_warns_nothing_outside_errstate(self, name):
+        # a RuntimeWarning fails the test run
+        t = np.zeros((3, 1))
+        value = smooth_ratio(name, t)
+        np.testing.assert_array_equal(value, 1.0)
+        np.testing.assert_array_equal(smooth_slope(name, t, value), 0.0)
 
 
 def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):

@@ -56,6 +56,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_fractional_label_exits_2(tree_file, tmp_path, capsys):
+    # a label of 1.7 used to be truncated to class 1 and trained on
+    doc = json.loads(tree_file.read_text())
+    doc["labels"][1] = 1.7
+    tree_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(train_argv(tree_file, out)) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: invalid dataset: labels must be integers"]
+    assert not out.exists()
+
+
 def test_numerical_error_in_training_exits_3(tree_file, tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise NumericalError("numerical overflow in klein_layer at row 0 (klein, epoch 0)")

@@ -33,6 +33,40 @@ def softmax_train_accuracy(features, labels, iters=400, lr=0.5):
     return float(((features @ w.T + b).argmax(axis=1) == labels).mean())
 
 
+# integer and float features, a binary column, split indices 0 and 1
+VALID_DOC = {
+    "features": [[0.1, 1.0], [0.0, 2], [1, -1.0]],
+    "labels": [0, 1, 1],
+    "splits": {"train": [0, 1], "val": [2], "test": []},
+}
+
+
+def _set(*keys, value):
+    def corrupt(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return corrupt
+
+
+COERCED_DOCS = {
+    "fractional_label": (_set("labels", 1, value=1.7), "labels must be integers"),
+    "boolean_label": (_set("labels", 1, value=True), "labels must be integers"),
+    "string_feature": (_set("features", 0, 0, value="0.1"), "features must be numbers"),
+    "boolean_feature": (_set("features", 0, 1, value=True), "features must be numbers"),
+    "boolean_features": (
+        _set("features", value=[[True], [False], [True]]),
+        "features must be numbers",
+    ),
+    "fractional_split_index": (
+        _set("splits", "train", 1, value=1.9),
+        "train indices must be integers",
+    ),
+}
+
+
 class TestLoad:
     def test_texas_format_counts(self, texas_file):
         ds = load_dataset(texas_file)
@@ -71,6 +105,25 @@ class TestLoad:
         with pytest.raises(DataError, match="invalid dataset"):
             load_dataset(path)
 
+    def test_integer_and_binary_features_load(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(VALID_DOC), encoding="utf-8")
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.features, [[0.1, 1.0], [0.0, 2.0], [1.0, -1.0]])
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.train_idx, [0, 1])
+
+    # numpy coerced each of these into the array it inferred, and training ran
+    @pytest.mark.parametrize("case", sorted(COERCED_DOCS))
+    def test_coercible_value_rejected(self, tmp_path, case):
+        corrupt, message = COERCED_DOCS[case]
+        doc = json.loads(json.dumps(VALID_DOC))
+        corrupt(doc)
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^invalid dataset: {message}$"):
+            load_dataset(path)
+
     def test_edges_accepted_and_ignored(self, tmp_path):
         path = tmp_path / "edges.json"
         doc = {
@@ -102,6 +155,10 @@ class TestLoad:
                 np.array([0, 1, 0, 1]),
                 {"train": [0, 1], "val": [1], "test": []},
             )
+
+    def test_repeated_split_index_rejected(self):
+        with pytest.raises(DataError, match="disjoint"):
+            Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1], "val": [2, 2]})
 
     def test_train_missing_class_rejected(self):
         with pytest.raises(DataError, match="every class"):

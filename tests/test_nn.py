@@ -346,7 +346,7 @@ class TestForward:
         feats = np.random.default_rng(27).normal(size=(6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
 
-        def no_slope(name, t):
+        def no_slope(name, t, ratio):
             raise AssertionError(f"{name} slope computed")
 
         monkeypatch.setattr(nn, "smooth_slope", no_slope)
@@ -355,6 +355,27 @@ class TestForward:
         assert 0.0 <= nn.accuracy(model, feats, labels) <= 1.0
         with pytest.raises(AssertionError, match="slope computed"):
             nn.gradients(model, feats, labels)
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_outputs_are_fresh_arrays(self, flavor):
+        # the stage arrays are returned uncopied: a pass's tape is garbage
+        # once the call returns, so nothing else holds them
+        model = offset_bias_model(flavor, 4, 3, 3, seed=28)
+        feats = np.random.default_rng(29).normal(size=(6, 4))
+        held = [*model.parameter_arrays().values(), feats]
+        for fn in (nn.forward, nn.hidden_tangent):
+            first, second = fn(model, feats), fn(model, feats)
+            assert not any(np.shares_memory(out, other) for out in (first, second) for other in held)
+            assert first is not second and not np.shares_memory(first, second)
+            np.testing.assert_array_equal(first, second)
+
+    def test_lorentz_hidden_points_are_built_on_read(self):
+        model = offset_bias_model(Model.LORENTZ, 4, 3, 3, seed=30)
+        run = nn._TapeRun(model, np.random.default_rng(31).normal(size=(6, 4)) * 3.0)
+        hidden = run.hidden_out
+        assert hidden.shape == (6, 4) and run.hidden_out is not hidden
+        resid = np.abs(-hidden[:, 0] ** 2 + (hidden[:, 1:] ** 2).sum(axis=1) + 1.0)
+        assert np.all(resid / np.maximum(1.0, hidden[:, 0] ** 2) < 1e-12)
 
     def test_feature_dim_mismatch(self):
         model = nn.init_model(Model.KLEIN, 3, 4, 3, seed=6)
