@@ -92,36 +92,34 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         raise DataError("invalid dataset: every class must appear in the train split")
 
 
-def _numbers(values, kinds: str, what: str) -> np.ndarray:
-    """The array numpy infers for values, of one of the dtype kinds; numpy reads
-    true and false among numbers as 1 and 0, so rows with a 0 or 1 are checked too."""
+def _numbers(values, kinds: str, what: str, booleans: bool) -> np.ndarray:
+    """The array numpy infers for values, of one of the dtype kinds; if the document has true
+    or false (`booleans`), which numpy reads as 1 and 0, each value's type is checked too."""
     try:
         array = np.asarray(values)
     except ValueError as err:  # ragged rows
         raise DataError(f"invalid dataset: {err}") from err
-    rows = []
-    if array.size and array.ndim and array.dtype.kind in kinds:
-        suspect = ((array == 0) | (array == 1)).reshape(len(array), -1).any(axis=1)
-        rows = [values[i] for i in np.flatnonzero(suspect)]
-    items = chain.from_iterable(rows) if array.ndim == 2 else rows
-    if array.size and (array.dtype.kind not in kinds or bool in map(type, items)):
+    items = chain.from_iterable(values) if array.ndim == 2 else values if array.ndim == 1 else ()
+    if array.size and (array.dtype.kind not in kinds or booleans and bool in map(type, items)):
         raise DataError(f"invalid dataset: {what}")
     return array
 
 
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file; absent splits are left empty."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DataError(f"parse error: line {err.lineno}: {err.msg}") from err
     if not isinstance(doc, dict) or "features" not in doc or "labels" not in doc:
         raise DataError("invalid dataset: need 'features' and 'labels' fields")
-    features = _numbers(doc["features"], "iuf", "features must be numbers")
-    labels = _numbers(doc["labels"], "iu", "labels must be integers")
+    booleans = "true" in text or "false" in text
+    features = _numbers(doc["features"], "iuf", "features must be numbers", booleans)
+    labels = _numbers(doc["labels"], "iu", "labels must be integers", booleans)
     splits = dict(doc.get("splits") or {})
-    splits = {key: _numbers(v, "iu", f"{key} indices must be integers") for key, v in splits.items()}
+    splits = {k: _numbers(v, "iu", f"{k} indices must be integers", booleans) for k, v in splits.items()}
     return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 
 

@@ -3,6 +3,7 @@
 The Klein ball with Einstein addition and scalar multiplication forms a
 gyrovector space; these operations realize hyperbolic translation and
 geodesic scaling directly in Klein coordinates, without exp/log round trips.
+The Mobius addition is imported from `manifolds`, whose Poincare exp and log use it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .manifolds import (
     _point_row,
     clamp_rows,
     gamma_rows,
-    lorentz_factor,
+    mobius_add_rows,
     row_dots,
 )
 
@@ -73,14 +74,6 @@ def gyration(x: KleinPoint, y: KleinPoint, z: KleinPoint) -> KleinPoint:
     return _point_row(Model.KLEIN, gyration_rows(x.coords[None], y.coords[None], z.coords[None]))
 
 
-def mobius_add_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mobius addition of the rows of a and b on the Poincare ball."""
-    dot = row_dots(a, b)
-    na, nb = row_dots(a, a), row_dots(b, b)
-    num = (1.0 + 2.0 * dot + nb) * a + (1.0 - na) * b
-    return clamp_rows(num / (1.0 + 2.0 * dot + na * nb))
-
-
 def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
     """Mobius addition on the Poincare ball."""
     return _point_row(Model.POINCARE, mobius_add_rows(x.coords[None], y.coords[None]))
@@ -118,9 +111,9 @@ def einstein_midpoint(points: Sequence[KleinPoint], weights=None) -> KleinPoint:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(points),) or np.any(w < 0.0):
         raise ValueError("weights must be nonnegative, one per point")
-    gammas = np.array([w_i * lorentz_factor(p) for w_i, p in zip(w, points)])
+    stacked = np.stack([p.coords for p in points])
+    gammas = w * gamma_rows(stacked)[:, 0]
     total = float(gammas.sum())
     if total <= 0.0:
         raise ValueError("empty aggregation")
-    stacked = np.stack([p.coords for p in points])
     return KleinPoint(gammas @ stacked / total)

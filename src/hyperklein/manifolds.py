@@ -16,6 +16,8 @@ that returns points or tangent vectors checks every row for finiteness,
 clamps ball rows to norm 1 - EPS_BALL and puts hyperboloid rows back on the
 sheet, as the point classes do.  The point functions (`exp_map`,
 `distance`, ...) validate their arguments and call the kernels with N = 1.
+A geodesic is `exp_rows` of t v, and the Mobius addition (`mobius_add_rows`,
+which `gyro` imports) is written here beside the Poincare exp and log.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ def gamma_rows(c: np.ndarray) -> np.ndarray:
 def _conformal(x: np.ndarray) -> np.ndarray:
     """Conformal scales 2 / (1 - |x|^2) of Poincare rows, as a column."""
     return 2.0 / (1.0 - row_dots(x, x))
+
+
+def mobius_add_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mobius addition of the rows of a and b on the Poincare ball."""
+    dot = row_dots(a, b)
+    na, nb = row_dots(a, a), row_dots(b, b)
+    num = (1.0 + 2.0 * dot + nb) * a + (1.0 - na) * b
+    return clamp_rows(num / (1.0 + 2.0 * dot + na * nb))
 
 
 def _acosh(arg: np.ndarray) -> np.ndarray:
@@ -441,21 +451,13 @@ def _require_based_at(x: Point, v: TangentVector) -> None:
 
 
 def geodesic_rows(model: Model, x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Points at arclength t (N,) along the unit-speed geodesics from x with velocity v."""
+    """Points exp_x(t v) at arclength t (N,) along the unit-speed geodesics from x with velocity v."""
     speed = metric_inner_rows(model, x, v, v)
     off = np.abs(speed - 1.0)
     if np.any(off > 1e-8):
         worst = float(speed[np.argmax(off)])
         raise ValueError(f"geodesic velocity must be unit speed, got squared speed {worst}")
-    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    if model is Model.KLEIN:
-        lam2 = 1.0 / (1.0 - row_dots(x, x))
-        # lambda^2 factor: required for d(gamma(0), gamma(t)) = |t|
-        den = np.cosh(t) + lam2 * row_dots(x, v) * np.sinh(t)
-        return clamp_rows(x + np.sinh(t) * v / den)
-    if model is Model.LORENTZ:
-        return lorentz_rows((np.cosh(t) * x + np.sinh(t) * v)[:, 1:])
-    return exp_rows(model, x, t * v)
+    return exp_rows(model, x, np.asarray(t, dtype=np.float64).reshape(-1, 1) * v)
 
 
 def geodesic_unit(x: Point, v: TangentVector, t: float) -> Point:
@@ -475,8 +477,6 @@ def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         tc = smooth_ratio("tanhc", t)
         return clamp_rows(x + tc * v / (1.0 + lam2 * xv * tc))
     if model is Model.POINCARE:
-        from .gyro import mobius_add_rows  # local import to avoid a module cycle
-
         half = 0.5 * _conformal(x)
         step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v))) * v
         return mobius_add_rows(x, clamp_rows(step))
@@ -500,8 +500,6 @@ def log_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dist = distance_rows(model, x, y)[:, None]
         return _finite(np.where(un > 0.0, dist / np.where(un > 0.0, un, 1.0), 0.0) * u, "components")
     if model is Model.POINCARE:
-        from .gyro import mobius_add_rows
-
         w = mobius_add_rows(clamp_rows(-x), y)
         scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))
         return _finite(scale * w, "components")

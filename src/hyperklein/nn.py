@@ -84,6 +84,7 @@ from .manifolds import (
     TangentVector,
     exp_map,
     klein_metric_inverse,
+    lorentz_tangent_rows,
     make_point,
     minkowski_inner,
     origin,
@@ -92,6 +93,8 @@ from .manifolds import (
 )
 
 MAX_FEATURE_NORM = 5.0
+# added to a squared norm before its root: a zero row's norm, and slopes over it, stay finite
+_TINY = 1e-32
 
 _PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
 
@@ -195,7 +198,7 @@ def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
 
 def _klein_coefficients(p, q, s):
     """Einstein addition exp_o(w) (+)_E b, with exp_o(w) = tanhc(|w|) w."""
-    n = np.sqrt(p + 1e-32)
+    n = np.sqrt(p + _TINY)
     tau = smooth_ratio("tanhc", n)
     inv_gamma = np.sqrt(1.0 - tau * tau * p)
     gamma = 1.0 / inv_gamma
@@ -220,7 +223,7 @@ def _klein_coefficients(p, q, s):
 
 def _poincare_coefficients(p, q, s):
     """Mobius addition exp_o(w) (+)_M b, with exp_o(w) = tanhc(|w|) w."""
-    n = np.sqrt(p + 1e-32)
+    n = np.sqrt(p + _TINY)
     tau = smooth_ratio("tanhc", n)
     sq = tau * tau * p
     dot = tau * q
@@ -245,13 +248,13 @@ def _lorentz_coefficients(p, q, s):
     """exp_h(PT_{o->h} v) for h = exp_o(w) = (cosh|w|, sinhc(|w|) w); here b
     is the bias's origin tangent v, and alpha w + beta v is the spatial part.
     Transport is an isometry, so the transported tangent's norm is t = |v|."""
-    n = np.sqrt(p + 1e-32)
+    n = np.sqrt(p + _TINY)
     sig = smooth_ratio("sinhc", n)
     h_t = np.cosh(n)
     inner = sig * q  # <h, (0, v)>, the time coordinate of the transported v
     inv = 1.0 / (1.0 + h_t)
     coef = inner * inv
-    t = np.sqrt(s + 1e-32)
+    t = np.sqrt(s + _TINY)
     big_s = smooth_ratio("sinhc", t)
     big_c = np.cosh(t)
     alpha = sig * (big_c + big_s * coef)
@@ -289,7 +292,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
     s = float(b @ b)
     alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
     hidden = alpha * wd + beta * b
-    r = np.sqrt(_row_dots(hidden, hidden) + 1e-32)
+    r = np.sqrt(_row_dots(hidden, hidden) + _TINY)
     k = smooth_ratio(log_ratio, r)
     z = k * hidden
 
@@ -317,7 +320,7 @@ def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
     """The bias enters through its origin tangent v = asinhc(|b_s|) b_s; the
     gradient of its time coordinate is zero."""
     b_s = bias[1:]
-    bn = np.sqrt(b_s @ b_s + 1e-32)
+    bn = np.sqrt(b_s @ b_s + _TINY)
     rho = smooth_ratio("asinhc", bn)
     v = rho * b_s
 
@@ -369,7 +372,15 @@ def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return Tensor(per_row.sum() * scale, logits, back, "cross_entropy")
 
 
-def _preprocess(features: np.ndarray) -> np.ndarray:
+def _class_labels(labels, rows: int) -> np.ndarray:
+    """labels as an array, checked to hold one integer per feature row."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.shape != (rows,):
+        raise ValueError(f"need one integer label per row ({rows}), got {labels.dtype} {labels.shape}")
+    return labels
+
+
+def _preprocess(features) -> np.ndarray:
     """Cap feature rows at MAX_FEATURE_NORM to keep tanh saturation in check."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -411,13 +422,16 @@ class _TapeRun:
     inputs can saturate, and reads `hidden_out` inside it.
     """
 
-    def __init__(self, model: HnnModel, features: np.ndarray, labels=None):
-        if features.shape[1] != model.in_dim:
-            raise ValueError(
-                f"feature dimension {features.shape[1]} does not match model input {model.in_dim}"
-            )
+    def __init__(self, model: HnnModel, features, labels=None):
+        rows = _preprocess(features)
+        if rows.shape[1] != model.in_dim:
+            raise ValueError(f"feature dimension {rows.shape[1]} does not match model input {model.in_dim}")
+        if labels is not None:
+            labels = _class_labels(labels, len(rows))
+            if ((labels < 0) | (labels >= model.n_classes)).any():
+                raise ValueError("labels out of range")
         self.grads = {}
-        w = _hidden_linear(_preprocess(features), model.weight, self.grads)
+        w = _hidden_linear(rows, model.weight, self.grads)
         self.tangent, self._hidden_points = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
         active = _relu(self.tangent)
         self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
@@ -439,7 +453,7 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
     was in the backward.
     """
     with np.errstate(all="ignore"):
-        run = _TapeRun(model, np.asarray(features, dtype=np.float64), labels)
+        run = _TapeRun(model, features, labels)
         result = outputs(run)
     if all(np.isfinite(a).all() for a in result):
         return result
@@ -467,9 +481,6 @@ def _loss_and_gradients(run: _TapeRun):
 
 def gradients(model: HnnModel, features, labels):
     """Mean cross-entropy and its exact gradients for every parameter."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= model.n_classes):
-        raise ValueError("labels out of range")
     loss, *grads = _checked_pass(model, features, _loss_and_gradients, labels)
     return float(loss), dict(zip(_PARAMETERS, grads))
 
@@ -509,7 +520,7 @@ def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
         return scale * scale * grad
     h = grad.copy()
     h[0] = -h[0]
-    return h + minkowski_inner(bias.coords, h) * bias.coords
+    return lorentz_tangent_rows(bias.coords[None], h[None])[0]
 
 
 # ball-valued biases are clamped to radius 1 - EPS_BALL by construction; this
@@ -539,7 +550,7 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     rgrad = _riemannian_bias_grad(bias, grads["bias"])
     step_vec = -lr * state._update("bias", rgrad)
     if isinstance(bias, LorentzPoint):
-        step_vec = step_vec + minkowski_inner(bias.coords, step_vec) * bias.coords
+        step_vec = lorentz_tangent_rows(bias.coords[None], step_vec[None])[0]
         # projecting the coordinate-wise step back to the tangent space can
         # inflate its arclength by O(time); a unit trust region keeps the
         # retraction well-conditioned in hyperboloid coordinates
@@ -580,10 +591,9 @@ class EpochRecord:
 
 
 def accuracy(model: HnnModel, features, labels) -> float:
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0.0
-    return float((forward(model, features).argmax(axis=1) == labels).mean())
+    predicted = forward(model, features).argmax(axis=1)
+    labels = _class_labels(labels, len(predicted))
+    return float((predicted == labels).mean()) if labels.size else 0.0
 
 
 def train(model: HnnModel, dataset, config: TrainConfig):

@@ -3,9 +3,10 @@
 Each suite draws a deterministic sample stream, evaluates one identity through
 two independent code paths, and reports the worst absolute error against a
 pinned tolerance, with the inputs of the sample that has it.  The
-hyperboloid-conjugation oracle recomputes a Klein operation by mapping
-through the Lorentz (or Poincare) model, which exercises entirely different
-formulas than the Klein closed forms it checks.
+conjugation oracles `_oracle_distance` and `_oracle_transport` recompute a
+Klein distance or origin transport by mapping through the Lorentz or
+Poincare model, which exercises entirely different formulas than the Klein
+closed forms they check.
 
 The geometry suites draw all their samples up front, each of dimension 1 to
 16, zero-padded to width 16, and evaluate each side of their identity with
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -69,16 +70,7 @@ class PropertyReport:
     seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "samples": self.samples,
-                "max_abs_error": self.max_abs_error,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "worst_case_input": self.worst_case_input,
-            }
-        )
+        return json.dumps({key: value for key, value in asdict(self).items() if key != "seconds"})
 
 
 # every sample has dimension 1..WIDTH and is zero-padded to WIDTH
@@ -106,16 +98,14 @@ def _max_abs(diff):
     return np.max(np.abs(diff), axis=1)
 
 
-def sample_ball(dims, max_norm: float, rng: np.random.Generator) -> np.ndarray:
+def sample_ball(dims, rng: np.random.Generator) -> np.ndarray:
     """Klein rows of the given dimensions, zero-padded to WIDTH: uniform
-    direction on the sphere, radius uniform in [0, max_norm]."""
-    if not 0.0 < max_norm < 1.0:
-        raise ValueError("max_norm must lie in (0, 1)")
+    direction on the sphere, radius uniform in [0, 0.95]."""
     direction = _normal(rng, dims)
     norm = np.sqrt(row_dots(direction, direction))
     flat = norm < 1e-12
     direction = np.where(flat, np.eye(1, WIDTH), direction)
-    radius = rng.uniform(0.0, max_norm, size=(dims.size, 1))
+    radius = rng.uniform(0.0, 0.95, size=(dims.size, 1))
     return clamp_rows(radius * direction / np.where(flat, 1.0, norm))
 
 
@@ -170,36 +160,29 @@ def finite_diff_grad(fn, point: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# hyperboloid-conjugation oracle
+# conjugation oracles
 
 
-def conjugation_oracle(op_name: str, inputs: dict, via: Model = Model.LORENTZ):
-    """Evaluate a Klein operation row by row by conjugating through another model.
+def _oracle_distance(x, y, via: Model):
+    """Klein distances between the rows of x and y, (N,), computed in the model via."""
+    return distance_rows(via, convert_rows(Model.KLEIN, via, x), convert_rows(Model.KLEIN, via, y))
 
-    Supported ops: distance (Klein rows x, y; returns (N,) distances) and
-    transport (Klein rows x, origin tangent rows v; returns Klein tangent
-    rows at x).
-    """
-    via = Model(via)
-    if via is Model.KLEIN:
-        raise ValueError("the oracle must route through a different model")
-    x = inputs["x"]
+
+def _oracle_transport(x, v, via: Model = Model.LORENTZ):
+    """Klein transport of the origin tangent rows v to the rows x, conjugated
+    through the model via: carried there, transported, and carried back."""
     xv = convert_rows(Model.KLEIN, via, x)
-    if op_name == "distance":
-        return distance_rows(via, xv, convert_rows(Model.KLEIN, via, inputs["y"]))
-    if op_name == "transport":
-        v = pushforward_rows(Model.KLEIN, via, np.zeros_like(x), inputs["v"])
-        return pushforward_rows(via, Model.KLEIN, xv, transport_rows(via, xv, v))
-    raise ValueError(f"unknown oracle operation {op_name!r}")
+    moved = transport_rows(via, xv, pushforward_rows(Model.KLEIN, via, np.zeros_like(x), v))
+    return pushforward_rows(via, Model.KLEIN, xv, moved)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _suite_round_trip(samples, rng, **_):
+def _suite_round_trip(samples, rng):
     dims = _dims(rng, samples)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     errs = [
         _max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x)) - x)
         for via in _VIAS
@@ -207,9 +190,9 @@ def _suite_round_trip(samples, rng, **_):
     return _worst_via(errs, x=(x, dims))
 
 
-def _suite_distance_isometry(samples, rng, **_):
+def _suite_distance_isometry(samples, rng):
     dims = _dims(rng, samples)
-    x, y = sample_ball(dims, 0.95, rng), sample_ball(dims, 0.95, rng)
+    x, y = sample_ball(dims, rng), sample_ball(dims, rng)
     d = distance_rows(Model.KLEIN, x, y)
     errs = [
         np.abs(distance_rows(via, convert_rows(Model.KLEIN, via, x), convert_rows(Model.KLEIN, via, y)) - d)
@@ -218,9 +201,9 @@ def _suite_distance_isometry(samples, rng, **_):
     return _worst_via(errs, x=(x, dims), y=(y, dims))
 
 
-def _suite_pushforward_metric(samples, rng, **_):
+def _suite_pushforward_metric(samples, rng):
     dims = _dims(rng, samples)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     u, w = _normal(rng, dims), _normal(rng, dims)
     ref = metric_inner_rows(Model.KLEIN, x, u, w)
     errs = []
@@ -261,9 +244,9 @@ def _unit_tangents(model, x, raw):
     return v / np.where(n == 0.0, 1.0, n)[:, None]
 
 
-def _suite_exp_log_inverse(samples, rng, **_):
+def _suite_exp_log_inverse(samples, rng):
     dims = _dims(rng, samples)
-    ball, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    ball, raw = sample_ball(dims, rng), _normal(rng, dims)
     length = rng.uniform(0.0, 3.0, size=(samples, 1))
 
     def check(model, rows):
@@ -274,9 +257,9 @@ def _suite_exp_log_inverse(samples, rng, **_):
     return _by_model(samples, dims, check)
 
 
-def _suite_geodesic_speed(samples, rng, **_):
+def _suite_geodesic_speed(samples, rng):
     dims = _dims(rng, samples)
-    ball, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    ball, raw = sample_ball(dims, rng), _normal(rng, dims)
     t = rng.uniform(-5.0, 5.0, size=samples)
 
     def check(model, rows):
@@ -288,9 +271,9 @@ def _suite_geodesic_speed(samples, rng, **_):
     return _by_model(samples, dims, check, t=t)
 
 
-def _suite_transport_isometry(samples, rng, **_):
+def _suite_transport_isometry(samples, rng):
     dims = _dims(rng, samples)
-    ball = sample_ball(dims, 0.95, rng)
+    ball = sample_ball(dims, rng)
     raw_u, raw_w = _normal(rng, dims), _normal(rng, dims)
 
     def check(model, rows):
@@ -306,26 +289,26 @@ def _suite_transport_isometry(samples, rng, **_):
 _klein_transport = partial(transport_rows, Model.KLEIN)
 
 
-def _suite_transport_conjugation(samples, rng, *, transport_fn=_klein_transport, **_):
+def _suite_transport_conjugation(samples, rng, *, transport_fn=_klein_transport):
     dims = _dims(rng, samples)
-    x, v = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    x, v = sample_ball(dims, rng), _normal(rng, dims)
     direct = transport_fn(x, v)
-    err = _max_abs(direct - conjugation_oracle("transport", {"x": x, "v": v}))
+    err = _max_abs(direct - _oracle_transport(x, v))
     return _worst(err, x=(x, dims), v=(v, dims))
 
 
-def _suite_scalar_mult_tangent(samples, rng, **_):
+def _suite_scalar_mult_tangent(samples, rng):
     dims = _dims(rng, samples)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     r = rng.uniform(-3.0, 3.0, size=samples)
     o = np.zeros_like(x)
     via = exp_rows(Model.KLEIN, o, r[:, None] * log_rows(Model.KLEIN, o, x))
     return _worst(_max_abs(einstein_scalar_rows(r, x) - via), x=(x, dims), r=r)
 
 
-def _suite_transport_gyro(samples, rng, *, transport_fn=_klein_transport, **_):
+def _suite_transport_gyro(samples, rng, *, transport_fn=_klein_transport):
     dims = _dims(rng, samples)
-    x, raw = sample_ball(dims, 0.95, rng), _normal(rng, dims)
+    x, raw = sample_ball(dims, rng), _normal(rng, dims)
     norm = np.sqrt(row_dots(raw, raw))
     v = raw * (rng.uniform(0.0, 2.0, size=(samples, 1)) / np.where(norm == 0.0, 1.0, norm))
     direct = transport_fn(x, v)
@@ -344,10 +327,10 @@ def _matvec(m, x):
     return np.einsum("nij,nj->ni", m, x)
 
 
-def _suite_matvec_compose(samples, rng, **_):
+def _suite_matvec_compose(samples, rng):
     dims, mid, out = (_dims(rng, samples) for _ in range(3))
     m1, m2 = _random_matrices(rng, out, mid), _random_matrices(rng, mid, dims)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     lhs = einstein_matvec_rows(m1 @ m2, x)
     rhs = einstein_matvec_rows(m1, einstein_matvec_rows(m2, x))
     return _worst(
@@ -355,41 +338,41 @@ def _suite_matvec_compose(samples, rng, **_):
     )
 
 
-def _suite_matvec_scale(samples, rng, **_):
+def _suite_matvec_scale(samples, rng):
     dims, out = _dims(rng, samples), _dims(rng, samples)
     m = _random_matrices(rng, out, dims)
     r = rng.uniform(1e-3, 3.0, size=samples)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     lhs = einstein_matvec_rows(r[:, None, None] * m, x)
     rhs = einstein_scalar_rows(r, einstein_matvec_rows(m, x))
     return _worst(_max_abs(lhs - rhs), x=(x, dims), r=r, m=(m, out, dims))
 
 
-def _suite_matvec_orthogonal(samples, rng, **_):
+def _suite_matvec_orthogonal(samples, rng):
     dims = _dims(rng, samples)
     block = _mask(dims)[:, :, None] & _mask(dims)[:, None, :]
     # the identity outside the dims x dims block keeps the QR block-diagonal
     a = np.where(block, rng.normal(size=block.shape), np.eye(WIDTH))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :] * block
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     err = _max_abs(einstein_matvec_rows(q, x) - _matvec(q, x))
     return _worst(err, x=(x, dims), q=(q, dims, dims))
 
 
-def _suite_matvec_tangent(samples, rng, **_):
+def _suite_matvec_tangent(samples, rng):
     dims, out = _dims(rng, samples), _dims(rng, samples)
     m = _random_matrices(rng, out, dims)
-    x = sample_ball(dims, 0.95, rng)
+    x = sample_ball(dims, rng)
     o = np.zeros_like(x)
     via = exp_rows(Model.KLEIN, o, _matvec(m, log_rows(Model.KLEIN, o, x)))
     err = _max_abs(einstein_matvec_rows(m, x) - via)
     return _worst(err, x=(x, dims), m=(m, out, dims), out=out)
 
 
-def _suite_gyro_group(samples, rng, **_):
+def _suite_gyro_group(samples, rng):
     dims = _dims(rng, samples)
-    x, y, z = (sample_ball(dims, 0.95, rng) for _ in range(3))
+    x, y, z = (sample_ball(dims, rng) for _ in range(3))
     comm = einstein_add_rows(x, y) - gyration_rows(x, y, einstein_add_rows(y, x))
     assoc = einstein_add_rows(x, einstein_add_rows(y, z)) - einstein_add_rows(
         einstein_add_rows(x, y), gyration_rows(x, y, z)
@@ -398,28 +381,28 @@ def _suite_gyro_group(samples, rng, **_):
     return _worst(err, x=(x, dims), y=(y, dims), z=(z, dims))
 
 
-def _suite_gyration_inner(samples, rng, **_):
+def _suite_gyration_inner(samples, rng):
     dims = _dims(rng, samples)
-    x, y, u, w = (sample_ball(dims, 0.95, rng) for _ in range(4))
+    x, y, u, w = (sample_ball(dims, rng) for _ in range(4))
     gu, gw = gyration_rows(x, y, u), gyration_rows(x, y, w)
     err = np.abs(row_dots(gu, gw) - row_dots(u, w))[:, 0]
     return _worst(err, x=(x, dims), y=(y, dims), u=(u, dims), w=(w, dims))
 
 
-def _suite_mobius_einstein(samples, rng, **_):
+def _suite_mobius_einstein(samples, rng):
     dims = _dims(rng, samples)
-    xb, yb = (convert_rows(Model.KLEIN, Model.POINCARE, sample_ball(dims, 0.95, rng)) for _ in range(2))
+    xb, yb = (convert_rows(Model.KLEIN, Model.POINCARE, sample_ball(dims, rng)) for _ in range(2))
     lhs = convert_rows(Model.POINCARE, Model.KLEIN, mobius_add_rows(xb, yb))
     rhs = einstein_add_rows(*(convert_rows(Model.POINCARE, Model.KLEIN, p) for p in (xb, yb)))
     return _worst(_max_abs(lhs - rhs), x=(xb, dims), y=(yb, dims))
 
 
-def _suite_oracle_consistency(samples, rng, **_):
+def _suite_oracle_consistency(samples, rng):
     dims = _dims(rng, samples)
-    x, v = sample_ball(dims, 0.95, rng), _normal(rng, dims)
-    y = sample_ball(dims, 0.95, rng)
-    a, b = (conjugation_oracle("transport", {"x": x, "v": v}, via=via) for via in _VIAS[::-1])
-    da, db = (conjugation_oracle("distance", {"x": x, "y": y}, via=via) for via in _VIAS[::-1])
+    x, v = sample_ball(dims, rng), _normal(rng, dims)
+    y = sample_ball(dims, rng)
+    a, b = (_oracle_transport(x, v, via) for via in _VIAS[::-1])
+    da, db = (_oracle_distance(x, y, via) for via in _VIAS[::-1])
     err = np.maximum(_max_abs(a - b), np.abs(da - db))
     return _worst(err, x=(x, dims), v=(v, dims), y=(y, dims))
 
@@ -437,7 +420,7 @@ def _corresponding_models(km: nn.HnnModel):
     return bm, lm
 
 
-def _suite_layer_commutation(samples, rng, **_):
+def _suite_layer_commutation(samples, rng):
     worst, arg = 0.0, ""
     for _ in range(samples):
         n = int(rng.integers(2, 9))
@@ -458,10 +441,10 @@ def _suite_layer_commutation(samples, rng, **_):
     return worst, arg
 
 
-def _suite_gradient_check(samples, rng, **_):
+def _suite_gradient_check(samples, rng):
     worst, arg = 0.0, ""
     for _ in range(samples):
-        flavor = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)[int(rng.integers(3))]
+        flavor = _MODELS[int(rng.integers(3))]
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 9))
         c = int(rng.integers(2, 5))
@@ -500,11 +483,11 @@ def _max_rel_grad_error(model, feats, labels, grads):
     return worst
 
 
-def _suite_forward_validity(samples, rng, **_):
+def _suite_forward_validity(samples, rng):
     worst, arg = 0.0, ""
     rows_done = 0
     while rows_done < samples:
-        flavor = (Model.KLEIN, Model.POINCARE, Model.LORENTZ)[int(rng.integers(3))]
+        flavor = _MODELS[int(rng.integers(3))]
         n, m, c = int(rng.integers(2, 17)), int(rng.integers(2, 17)), int(rng.integers(2, 6))
         batch = min(int(rng.integers(16, 64)), samples - rows_done)
         model = nn.init_model(flavor, n, m, c, seed=int(rng.integers(2**31)))
@@ -527,10 +510,10 @@ def _suite_forward_validity(samples, rng, **_):
     return worst, arg
 
 
-def _suite_training_trend(samples, rng, **_):
+def _suite_training_trend(samples, rng):
     worst, arg = 0.0, ""
     ds = gen_tree_dataset(depth=4, feature_dim=8, noise_sigma=0.1, seed=int(rng.integers(2**31)))
-    for flavor in (Model.KLEIN, Model.POINCARE, Model.LORENTZ):
+    for flavor in _MODELS:
         model = nn.init_model(flavor, ds.dim, 8, ds.n_classes, seed=int(rng.integers(2**31)))
         _, metrics = nn.train(model, ds, nn.TrainConfig(lr=0.01, epochs=50, patience=50))
         drop = metrics[-1].train_loss - metrics[0].train_loss
@@ -540,13 +523,13 @@ def _suite_training_trend(samples, rng, **_):
     return worst, arg
 
 
-def _suite_boundary_stress(samples, rng, **_):
+def _suite_boundary_stress(samples, rng):
     """Near the ball boundary only finiteness and validity are asserted."""
     dims = _dims(rng, samples)
     direction = _normal(rng, dims)
     direction /= np.maximum(np.sqrt(row_dots(direction, direction)), 1e-12)
     x = clamp_rows((1.0 - rng.uniform(1e-6, 1e-3, size=(samples, 1))) * direction)
-    y = sample_ball(dims, 0.95, rng)
+    y = sample_ball(dims, rng)
     values = [distance_rows(Model.KLEIN, x, y)]
     for via in _VIAS:
         values.append(_max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x))))

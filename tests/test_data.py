@@ -64,6 +64,10 @@ COERCED_DOCS = {
         _set("splits", "train", 1, value=1.9),
         "train indices must be integers",
     ),
+    "boolean_split_index": (
+        _set("splits", "train", 1, value=True),
+        "train indices must be integers",
+    ),
 }
 
 
@@ -122,6 +126,20 @@ class TestLoad:
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=f"^invalid dataset: {message}$"):
+            load_dataset(path)
+
+    # the document holds the word true, so every value's type is checked
+    def test_name_holding_true_loads(self, tmp_path):
+        path = tmp_path / "untrue.json"
+        path.write_text(json.dumps({**VALID_DOC, "name": "untrue"}), encoding="utf-8")
+        ds = load_dataset(path)
+        assert ds.name == "untrue"
+        np.testing.assert_array_equal(ds.features, [[0.1, 1.0], [0.0, 2.0], [1.0, -1.0]])
+
+    def test_scalar_features_beside_the_word_true_rejected(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({"name": "untrue", "features": 5, "labels": [0]}), encoding="utf-8")
+        with pytest.raises(DataError, match="features must be a non-empty N x d matrix"):
             load_dataset(path)
 
     def test_edges_accepted_and_ignored(self, tmp_path):

@@ -256,6 +256,15 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             geodesic_unit(x, tangent(x, [2.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("model", [Model.KLEIN, Model.POINCARE])
+    def test_long_arclength_reaches_the_clamped_boundary(self, model):
+        # sinh and cosh of 800 overflow; the exponential map's tanh form saturates
+        x = convert_point(KleinPoint([0.3, -0.2]), model)
+        raw = tangent(x, [1.0, 0.5])
+        out = geodesic_unit(x, tangent(x, raw.components / metric_norm(x, raw)), 800.0)
+        assert np.all(np.isfinite(out.coords))
+        assert np.linalg.norm(out.coords) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
+
     @pytest.mark.parametrize("model", list(Model))
     def test_unit_speed(self, model):
         rng = np.random.default_rng(6)

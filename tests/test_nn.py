@@ -510,6 +510,47 @@ class TestGradients:
             np.testing.assert_array_equal(a, b)
 
 
+# features of the wrong rank reached `features.shape[1]` and raised IndexError
+@pytest.mark.parametrize(
+    "features", [np.zeros(2), np.float64(0.0), np.zeros((1, 1, 2))], ids=["1d", "0d", "3d"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [nn.forward, nn.hidden_tangent, lambda model, features: nn.gradients(model, features, [0])],
+    ids=["forward", "hidden_tangent", "gradients"],
+)
+def test_features_of_another_rank_rejected(call, features):
+    model = nn.init_model(Model.KLEIN, 2, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="^features must be a 2-d matrix$"):
+        call(model, features)
+
+
+# each of these was read against the 5 feature rows by broadcasting or truncation
+MISMATCHED_LABELS = {
+    "one_label": ([0], "int64 \\(1,\\)"),
+    "column": (np.zeros((5, 1), dtype=np.int64), "int64 \\(5, 1\\)"),
+    "fractional": ([1.7, 0, 0, 0, 0], "float64 \\(5,\\)"),
+    "two_labels": ([0, 1], "int64 \\(2,\\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_LABELS))
+def test_gradients_reject_labels_that_do_not_match_the_rows(case):
+    labels, message = MISMATCHED_LABELS[case]
+    model = offset_bias_model(Model.KLEIN, 4, 3, 3, seed=7)
+    feats = np.random.default_rng(12).normal(size=(5, 4))
+    with pytest.raises(ValueError, match=f"^need one integer label per row \\(5\\), got {message}$"):
+        nn.gradients(model, feats, labels)
+
+
+def test_accuracy_rejects_one_label_for_many_rows():
+    model = offset_bias_model(Model.KLEIN, 4, 3, 3, seed=7)
+    feats = np.random.default_rng(12).normal(size=(5, 4))
+    with pytest.raises(ValueError, match="^need one integer label per row \\(5\\), got int64 \\(1,\\)$"):
+        nn.accuracy(model, feats, [0])
+    assert nn.accuracy(model, feats[:0], np.zeros(0, dtype=np.int64)) == 0.0
+
+
 def saturating_model(flavor):
     """Hidden weights x1e3 push the hidden layer past float64 saturation."""
     ds = gen_tree_dataset(6, 8, 0.1, 0)

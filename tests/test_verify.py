@@ -80,3 +80,11 @@ def test_worst_reports_the_largest_error_and_its_row():
     )
     assert err == 5e-3
     assert json.loads(record) == {"x": [4.0, 5.0, 6.0], "r": 0.2, "via": "lorentz"}
+
+
+def test_report_json_is_every_field_but_the_seconds():
+    report = verify.PropertyReport("round_trip", 10, 1.5e-16, 1e-12, True, '{"x": [0.5]}', seconds=3.25)
+    assert report.to_json() == (
+        '{"suite": "round_trip", "samples": 10, "max_abs_error": 1.5e-16, "tolerance": 1e-12, '
+        '"passed": true, "worst_case_input": "{\\"x\\": [0.5]}"}'
+    )
