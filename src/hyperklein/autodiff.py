@@ -1,17 +1,17 @@
 """The network's tape: a chain of stage records over numpy arrays.
 
 Every pass of the network is the same fixed chain of stages, each one
-float64 array: hidden_linear -> <flavor>_layer -> relu -> readout, and
-cross_entropy for the loss.  A Tensor records one stage: its output `data`,
-its `name`, `prev` (the stage it reads, or None for the first) and `back`,
-a closed-form backward that maps dL/d(output) to dL/d(prev's output) and
-writes the stage's own parameter gradients into the pass's gradient dict.
-`Tensor.backward` seeds dL/d(output) with ones and walks the `prev` links to
-the first stage, running each `back` once.  `nn` builds the stages.
+(width, N) float64 array, a column per row: hidden_linear -> <flavor>_layer
+-> relu -> readout, and cross_entropy, a scalar, for the loss.  A Tensor
+records one stage: its output `data`, its `name`, `prev` (the stage it
+reads, or None for the first) and `back`, a closed-form backward from
+dL/d(output) to dL/d(prev's output) that writes the stage's own parameter
+gradients into the pass's gradient dict.  `Tensor.backward` seeds ones and
+walks the `prev` links, running each `back` once.  `nn` builds the stages.
 
 Building a stage checks nothing.  `check` raises NumericalError naming a
-stage and the first row that holds a non-finite value; `nn` calls it on the
-stages of a pass only when that pass returned a non-finite array.
+stage and the first row (column) that holds a non-finite value; `nn` calls
+it on the stages of a pass only when that pass returned a non-finite array.
 """
 
 from __future__ import annotations
@@ -43,5 +43,5 @@ def check(node: Tensor) -> None:
     """Raise NumericalError if the node's output holds a non-finite value."""
     bad = ~np.isfinite(node.data)
     if bad.any():
-        row = f" at row {int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))}" if bad.ndim else ""
+        row = f" at row {int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))}" if bad.ndim else ""
         raise NumericalError(f"numerical overflow in {node.name}{row}")

@@ -92,15 +92,16 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         raise DataError("invalid dataset: every class must appear in the train split")
 
 
-def _numbers(values, kinds: str, what: str, booleans: bool) -> np.ndarray:
-    """The array numpy infers for values, of one of the dtype kinds; if the document has true
-    or false (`booleans`), which numpy reads as 1 and 0, each value's type is checked too."""
+def _numbers(values, kinds: str, what: str, suspect=lambda array: True) -> np.ndarray:
+    """The array numpy infers for values, of one of the dtype kinds.  numpy reads
+    true and false as 1 and 0, so each value's type is checked too, unless
+    `suspect(array)` rules a boolean out."""
     try:
         array = np.asarray(values)
     except ValueError as err:  # ragged rows
         raise DataError(f"invalid dataset: {err}") from err
     items = chain.from_iterable(values) if array.ndim == 2 else values if array.ndim == 1 else ()
-    if array.size and (array.dtype.kind not in kinds or booleans and bool in map(type, items)):
+    if array.size and (array.dtype.kind not in kinds or suspect(array) and bool in map(type, items)):
         raise DataError(f"invalid dataset: {what}")
     return array
 
@@ -115,11 +116,15 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"parse error: line {err.lineno}: {err.msg}") from err
     if not isinstance(doc, dict) or "features" not in doc or "labels" not in doc:
         raise DataError("invalid dataset: need 'features' and 'labels' fields")
-    booleans = "true" in text or "false" in text
-    features = _numbers(doc["features"], "iuf", "features must be numbers", booleans)
-    labels = _numbers(doc["labels"], "iu", "labels must be integers", booleans)
+    # a feature matrix can hide a boolean only as a 0 or a 1, and then only
+    # if the text holds the word; the short label and split lists are type-scanned
+    def suspect(array):
+        return ((array == 0) | (array == 1)).any() and ("true" in text or "false" in text)
+
+    features = _numbers(doc["features"], "iuf", "features must be numbers", suspect)
+    labels = _numbers(doc["labels"], "iu", "labels must be integers")
     splits = dict(doc.get("splits") or {})
-    splits = {k: _numbers(v, "iu", f"{k} indices must be integers", booleans) for k, v in splits.items()}
+    splits = {k: _numbers(v, "iu", f"{k} indices must be integers") for k, v in splits.items()}
     return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 
 

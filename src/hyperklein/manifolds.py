@@ -76,8 +76,16 @@ def clamp_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
-    """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s."""
-    time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
+    """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s.  Where
+    |s|^2 overflows, sqrt(1 + |s|^2) rounds to |s|, so such a row's time is
+    its norm, taken with the row scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
+    big = np.isinf(time[:, 0])
+    if big.any():
+        rows = spatial[big]
+        peak = np.abs(rows).max(axis=1, keepdims=True)
+        time[big] = peak * np.sqrt(row_dots(rows / peak, rows / peak))
     return np.concatenate((time, spatial), axis=1)
 
 

@@ -40,7 +40,9 @@ new models with `dataclasses.replace`, which re-runs the model's checks.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
-with a closed-form backward; the layer's goes through the (N, 1) scalars.
+with a closed-form backward.  A stage holds a (width, N) array, a column
+per row, so the layer's per-row scalars are (1, N) rows and the readout and
+the loss reduce along contiguous memory.
 The stages read the model's fields directly: the backward walks the chain
 from the loss to hidden_linear, and each stage writes its own parameters'
 gradients into the pass's `grads`.  The smooth ratios' slopes are computed
@@ -68,7 +70,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -182,12 +184,12 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
-    """rows W^T, the first stage; the capped feature rows are a constant."""
+    """W rows^T, the first stage; the capped feature rows are a constant."""
 
     def back(g):
-        grads["weight"] = g.T @ rows
+        grads["weight"] = g @ rows
 
-    return Tensor(rows @ weight.T, None, back, "hidden_linear")
+    return Tensor(weight @ rows.T, None, back, "hidden_linear")
 
 
 # Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
@@ -276,30 +278,30 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
     """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b.
 
     k is the origin log's ratio of |h|, named by `log_ratio`.  The backward
-    takes G1 = gz.w and G2 = gz.b per row back through the (N, 1) scalars
-    to dL/dp, dL/dq and dL/ds, and then
+    takes G1 = gz.w and G2 = gz.b per (width, N) column back through the
+    (1, N) scalars to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
-        gb = gz^T (k beta) + w^T dL/dq + 2 sum(dL/ds) b,
+        gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates (b is the bias itself
     when not given) for grads["bias"].  Returns the stage and a function
-    giving the hidden points, which only `verify` and the tests read.
+    giving the hidden points' columns, which only `verify` and the tests read.
     """
     if b is None:
         b, b_back = bias, lambda g: g
     wd = w.data
-    p = _row_dots(wd, wd)
-    q = (wd @ b)[:, None]
+    p = (wd * wd).sum(axis=0, keepdims=True)
+    q = b @ wd
     s = float(b @ b)
     alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
-    hidden = alpha * wd + beta * b
-    r = np.sqrt(_row_dots(hidden, hidden) + _TINY)
+    hidden = alpha * wd + beta * b[:, None]
+    r = np.sqrt((hidden * hidden).sum(axis=0, keepdims=True) + _TINY)
     k = smooth_ratio(log_ratio, r)
     z = k * hidden
 
     def back(gz):
         dk = smooth_slope(log_ratio, r, k)
-        g1 = _row_dots(gz, wd)
-        g2 = (gz @ b)[:, None]
+        g1 = (gz * wd).sum(axis=0, keepdims=True)
+        g2 = b @ gz
         g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
         g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
         g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
@@ -307,13 +309,13 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         g_p = g_p + g_sq * alpha * alpha
         g_q = g_q + 2.0 * g_sq * alpha * beta
         g_s = np.sum(g_s + g_sq * beta * beta)
-        gb = (k * beta)[:, 0] @ gz + g_q[:, 0] @ wd + 2.0 * g_s * b
+        gb = gz @ (k * beta)[0] + wd @ g_q[0] + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
-        return k * alpha * gz + 2.0 * g_p * wd + g_q * b
+        return k * alpha * gz + 2.0 * g_p * wd + g_q * b[:, None]
 
     if h_time is None:
         return Tensor(z, w, back, name), lambda: hidden
-    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden), axis=1)
+    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden))
 
 
 def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
@@ -344,29 +346,28 @@ def _relu(t: Tensor) -> Tensor:
 
 
 def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Tensor:
-    """a R^T + r as one stage."""
+    """R a + r as one stage, a class column per row."""
 
     def back(g):
-        grads["readout_weight"] = g.T @ a.data
-        grads["readout_bias"] = g.sum(axis=0)
-        return g @ weight
+        grads["readout_weight"] = g @ a.data.T
+        grads["readout_bias"] = g.sum(axis=1)
+        return weight.T @ g
 
-    return Tensor(a.data @ weight.T + bias, a, back, "readout")
+    return Tensor(weight @ a.data + bias[:, None], a, back, "readout")
 
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of the rows' cross-entropies as one stage; gradient (softmax - onehot)/N."""
+    """Mean of the logit columns' cross-entropies as one stage; gradient (softmax - onehot)/N."""
     rows = np.arange(labels.size)
-    # a loop over the few columns is far cheaper than max(axis=1); a max rounds nothing
-    shifted = logits.data - reduce(np.maximum, logits.data.T)[:, None]
+    shifted = logits.data - logits.data.max(axis=0)
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=0)
     scale = 1.0 / labels.size
-    per_row = np.log(total)[:, 0] - shifted[rows, labels]
+    per_row = np.log(total) - shifted[labels, rows]
 
     def back(g):
         grad = e * (g * scale / total)
-        grad[rows, labels] -= g * scale
+        grad[labels, rows] -= g * scale
         return grad
 
     return Tensor(per_row.sum() * scale, logits, back, "cross_entropy")
@@ -396,7 +397,7 @@ def _preprocess(features) -> np.ndarray:
 class _TapeRun:
     """One differentiable forward pass over a batch of rows.
 
-    The capped feature rows x are origin tangent vectors, so w = x W^T is
+    The capped feature rows x are origin tangent vectors, so w = W x is
     the tangent-space matrix action, with no exp/log of x.  By the paper's
     transport theorem the bias step (exp_o, parallel transport, exp) is the
     Einstein addition in Klein and the Mobius addition in Poincare
@@ -405,21 +406,22 @@ class _TapeRun:
     the origin log:
 
         tangent = log_o(exp_o(w) (+) b) = a w + c b
-        logits  = relu(tangent) R^T + r
+        logits  = R relu(tangent) + r
 
     where a and c are per-row scalars of |w|^2, w.b and |b|^2 (see
     `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
 
     The tape is the chain of stages hidden_linear, <flavor>_layer, relu,
     readout, and cross_entropy when labels are given, each a Tensor linked to
-    the one before it.  The stages read the model's parameter fields
-    directly, and their backwards write each parameter's gradient into
-    `grads` under the field's name.  Holds
-    `stages` (in the order they were built), `tangent` (the layer stage),
-    `logits`, `loss`, `grads` and `hidden_out`, the hidden points as a plain
-    array (with the time coordinate for Lorentz), built when read.  No stage
-    enters np.errstate: a caller that builds a run itself enters it if its
-    inputs can saturate, and reads `hidden_out` inside it.
+    the one before it.  Each holds a (width, N) array, a column per row, and
+    the layer's scalars are (1, N) rows.  The stages read the model's
+    parameter fields directly, and their backwards write each parameter's
+    gradient into `grads` under the field's name.  Holds `stages` (in the
+    order they were built), `tangent` (the layer stage), `logits`, `loss`,
+    `grads` and `hidden_out`, the hidden points as (N, width) rows (with the
+    time coordinate for Lorentz), built when read.  No stage enters
+    np.errstate: a caller that builds a run itself enters it if its inputs
+    can saturate, and reads `hidden_out` inside it.
     """
 
     def __init__(self, model: HnnModel, features, labels=None):
@@ -440,7 +442,7 @@ class _TapeRun:
             self.loss = _mean_cross_entropy(self.logits, labels)
             self.stages.append(self.loss)
 
-    hidden_out = property(lambda run: run._hidden_points())
+    hidden_out = property(lambda run: run._hidden_points().T)
 
 
 def _checked_pass(model: HnnModel, features, outputs, labels=None):
@@ -464,14 +466,12 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
 
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
-    (logits,) = _checked_pass(model, features, lambda run: (run.logits.data,))
-    return logits
+    return _checked_pass(model, features, lambda run: (run.logits.data,))[0].T
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    (tangent,) = _checked_pass(model, features, lambda run: (run.tangent.data,))
-    return tangent
+    return _checked_pass(model, features, lambda run: (run.tangent.data,))[0].T
 
 
 def _loss_and_gradients(run: _TapeRun):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hyperklein import nn
+from hyperklein import autodiff, nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
 from hyperklein.manifolds import ATANH_MAX, KleinPoint, Model, origin
@@ -192,6 +192,14 @@ class TestNumericalGuard:
         model = one_unit_model([[1e308], [0.0]])
         with pytest.raises(NumericalError, match=r"overflow in readout at row 1$"):
             nn.forward(model, np.array([[0.5], [5.0]]))
+
+    def test_check_names_the_column_as_the_row(self):
+        # a stage holds one column per dataset row
+        data = np.zeros((4, 6))
+        data[2, 3] = np.inf
+        data[0, 5] = np.nan
+        with pytest.raises(NumericalError, match=r"^numerical overflow in relu at row 3$"):
+            autodiff.check(Tensor(data, name="relu"))
 
     def test_overflow_in_the_loss_names_its_stage(self):
         # finite logits 2e308 apart; the loss node holds one number, no rows

@@ -142,6 +142,23 @@ class TestLoad:
         with pytest.raises(DataError, match="features must be a non-empty N x d matrix"):
             load_dataset(path)
 
+    # features with no 0 or 1 cannot hide a boolean, but the lists beside them still can
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (_set("labels", 1, value=True), "labels must be integers"),
+            (_set("splits", "train", 1, value=True), "train indices must be integers"),
+        ],
+        ids=["label", "split_index"],
+    )
+    def test_boolean_beside_features_without_0_or_1_rejected(self, tmp_path, corrupt, message):
+        doc = {**json.loads(json.dumps(VALID_DOC)), "features": [[0.5, 2.0], [-0.5, 3.0], [2.5, -1.5]]}
+        corrupt(doc)
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^invalid dataset: {message}$"):
+            load_dataset(path)
+
     def test_edges_accepted_and_ignored(self, tmp_path):
         path = tmp_path / "edges.json"
         doc = {

@@ -1,5 +1,6 @@
 """Microbenchmarks of each flavor's layer stage, forward and backward, on a
-1,234 x 16 batch, of the forward-only pass `nn.forward` on 2,047 x 16 rows
+1,234 x 16 batch, of the readout and loss stages, forward and backward, on
+1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
 of the tree-d10 data and on its first row, and of `nn.gradients` on 8 x 6
 rows, the shape of `verify`'s gradient_check, where a pass's fixed cost
 dominates.
@@ -20,7 +21,7 @@ from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
 from hyperklein.manifolds import Model, exp_map, origin, tangent
 
-ROWS, WIDTH = 1234, 16
+ROWS, WIDTH, CLASSES = 1234, 16, 11
 
 
 def offset_bias(flavor, width, rng):
@@ -33,8 +34,9 @@ def offset_bias(flavor, width, rng):
 
 
 def layer_inputs(flavor):
+    """A stage input holds one column per row."""
     rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(size=(ROWS, WIDTH)) * 0.5)
+    w = Tensor(rng.normal(size=(WIDTH, ROWS)) * 0.5)
     return w, offset_bias(flavor, WIDTH, rng).coords
 
 
@@ -42,7 +44,8 @@ def layer_inputs(flavor):
 def test_layer_forward(benchmark, flavor):
     w, bias = layer_inputs(flavor)
     z, hidden = benchmark(nn._LAYERS[flavor], w, bias, {})
-    assert z.data.shape == (ROWS, WIDTH) and z.prev is w
+    assert z.data.shape == (WIDTH, ROWS) and z.prev is w
+    assert hidden().shape == (WIDTH + (flavor is Model.LORENTZ), ROWS)
     assert np.all(np.isfinite(z.data)) and np.all(np.isfinite(hidden()))
 
 
@@ -57,8 +60,46 @@ def test_layer_backward(benchmark, flavor):
         return z.back(gz), grads["bias"]
 
     gw, gb = benchmark(backward)
-    assert gw.shape == w.data.shape and gb.shape == bias.shape
+    assert gw.shape == (WIDTH, ROWS) and gb.shape == bias.shape
     assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
+
+
+def readout_inputs():
+    rng = np.random.default_rng(4)
+    model = nn.init_model(Model.KLEIN, WIDTH, WIDTH, CLASSES, seed=0)
+    active = Tensor(np.maximum(rng.normal(size=(WIDTH, ROWS)), 0.0))
+    return active, model, rng.integers(0, CLASSES, size=ROWS)
+
+
+def test_readout_forward(benchmark):
+    active, model, _ = readout_inputs()
+    logits = benchmark(nn._readout, active, model.readout_weight, model.readout_bias, {})
+    assert logits.data.shape == (CLASSES, ROWS) and logits.prev is active
+
+
+def test_readout_backward(benchmark):
+    active, model, _ = readout_inputs()
+    grads = {}
+    logits = nn._readout(active, model.readout_weight, model.readout_bias, grads)
+    g = np.random.default_rng(5).normal(size=logits.data.shape)
+    ga = benchmark(logits.back, g)
+    assert ga.shape == (WIDTH, ROWS)
+    assert grads["readout_weight"].shape == (CLASSES, WIDTH) and grads["readout_bias"].shape == (CLASSES,)
+
+
+def test_cross_entropy_forward(benchmark):
+    active, model, labels = readout_inputs()
+    logits = nn._readout(active, model.readout_weight, model.readout_bias, {})
+    loss = benchmark(nn._mean_cross_entropy, logits, labels)
+    assert loss.data.shape == () and np.isfinite(loss.data) and loss.prev is logits
+
+
+def test_cross_entropy_backward(benchmark):
+    active, model, labels = readout_inputs()
+    loss = nn._mean_cross_entropy(nn._readout(active, model.readout_weight, model.readout_bias, {}), labels)
+    g = benchmark(loss.back, np.ones_like(loss.data))
+    assert g.shape == (CLASSES, ROWS) and np.all(np.isfinite(g))
+    np.testing.assert_allclose(g.sum(axis=0), 0.0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")

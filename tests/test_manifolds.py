@@ -1,5 +1,6 @@
 """Unit tests for the coordinate models: conversions, metric, geodesics, transport."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -264,6 +265,17 @@ class TestGeodesics:
         out = geodesic_unit(x, tangent(x, raw.components / metric_norm(x, raw)), 800.0)
         assert np.all(np.isfinite(out.coords))
         assert np.linalg.norm(out.coords) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
+
+    def test_lorentz_time_past_the_squared_norm_overflow(self):
+        # at 700 the spatial norm is about 5e303, so |s|^2 overflows; the time
+        # is the scaled norm, with no RuntimeWarning (which fails the run)
+        x = LorentzPoint([1.0, 0.0, 0.0])
+        out = geodesic_unit(x, tangent(x, [0.0, 0.6, 0.8]), 700.0)
+        assert np.all(np.isfinite(out.coords))
+        assert out.time == pytest.approx(math.hypot(*out.spatial), rel=1e-15)
+        # from about 711 on cosh itself overflows
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            geodesic_unit(x, tangent(x, [0.0, 0.6, 0.8]), 712.0)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_unit_speed(self, model):

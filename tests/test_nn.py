@@ -192,10 +192,10 @@ class TestReadout:
 
 
 class TestCrossEntropy:
-    # the loss stage on one row: -log softmax(z)[label], max-stabilized
+    # the loss stage on one row, a (classes, 1) column: -log softmax(z)[label], max-stabilized
     @staticmethod
     def loss(logits, label):
-        node = nn._mean_cross_entropy(Tensor(np.array([logits], dtype=float)), np.array([label]))
+        node = nn._mean_cross_entropy(Tensor(np.array(logits, dtype=float)[:, None]), np.array([label]))
         return float(node.data)
 
     def test_uniform_logits(self):
@@ -216,24 +216,25 @@ class TestCrossEntropy:
                 nn.gradients(model, np.zeros((1, 2)), np.array([label]))
 
     def test_loss_and_gradient_equal_the_max_over_axis_form_bit_for_bit(self):
-        # the stage takes each row's max column by column; ties at the max
-        # and +-300 spreads must give the max(axis=1) formulation's bits
+        # the logits hold one column per row; ties at the max, signed zeros
+        # and +-300 spreads must give the bits of the max and the sum over axis 0
         rng = np.random.default_rng(23)
-        logits = rng.uniform(-300.0, 300.0, size=(40, 7))
-        logits[::4, :3] = logits[::4].max(axis=1, keepdims=True)
-        logits[1] = 0.0
-        logits[2] = [-0.0, 0.0, -0.0, 0.0, -300.0, 300.0, 300.0]
+        by_row = rng.uniform(-300.0, 300.0, size=(40, 7))
+        by_row[::4, :3] = by_row[::4].max(axis=1, keepdims=True)
+        by_row[1] = 0.0
+        by_row[2] = [-0.0, 0.0, -0.0, 0.0, -300.0, 300.0, 300.0]
+        logits = np.ascontiguousarray(by_row.T)
         labels = rng.integers(0, 7, size=40)
         node = nn._mean_cross_entropy(Tensor(logits), labels)
         grad = node.back(np.ones_like(node.data))
 
         rows, scale = np.arange(40), 1.0 / 40
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=0, keepdims=True)
         e = np.exp(shifted)
-        total = e.sum(axis=1, keepdims=True)
-        want_loss = (np.log(total)[:, 0] - shifted[rows, labels]).sum() * scale
+        total = e.sum(axis=0, keepdims=True)
+        want_loss = (np.log(total)[0] - shifted[labels, rows]).sum() * scale
         want_grad = e * (1.0 * scale / total)
-        want_grad[rows, labels] -= scale
+        want_grad[labels, rows] -= scale
         assert node.data.tobytes() == want_loss.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
@@ -612,6 +613,19 @@ class TestNumericalGuard:
         nodes[0] = 0
         nn.hidden_tangent(model, feats)
         assert nodes[0] == 4
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_stages_hold_one_column_per_row(self, flavor):
+        # 6 rows of 4 features, 3 hidden units, 5 classes
+        model = offset_bias_model(flavor, 4, 3, 5, seed=15)
+        feats = np.random.default_rng(16).normal(size=(6, 4))
+        run = nn._TapeRun(model, feats, np.arange(6) % 5)
+        assert [node.data.shape for node in run.stages] == [(3, 6), (3, 6), (3, 6), (5, 6), ()]
+        assert run.hidden_out.shape == (6, 3 + (flavor is Model.LORENTZ))
+        run.loss.backward()
+        assert {key: g.shape for key, g in run.grads.items()} == {
+            key: a.shape for key, a in model.parameter_arrays().items()
+        }
 
     def test_saturating_pass_builds_its_tape_once(self, monkeypatch):
         # the failing stage is found among the nodes the pass already holds
