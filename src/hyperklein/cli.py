@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn, verify
 from .autodiff import NumericalError
-from .data import DataError, Dataset, load_dataset, split
+from .data import SPLITS, DataError, Dataset, load_dataset, split
 from .manifolds import Model, convert_point, make_point
 
 EXIT_OK = 0
@@ -34,8 +34,6 @@ class RunConfig:
     flavor: Model = Model.KLEIN
     hidden: int = 16
     seed: int = 42
-    data_path: str = ""
-    out_dir: str = "."
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -64,12 +62,12 @@ def _build_parser() -> _Parser:
     train_p.add_argument("--epochs", type=int, default=training.epochs)
     train_p.add_argument("--patience", type=int, default=training.patience)
     train_p.add_argument("--seed", type=int, default=run.seed)
-    train_p.add_argument("--out", default=run.out_dir, help="output directory")
+    train_p.add_argument("--out", default=".", help="output directory")
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--data", required=True)
-    eval_p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
+    eval_p.add_argument("--split", choices=[*SPLITS, "all"], default="test")
     eval_p.add_argument("--seed", type=int, default=run.seed, help="seed for splitting unsplit data")
 
     conv_p = sub.add_parser("convert", help="convert a CSV of points between models")
@@ -102,7 +100,7 @@ def _fmt(value: float) -> str:
 
 def _write_loss_csv(path, metrics):
     lines = ["epoch,train_loss,val_acc"]
-    lines += [f"{m.epoch},{_fmt(m.train_loss)},{_fmt(m.val_acc)}" for m in metrics]
+    lines += [f"{epoch},{_fmt(m.train_loss)},{_fmt(m.val_acc)}" for epoch, m in enumerate(metrics)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -121,16 +119,9 @@ def _principal_2d(tangents: np.ndarray) -> np.ndarray:
 def _cmd_train(args) -> int:
     # every setting is checked before the output directory is made
     training = nn.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
-    config = RunConfig(
-        command="train",
-        flavor=Model(args.model),
-        hidden=args.hidden,
-        seed=args.seed,
-        data_path=args.data,
-        out_dir=args.out,
-    )
-    ds = _load_split_dataset(config.data_path, config.seed)
-    out = Path(config.out_dir)
+    config = RunConfig("train", Model(args.model), args.hidden, args.seed)
+    ds = _load_split_dataset(args.data, config.seed)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     model = nn.init_model(config.flavor, ds.dim, config.hidden, ds.n_classes, config.seed)
@@ -162,7 +153,7 @@ def _cmd_train(args) -> int:
                 "epochs": training.epochs,
                 "patience": training.patience,
                 "hidden": config.hidden,
-                "data": str(config.data_path),
+                "data": str(args.data),
             },
             "seed": config.seed,
         },
@@ -183,10 +174,7 @@ def _cmd_eval(args) -> int:
     ds = _load_split_dataset(args.data, args.seed)
     if ds.dim != model.in_dim:
         raise DataError(f"feature dimension {ds.dim} does not match model input {model.in_dim}")
-    if args.split == "all":
-        idx = np.arange(ds.n)
-    else:
-        idx = {"train": ds.train_idx, "val": ds.val_idx, "test": ds.test_idx}[args.split]
+    idx = np.arange(ds.n) if args.split == "all" else ds.splits[args.split]
     acc = nn.accuracy(model, ds.features[idx], ds.labels[idx]) if idx.size else float("nan")
     print(json.dumps({"split": args.split, "n": int(idx.size), "accuracy": acc}))
     return EXIT_OK

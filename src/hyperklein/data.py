@@ -8,8 +8,10 @@ The on-disk format is a single UTF-8 JSON document:
      "splits": {"train": [...], "val": [...], "test": [...]},   # optional
      "edges": [[u, v], ...]}               # optional, accepted and ignored
 
-Graph edges are retained in the format for forward compatibility but the
-models here consume features only.
+A dataset's splits are exactly `train`, `val` and `test`, each an int64
+array of row indices that is empty when the split is absent; any other
+split name is rejected.  Graph edges are retained in the format for forward
+compatibility but the models here consume features only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+
+
+SPLITS = ("train", "val", "test")
 
 
 class DataError(ValueError):
@@ -35,6 +40,10 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        for part in self.splits:
+            if part not in SPLITS:
+                raise DataError(f"invalid dataset: unknown split {part!r}")
+        self.splits = {part: np.asarray(self.splits.get(part, []), dtype=np.int64) for part in SPLITS}
         _validate(self.features, self.labels, self.splits)
 
     @property
@@ -51,15 +60,15 @@ class Dataset:
 
     @property
     def train_idx(self) -> np.ndarray:
-        return np.asarray(self.splits.get("train", []), dtype=np.int64)
+        return self.splits["train"]
 
     @property
     def val_idx(self) -> np.ndarray:
-        return np.asarray(self.splits.get("val", []), dtype=np.int64)
+        return self.splits["val"]
 
     @property
     def test_idx(self) -> np.ndarray:
-        return np.asarray(self.splits.get("test", []), dtype=np.int64)
+        return self.splits["test"]
 
 
 def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
@@ -78,8 +87,7 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         raise DataError(f"invalid dataset: class {int(missing[0])} has no members")
     n = features.shape[0]
     seen = np.zeros(n, dtype=np.int64)
-    for part in ("train", "val", "test"):
-        idx = np.asarray(splits.get(part, []), dtype=np.int64)
+    for part, idx in splits.items():
         if idx.size == 0:
             continue
         if idx.min() < 0 or idx.max() >= n:
@@ -87,7 +95,7 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         seen += np.bincount(idx, minlength=n)  # far cheaper than np.unique
         if seen.max() > 1:
             raise DataError("invalid dataset: split index sets must be disjoint")
-    train = np.asarray(splits.get("train", []), dtype=np.int64)
+    train = splits["train"]
     if train.size and not np.bincount(labels[train], minlength=n_classes).all():
         raise DataError("invalid dataset: every class must appear in the train split")
 
@@ -134,11 +142,28 @@ def save_dataset(ds: Dataset, path) -> None:
         "features": ds.features.tolist(),
         "labels": ds.labels.tolist(),
     }
-    if ds.splits:
-        doc["splits"] = {k: np.asarray(v, dtype=np.int64).tolist() for k, v in ds.splits.items()}
+    if any(idx.size for idx in ds.splits.values()):
+        doc["splits"] = {part: idx.tolist() for part, idx in ds.splits.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def _stratified(labels: np.ndarray, rng, cuts, min_held_out: int = 0) -> dict:
+    """Sorted train/val/test indices from one permutation of each class, in
+    class order, cut at the fractions cuts = (train, train + val).  Every
+    class gets at least one train member; a class of fewer than min_held_out
+    members goes to train whole."""
+    parts = {part: [] for part in SPLITS}
+    for cls in range(int(labels.max()) + 1):
+        members = rng.permutation(np.nonzero(labels == cls)[0])
+        b1 = b2 = members.size
+        if members.size >= min_held_out:
+            b1 = max(int(round(members.size * cuts[0])), 1)
+            b2 = max(int(round(members.size * cuts[1])), b1)
+        for part, chunk in zip(SPLITS, np.split(members, [b1, b2])):
+            parts[part].append(chunk)
+    return {part: np.sort(np.concatenate(chunks)) for part, chunks in parts.items()}
 
 
 def split(ds: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
@@ -146,20 +171,11 @@ def split(ds: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
     ratios = np.asarray(ratios, dtype=np.float64)
     if ratios.shape != (3,) or np.any(ratios <= 0.0) or abs(ratios.sum() - 1.0) > 1e-9:
         raise DataError("ratios must be three positive numbers summing to 1")
+    small = np.nonzero(np.bincount(ds.labels) < 3)[0]
+    if small.size:
+        raise DataError(f"class {int(small[0])} too small to stratify")
     rng = np.random.default_rng(seed)
-    parts = {"train": [], "val": [], "test": []}
-    for cls in range(ds.n_classes):
-        members = np.nonzero(ds.labels == cls)[0]
-        if members.size < 3:
-            raise DataError(f"class {cls} too small to stratify")
-        members = rng.permutation(members)
-        b1 = int(round(members.size * ratios[0]))
-        b2 = int(round(members.size * (ratios[0] + ratios[1])))
-        b1 = max(b1, 1)  # every class must land in train
-        parts["train"].extend(members[:b1].tolist())
-        parts["val"].extend(members[b1:b2].tolist())
-        parts["test"].extend(members[b2:].tolist())
-    splits = {k: sorted(v) for k, v in parts.items()}
+    splits = _stratified(ds.labels, rng, (ratios[0], ratios[0] + ratios[1]))
     return Dataset(ds.features, ds.labels, splits, ds.name)
 
 
@@ -191,17 +207,6 @@ def gen_tree_dataset(depth: int, feature_dim: int, noise_sigma: float, seed: int
         labels[node - 1] = len(path)
     features += rng.normal(scale=noise_sigma, size=features.shape) if noise_sigma > 0 else 0.0
 
-    parts = {"train": [], "val": [], "test": []}
-    for cls in range(depth + 1):
-        members = rng.permutation(np.nonzero(labels == cls)[0])
-        if members.size < 10:
-            # shallow levels have too few nodes to support held-out copies
-            parts["train"].extend(members.tolist())
-            continue
-        b1 = max(int(round(members.size * 0.6)), 1)
-        b2 = max(int(round(members.size * 0.8)), b1)
-        parts["train"].extend(members[:b1].tolist())
-        parts["val"].extend(members[b1:b2].tolist())
-        parts["test"].extend(members[b2:].tolist())
-    splits = {k: sorted(v) for k, v in parts.items()}
+    # shallow levels have too few nodes to support held-out copies
+    splits = _stratified(labels, rng, (0.6, 0.8), min_held_out=10)
     return Dataset(features, labels, splits, f"tree-d{depth}")

@@ -229,6 +229,7 @@ class LorentzPoint:
     """
 
     coords: np.ndarray
+    model = Model.LORENTZ
 
     def __post_init__(self):
         arr = _as_vector(self.coords, 2)
@@ -236,10 +237,6 @@ class LorentzPoint:
         if arr[0] <= 0.0 or abs(arr[0] - out[0]) > _LORENTZ_INPUT_TOL * max(1.0, out[0]):
             raise ValueError("coordinates do not lie on the upper hyperboloid sheet")
         object.__setattr__(self, "coords", out)
-
-    @property
-    def model(self) -> Model:
-        return Model.LORENTZ
 
     @property
     def dim(self) -> int:
@@ -290,40 +287,39 @@ def minkowski_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Tangent vector attached to a base point of a named model.
+    """Tangent vector attached to a base point; its model is the base's.
 
     Lorentz components are projected onto the Minkowski-orthogonal complement
     of the base, so <base, components> = 0 holds exactly for stored vectors.
     """
 
-    model: Model
     base: Point
     components: np.ndarray
 
     def __post_init__(self):
-        model = Model(self.model)
-        object.__setattr__(self, "model", model)
-        if self.base.model is not model:
-            raise ValueError(f"base point model {self.base.model} does not match {model}")
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.shape != self.base.coords.shape:
             raise ValueError("components length must match the model dimensionality")
         _finite(comp, "components")
-        if model is Model.LORENTZ:
+        if self.model is Model.LORENTZ:
             comp = lorentz_tangent_rows(self.base.coords[None], comp[None], _LORENTZ_INPUT_TOL)[0]
         object.__setattr__(self, "components", comp)
+
+    @property
+    def model(self) -> Model:
+        return self.base.model
 
 
 def _tangent_row(base: Point, rows: np.ndarray) -> TangentVector:
     """The tangent vector at base held by the one row of a kernel's output."""
     v = object.__new__(TangentVector)
-    for name, value in (("model", base.model), ("base", base), ("components", rows[0])):
-        object.__setattr__(v, name, value)
+    object.__setattr__(v, "base", base)
+    object.__setattr__(v, "components", rows[0])
     return v
 
 
 def tangent(base: Point, components) -> TangentVector:
-    return TangentVector(base.model, base, components)
+    return TangentVector(base, components)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
               k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
               z = asinhc|h_s| h_s
 
-A model, `HnnModel`, is flat and frozen: its fields are the flavor and the
-four parameters W, b, R, r under the names of their gradients (`weight`,
-`bias`, `readout_weight`, `readout_bias`).  The optimizer, the checkpoints
-and the gradient checks address the parameters by those names, and derive
-new models with `dataclasses.replace`, which re-runs the model's checks.
+A model, `HnnModel`, is flat and frozen: its fields are exactly the four
+parameters W, b, R, r under the names of their gradients (`weight`, `bias`,
+`readout_weight`, `readout_bias`), and its flavor is the model of its bias
+point.  The optimizer, the checkpoints and the gradient checks address the
+parameters by those names, and derive new models with `dataclasses.replace`,
+which re-runs the model's checks; replacing the bias with a point of another
+model changes the flavor.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -98,20 +100,17 @@ MAX_FEATURE_NORM = 5.0
 # added to a squared norm before its root: a zero row's norm, and slopes over it, stay finite
 _TINY = 1e-32
 
-_PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
-
 
 @dataclass(frozen=True, eq=False)
 class HnnModel:
     """Two-layer hyperbolic network: hyperbolic linear + Euclidean readout.
 
-    The fields after `flavor` are the parameters under their gradient keys;
-    the bias is a point of the flavor's model.  `dataclasses.replace`
-    derives a new model and re-runs these checks, so all are finite; the
-    arrays, copied here but for the bias's coordinates, are all read-only.
+    The fields are the parameters under their gradient keys, and the
+    flavor is the model of the bias point.  `dataclasses.replace` derives a
+    new model and re-runs these checks, so all are finite; the arrays,
+    copied here but for the bias's coordinates, are all read-only.
     """
 
-    flavor: Model
     weight: np.ndarray
     bias: Point
     readout_weight: np.ndarray
@@ -123,9 +122,6 @@ class HnnModel:
             raise ValueError("weight must be a finite 2-d matrix")
         if self.bias.dim != weight.shape[0]:
             raise ValueError("bias dimension must match the weight output dimension")
-        flavor = Model(self.flavor)
-        if self.bias.model is not flavor:
-            raise ValueError("bias model must match the network flavor")
         readout_weight = np.array(self.readout_weight, dtype=np.float64)
         readout_bias = np.array(self.readout_bias, dtype=np.float64)
         if readout_weight.ndim != 2 or not np.all(np.isfinite(readout_weight)):
@@ -140,13 +136,13 @@ class HnnModel:
             raise ValueError("need at least two classes")
         for array in (weight, self.bias.coords, readout_weight, readout_bias):
             array.flags.writeable = False
-        for name, value in (
-            ("flavor", flavor),
-            ("weight", weight),
-            ("readout_weight", readout_weight),
-            ("readout_bias", readout_bias),
-        ):
+        copies = (("weight", weight), ("readout_weight", readout_weight), ("readout_bias", readout_bias))
+        for name, value in copies:
             object.__setattr__(self, name, value)
+
+    @property
+    def flavor(self) -> Model:
+        return self.bias.model
 
     @property
     def in_dim(self) -> int:
@@ -165,22 +161,19 @@ class HnnModel:
         return {key: self.bias.coords if key == "bias" else getattr(self, key) for key in _PARAMETERS}
 
 
+_PARAMETERS = tuple(f.name for f in fields(HnnModel))
+
+
 def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed: int) -> HnnModel:
     """Uniform(+-1/sqrt(fan_in)) weights, bias at the origin, zero readout bias."""
     rng = np.random.default_rng(seed)
-    flavor = Model(flavor)
     w = rng.uniform(-1.0, 1.0, size=(hidden_dim, in_dim)) / np.sqrt(in_dim)
     wr = rng.uniform(-1.0, 1.0, size=(n_classes, hidden_dim)) / np.sqrt(hidden_dim)
-    return HnnModel(flavor, w, origin(flavor, hidden_dim), wr, np.zeros(n_classes))
+    return HnnModel(w, origin(flavor, hidden_dim), wr, np.zeros(n_classes))
 
 
 # ---------------------------------------------------------------------------
 # the tape's stages; rows of points, one manifold point per row
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, m) arrays, as an (N, 1) column."""
-    return np.einsum("ij,ij->i", x, y)[:, None]
 
 
 def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
@@ -388,7 +381,7 @@ def _preprocess(features) -> np.ndarray:
         raise ValueError("features must be a 2-d matrix")
     # an idle cap scales by 1; the margin sends each row that np.linalg.norm's
     # summation order could round to the cap, and each non-finite row, to the scaling
-    if (_row_dots(feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)).all():
+    if (np.einsum("ij,ij->i", feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)).all():
         return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
@@ -557,7 +550,7 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
         length = float(np.sqrt(max(minkowski_inner(step_vec, step_vec), 0.0)))
         if length > _MAX_BIAS_STEP:
             step_vec = step_vec * (_MAX_BIAS_STEP / length)
-    new_bias = exp_map(bias, TangentVector(model.flavor, bias, step_vec))
+    new_bias = exp_map(bias, TangentVector(bias, step_vec))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
     return replace(model, bias=new_bias, **euclidean)
@@ -584,7 +577,6 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
-    epoch: int
     train_loss: float
     val_acc: float
     seconds: float
@@ -628,7 +620,7 @@ def train(model: HnnModel, dataset, config: TrainConfig):
             val_acc = accuracy(model, val_x, val_y) if val_y.size else float("nan")
         except NumericalError as err:
             raise NumericalError(f"{err} ({model.flavor.value}, epoch {epoch})") from err
-        metrics.append(EpochRecord(epoch, loss, val_acc, seconds))
+        metrics.append(EpochRecord(loss, val_acc, seconds))
 
         if val_y.size and val_acc >= best_acc - slack:
             best_model = model
@@ -669,7 +661,6 @@ def load_model(path):
     for key in ("flavor", *_PARAMETERS):
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} field")
-    flavor = Model(doc["flavor"])
     params = {key: np.asarray(doc[key], dtype=np.float64) for key in _PARAMETERS}
-    params["bias"] = make_point(flavor, params["bias"])
-    return HnnModel(flavor, **params), doc
+    params["bias"] = make_point(doc["flavor"], params["bias"])
+    return HnnModel(**params), doc

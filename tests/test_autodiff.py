@@ -172,7 +172,6 @@ def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):
     """A Klein network with the bias at the origin and two classes."""
     weight = np.array(weight)
     return nn.HnnModel(
-        Model.KLEIN,
         weight,
         origin(Model.KLEIN, len(weight)),
         np.array(readout_weight),

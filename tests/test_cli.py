@@ -67,6 +67,17 @@ def test_fractional_label_exits_2(tree_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_split_exits_2(tree_file, tmp_path, capsys):
+    # a misspelled val split used to train every epoch with val_acc nan
+    doc = json.loads(tree_file.read_text())
+    doc["splits"]["valid"] = doc["splits"].pop("val")
+    tree_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(train_argv(tree_file, out, epochs=40) + ["--patience", "5"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: invalid dataset: unknown split 'valid'"]
+    assert not out.exists()
+
+
 def test_numerical_error_in_training_exits_3(tree_file, tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise NumericalError("numerical overflow in klein_layer at row 0 (klein, epoch 0)")

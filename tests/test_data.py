@@ -195,6 +195,22 @@ class TestLoad:
         with pytest.raises(DataError, match="disjoint"):
             Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1], "val": [2, 2]})
 
+    @pytest.mark.parametrize("indices", [[2], [1, 4, 99]], ids=["in_range", "out_of_range"])
+    def test_unknown_split_rejected(self, tmp_path, indices):
+        # a misspelled split used to load as an empty val split, even out of range
+        doc = {**VALID_DOC, "splits": {"train": [0, 1], "valid": indices, "test": []}}
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == "invalid dataset: unknown split 'valid'"
+
+    def test_absent_splits_are_empty_int64_arrays(self):
+        ds = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1]})
+        assert list(ds.splits) == ["train", "val", "test"]
+        for idx in (ds.val_idx, ds.test_idx):
+            assert idx.dtype == np.int64 and idx.size == 0
+
     def test_train_missing_class_rejected(self):
         with pytest.raises(DataError, match="every class"):
             Dataset(
@@ -250,6 +266,15 @@ class TestSplit:
         ds = Dataset(np.ones((5, 2)), np.array([0, 0, 0, 1, 1]))
         with pytest.raises(DataError, match="too small to stratify"):
             split(ds, seed=0)
+
+    def test_tiny_ratios_keep_the_splits_disjoint(self):
+        # the train cut is raised to one member per class while the val cut
+        # rounds to zero; the test split used to start at zero and repeat it
+        ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1])
+        ds = split(ds, (0.01, 0.01, 0.98))
+        assert ds.train_idx.tolist() == [2, 5]
+        assert ds.val_idx.tolist() == []
+        assert ds.test_idx.tolist() == [0, 1, 3, 4]
 
     def test_bad_ratios(self):
         with pytest.raises(DataError):

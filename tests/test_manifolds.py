@@ -73,19 +73,24 @@ class TestPointTypes:
         with pytest.raises(ValueError):
             LorentzPoint([-np.sqrt(2.0), 1.0, 0.0])
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_tangent_model_is_its_base_model(self, model):
+        base = convert_point(KleinPoint([0.1, 0.2]), model)
+        assert TangentVector(base, np.zeros_like(base.coords)).model is base.model is model
+
     def test_tangent_dim_mismatch(self):
         with pytest.raises(ValueError):
-            TangentVector(Model.KLEIN, KleinPoint([0.1, 0.2]), [1.0, 0.0, 0.0])
+            TangentVector(KleinPoint([0.1, 0.2]), [1.0, 0.0, 0.0])
 
     def test_lorentz_tangent_projected_orthogonal(self):
         x = LorentzPoint([np.sqrt(2.0), 1.0, 0.0])
-        v = TangentVector(Model.LORENTZ, x, [1.0 / np.sqrt(2.0), 1.0, 0.3])
+        v = TangentVector(x, [1.0 / np.sqrt(2.0), 1.0, 0.3])
         assert abs(minkowski_inner(x.coords, v.components)) < 1e-12
 
     def test_lorentz_tangent_rejects_non_orthogonal(self):
         x = LorentzPoint([np.sqrt(2.0), 1.0, 0.0])
         with pytest.raises(ValueError):
-            TangentVector(Model.LORENTZ, x, [5.0, 1.0, 0.0])
+            TangentVector(x, [5.0, 1.0, 0.0])
 
 
 class TestLorentzFactor:
