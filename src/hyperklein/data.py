@@ -88,6 +88,8 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
     n = features.shape[0]
     seen = np.zeros(n, dtype=np.int64)
     for part, idx in splits.items():
+        if idx.ndim != 1:
+            raise DataError(f"invalid dataset: {part} indices must be a flat list")
         if idx.size == 0:
             continue
         if idx.min() < 0 or idx.max() >= n:

@@ -555,15 +555,3 @@ def transport_from_origin(x: Point, v: TangentVector) -> TangentVector:
     _require_origin_base(v)
     return _tangent_row(x, transport_rows(x.model, x.coords[None], v.components[None]))
 
-
-def klein_transport_broken_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Known-bad closed form for the Klein origin transport, row by row.
-
-    Its radial component violates metric preservation; it exists only so the
-    verification suites can demonstrate that they catch the defect.
-    """
-    s = np.sqrt(1.0 - row_dots(x, x))
-    gap = 1.0 - s
-    coef = np.where(gap == 0.0, 0.0, row_dots(x, v) * (s - 2.0) / np.where(gap == 0.0, 1.0, gap))
-    return _finite(coef * x + s * v, "components")
-

@@ -1,9 +1,12 @@
-"""Shared fixtures: synthetic datasets written in the on-disk JSON format."""
+"""Shared fixtures: synthetic datasets written in the on-disk JSON format, a
+row-kernel checker and a known-bad Klein transport."""
 
 import json
 
 import numpy as np
 import pytest
+
+from hyperklein.manifolds import row_dots
 
 # node counts per class chosen to total 183 with every class stratifiable
 TEXAS_CLASS_SIZES = (33, 18, 101, 21, 10)
@@ -68,3 +71,20 @@ def check_row_kernel():
         _rows_close(padded, whole, 1e-15)
 
     return check
+
+
+@pytest.fixture
+def broken_klein_transport():
+    """Known-bad closed form for the Klein origin transport, row by row.
+
+    Its radial component violates metric preservation, so the verification
+    suites must catch it when it stands in for `transport_rows`.
+    """
+
+    def transport(x, v):
+        s = np.sqrt(1.0 - row_dots(x, x))
+        gap = 1.0 - s
+        coef = np.where(gap == 0.0, 0.0, row_dots(x, v) * (s - 2.0) / np.where(gap == 0.0, 1.0, gap))
+        return coef * x + s * v
+
+    return transport

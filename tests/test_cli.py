@@ -3,11 +3,13 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hyperklein import cli, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset, save_dataset
+from hyperklein.manifolds import Model, transport_rows
 
 
 @pytest.fixture
@@ -75,6 +77,18 @@ def test_unknown_split_exits_2(tree_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(train_argv(tree_file, out, epochs=40) + ["--patience", "5"]) == cli.EXIT_DATA
     assert capsys.readouterr().err.splitlines() == ["data error: invalid dataset: unknown split 'valid'"]
+    assert not out.exists()
+
+
+def test_nested_split_indices_exit_2(tree_file, tmp_path, capsys):
+    # a nested index list used to exit 1 with "object too deep for desired array"
+    doc = json.loads(tree_file.read_text())
+    doc["splits"]["train"] = [doc["splits"]["train"]]
+    tree_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(train_argv(tree_file, out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: invalid dataset: train indices must be a flat list"]
     assert not out.exists()
 
 
@@ -146,16 +160,86 @@ def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys)
     assert "feature dimension 6 does not match model input 8" in capsys.readouterr().err
 
 
+def strict_json(text):
+    """json.loads that refuses the bare NaN and Infinity tokens, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_undefined_accuracies_are_null(tree_file, tmp_path, capsys):
+    # with no val and no test rows, train and eval used to print a bare NaN
+    doc = json.loads(tree_file.read_text())
+    doc["splits"] = {"train": doc["splits"]["train"], "test": []}
+    tree_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(train_argv(tree_file, out, epochs=3)) == cli.EXIT_OK
+    printed = strict_json(capsys.readouterr().out)
+    assert printed == strict_json((out / "metrics.json").read_text())
+    assert printed["best_val_acc"] is None and printed["test_acc"] is None
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(tree_file), "--split", "val"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert strict_json(capsys.readouterr().out) == {"split": "val", "n": 0, "accuracy": None}
+
+
+def convert(src, dst, source, target):
+    return cli.main(["convert", "--src", src, "--dst", dst, "--input", str(source), "--output", str(target)])
+
+
+def test_convert_round_trip_skips_blank_lines(tmp_path):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(8, 3))
+    points *= rng.uniform(0.0, 0.9, size=(8, 1)) / np.linalg.norm(points, axis=1, keepdims=True)
+    rows = [",".join(repr(float(c)) for c in p) for p in points]
+    (tmp_path / "klein.csv").write_text("\n".join(rows[:4] + ["", "  "] + rows[4:]) + "\n")
+    assert convert("klein", "poincare", tmp_path / "klein.csv", tmp_path / "ball.csv") == cli.EXIT_OK
+    assert convert("poincare", "klein", tmp_path / "ball.csv", tmp_path / "back.csv") == cli.EXIT_OK
+    back = np.loadtxt(tmp_path / "back.csv", delimiter=",")
+    assert back.shape == points.shape
+    np.testing.assert_allclose(back, points, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "src,rows,message",
+    [
+        ("klein", "0.1,0.2\n\n0.6,0.8\n", "row 3: point lies outside the open unit ball"),
+        ("poincare", "0.1,0.2\n1.5,0.0\n", "row 2: point lies outside the open unit ball"),
+        ("klein", "0.1,0.2\n0.1,abc\n", "row 2: could not convert string to float: 'abc'"),
+        ("lorentz", "1.0,0.0\n1.0,0.5\n", "row 2: coordinates do not lie on the upper hyperboloid sheet"),
+    ],
+    ids=["klein_boundary", "poincare_outside", "non_numeric", "off_sheet"],
+)
+def test_convert_bad_row_exits_2_naming_it(tmp_path, capsys, src, rows, message):
+    (tmp_path / "in.csv").write_text(rows)
+    dst = "poincare" if src == "klein" else "klein"
+    assert convert(src, dst, tmp_path / "in.csv", tmp_path / "out.csv") == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_convert_empty_input_writes_an_empty_file(tmp_path):
+    (tmp_path / "in.csv").write_text("")
+    assert convert("klein", "lorentz", tmp_path / "in.csv", tmp_path / "out.csv") == cli.EXIT_OK
+    assert (tmp_path / "out.csv").read_bytes() == b""
+
+
 def test_selftest_passes():
     assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_OK
 
 
-def test_injected_transport_defect_exits_4(capsys):
-    code = cli.main(["selftest", "--samples", "20", "--inject-transport-defect"])
-    assert code == cli.EXIT_SELFTEST
+def test_injected_transport_defect_exits_4(monkeypatch, capsys, broken_klein_transport):
+    def transport(model, x, v):
+        if model is Model.KLEIN:
+            return broken_klein_transport(x, v)
+        return transport_rows(model, x, v)
+
+    monkeypatch.setattr(verify, "transport_rows", transport)
+    assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_SELFTEST
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith("FAILED suites:")]
-    assert failed == ["FAILED suites: transport_conjugation, transport_gyro"]
+    assert failed == ["FAILED suites: transport_isometry, transport_conjugation, transport_gyro"]
 
 
 def test_selftest_stdout_is_deterministic_and_stderr_times_each_suite(capsys):

@@ -205,6 +205,15 @@ class TestLoad:
             load_dataset(path)
         assert str(err.value) == "invalid dataset: unknown split 'valid'"
 
+    @pytest.mark.parametrize("indices", [[[0, 1]], [[]], 0], ids=["nested", "nested_empty", "scalar"])
+    def test_split_indices_not_a_flat_list_rejected(self, tmp_path, indices):
+        # a nested list used to fail in np.bincount, or to load as an empty split
+        doc = {**VALID_DOC, "splits": {"train": indices, "val": [2], "test": []}}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="^invalid dataset: train indices must be a flat list$"):
+            load_dataset(path)
+
     def test_absent_splits_are_empty_int64_arrays(self):
         ds = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1]})
         assert list(ds.splits) == ["train", "val", "test"]

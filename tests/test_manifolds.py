@@ -23,7 +23,6 @@ from hyperklein.manifolds import (
     geodesic_rows,
     geodesic_unit,
     klein_metric_inverse,
-    klein_transport_broken_rows,
     log_map,
     log_rows,
     lorentz_factor,
@@ -387,9 +386,9 @@ class TestTransport:
         out = transport_from_origin(KleinPoint([0.8, 0.0]), tangent(o, [1.0, 0.0]))
         np.testing.assert_allclose(out.components, [0.36, 0.0], atol=1e-12)
 
-    def test_broken_form_differs_radially(self):
+    def test_broken_form_differs_radially(self, broken_klein_transport):
         o, x, v = np.zeros((1, 2)), np.array([[0.8, 0.0]]), np.array([[1.0, 0.0]])
-        out = klein_transport_broken_rows(x, v)
+        out = broken_klein_transport(x, v)
         np.testing.assert_allclose(out, [[-1.64, 0.0]], atol=1e-12)
         # the defective form is not a linear isometry
         moved = metric_inner_rows(Model.KLEIN, x, out, out)[0]
@@ -518,10 +517,10 @@ def test_row_kernel_matches_one_row_calls_and_padding(check_row_kernel, model, k
     check_row_kernel(fn, args)
 
 
-def test_broken_transport_row_kernel(check_row_kernel):
+def test_broken_transport_row_kernel(check_row_kernel, broken_klein_transport):
     rng = np.random.default_rng(41)
     x = kernel_points(rng, Model.KLEIN)
-    check_row_kernel(klein_transport_broken_rows, (x, kernel_tangents(rng, Model.KLEIN, x)))
+    check_row_kernel(broken_klein_transport, (x, kernel_tangents(rng, Model.KLEIN, x)))
 
 
 def test_exp_rows_check_every_row():

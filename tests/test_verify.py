@@ -1,5 +1,6 @@
 """Tests for the property suites themselves."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -20,6 +21,12 @@ def test_gradient_check_steps_around_relu_kinks(seed):
     report = verify.run_suite("gradient_check", samples=20, seed=seed)
     assert report.passed, report.worst_case_input
 
+
+def test_every_suite_takes_exactly_samples_and_rng():
+    # a per-suite switch would need a third parameter; a test injects a defect
+    # by patching the kernel the suite calls instead
+    params = {name: list(inspect.signature(fn).parameters) for name, (fn, _, _) in verify._SUITES.items()}
+    assert params == {name: ["samples", "rng"] for name in verify._SUITES}
 
 
 def test_gradient_check_raises_on_a_non_finite_loss():
