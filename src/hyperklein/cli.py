@@ -157,9 +157,8 @@ def _cmd_train(args) -> int:
     tangents = nn.hidden_tangent(model, ds.features)
     coords = _principal_2d(tangents)
     lines = ["pc1,pc2,label"]
-    lines += [
-        f"{_fmt(coords[i, 0])},{_fmt(coords[i, 1])},{int(ds.labels[i])}" for i in range(ds.n)
-    ]
+    # tolist's Python floats and ints print as _fmt and int would print them
+    lines += [f"{a!r},{b!r},{label}" for (a, b), label in zip(coords.tolist(), ds.labels.tolist())]
     (out / "features2d.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(json.dumps(doc))
     return EXIT_OK

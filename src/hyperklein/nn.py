@@ -44,7 +44,14 @@ The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
 with a closed-form backward.  A stage holds a (width, N) array, a column
 per row, so the layer's per-row scalars are (1, N) rows and the readout and
-the loss reduce along contiguous memory.
+the loss reduce along contiguous memory.  Each stage builds its output in
+the array it keeps; the layer's hidden points are scaled to z in place and
+rebuilt only when read, and the loss's shifted logits become its
+exponentials.  A backward runs once.  It may overwrite the gradient it is
+handed and the buffers its own closure holds (the loss returns its
+exponentials as the gradient, the relu masks in place, and the layer builds
+its summands in its incoming gradient's buffer), but never a stage's
+`data`, which callers read after the backward.
 The stages read the model's fields directly: the backward walks the chain
 from the loss to hidden_linear, and each stage writes its own parameters'
 gradients into the pass's `grads`.  The smooth ratios' slopes are computed
@@ -71,7 +78,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -286,10 +293,11 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
     q = b @ wd
     s = float(b @ b)
     alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
-    hidden = alpha * wd + beta * b[:, None]
-    r = np.sqrt((hidden * hidden).sum(axis=0, keepdims=True) + _TINY)
+    z = alpha * wd
+    z += beta * b[:, None]  # the hidden points h, scaled to z in place below
+    r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
     k = smooth_ratio(log_ratio, r)
-    z = k * hidden
+    z *= k
 
     def back(gz):
         dk = smooth_slope(log_ratio, r, k)
@@ -304,11 +312,18 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         g_s = np.sum(g_s + g_sq * beta * beta)
         gb = gz @ (k * beta)[0] + wd @ g_q[0] + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
-        return k * alpha * gz + 2.0 * g_p * wd + g_q * b[:, None]
+        # gz is read; its buffer holds each further summand of gw in turn
+        gw = k * alpha * gz
+        gw += np.multiply(2.0 * g_p, wd, out=gz)
+        gw += np.multiply(g_q, b[:, None], out=gz)
+        return gw
+
+    def hidden():
+        return alpha * wd + beta * b[:, None]
 
     if h_time is None:
-        return Tensor(z, w, back, name), lambda: hidden
-    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden))
+        return Tensor(z, w, back, name), hidden
+    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden()))
 
 
 def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
@@ -335,7 +350,7 @@ _LAYERS = {
 
 def _relu(t: Tensor) -> Tensor:
     """max(t, 0) elementwise; the slope at zero is zero."""
-    return Tensor(np.maximum(t.data, 0.0), t, lambda g: g * (t.data > 0.0), "relu")
+    return Tensor(np.maximum(t.data, 0.0), t, lambda g: np.multiply(g, t.data > 0.0, out=g), "relu")
 
 
 def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Tensor:
@@ -346,20 +361,23 @@ def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Te
         grads["readout_bias"] = g.sum(axis=1)
         return weight.T @ g
 
-    return Tensor(weight @ a.data + bias[:, None], a, back, "readout")
+    logits = weight @ a.data
+    logits += bias[:, None]
+    return Tensor(logits, a, back, "readout")
 
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean of the logit columns' cross-entropies as one stage; gradient (softmax - onehot)/N."""
     rows = np.arange(labels.size)
     shifted = logits.data - logits.data.max(axis=0)
-    e = np.exp(shifted)
+    picked = shifted[labels, rows]
+    e = np.exp(shifted, out=shifted)
     total = e.sum(axis=0)
     scale = 1.0 / labels.size
-    per_row = np.log(total) - shifted[labels, rows]
+    per_row = np.log(total) - picked
 
     def back(g):
-        grad = e * (g * scale / total)
+        grad = np.multiply(e, g * scale / total, out=e)
         grad[labels, rows] -= g * scale
         return grad
 
@@ -407,9 +425,12 @@ class _TapeRun:
     The tape is the chain of stages hidden_linear, <flavor>_layer, relu,
     readout, and cross_entropy when labels are given, each a Tensor linked to
     the one before it.  Each holds a (width, N) array, a column per row, and
-    the layer's scalars are (1, N) rows.  The stages read the model's
-    parameter fields directly, and their backwards write each parameter's
-    gradient into `grads` under the field's name.  Holds `stages` (in the
+    the layer's scalars are (1, N) rows.  A forward allocates the stages'
+    arrays and, besides them, only short-lived (width, N) products inside
+    the layer.  The stages read the model's parameter fields directly, and
+    their backwards write each parameter's gradient into `grads` under the
+    field's name; `loss.backward()` runs once per pass, and may overwrite
+    the gradients it passes along but never a stage's `data`.  Holds `stages` (in the
     order they were built), `tangent` (the layer stage), `logits`, `loss`,
     `grads` and `hidden_out`, the hidden points as (N, width) rows (with the
     time coordinate for Lorentz), built when read.  No stage enters
@@ -489,17 +510,18 @@ _ADAM_EPS = 1e-8
 
 @dataclass
 class GradState:
-    """Adam accumulators; moments are kept coordinate-wise per parameter."""
+    """Adam accumulators: one (m, v) pair over every parameter coordinate,
+    the parameters concatenated in `_PARAMETERS` order; None before a step."""
 
     lr: float
     step: int = 0
-    moments: dict = field(default_factory=dict)
+    moments: tuple | None = None
 
-    def _update(self, key: str, grad: np.ndarray) -> np.ndarray:
-        m, v = self.moments[key] if key in self.moments else (np.zeros_like(grad),) * 2
+    def _update(self, grad: np.ndarray) -> np.ndarray:
+        m, v = self.moments if self.moments is not None else (np.zeros_like(grad),) * 2
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
-        self.moments[key] = (m, v)
+        self.moments = (m, v)
         m_hat = m / (1.0 - _ADAM_BETA1**self.step)
         v_hat = v / (1.0 - _ADAM_BETA2**self.step)
         return m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
@@ -531,17 +553,19 @@ def _clamp_lorentz_radius(p: LorentzPoint) -> LorentzPoint:
 
 
 def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnModel:
-    """One optimizer step; Euclidean params use plain Adam, the bias retracts."""
+    """One optimizer step: one Adam update over all the parameters, with the
+    bias's Riemannian gradient in its slot.  The Euclidean parameters add
+    their part of the step; the bias retracts along its part."""
     state.step += 1
-    lr = state.lr
-    euclidean = {
-        key: getattr(model, key) - lr * state._update(key, grads[key])
-        for key in ("weight", "readout_weight", "readout_bias")
-    }
-
     bias = model.bias
-    rgrad = _riemannian_bias_grad(bias, grads["bias"])
-    step_vec = -lr * state._update("bias", rgrad)
+    params = model.parameter_arrays()
+    slots = {**grads, "bias": _riemannian_bias_grad(bias, grads["bias"])}
+    step = -state.lr * state._update(np.concatenate([np.ravel(slots[key]) for key in _PARAMETERS]))
+    moves, start = {}, 0
+    for key, array in params.items():
+        moves[key] = step[start : start + array.size].reshape(array.shape)
+        start += array.size
+    step_vec = moves.pop("bias")
     if isinstance(bias, LorentzPoint):
         step_vec = lorentz_tangent_rows(bias.coords[None], step_vec[None])[0]
         # projecting the coordinate-wise step back to the tangent space can
@@ -553,7 +577,7 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     new_bias = exp_map(bias, TangentVector(bias, step_vec))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
-    return replace(model, bias=new_bias, **euclidean)
+    return replace(model, bias=new_bias, **{key: params[key] + move for key, move in moves.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Microbenchmarks of each flavor's layer stage, forward and backward, on a
 1,234 x 16 batch, of the readout and loss stages, forward and backward, on
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
-of the tree-d10 data and on its first row, and of `nn.gradients` on 8 x 6
-rows, the shape of `verify`'s gradient_check, where a pass's fixed cost
-dominates.
+of the tree-d10 data and on its first row, and of `nn.gradients` on the
+1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
+gradient_check, where a pass's fixed cost dominates.
+
+A backward runs once per pass and may overwrite the gradient it is handed
+and the buffers its stage holds, so each backward round times a stage and
+a gradient built afresh for it.
 
 The tier-1 run calls each once (`--benchmark-disable` in pyproject.toml);
 to time them:
@@ -40,6 +44,11 @@ def layer_inputs(flavor):
     return w, offset_bias(flavor, WIDTH, rng).coords
 
 
+def time_backward(benchmark, build):
+    """Time stage.back(g) for a (stage, g) pair that `build` makes anew each round."""
+    return benchmark.pedantic(lambda stage, g: stage.back(g), setup=lambda: (build(), {}), rounds=100)
+
+
 @pytest.mark.parametrize("flavor", list(Model))
 def test_layer_forward(benchmark, flavor):
     w, bias = layer_inputs(flavor)
@@ -53,13 +62,9 @@ def test_layer_forward(benchmark, flavor):
 def test_layer_backward(benchmark, flavor):
     w, bias = layer_inputs(flavor)
     grads = {}
-    z, _ = nn._LAYERS[flavor](w, bias, grads)
-    gz = np.random.default_rng(1).normal(size=z.data.shape)
-
-    def backward():
-        return z.back(gz), grads["bias"]
-
-    gw, gb = benchmark(backward)
+    gz = np.random.default_rng(1).normal(size=w.data.shape)
+    gw = time_backward(benchmark, lambda: (nn._LAYERS[flavor](w, bias, grads)[0], gz.copy()))
+    gb = grads["bias"]
     assert gw.shape == (WIDTH, ROWS) and gb.shape == bias.shape
     assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
 
@@ -80,9 +85,10 @@ def test_readout_forward(benchmark):
 def test_readout_backward(benchmark):
     active, model, _ = readout_inputs()
     grads = {}
-    logits = nn._readout(active, model.readout_weight, model.readout_bias, grads)
-    g = np.random.default_rng(5).normal(size=logits.data.shape)
-    ga = benchmark(logits.back, g)
+    g = np.random.default_rng(5).normal(size=(CLASSES, ROWS))
+    ga = time_backward(
+        benchmark, lambda: (nn._readout(active, model.readout_weight, model.readout_bias, grads), g.copy())
+    )
     assert ga.shape == (WIDTH, ROWS)
     assert grads["readout_weight"].shape == (CLASSES, WIDTH) and grads["readout_bias"].shape == (CLASSES,)
 
@@ -96,24 +102,33 @@ def test_cross_entropy_forward(benchmark):
 
 def test_cross_entropy_backward(benchmark):
     active, model, labels = readout_inputs()
-    loss = nn._mean_cross_entropy(nn._readout(active, model.readout_weight, model.readout_bias, {}), labels)
-    g = benchmark(loss.back, np.ones_like(loss.data))
+    logits = nn._readout(active, model.readout_weight, model.readout_bias, {})
+    g = time_backward(benchmark, lambda: (nn._mean_cross_entropy(logits, labels), np.ones(())))
     assert g.shape == (CLASSES, ROWS) and np.all(np.isfinite(g))
     np.testing.assert_allclose(g.sum(axis=0), 0.0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
-def tree_features():
-    return gen_tree_dataset(10, WIDTH, 0.1, seed=0).features
+def tree():
+    return gen_tree_dataset(10, WIDTH, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("rows", [2047, 1])
 @pytest.mark.parametrize("flavor", list(Model))
-def test_forward(benchmark, tree_features, flavor, rows):
+def test_forward(benchmark, tree, flavor, rows):
     model = nn.init_model(flavor, WIDTH, WIDTH, 4, seed=0)
-    feats = tree_features[:rows]
+    feats = tree.features[:rows]
     logits = benchmark(nn.forward, model, feats)
     assert logits.shape == (rows, 4) and np.all(np.isfinite(logits))
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_gradients_tree_train_split(benchmark, tree, flavor):
+    model = nn.init_model(flavor, WIDTH, WIDTH, tree.n_classes, seed=0)
+    feats, labels = tree.features[tree.train_idx], tree.labels[tree.train_idx]
+    assert feats.shape == (ROWS, WIDTH)
+    loss, grads = benchmark(nn.gradients, model, feats, labels)
+    assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 @pytest.mark.parametrize("flavor", list(Model))

@@ -1,5 +1,6 @@
 """Tests for the hyperbolic layers, gradients, optimizer, and training loop."""
 
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -638,6 +639,39 @@ class TestNumericalGuard:
         with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
             nn.gradients(model, ds.features, ds.labels)
         assert nodes[0] == 5
+
+
+class TestTapeBuffers:
+    # a backward may overwrite the gradient it is handed and the buffers its
+    # own closure holds, never a stage's data: callers read the tangent, the
+    # logits and the hidden points after the backward has run
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_backward_leaves_the_forward_intact(self, flavor):
+        model = offset_bias_model(flavor, 5, 6, 4, seed=33)
+        feats = np.random.default_rng(34).normal(size=(40, 5)) * 2.0
+        run = nn._TapeRun(model, feats, np.arange(40) % 4)
+        before = [run.tangent.data.copy(), run.logits.data.copy(), run.hidden_out]
+        stages = [node.data.copy() for node in run.stages]
+        run.loss.backward()
+        after = [run.tangent.data, run.logits.data, run.hidden_out]
+        for old, new in zip([*before, *stages], [*after, *(node.data for node in run.stages)]):
+            assert old.shape == new.shape and old.tobytes() == new.tobytes()
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_forward_peak_memory(self, flavor):
+        # the pass keeps its four stage arrays and the layer's (1, N) scalars,
+        # and builds no (16, N) array that it throws away at once
+        ds = gen_tree_dataset(10, 16, 0.1, seed=0)
+        model = nn.init_model(flavor, 16, 16, ds.n_classes, seed=0)
+        nn.forward(model, ds.features)
+        tracemalloc.start()
+        try:
+            nn.forward(model, ds.features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (2047, 16)
+        assert peak <= 5 * 16 * 2047 * 8
 
 
 class TestRiemannianAdam:
