@@ -36,9 +36,10 @@ A model, `HnnModel`, is flat and frozen: its fields are exactly the four
 parameters W, b, R, r under the names of their gradients (`weight`, `bias`,
 `readout_weight`, `readout_bias`), and its flavor is the model of its bias
 point.  The optimizer, the checkpoints and the gradient checks address the
-parameters by those names, and derive new models with `dataclasses.replace`,
-which re-runs the model's checks; replacing the bias with a point of another
-model changes the flavor.
+parameters by those names and derive new models only with
+`dataclasses.replace`, which re-runs the model's checks; replacing the bias
+with a point of another model changes the flavor.  A model checks its
+parameters, the entry points their inputs.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
@@ -62,16 +63,16 @@ to the `manifolds` and `gyro` row kernels composed step by step.
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
 
-`forward`, `hidden_tangent` and `gradients` run one tape pass and check
-only the arrays it returns: the logits, the tangent, or the loss and the
-four gradients.  Only when one of them is non-finite are the pass's stages
-scanned, in the order they were built, for the first one that holds a
-non-finite value; its NumericalError names the stage and the row, and
-`train` adds the flavor and the epoch.  The pass, its backward included,
-runs inside one np.errstate(all="ignore"), entered by `_checked_pass`; no
-stage enters its own.  A model's parameters are finite by construction,
-since its checks run whenever one is built and no model, nor any of its
-read-only arrays, can be changed after that, so they need no scan.
+`forward`, `hidden_tangent` and `gradients` check and cap their inputs
+(`_prepare`), run one tape pass on them and check only the arrays it
+returns: the logits, the tangent, or the loss and the four gradients.  Only
+when one of those is non-finite are the pass's stages scanned, in the order
+they were built, for the first one that holds a non-finite value; its
+NumericalError names the stage and the row, and `train` adds the flavor and
+the epoch.  The pass, its backward included, runs inside one
+np.errstate(all="ignore"), entered by `_checked_pass`; no stage enters its
+own.  A model's parameters need no scan: its checks run whenever one is
+built, and nothing changes a model or its read-only arrays after that.
 """
 
 from __future__ import annotations
@@ -92,12 +93,14 @@ from .manifolds import (
     Model,
     PoincarePoint,
     Point,
-    TangentVector,
-    exp_map,
+    _checked_lorentz_tangent,
+    _finite,
+    _point_row,
+    exp_rows,
     klein_metric_inverse,
     lorentz_tangent_rows,
     make_point,
-    minkowski_inner,
+    minkowski_rows,
     origin,
     smooth_ratio,
     smooth_slope,
@@ -112,10 +115,11 @@ _TINY = 1e-32
 class HnnModel:
     """Two-layer hyperbolic network: hyperbolic linear + Euclidean readout.
 
-    The fields are the parameters under their gradient keys, and the
-    flavor is the model of the bias point.  `dataclasses.replace` derives a
-    new model and re-runs these checks, so all are finite; the arrays,
-    copied here but for the bias's coordinates, are all read-only.
+    The fields are the parameters under their gradient keys, and the flavor
+    is the model of the bias point.  `dataclasses.replace` derives a new
+    model and re-runs these checks, so all are finite; the arrays, copied
+    here but for the bias's coordinates, are read-only.  The public entry
+    points check and cap a pass's inputs.
     """
 
     weight: np.ndarray
@@ -125,15 +129,15 @@ class HnnModel:
 
     def __post_init__(self):
         weight = np.array(self.weight, dtype=np.float64)
-        if weight.ndim != 2 or not np.all(np.isfinite(weight)):
+        if weight.ndim != 2 or not np.isfinite(weight).all():
             raise ValueError("weight must be a finite 2-d matrix")
         if self.bias.dim != weight.shape[0]:
             raise ValueError("bias dimension must match the weight output dimension")
         readout_weight = np.array(self.readout_weight, dtype=np.float64)
         readout_bias = np.array(self.readout_bias, dtype=np.float64)
-        if readout_weight.ndim != 2 or not np.all(np.isfinite(readout_weight)):
+        if readout_weight.ndim != 2 or not np.isfinite(readout_weight).all():
             raise ValueError("readout weight must be a finite 2-d matrix")
-        if not np.all(np.isfinite(readout_bias)):
+        if not np.isfinite(readout_bias).all():
             raise ValueError("readout bias must be finite")
         if readout_weight.shape[1] != weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
@@ -405,16 +409,28 @@ def _preprocess(features) -> np.ndarray:
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
 
 
+def _prepare(model: HnnModel, features, labels=None):
+    """The capped feature rows and checked labels (or None) a pass of model takes."""
+    rows = _preprocess(features)
+    if rows.shape[1] != model.in_dim:
+        raise ValueError(f"feature dimension {rows.shape[1]} does not match model input {model.in_dim}")
+    if labels is not None:
+        labels = _class_labels(labels, len(rows))
+        if ((labels < 0) | (labels >= model.n_classes)).any():
+            raise ValueError("labels out of range")
+    return rows, labels
+
+
 class _TapeRun:
     """One differentiable forward pass over a batch of rows.
 
-    The capped feature rows x are origin tangent vectors, so w = W x is
-    the tangent-space matrix action, with no exp/log of x.  By the paper's
-    transport theorem the bias step (exp_o, parallel transport, exp) is the
-    Einstein addition in Klein and the Mobius addition in Poincare
-    coordinates; like the explicit Lorentz transport it keeps each row in
-    span(w, b) (for Lorentz, span(w, v) with v = log_o(b)), and so does
-    the origin log:
+    The rows x, as `_prepare` capped them (a pass checks no input), are
+    origin tangent vectors, so w = W x is the tangent-space matrix action,
+    with no exp/log of x.  By the paper's transport theorem the bias step
+    (exp_o, parallel transport, exp) is the Einstein addition in Klein and
+    the Mobius addition in Poincare coordinates; like the explicit Lorentz
+    transport it keeps each row in span(w, b) (for Lorentz, span(w, v) with
+    v = log_o(b)), and so does the origin log:
 
         tangent = log_o(exp_o(w) (+) b) = a w + c b
         logits  = R relu(tangent) + r
@@ -422,30 +438,16 @@ class _TapeRun:
     where a and c are per-row scalars of |w|^2, w.b and |b|^2 (see
     `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
 
-    The tape is the chain of stages hidden_linear, <flavor>_layer, relu,
-    readout, and cross_entropy when labels are given, each a Tensor linked to
-    the one before it.  Each holds a (width, N) array, a column per row, and
-    the layer's scalars are (1, N) rows.  A forward allocates the stages'
-    arrays and, besides them, only short-lived (width, N) products inside
-    the layer.  The stages read the model's parameter fields directly, and
-    their backwards write each parameter's gradient into `grads` under the
-    field's name; `loss.backward()` runs once per pass, and may overwrite
-    the gradients it passes along but never a stage's `data`.  Holds `stages` (in the
-    order they were built), `tangent` (the layer stage), `logits`, `loss`,
-    `grads` and `hidden_out`, the hidden points as (N, width) rows (with the
-    time coordinate for Lorentz), built when read.  No stage enters
-    np.errstate: a caller that builds a run itself enters it if its inputs
-    can saturate, and reads `hidden_out` inside it.
+    The stages are the tape of the module docstring, cross_entropy only
+    when labels are given.  Holds `stages` (in the order they were built),
+    `tangent` (the layer stage), `logits`, `loss`, `grads` (filled by
+    `loss.backward()`, which runs once) and `hidden_out`, the hidden points
+    as (N, width) rows (with the time coordinate for Lorentz), built when
+    read.  No stage enters np.errstate: a caller that builds a run itself
+    enters it if its inputs can saturate, and reads `hidden_out` inside it.
     """
 
-    def __init__(self, model: HnnModel, features, labels=None):
-        rows = _preprocess(features)
-        if rows.shape[1] != model.in_dim:
-            raise ValueError(f"feature dimension {rows.shape[1]} does not match model input {model.in_dim}")
-        if labels is not None:
-            labels = _class_labels(labels, len(rows))
-            if ((labels < 0) | (labels >= model.n_classes)).any():
-                raise ValueError("labels out of range")
+    def __init__(self, model: HnnModel, rows: np.ndarray, labels=None):
         self.grads = {}
         w = _hidden_linear(rows, model.weight, self.grads)
         self.tangent, self._hidden_points = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
@@ -459,7 +461,7 @@ class _TapeRun:
     hidden_out = property(lambda run: run._hidden_points().T)
 
 
-def _checked_pass(model: HnnModel, features, outputs, labels=None):
+def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
     """Build one tape pass and return `outputs(run)`, checked once.
 
     The pass and `outputs` run under np.errstate(all="ignore"), so a
@@ -469,7 +471,7 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
     was in the backward.
     """
     with np.errstate(all="ignore"):
-        run = _TapeRun(model, features, labels)
+        run = _TapeRun(model, rows, labels)
         result = outputs(run)
     if all(np.isfinite(a).all() for a in result):
         return result
@@ -480,12 +482,12 @@ def _checked_pass(model: HnnModel, features, outputs, labels=None):
 
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
-    return _checked_pass(model, features, lambda run: (run.logits.data,))[0].T
+    return _checked_pass(model, _prepare(model, features)[0], lambda run: (run.logits.data,))[0].T
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    return _checked_pass(model, features, lambda run: (run.tangent.data,))[0].T
+    return _checked_pass(model, _prepare(model, features)[0], lambda run: (run.tangent.data,))[0].T
 
 
 def _loss_and_gradients(run: _TapeRun):
@@ -495,7 +497,8 @@ def _loss_and_gradients(run: _TapeRun):
 
 def gradients(model: HnnModel, features, labels):
     """Mean cross-entropy and its exact gradients for every parameter."""
-    loss, *grads = _checked_pass(model, features, _loss_and_gradients, labels)
+    rows, labels = _prepare(model, features, labels)
+    loss, *grads = _checked_pass(model, rows, _loss_and_gradients, labels)
     return float(loss), dict(zip(_PARAMETERS, grads))
 
 
@@ -565,16 +568,17 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     for key, array in params.items():
         moves[key] = step[start : start + array.size].reshape(array.shape)
         start += array.size
-    step_vec = moves.pop("bias")
+    x, v = bias.coords[None], _finite(moves.pop("bias")[None], "components")
     if isinstance(bias, LorentzPoint):
-        step_vec = lorentz_tangent_rows(bias.coords[None], step_vec[None])[0]
+        v = lorentz_tangent_rows(x, v)
         # projecting the coordinate-wise step back to the tangent space can
         # inflate its arclength by O(time); a unit trust region keeps the
         # retraction well-conditioned in hyperboloid coordinates
-        length = float(np.sqrt(max(minkowski_inner(step_vec, step_vec), 0.0)))
+        length = float(np.sqrt(max(minkowski_rows(v, v)[0, 0], 0.0)))
         if length > _MAX_BIAS_STEP:
-            step_vec = step_vec * (_MAX_BIAS_STEP / length)
-    new_bias = exp_map(bias, TangentVector(bias, step_vec))
+            v = v * (_MAX_BIAS_STEP / length)
+        v = _checked_lorentz_tangent(x, v)  # the projection a TangentVector applies
+    new_bias = _point_row(bias.model, exp_rows(bias.model, x, v))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
     return replace(model, bias=new_bias, **{key: params[key] + move for key, move in moves.items()})

@@ -14,7 +14,8 @@ one call of a row kernel of `manifolds` or `gyro` (one call per model where
 the suite covers all three).  The kernels keep padding zeros at zero, so a
 padded sample gives the same errors as the unpadded one.  The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
-`training_trend`) run the batched network itself.
+`training_trend`) run the batched network itself: its public entry points,
+which cap their inputs, or tape passes on rows prepared once per sample.
 
 The suites call the library's kernels by module-level name, so a test shows
 that a suite catches a defect by patching one, e.g. `verify.transport_rows`.
@@ -458,11 +459,13 @@ def _suite_gradient_check(samples, rng):
 
 
 def _max_rel_grad_error(model, feats, labels, grads):
+    rows, labels = nn._prepare(model, feats, labels)  # once for every trial pass
+
     def loss_with(key, arr):
         # a trial bias is taken as given: a step off the hyperboloid is not projected back
         trial = replace(model, **{key: _point_row(model.flavor, arr[None]) if key == "bias" else arr})
         loss, tangent = nn._checked_pass(
-            trial, feats, lambda run: (run.loss.data, run.tangent.data), labels
+            trial, rows, lambda run: (run.loss.data, run.tangent.data), labels
         )
         return float(loss), tangent > 0.0
 
@@ -484,7 +487,7 @@ def _suite_forward_validity(samples, rng):
         model = nn.init_model(flavor, n, m, c, seed=int(rng.integers(2**31)))
         feats = rng.normal(size=(batch, n)) * float(rng.uniform(0.1, 10.0))
         with np.errstate(all="ignore"):  # saturation shows as inf or nan, checked below
-            run = nn._TapeRun(model, feats)
+            run = nn._TapeRun(model, nn._prepare(model, feats)[0])
             hidden = run.hidden_out
         if not np.all(np.isfinite(run.logits.data)) or not np.all(np.isfinite(hidden)):
             return float("inf"), json.dumps({"flavor": flavor.value})

@@ -3,7 +3,8 @@
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
 of the tree-d10 data and on its first row, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
-gradient_check, where a pass's fixed cost dominates.
+gradient_check, where a pass's fixed cost dominates, and of one of that
+check's finite-difference passes, `nn._checked_pass` on prepared 8 x 6 rows.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -131,11 +132,25 @@ def test_gradients_tree_train_split(benchmark, tree, flavor):
     assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
-@pytest.mark.parametrize("flavor", list(Model))
-def test_gradients_small_batch(benchmark, flavor):
+def small_batch(flavor):
+    """A model off the origin and 8 x 6 rows with labels, gradient_check's shape."""
     rng = np.random.default_rng(2)
     model = replace(nn.init_model(flavor, 6, 6, 3, seed=0), bias=offset_bias(flavor, 6, rng))
-    feats, labels = rng.normal(size=(8, 6)), rng.integers(0, 3, size=8)
+    return model, rng.normal(size=(8, 6)), rng.integers(0, 3, size=8)
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_gradient_check_trial_pass(benchmark, flavor):
+    # one finite-difference pass of gradient_check: the rows are prepared once per sample
+    model, feats, labels = small_batch(flavor)
+    rows, labels = nn._prepare(model, feats, labels)
+    loss, z = benchmark(nn._checked_pass, model, rows, lambda run: (run.loss.data, run.tangent.data), labels)
+    assert np.isfinite(loss) and z.shape == (6, 8) and np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_gradients_small_batch(benchmark, flavor):
+    model, feats, labels = small_batch(flavor)
     loss, grads = benchmark(nn.gradients, model, feats, labels)
     assert np.isfinite(loss) and grads.keys() == model.parameter_arrays().keys()
     assert all(np.all(np.isfinite(g)) for g in grads.values())

@@ -60,7 +60,7 @@ def features_of(point):
 
 def hidden_point(model, feats):
     """The hidden layer's output points, before the activation."""
-    return nn._TapeRun(model, feats).hidden_out
+    return nn._TapeRun(model, *nn._prepare(model, feats)).hidden_out
 
 
 class TestKleinLinear:
@@ -281,6 +281,22 @@ class TestPreprocess:
         assert np.any(np.linalg.norm(rows, axis=1) > nn.MAX_FEATURE_NORM)
         assert nn._preprocess(rows).tobytes() == norm_capped(rows).tobytes()
 
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_public_entry_points_cap_what_a_pass_takes_as_given(self, flavor):
+        # a pass takes prepared rows; forward, hidden_tangent and gradients
+        # prepare theirs on entry, so they equal a pass on the capped rows
+        model = offset_bias_model(flavor, 4, 3, 3, seed=40)
+        feats = np.random.default_rng(41).normal(size=(6, 4)) * 10.0
+        rows, labels = nn._prepare(model, feats, np.arange(6) % 3)
+        assert rows.tobytes() == norm_capped(feats).tobytes() != feats.tobytes()
+        for fn, stage in ((nn.forward, "logits"), (nn.hidden_tangent, "tangent")):
+            want = nn._checked_pass(model, rows, lambda run: (getattr(run, stage).data,))[0].T
+            assert fn(model, feats).tobytes() == want.tobytes()
+        loss, grads = nn.gradients(model, feats, labels)
+        want_loss, *want = nn._checked_pass(model, rows, nn._loss_and_gradients, labels)
+        assert np.float64(loss).tobytes() == want_loss.tobytes()
+        assert [grads[key].tobytes() for key in nn._PARAMETERS] == [g.tobytes() for g in want]
+
 
 def kernel_reference(model, feats):
     """The network's tangent and logits composed from the `manifolds` and
@@ -373,7 +389,7 @@ class TestForward:
 
     def test_lorentz_hidden_points_are_built_on_read(self):
         model = offset_bias_model(Model.LORENTZ, 4, 3, 3, seed=30)
-        run = nn._TapeRun(model, np.random.default_rng(31).normal(size=(6, 4)) * 3.0)
+        run = nn._TapeRun(model, *nn._prepare(model, np.random.default_rng(31).normal(size=(6, 4)) * 3.0))
         hidden = run.hidden_out
         assert hidden.shape == (6, 4) and run.hidden_out is not hidden
         resid = np.abs(-hidden[:, 0] ** 2 + (hidden[:, 1:] ** 2).sum(axis=1) + 1.0)
@@ -601,7 +617,7 @@ class TestNumericalGuard:
         model = offset_bias_model(flavor, 4, 3, 3, seed=15)
         feats = np.random.default_rng(16).normal(size=(5, 4))
         labels = np.array([0, 1, 2, 1, 0])
-        run = nn._TapeRun(model, feats, labels)
+        run = nn._TapeRun(model, *nn._prepare(model, feats, labels))
         assert [node.name for node in run.stages] == [
             "hidden_linear", f"{flavor.value}_layer", "relu", "readout", "cross_entropy"
         ]
@@ -620,7 +636,7 @@ class TestNumericalGuard:
         # 6 rows of 4 features, 3 hidden units, 5 classes
         model = offset_bias_model(flavor, 4, 3, 5, seed=15)
         feats = np.random.default_rng(16).normal(size=(6, 4))
-        run = nn._TapeRun(model, feats, np.arange(6) % 5)
+        run = nn._TapeRun(model, *nn._prepare(model, feats, np.arange(6) % 5))
         assert [node.data.shape for node in run.stages] == [(3, 6), (3, 6), (3, 6), (5, 6), ()]
         assert run.hidden_out.shape == (6, 3 + (flavor is Model.LORENTZ))
         run.loss.backward()
@@ -649,7 +665,7 @@ class TestTapeBuffers:
     def test_backward_leaves_the_forward_intact(self, flavor):
         model = offset_bias_model(flavor, 5, 6, 4, seed=33)
         feats = np.random.default_rng(34).normal(size=(40, 5)) * 2.0
-        run = nn._TapeRun(model, feats, np.arange(40) % 4)
+        run = nn._TapeRun(model, *nn._prepare(model, feats, np.arange(40) % 4))
         before = [run.tangent.data.copy(), run.logits.data.copy(), run.hidden_out]
         stages = [node.data.copy() for node in run.stages]
         run.loss.backward()
@@ -855,7 +871,7 @@ class TestFlavorParity:
         for flavor in Model:
             model = offset_bias_model(flavor, 5, 6, 3, seed=19)
             feats = rng.normal(size=(50, 5)) * 8.0
-            run = nn._TapeRun(model, feats)
+            run = nn._TapeRun(model, *nn._prepare(model, feats))
             hidden = run.hidden_out
             assert np.all(np.isfinite(run.logits.data))
             if flavor is Model.LORENTZ:

@@ -39,6 +39,22 @@ def test_gradient_check_raises_on_a_non_finite_loss():
     with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
         verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
 
+
+def test_gradient_check_caps_a_sample_once_for_all_its_trials(monkeypatch):
+    # each sample's rows are capped once by gradients and once for all of
+    # its finite-difference passes, not once per pass
+    calls = {"_preprocess": 0, "gradients": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _inner=getattr(nn, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(nn, name, counted)
+    verify.run_suite("gradient_check", samples=3)
+    assert calls == {"_preprocess": 2 * 3, "gradients": 3}
+
+
 def _replay_matvec_compose(w):
     m1, m2, x = np.asarray(w["m1"]), np.asarray(w["m2"]), KleinPoint(w["x"])
     assert m1.shape == (w["out"], w["mid"]) and m2.shape == (w["mid"], x.dim)
