@@ -5,7 +5,7 @@ The on-disk format is a single UTF-8 JSON document:
     {"name": str,
      "features": [[f, ...], ...],          # N rows of d finite numbers
      "labels": [int, ...],                 # N labels in [0, C)
-     "splits": {"train": [...], "val": [...], "test": [...]},   # optional
+     "splits": {"train": [...], "val": [...], "test": [...]},   # optional, or null
      "edges": [[u, v], ...]}               # optional, accepted and ignored
 
 A dataset's splits are exactly `train`, `val` and `test`, each an int64
@@ -133,7 +133,9 @@ def load_dataset(path) -> Dataset:
 
     features = _numbers(doc["features"], "iuf", "features must be numbers", suspect)
     labels = _numbers(doc["labels"], "iu", "labels must be integers")
-    splits = dict(doc.get("splits") or {})
+    splits = {} if doc.get("splits") is None else doc["splits"]
+    if not isinstance(splits, dict):
+        raise DataError("invalid dataset: splits must be an object")
     splits = {k: _numbers(v, "iu", f"{k} indices must be integers") for k, v in splits.items()}
     return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 

@@ -597,6 +597,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
+        if not np.isfinite(self.lr):
+            raise ValueError("learning rate must be finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.patience < 1:

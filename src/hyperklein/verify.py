@@ -16,6 +16,12 @@ padded sample gives the same errors as the unpadded one.  The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
 `training_trend`) run the batched network itself: its public entry points,
 which cap their inputs, or tape passes on rows prepared once per sample.
+`gradient_check` holds a sample's exact gradients to central differences
+that take each step size's trial parameters as one stack: the weight trials
+run as one pass of the tape's stages over their columns side by side, the
+readout trials reuse the relu output of the sample's own pass, and each
+bias trial runs its own pass.  The trial losses are a cross-entropy of this
+module's own, not the tape's loss stage.
 
 The suites call the library's kernels by module-level name, so a test shows
 that a suite catches a defect by patching one, e.g. `verify.transport_rows`.
@@ -26,10 +32,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import nn
+from .autodiff import NumericalError, Tensor, check
 from .data import gen_tree_dataset
 from .gyro import (
     einstein_add_rows,
@@ -139,25 +147,31 @@ def _worst_via(errs, **fields):
 def finite_diff_grad(fn, point: np.ndarray) -> np.ndarray:
     """Central-difference gradient estimate of a piecewise-smooth function.
 
-    fn returns (value, pattern), where the array pattern names the smooth
-    piece the input lies on, such as a ReLU activation pattern.  A difference
-    across a kink estimates no derivative, so when x +- h lies on another
-    piece than x, that coordinate's step h = 1e-5 shrinks tenfold, down to 1e-8.
+    fn takes a stack of points, (K, *point.shape), and returns their values,
+    (K,), and pieces, (K, ...): per point an array naming the smooth piece it
+    lies on, such as a ReLU activation pattern.  A difference across a kink
+    estimates no derivative, so when x +- h lies on another piece than x,
+    that coordinate's step h = 1e-5 shrinks tenfold, down to 1e-8, where the
+    difference is taken as it is.  Each step size evaluates the trial points
+    of every coordinate still pending with one call of fn, so fn runs at most
+    five times.
     """
     point = np.asarray(point, dtype=np.float64)
-    _, piece = fn(point)
-    grad = np.zeros_like(point)
-    for idx in np.ndindex(point.shape):
-        for h in 1e-5 / 10.0 ** np.arange(4):
-            plus = point.copy()
-            minus = point.copy()
-            plus[idx] += h
-            minus[idx] -= h
-            (up, up_piece), (down, down_piece) = fn(plus), fn(minus)
-            if np.array_equal(up_piece, piece) and np.array_equal(down_piece, piece):
-                break
-        grad[idx] = (up - down) / (2.0 * h)
-    return grad
+    _, piece = fn(point[None])
+    grad = np.zeros(point.size)
+    pending = np.arange(point.size)
+    for h in 1e-5 / 10.0 ** np.arange(4):
+        k = pending.size
+        trials = np.tile(point.ravel(), (2, k, 1))  # the +h trials, then the -h ones
+        trials[0, np.arange(k), pending] += h
+        trials[1, np.arange(k), pending] -= h
+        values, pieces = fn(trials.reshape(2 * k, *point.shape))
+        grad[pending] = (values[:k] - values[k:]) / (2.0 * h)
+        same = np.all(pieces == piece, axis=tuple(range(1, pieces.ndim))).reshape(2, k)
+        pending = pending[~same.all(axis=0)]
+        if not pending.size:
+            break
+    return grad.reshape(point.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +473,86 @@ def _suite_gradient_check(samples, rng):
 
 
 def _max_rel_grad_error(model, feats, labels, grads):
-    rows, labels = nn._prepare(model, feats, labels)  # once for every trial pass
-
-    def loss_with(key, arr):
-        # a trial bias is taken as given: a step off the hyperboloid is not projected back
-        trial = replace(model, **{key: _point_row(model.flavor, arr[None]) if key == "bias" else arr})
-        loss, tangent = nn._checked_pass(
-            trial, rows, lambda run: (run.loss.data, run.tangent.data), labels
-        )
-        return float(loss), tangent > 0.0
-
+    rows, labels = nn._prepare(model, feats, labels)  # once for every trial
+    losses = _trial_losses(model, rows, labels)
     worst = 0.0
     for key, current in model.parameter_arrays().items():
-        numeric = finite_diff_grad(lambda a, k=key: loss_with(k, a), current)
+        numeric = finite_diff_grad(losses[key], current)
         denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grads[key])))
         worst = max(worst, float(np.max(np.abs(grads[key] - numeric) / denom)))
     return worst
+
+
+def _stacked_cross_entropy(logits, labels):
+    """Each trial's mean cross-entropy, (T,), from a (C, T, B) stack of logit columns."""
+    shifted = logits - logits.max(axis=0)
+    picked = shifted[labels, :, np.arange(labels.size)].T  # (T, B)
+    return (np.log(np.exp(shifted).sum(axis=0)) - picked).mean(axis=1)
+
+
+def _trial_losses(model, rows, labels):
+    """Per parameter key, `finite_diff_grad`'s fn for the loss of model on the
+    prepared rows and labels as a function of that parameter alone.
+
+    A (T, ...) stack of trial arrays gives each trial's mean cross-entropy,
+    computed here from a (C, T, B) stack of logit columns, and its activation
+    pattern.  Weight trials run as one pass of the tape's stages over (width,
+    T*B) columns, the trials side by side; readout trials reuse the relu
+    output of model's own pass; each bias trial runs its own pass, as the
+    bias enters the layer as one point.  A non-finite trial loss raises the
+    NumericalError of the first stage holding a non-finite value.
+    """
+    batch = len(rows)
+    tangent = nn._checked_pass(model, rows, lambda run: (run.tangent.data,))[0]
+    active = np.maximum(tangent, 0.0)
+
+    def columns(stack):  # (T, k, B) -> (k, T*B)
+        return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+    def weight(trials):
+        w = Tensor(columns(trials @ rows.T), name="hidden_linear")
+        z = nn._LAYERS[model.flavor](w, model.bias.coords, {})[0]
+        a = nn._relu(z)
+        logits = nn._readout(a, model.readout_weight, model.readout_bias, {})
+        return z.data, logits.data, [w, z, a, logits]
+
+    def bias(trials):
+        # a trial bias is taken as given: a step off the hyperboloid is not projected back
+        outputs = [
+            nn._checked_pass(
+                replace(model, bias=_point_row(model.flavor, t[None])),
+                rows,
+                lambda run: (run.tangent.data, run.logits.data),
+            )
+            for t in trials
+        ]
+        return *(np.concatenate(stack, axis=1) for stack in zip(*outputs)), []
+
+    def readout(stack):  # (T, C, B) logits; the pattern is model's own
+        logits = columns(stack)
+        return np.tile(tangent, len(stack)), logits, [Tensor(logits, name="readout")]
+
+    passes = {
+        "weight": weight,
+        "bias": bias,
+        "readout_weight": lambda trials: readout(trials @ active),
+        "readout_bias": lambda trials: readout(
+            (model.readout_weight @ active)[None] + trials[:, :, None]
+        ),
+    }
+
+    def losses(key, trials):
+        count = len(trials)
+        with np.errstate(all="ignore"):
+            z, logits, built = passes[key](trials)
+            loss = _stacked_cross_entropy(logits.reshape(len(logits), count, batch), labels)
+        if not np.isfinite(loss).all():
+            for stage in built:  # a column per batch row, so the error names the row
+                check(Tensor(stage.data.reshape(-1, batch), name=stage.name))
+            raise NumericalError("numerical overflow in cross_entropy")
+        return loss, z.reshape(len(z), count, batch).swapaxes(0, 1) > 0.0
+
+    return {key: partial(losses, key) for key in passes}
 
 
 def _suite_forward_validity(samples, rng):

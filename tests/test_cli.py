@@ -39,6 +39,8 @@ def test_bad_flag_exits_1(tree_file):
     [
         ("--patience", "0", "patience must be >= 1"),
         ("--lr", "0", "learning rate must be positive"),
+        ("--lr", "nan", "learning rate must be finite"),
+        ("--lr", "inf", "learning rate must be finite"),
         ("--epochs", "-1", "epochs must be >= 0"),
         ("--seed", "-1", "seed must fit in an unsigned 64-bit value"),
         ("--hidden", "0", "hidden must be >= 1"),
@@ -49,6 +51,20 @@ def test_bad_training_setting_exits_1_before_writing(tree_file, tmp_path, capsys
     out = tmp_path / "out"
     assert cli.main(train_argv(tree_file, out) + [flag, value]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "splits", ["abc", 5, True, [["train", [0, 1]]]], ids=["string", "number", "boolean", "pairs"]
+)
+def test_splits_that_are_not_an_object_exit_2(tmp_path, capsys, splits):
+    # dict() used to load a list of pairs, fail on a string with exit 1 and raise TypeError on the rest
+    path = tmp_path / "data.json"
+    doc = {"features": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "labels": [0, 1, 1], "splits": splits}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(train_argv(path, out)) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: invalid dataset: splits must be an object"]
     assert not out.exists()
 
 

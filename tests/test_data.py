@@ -214,6 +214,11 @@ class TestLoad:
         with pytest.raises(DataError, match="^invalid dataset: train indices must be a flat list$"):
             load_dataset(path)
 
+    def test_null_splits_load_as_absent(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({**VALID_DOC, "splits": None}), encoding="utf-8")
+        assert all(idx.size == 0 for idx in load_dataset(path).splits.values())
+
     def test_absent_splits_are_empty_int64_arrays(self):
         ds = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1]})
         assert list(ds.splits) == ["train", "val", "test"]

@@ -3,8 +3,9 @@
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
 of the tree-d10 data and on its first row, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
-gradient_check, where a pass's fixed cost dominates, and of one of that
-check's finite-difference passes, `nn._checked_pass` on prepared 8 x 6 rows.
+gradient_check, where a pass's fixed cost dominates, and of one step size
+of that check's weight trials: the 72 trial weights of a 6 x 6 layer on
+prepared 8 x 6 rows, evaluated as one stacked pass.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -21,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hyperklein import nn
+from hyperklein import nn, verify
 from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
 from hyperklein.manifolds import Model, exp_map, origin, tangent
@@ -141,11 +142,12 @@ def small_batch(flavor):
 
 @pytest.mark.parametrize("flavor", list(Model))
 def test_gradient_check_trial_pass(benchmark, flavor):
-    # one finite-difference pass of gradient_check: the rows are prepared once per sample
+    # gradient_check's first step size for the weight: +-1e-5 on each of its 36 coordinates
     model, feats, labels = small_batch(flavor)
-    rows, labels = nn._prepare(model, feats, labels)
-    loss, z = benchmark(nn._checked_pass, model, rows, lambda run: (run.loss.data, run.tangent.data), labels)
-    assert np.isfinite(loss) and z.shape == (6, 8) and np.all(np.isfinite(z))
+    weight_losses = verify._trial_losses(model, *nn._prepare(model, feats, labels))["weight"]
+    steps = 1e-5 * np.eye(36).reshape(36, 6, 6)
+    losses, patterns = benchmark(weight_losses, model.weight + np.concatenate((steps, -steps)))
+    assert losses.shape == (72,) and np.all(np.isfinite(losses)) and patterns.shape == (72, 6, 8)
 
 
 @pytest.mark.parametrize("flavor", list(Model))

@@ -40,6 +40,19 @@ def test_gradient_check_raises_on_a_non_finite_loss():
         verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
 
 
+def test_a_non_finite_stacked_trial_raises_the_error_of_its_own_pass():
+    # the stage and the batch row, not the trial's column in the stack
+    ds = gen_tree_dataset(6, 8, 0.1, 0)
+    model = nn.init_model(Model.KLEIN, ds.dim, 16, ds.n_classes, seed=0)
+    saturated = model.weight * 1e3
+    with pytest.raises(NumericalError) as own:
+        nn.forward(replace(model, weight=saturated), ds.features)
+    weight_losses = verify._trial_losses(model, *nn._prepare(model, ds.features, ds.labels))["weight"]
+    with pytest.raises(NumericalError) as stacked:
+        weight_losses(np.stack([model.weight, saturated]))
+    assert str(stacked.value) == str(own.value)
+
+
 def test_gradient_check_caps_a_sample_once_for_all_its_trials(monkeypatch):
     # each sample's rows are capped once by gradients and once for all of
     # its finite-difference passes, not once per pass
@@ -53,6 +66,59 @@ def test_gradient_check_caps_a_sample_once_for_all_its_trials(monkeypatch):
         monkeypatch.setattr(nn, name, counted)
     verify.run_suite("gradient_check", samples=3)
     assert calls == {"_preprocess": 2 * 3, "gradients": 3}
+
+
+def test_finite_diff_grad_shrinks_only_the_step_of_a_coordinate_next_to_a_kink():
+    point = np.random.default_rng(0).normal(size=(8, 8))
+    kink = point[2, 5] + 3e-6  # crossed by a step of 1e-5, not by one of 1e-6
+    calls = []
+
+    def fn(stack):
+        calls.append(stack.copy())
+        value = np.sin(stack.reshape(len(stack), -1)).sum(axis=1) + 4.0 * np.abs(stack[:, 2, 5] - kink)
+        return value, stack[:, 2, 5] > kink
+
+    def central(idx, h):
+        step = np.zeros_like(point)
+        step[idx] = h
+        up, down = fn(np.stack([point + step, point - step]))[0]
+        return (up - down) / (2.0 * h)
+
+    grad = verify.finite_diff_grad(fn, point)
+    # the point's piece, every coordinate at h = 1e-5, the kinked one at 1e-6
+    assert len(calls) == 3
+    moved = (calls[2] != point).any(axis=0)
+    assert len(calls[2]) == 2 and moved[2, 5] and moved.sum() == 1
+    expected = np.array([central(idx, 1e-5) for idx in np.ndindex(point.shape)]).reshape(point.shape)
+    expected[2, 5] = central((2, 5), 1e-5 / 10.0)  # the second step, as the policy computes it
+    np.testing.assert_array_equal(grad, expected)
+
+
+def _offset_model(flavor, rng):
+    """gradient_check's kind of model: in_dim 5, hidden 6, 3 classes, bias off the origin."""
+    model = nn.init_model(flavor, 5, 6, 3, seed=int(rng.integers(2**31)))
+    o = origin(flavor, 6)
+    raw = rng.normal(size=o.coords.shape) * 0.3
+    if flavor is Model.LORENTZ:
+        raw[0] = 0.0
+    return replace(model, bias=exp_map(o, tangent(o, raw)))
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("key", ["weight", "readout_weight", "readout_bias"])
+@pytest.mark.parametrize("flavor", list(Model))
+def test_stacked_trial_losses_equal_the_tapes(flavor, key, batch):
+    rng = np.random.default_rng(3)
+    model = _offset_model(flavor, rng)
+    feats, labels = rng.normal(size=(batch, 5)) * 2.0, rng.integers(0, 3, size=batch)
+    current = model.parameter_arrays()[key]
+    trials = current + rng.normal(size=(4, *current.shape)) * 0.3
+    losses, patterns = verify._trial_losses(model, *nn._prepare(model, feats, labels))[key](trials)
+    trial_models = [replace(model, **{key: trial}) for trial in trials]
+    expected = [nn.gradients(trial_model, feats, labels)[0] for trial_model in trial_models]
+    np.testing.assert_allclose(losses, expected, rtol=1e-13, atol=0.0)
+    tangents = np.stack([nn.hidden_tangent(trial_model, feats).T for trial_model in trial_models])
+    np.testing.assert_array_equal(patterns, tangents > 0.0)
 
 
 def _replay_matvec_compose(w):
