@@ -12,16 +12,23 @@ The geometry suites draw all their samples up front, each of dimension 1 to
 16, zero-padded to width 16, and evaluate each side of their identity with
 one call of a row kernel of `manifolds` or `gyro` (one call per model where
 the suite covers all three).  The kernels keep padding zeros at zero, so a
-padded sample gives the same errors as the unpadded one.  The network suites
+padded sample gives the same errors as the unpadded one.  The matvec suites
+draw only each sample's own rows x cols block of normals and scatter it into
+the padding; the orthogonal suite factors its blocks with one batched QR per
+dimension.  Where the clamp to the ball's radius has moved a point of an
+identity of Einstein matvecs along its ray, that identity fixes only the
+directions, and those are compared.  The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
 `training_trend`) run the batched network itself: its public entry points,
 which cap their inputs, or tape passes on rows prepared once per sample.
 `gradient_check` holds a sample's exact gradients to central differences
 that take each step size's trial parameters as one stack: the weight trials
-run as one pass of the tape's stages over their columns side by side, the
-readout trials reuse the relu output of the sample's own pass, and each
-bias trial runs its own pass.  The trial losses are a cross-entropy of this
-module's own, not the tape's loss stage.
+run as one pass of the tape's stages over their columns side by side, each
+bias trial runs only the layer stage on the hidden_linear stage of the
+sample's own pass, before one relu and readout over all bias trials'
+columns, and the readout trials reuse the relu output of the sample's own
+pass.  The trial losses are a cross-entropy of this module's own, not the
+tape's loss stage.
 
 The suites call the library's kernels by module-level name, so a test shows
 that a suite catches a defect by patching one, e.g. `verify.transport_rows`.
@@ -47,8 +54,8 @@ from .gyro import (
     mobius_add_rows,
 )
 from .manifolds import (
+    EPS_BALL,
     Model,
-    _point_row,
     clamp_rows,
     convert_point,
     convert_rows,
@@ -325,9 +332,42 @@ def _suite_transport_gyro(samples, rng):
 
 def _random_matrices(rng, rows, cols):
     """(N, WIDTH, WIDTH) matrices, normal / sqrt(cols) in each leading
-    rows x cols block and zero outside it."""
-    m = rng.normal(size=(rows.size, WIDTH, WIDTH)) / np.sqrt(cols)[:, None, None]
-    return m * (_mask(rows)[:, :, None] & _mask(cols)[:, None, :])
+    rows x cols block and zero outside it.  Only the blocks are drawn, one
+    after the other, each in row-major order, and scattered into the zero
+    padding that the row kernels take."""
+    block = _mask(rows)[:, :, None] & _mask(cols)[:, None, :]
+    m = np.zeros(block.shape)
+    m[block] = rng.normal(size=int((rows * cols).sum())) / np.repeat(np.sqrt(cols), rows * cols)
+    return m
+
+
+def _random_orthogonal(rng, dims):
+    """(N, WIDTH, WIDTH) matrices, an orthogonal dims x dims block each and
+    zero outside it: the Q factor of a `_random_matrices` block, with its
+    columns' signs set by R's diagonal, from one batched QR per dimension."""
+    a = _random_matrices(rng, dims, dims)
+    q = np.zeros_like(a)
+    for d in np.unique(dims):
+        group = np.flatnonzero(dims == d)
+        qd, r = np.linalg.qr(a[group, :d, :d])
+        q[group, :d, :d] = qd * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q
+
+
+# a kernel's output row at or above this norm may have been clamped to 1 - EPS_BALL
+_CLAMPED = 1.0 - EPS_BALL - 1e-15
+
+
+def _matvec_error(lhs, rhs, mid):
+    """Per-row error of an identity lhs = rhs of Einstein matvecs whose
+    right side maps the point mid once more.  Where lhs, rhs or mid lies on
+    the clamp radius, the clamp has moved a point along its ray and the
+    identity fixes only the directions, so those are compared; elsewhere the
+    coordinates are."""
+    nl, nr, nm = (np.sqrt(row_dots(p, p)) for p in (lhs, rhs, mid))
+    clamped = np.maximum(np.maximum(nl, nr), nm)[:, 0] >= _CLAMPED
+    direction = lhs / np.where(nl == 0.0, 1.0, nl) - rhs / np.where(nr == 0.0, 1.0, nr)
+    return np.where(clamped, _max_abs(direction), _max_abs(lhs - rhs))
 
 
 def _matvec(m, x):
@@ -339,9 +379,10 @@ def _suite_matvec_compose(samples, rng):
     m1, m2 = _random_matrices(rng, out, mid), _random_matrices(rng, mid, dims)
     x = sample_ball(dims, rng)
     lhs = einstein_matvec_rows(m1 @ m2, x)
-    rhs = einstein_matvec_rows(m1, einstein_matvec_rows(m2, x))
+    inner = einstein_matvec_rows(m2, x)
+    rhs = einstein_matvec_rows(m1, inner)
     return _worst(
-        _max_abs(lhs - rhs), x=(x, dims), m1=(m1, out, mid), m2=(m2, mid, dims), mid=mid, out=out
+        _matvec_error(lhs, rhs, inner), x=(x, dims), m1=(m1, out, mid), m2=(m2, mid, dims), mid=mid, out=out
     )
 
 
@@ -351,17 +392,14 @@ def _suite_matvec_scale(samples, rng):
     r = rng.uniform(1e-3, 3.0, size=samples)
     x = sample_ball(dims, rng)
     lhs = einstein_matvec_rows(r[:, None, None] * m, x)
-    rhs = einstein_scalar_rows(r, einstein_matvec_rows(m, x))
-    return _worst(_max_abs(lhs - rhs), x=(x, dims), r=r, m=(m, out, dims))
+    inner = einstein_matvec_rows(m, x)
+    rhs = einstein_scalar_rows(r, inner)
+    return _worst(_matvec_error(lhs, rhs, inner), x=(x, dims), r=r, m=(m, out, dims))
 
 
 def _suite_matvec_orthogonal(samples, rng):
     dims = _dims(rng, samples)
-    block = _mask(dims)[:, :, None] & _mask(dims)[:, None, :]
-    # the identity outside the dims x dims block keeps the QR block-diagonal
-    a = np.where(block, rng.normal(size=block.shape), np.eye(WIDTH))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :] * block
+    q = _random_orthogonal(rng, dims)
     x = sample_ball(dims, rng)
     err = _max_abs(einstein_matvec_rows(q, x) - _matvec(q, x))
     return _worst(err, x=(x, dims), q=(q, dims, dims))
@@ -496,37 +534,35 @@ def _trial_losses(model, rows, labels):
 
     A (T, ...) stack of trial arrays gives each trial's mean cross-entropy,
     computed here from a (C, T, B) stack of logit columns, and its activation
-    pattern.  Weight trials run as one pass of the tape's stages over (width,
-    T*B) columns, the trials side by side; readout trials reuse the relu
-    output of model's own pass; each bias trial runs its own pass, as the
-    bias enters the layer as one point.  A non-finite trial loss raises the
-    NumericalError of the first stage holding a non-finite value.
+    pattern.  Weight and bias trials run the tape's stages from the layer on
+    over (width, T*B) columns, the trials side by side: weight trials as one
+    pass, bias trials through one layer call each, as the bias enters the
+    layer as one point, on the hidden_linear stage of model's own pass.
+    Readout trials reuse the relu output of that pass.  A non-finite trial
+    loss raises the NumericalError of the first stage holding a non-finite
+    value.
     """
     batch = len(rows)
-    tangent = nn._checked_pass(model, rows, lambda run: (run.tangent.data,))[0]
+    w, tangent = nn._checked_pass(model, rows, lambda run: (run.stages[0].data, run.tangent.data))
+    first = Tensor(w, name="hidden_linear")  # the bias trials' layer input
     active = np.maximum(tangent, 0.0)
 
     def columns(stack):  # (T, k, B) -> (k, T*B)
         return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
-    def weight(trials):
-        w = Tensor(columns(trials @ rows.T), name="hidden_linear")
-        z = nn._LAYERS[model.flavor](w, model.bias.coords, {})[0]
+    def head(w, z):  # relu and readout over the layer's columns
         a = nn._relu(z)
         logits = nn._readout(a, model.readout_weight, model.readout_bias, {})
         return z.data, logits.data, [w, z, a, logits]
 
+    def weight(trials):
+        w = Tensor(columns(trials @ rows.T), name="hidden_linear")
+        return head(w, nn._LAYERS[model.flavor](w, model.bias.coords, {})[0])
+
     def bias(trials):
         # a trial bias is taken as given: a step off the hyperboloid is not projected back
-        outputs = [
-            nn._checked_pass(
-                replace(model, bias=_point_row(model.flavor, t[None])),
-                rows,
-                lambda run: (run.tangent.data, run.logits.data),
-            )
-            for t in trials
-        ]
-        return *(np.concatenate(stack, axis=1) for stack in zip(*outputs)), []
+        layers = [nn._LAYERS[model.flavor](first, t, {})[0] for t in trials]
+        return head(first, Tensor(np.concatenate([z.data for z in layers], axis=1), name=layers[0].name))
 
     def readout(stack):  # (T, C, B) logits; the pattern is model's own
         logits = columns(stack)
@@ -648,10 +684,8 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0) -> PropertyR
         raise ValueError(f"unknown suite {name!r}")
     fn, default_samples, tol = _SUITES[name]
     n = default_samples if samples is None else int(samples)
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
-    if n == 0:
-        return PropertyReport(name, 0, 0.0, tol, True, "")
+    if n < 1:
+        raise ValueError("samples must be >= 1")
     start = time.perf_counter()
     worst, arg = fn(n, np.random.default_rng(seed))
     seconds = time.perf_counter() - start

@@ -245,6 +245,14 @@ def test_selftest_passes():
     assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_selftest_rejects_fewer_than_one_sample(capsys, samples):
+    # zero samples used to check nothing and exit 0
+    assert cli.main(["selftest", "--samples", samples]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: samples must be >= 1"]
+
+
 def test_injected_transport_defect_exits_4(monkeypatch, capsys, broken_klein_transport):
     def transport(model, x, v):
         if model is Model.KLEIN:

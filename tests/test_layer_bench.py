@@ -5,7 +5,9 @@ of the tree-d10 data and on its first row, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
 gradient_check, where a pass's fixed cost dominates, and of one step size
 of that check's weight trials: the 72 trial weights of a 6 x 6 layer on
-prepared 8 x 6 rows, evaluated as one stacked pass.
+prepared 8 x 6 rows, evaluated as one stacked pass, and of the
+`matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
+draw each sample's matrices at its own size.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -156,3 +158,9 @@ def test_gradients_small_batch(benchmark, flavor):
     loss, grads = benchmark(nn.gradients, model, feats, labels)
     assert np.isfinite(loss) and grads.keys() == model.parameter_arrays().keys()
     assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_orthogonal"])
+def test_matvec_suite(benchmark, suite):
+    report = benchmark(verify.run_suite, suite, samples=2000)
+    assert report.passed and report.samples == 2000

@@ -11,7 +11,16 @@ from hyperklein import nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset
 from hyperklein.gyro import einstein_matvec, einstein_scalar
-from hyperklein.manifolds import KleinPoint, Model, exp_map, log_map, origin, tangent
+from hyperklein.manifolds import (
+    KleinPoint,
+    Model,
+    _point_row,
+    clamp_rows,
+    exp_map,
+    log_map,
+    origin,
+    tangent,
+)
 
 
 @pytest.mark.parametrize("seed", [1, 21, 45])
@@ -40,17 +49,24 @@ def test_gradient_check_raises_on_a_non_finite_loss():
         verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
 
 
+def _with(model, key, array):
+    """model with the parameter key set to array; a bias array is taken as given."""
+    return replace(model, **{key: _point_row(model.flavor, array[None]) if key == "bias" else array})
+
+
 def test_a_non_finite_stacked_trial_raises_the_error_of_its_own_pass():
     # the stage and the batch row, not the trial's column in the stack
     ds = gen_tree_dataset(6, 8, 0.1, 0)
-    model = nn.init_model(Model.KLEIN, ds.dim, 16, ds.n_classes, seed=0)
-    saturated = model.weight * 1e3
-    with pytest.raises(NumericalError) as own:
-        nn.forward(replace(model, weight=saturated), ds.features)
-    weight_losses = verify._trial_losses(model, *nn._prepare(model, ds.features, ds.labels))["weight"]
-    with pytest.raises(NumericalError) as stacked:
-        weight_losses(np.stack([model.weight, saturated]))
-    assert str(stacked.value) == str(own.value)
+    for flavor, key in [(Model.KLEIN, "weight"), (Model.POINCARE, "bias"), (Model.LORENTZ, "bias")]:
+        model = nn.init_model(flavor, ds.dim, 16, ds.n_classes, seed=0)
+        current = model.parameter_arrays()[key]
+        saturated = current * 1e3 if key == "weight" else np.full_like(current, 1e160)
+        with pytest.raises(NumericalError) as own:
+            nn.forward(_with(model, key, saturated), ds.features)
+        losses = verify._trial_losses(model, *nn._prepare(model, ds.features, ds.labels))[key]
+        with pytest.raises(NumericalError) as stacked:
+            losses(np.stack([current, saturated]))
+        assert str(stacked.value) == str(own.value)
 
 
 def test_gradient_check_caps_a_sample_once_for_all_its_trials(monkeypatch):
@@ -105,7 +121,7 @@ def _offset_model(flavor, rng):
 
 
 @pytest.mark.parametrize("batch", [1, 8])
-@pytest.mark.parametrize("key", ["weight", "readout_weight", "readout_bias"])
+@pytest.mark.parametrize("key", ["weight", "bias", "readout_weight", "readout_bias"])
 @pytest.mark.parametrize("flavor", list(Model))
 def test_stacked_trial_losses_equal_the_tapes(flavor, key, batch):
     rng = np.random.default_rng(3)
@@ -114,11 +130,53 @@ def test_stacked_trial_losses_equal_the_tapes(flavor, key, batch):
     current = model.parameter_arrays()[key]
     trials = current + rng.normal(size=(4, *current.shape)) * 0.3
     losses, patterns = verify._trial_losses(model, *nn._prepare(model, feats, labels))[key](trials)
-    trial_models = [replace(model, **{key: trial}) for trial in trials]
+    trial_models = [_with(model, key, trial) for trial in trials]
     expected = [nn.gradients(trial_model, feats, labels)[0] for trial_model in trial_models]
     np.testing.assert_allclose(losses, expected, rtol=1e-13, atol=0.0)
     tangents = np.stack([nn.hidden_tangent(trial_model, feats).T for trial_model in trial_models])
     np.testing.assert_array_equal(patterns, tangents > 0.0)
+
+
+def test_random_matrices_draw_only_each_samples_block():
+    rng = np.random.default_rng(5)
+    rows, cols = verify._dims(rng, 300), verify._dims(rng, 300)
+    m = verify._random_matrices(rng, rows, cols)
+    block = verify._mask(rows)[:, :, None] & verify._mask(cols)[:, None, :]
+    assert np.all(m[~block] == 0.0) and np.all(m[block] != 0.0)
+    # each block is normal / sqrt(cols)
+    scaled = m[block] * np.repeat(np.sqrt(cols), rows * cols)
+    assert abs(scaled.mean()) < 0.02 and abs(scaled.std() - 1.0) < 0.02
+
+
+def test_orthogonal_suite_draws_orthogonal_blocks():
+    rng = np.random.default_rng(6)
+    dims = verify._dims(rng, 300)
+    q = verify._random_orthogonal(rng, dims)
+    block = verify._mask(dims)[:, :, None] & verify._mask(dims)[:, None, :]
+    assert np.all(q[~block] == 0.0)
+    # q^T q is the identity on each dims x dims block
+    identity = np.eye(verify.WIDTH) * verify._mask(dims)[:, None, :]
+    np.testing.assert_allclose(q.transpose(0, 2, 1) @ q, identity, rtol=0.0, atol=1e-12)
+
+
+def test_matvec_error_compares_directions_only_where_a_point_is_clamped():
+    rim = clamp_rows(np.array([[2.0, 0.0]]))  # on the clamp radius
+    lhs = np.array([[0.5, 0.0], [0.5, 0.0], rim[0], [0.5, 0.0]])
+    rhs = np.array([[0.25, 0.0], [0.25, 0.0], [0.25, 0.0], [0.0, 0.5]])
+    mid = np.array([[0.1, 0.0], rim[0], [0.1, 0.0], rim[0]])
+    # coordinates where nothing is clamped; directions where mid or a side
+    # is, and those still differ when the sides do not share a ray
+    err = verify._matvec_error(lhs, rhs, mid)
+    np.testing.assert_allclose(err, [0.25, 0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed,samples", [(4, None), (21, 2000), (36, 2000)])
+@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_scale"])
+def test_matvec_identities_hold_where_a_point_is_clamped(suite, seed, samples):
+    # at these seeds M2 (x) x or an output is clamped to norm 1 - EPS_BALL,
+    # where only the directions of the two sides must agree
+    report = verify.run_suite(suite, samples=samples, seed=seed)
+    assert report.passed, report.max_abs_error
 
 
 def _replay_matvec_compose(w):
