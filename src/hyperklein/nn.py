@@ -541,8 +541,10 @@ def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
     return lorentz_tangent_rows(bias.coords[None], h[None])[0]
 
 
-# ball-valued biases are clamped to radius 1 - EPS_BALL by construction; this
-# caps a hyperboloid bias at the same hyperbolic distance from the origin
+# ball-valued biases are clamped to radius 1 - EPS_BALL by construction, which
+# lies atanh(1 - EPS_BALL) ~ 8.41 from the origin in the Klein ball and twice
+# that, ~ 16.81, in the Poincare ball; this caps a hyperboloid bias at the
+# Klein clamp's distance
 _MAX_BIAS_DISTANCE = float(np.arctanh(1.0 - EPS_BALL))
 _MAX_BIAS_STEP = 1.0
 

@@ -21,14 +21,14 @@ directions, and those are compared.  The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
 `training_trend`) run the batched network itself: its public entry points,
 which cap their inputs, or tape passes on rows prepared once per sample.
-`gradient_check` holds a sample's exact gradients to central differences
-that take each step size's trial parameters as one stack: the weight trials
-run as one pass of the tape's stages over their columns side by side, each
-bias trial runs only the layer stage on the hidden_linear stage of the
-sample's own pass, before one relu and readout over all bias trials'
-columns, and the readout trials reuse the relu output of the sample's own
-pass.  The trial losses are a cross-entropy of this module's own, not the
-tape's loss stage.
+`gradient_check` holds each sample's exact gradients, from one
+`nn.gradients` call, to central differences along one random unit
+direction per parameter, the random-projection check of PyTorch's
+`gradcheck(fast_mode=True)`.  The trial losses are a readout and
+cross-entropy of this module's own on `nn.hidden_tangent`'s layer outputs:
+the readout trials reuse the sample's own outputs, and each weight or bias
+trial is one `hidden_tangent` call on the model with that parameter moved,
+so the check reads nothing of `nn` but its public entry points.
 
 The suites call the library's kernels by module-level name, so a test shows
 that a suite catches a defect by patching one, e.g. `verify.transport_rows`.
@@ -39,12 +39,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import nn
-from .autodiff import NumericalError, Tensor, check
 from .data import gen_tree_dataset
 from .gyro import (
     einstein_add_rows,
@@ -64,7 +62,9 @@ from .manifolds import (
     exp_rows,
     geodesic_rows,
     log_rows,
+    lorentz_rows,
     lorentz_tangent_rows,
+    make_point,
     metric_inner_rows,
     origin,
     pushforward_rows,
@@ -149,36 +149,6 @@ def _worst_via(errs, **fields):
     """`_worst` over one error array per model in _VIAS, recording the model."""
     via = np.where(errs[1] > errs[0], _VIAS[1].value, _VIAS[0].value)
     return _worst(np.maximum(*errs), via=via, **fields)
-
-
-def finite_diff_grad(fn, point: np.ndarray) -> np.ndarray:
-    """Central-difference gradient estimate of a piecewise-smooth function.
-
-    fn takes a stack of points, (K, *point.shape), and returns their values,
-    (K,), and pieces, (K, ...): per point an array naming the smooth piece it
-    lies on, such as a ReLU activation pattern.  A difference across a kink
-    estimates no derivative, so when x +- h lies on another piece than x,
-    that coordinate's step h = 1e-5 shrinks tenfold, down to 1e-8, where the
-    difference is taken as it is.  Each step size evaluates the trial points
-    of every coordinate still pending with one call of fn, so fn runs at most
-    five times.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    _, piece = fn(point[None])
-    grad = np.zeros(point.size)
-    pending = np.arange(point.size)
-    for h in 1e-5 / 10.0 ** np.arange(4):
-        k = pending.size
-        trials = np.tile(point.ravel(), (2, k, 1))  # the +h trials, then the -h ones
-        trials[0, np.arange(k), pending] += h
-        trials[1, np.arange(k), pending] -= h
-        values, pieces = fn(trials.reshape(2 * k, *point.shape))
-        grad[pending] = (values[:k] - values[k:]) / (2.0 * h)
-        same = np.all(pieces == piece, axis=tuple(range(1, pieces.ndim))).reshape(2, k)
-        pending = pending[~same.all(axis=0)]
-        if not pending.size:
-            break
-    return grad.reshape(point.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +472,7 @@ def _suite_gradient_check(samples, rng):
         feats = rng.normal(size=(batch, n)) * 2.0
         labels = rng.integers(0, c, size=batch)
         _, grads = nn.gradients(model, feats, labels)
-        err = _max_rel_grad_error(model, feats, labels, grads)
+        err = _directional_error(model, feats, labels, grads, rng)
         if err > worst:
             worst, arg = err, json.dumps(
                 {"flavor": flavor.value, "in_dim": n, "hidden": m, "classes": c, "batch": batch}
@@ -510,85 +480,45 @@ def _suite_gradient_check(samples, rng):
     return worst, arg
 
 
-def _max_rel_grad_error(model, feats, labels, grads):
-    rows, labels = nn._prepare(model, feats, labels)  # once for every trial
-    losses = _trial_losses(model, rows, labels)
+def _cross_entropy(model, z, labels):
+    """Mean cross-entropy of model's readout of the layer outputs z, (B, m)."""
+    logits = np.maximum(z, 0.0) @ model.readout_weight.T + model.readout_bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels])
+
+
+def _directional_error(model, feats, labels, grads, rng):
+    """The worst relative error, over the parameters, of the gradient along
+    one unit direction d drawn from rng against a central difference of
+    `_cross_entropy` along d.  A step h = 1e-5 that moves an activation
+    pattern (z > 0) crosses a ReLU kink, so h shrinks tenfold, down to 1e-8,
+    where the difference is taken as it is."""
+    base = nn.hidden_tangent(model, feats)
+    pattern = base > 0.0
     worst = 0.0
     for key, current in model.parameter_arrays().items():
-        numeric = finite_diff_grad(losses[key], current)
-        denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grads[key])))
-        worst = max(worst, float(np.max(np.abs(grads[key] - numeric) / denom)))
+        d = rng.normal(size=current.shape)
+        if key == "bias" and model.flavor is Model.LORENTZ:
+            d[0] = 0.0  # the layer reads only the spatial part
+        d /= np.sqrt(np.sum(d * d))
+
+        def trial(step):
+            array = current + step * d
+            if key == "bias" and model.flavor is Model.LORENTZ:
+                array = lorentz_rows(array[None, 1:])[0]  # back onto the hyperboloid
+            if key == "bias":
+                array = make_point(model.flavor, array)
+            moved = replace(model, **{key: array})
+            z = nn.hidden_tangent(moved, feats) if key in ("weight", "bias") else base
+            return _cross_entropy(moved, z, labels), np.array_equal(z > 0.0, pattern)
+
+        for h in 1e-5 / 10.0 ** np.arange(4):
+            (up, same_up), (down, same_down) = trial(h), trial(-h)
+            if same_up and same_down:
+                break
+        numeric, exact = (up - down) / (2.0 * h), float(np.sum(grads[key] * d))
+        worst = max(worst, abs(exact - numeric) / max(1.0, abs(numeric), abs(exact)))
     return worst
-
-
-def _stacked_cross_entropy(logits, labels):
-    """Each trial's mean cross-entropy, (T,), from a (C, T, B) stack of logit columns."""
-    shifted = logits - logits.max(axis=0)
-    picked = shifted[labels, :, np.arange(labels.size)].T  # (T, B)
-    return (np.log(np.exp(shifted).sum(axis=0)) - picked).mean(axis=1)
-
-
-def _trial_losses(model, rows, labels):
-    """Per parameter key, `finite_diff_grad`'s fn for the loss of model on the
-    prepared rows and labels as a function of that parameter alone.
-
-    A (T, ...) stack of trial arrays gives each trial's mean cross-entropy,
-    computed here from a (C, T, B) stack of logit columns, and its activation
-    pattern.  Weight and bias trials run the tape's stages from the layer on
-    over (width, T*B) columns, the trials side by side: weight trials as one
-    pass, bias trials through one layer call each, as the bias enters the
-    layer as one point, on the hidden_linear stage of model's own pass.
-    Readout trials reuse the relu output of that pass.  A non-finite trial
-    loss raises the NumericalError of the first stage holding a non-finite
-    value.
-    """
-    batch = len(rows)
-    w, tangent = nn._checked_pass(model, rows, lambda run: (run.stages[0].data, run.tangent.data))
-    first = Tensor(w, name="hidden_linear")  # the bias trials' layer input
-    active = np.maximum(tangent, 0.0)
-
-    def columns(stack):  # (T, k, B) -> (k, T*B)
-        return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
-
-    def head(w, z):  # relu and readout over the layer's columns
-        a = nn._relu(z)
-        logits = nn._readout(a, model.readout_weight, model.readout_bias, {})
-        return z.data, logits.data, [w, z, a, logits]
-
-    def weight(trials):
-        w = Tensor(columns(trials @ rows.T), name="hidden_linear")
-        return head(w, nn._LAYERS[model.flavor](w, model.bias.coords, {})[0])
-
-    def bias(trials):
-        # a trial bias is taken as given: a step off the hyperboloid is not projected back
-        layers = [nn._LAYERS[model.flavor](first, t, {})[0] for t in trials]
-        return head(first, Tensor(np.concatenate([z.data for z in layers], axis=1), name=layers[0].name))
-
-    def readout(stack):  # (T, C, B) logits; the pattern is model's own
-        logits = columns(stack)
-        return np.tile(tangent, len(stack)), logits, [Tensor(logits, name="readout")]
-
-    passes = {
-        "weight": weight,
-        "bias": bias,
-        "readout_weight": lambda trials: readout(trials @ active),
-        "readout_bias": lambda trials: readout(
-            (model.readout_weight @ active)[None] + trials[:, :, None]
-        ),
-    }
-
-    def losses(key, trials):
-        count = len(trials)
-        with np.errstate(all="ignore"):
-            z, logits, built = passes[key](trials)
-            loss = _stacked_cross_entropy(logits.reshape(len(logits), count, batch), labels)
-        if not np.isfinite(loss).all():
-            for stage in built:  # a column per batch row, so the error names the row
-                check(Tensor(stage.data.reshape(-1, batch), name=stage.name))
-            raise NumericalError("numerical overflow in cross_entropy")
-        return loss, z.reshape(len(z), count, batch).swapaxes(0, 1) > 0.0
-
-    return {key: partial(losses, key) for key in passes}
 
 
 def _suite_forward_validity(samples, rng):

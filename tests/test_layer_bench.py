@@ -3,9 +3,7 @@
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
 of the tree-d10 data and on its first row, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
-gradient_check, where a pass's fixed cost dominates, and of one step size
-of that check's weight trials: the 72 trial weights of a 6 x 6 layer on
-prepared 8 x 6 rows, evaluated as one stacked pass, and of the
+gradient_check, where a pass's fixed cost dominates, and of the
 `matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
 draw each sample's matrices at its own size.
 
@@ -140,16 +138,6 @@ def small_batch(flavor):
     rng = np.random.default_rng(2)
     model = replace(nn.init_model(flavor, 6, 6, 3, seed=0), bias=offset_bias(flavor, 6, rng))
     return model, rng.normal(size=(8, 6)), rng.integers(0, 3, size=8)
-
-
-@pytest.mark.parametrize("flavor", list(Model))
-def test_gradient_check_trial_pass(benchmark, flavor):
-    # gradient_check's first step size for the weight: +-1e-5 on each of its 36 coordinates
-    model, feats, labels = small_batch(flavor)
-    weight_losses = verify._trial_losses(model, *nn._prepare(model, feats, labels))["weight"]
-    steps = 1e-5 * np.eye(36).reshape(36, 6, 6)
-    losses, patterns = benchmark(weight_losses, model.weight + np.concatenate((steps, -steps)))
-    assert losses.shape == (72,) and np.all(np.isfinite(losses)) and patterns.shape == (72, 6, 8)
 
 
 @pytest.mark.parametrize("flavor", list(Model))

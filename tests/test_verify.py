@@ -14,7 +14,6 @@ from hyperklein.gyro import einstein_matvec, einstein_scalar
 from hyperklein.manifolds import (
     KleinPoint,
     Model,
-    _point_row,
     clamp_rows,
     exp_map,
     log_map,
@@ -25,10 +24,30 @@ from hyperklein.manifolds import (
 
 @pytest.mark.parametrize("seed", [1, 21, 45])
 def test_gradient_check_steps_around_relu_kinks(seed):
-    # a fixed 1e-5 central difference crosses a ReLU kink at seeds 1 and 45,
-    # and a fixed 1e-6 one is too noisy at seed 21
+    # seeds where a step per coordinate crossed a ReLU kink at 1e-5 (1, 45)
+    # and met rounding noise at 1e-6 (21); one direction per parameter
+    # crosses no kink there, and the next test drives the step policy
     report = verify.run_suite("gradient_check", samples=20, seed=seed)
     assert report.passed, report.worst_case_input
+
+
+class _Ones:
+    """An rng whose normal draws are all ones."""
+
+    @staticmethod
+    def normal(size):
+        return np.ones(size)
+
+
+def test_gradient_check_shrinks_its_step_at_a_relu_kink():
+    # hidden unit 0 is 3e-6 above its kink: a weight step of 1e-5 along the
+    # all-ones direction crosses it, and one of 1e-6 does not
+    model = replace(nn.init_model(Model.KLEIN, 2, 2, 2, seed=0), weight=np.eye(2))
+    feats, labels = np.array([[3e-6, 2.0]]), np.array([0])
+    crossed = nn.hidden_tangent(replace(model, weight=model.weight - 1e-5 * np.full((2, 2), 0.5)), feats)
+    assert nn.hidden_tangent(model, feats)[0, 0] > 0.0 > crossed[0, 0]
+    _, grads = nn.gradients(model, feats, labels)
+    assert verify._directional_error(model, feats, labels, grads, _Ones()) < 1e-8
 
 
 def test_every_suite_takes_exactly_samples_and_rng():
@@ -38,103 +57,44 @@ def test_every_suite_takes_exactly_samples_and_rng():
     assert params == {name: ["samples", "rng"] for name in verify._SUITES}
 
 
+def test_gradient_check_uses_only_the_public_network():
+    # a rewrite of nn's stages leaves the check as it is
+    for fn in (verify._suite_gradient_check, verify._directional_error, verify._cross_entropy):
+        assert "nn._" not in inspect.getsource(fn), fn.__name__
+    assert all(getattr(value, "__module__", None) != "hyperklein.autodiff" for value in vars(verify).values())
+
+
+_GRADIENT_DEFECTS = {
+    "bias_scaled": ("bias", lambda g: g * 1.001),
+    "weight_entry_moved": ("weight", lambda g: g + 1e-3 * np.eye(1, g.size).reshape(g.shape)),
+    "readout_bias_sign_flipped": ("readout_bias", lambda g: g * np.r_[np.ones(g.size - 1), -1.0]),
+    "weight_rows_rolled": ("weight", lambda g: np.roll(g, 1, axis=0)),
+}
+
+
+@pytest.mark.parametrize("defect", list(_GRADIENT_DEFECTS))
+def test_gradient_check_fails_on_a_gradient_defect(monkeypatch, defect):
+    key, corrupt = _GRADIENT_DEFECTS[defect]
+    exact = nn.gradients
+
+    def corrupted(*args):
+        loss, grads = exact(*args)
+        return loss, {**grads, key: corrupt(grads[key])}
+
+    monkeypatch.setattr(nn, "gradients", corrupted)
+    report = verify.run_suite("gradient_check", samples=20, seed=0)
+    assert not report.passed, report.max_abs_error
+
+
 def test_gradient_check_raises_on_a_non_finite_loss():
-    # hidden weights x1e3 saturate the Klein layer; a nan trial loss must
-    # not vanish into the running maximum of the errors
+    # hidden weights x1e3 saturate the Klein layer; the check raises the
+    # layer's error rather than compare a nan loss
     ds = gen_tree_dataset(6, 8, 0.1, 0)
     model = nn.init_model(Model.KLEIN, ds.dim, 16, ds.n_classes, seed=0)
     model = replace(model, weight=model.weight * 1e3)
     grads = {key: np.zeros_like(a) for key, a in model.parameter_arrays().items()}
     with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
-        verify._max_rel_grad_error(model, ds.features, ds.labels, grads)
-
-
-def _with(model, key, array):
-    """model with the parameter key set to array; a bias array is taken as given."""
-    return replace(model, **{key: _point_row(model.flavor, array[None]) if key == "bias" else array})
-
-
-def test_a_non_finite_stacked_trial_raises_the_error_of_its_own_pass():
-    # the stage and the batch row, not the trial's column in the stack
-    ds = gen_tree_dataset(6, 8, 0.1, 0)
-    for flavor, key in [(Model.KLEIN, "weight"), (Model.POINCARE, "bias"), (Model.LORENTZ, "bias")]:
-        model = nn.init_model(flavor, ds.dim, 16, ds.n_classes, seed=0)
-        current = model.parameter_arrays()[key]
-        saturated = current * 1e3 if key == "weight" else np.full_like(current, 1e160)
-        with pytest.raises(NumericalError) as own:
-            nn.forward(_with(model, key, saturated), ds.features)
-        losses = verify._trial_losses(model, *nn._prepare(model, ds.features, ds.labels))[key]
-        with pytest.raises(NumericalError) as stacked:
-            losses(np.stack([current, saturated]))
-        assert str(stacked.value) == str(own.value)
-
-
-def test_gradient_check_caps_a_sample_once_for_all_its_trials(monkeypatch):
-    # each sample's rows are capped once by gradients and once for all of
-    # its finite-difference passes, not once per pass
-    calls = {"_preprocess": 0, "gradients": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _inner=getattr(nn, name)):
-            calls[_name] += 1
-            return _inner(*args)
-
-        monkeypatch.setattr(nn, name, counted)
-    verify.run_suite("gradient_check", samples=3)
-    assert calls == {"_preprocess": 2 * 3, "gradients": 3}
-
-
-def test_finite_diff_grad_shrinks_only_the_step_of_a_coordinate_next_to_a_kink():
-    point = np.random.default_rng(0).normal(size=(8, 8))
-    kink = point[2, 5] + 3e-6  # crossed by a step of 1e-5, not by one of 1e-6
-    calls = []
-
-    def fn(stack):
-        calls.append(stack.copy())
-        value = np.sin(stack.reshape(len(stack), -1)).sum(axis=1) + 4.0 * np.abs(stack[:, 2, 5] - kink)
-        return value, stack[:, 2, 5] > kink
-
-    def central(idx, h):
-        step = np.zeros_like(point)
-        step[idx] = h
-        up, down = fn(np.stack([point + step, point - step]))[0]
-        return (up - down) / (2.0 * h)
-
-    grad = verify.finite_diff_grad(fn, point)
-    # the point's piece, every coordinate at h = 1e-5, the kinked one at 1e-6
-    assert len(calls) == 3
-    moved = (calls[2] != point).any(axis=0)
-    assert len(calls[2]) == 2 and moved[2, 5] and moved.sum() == 1
-    expected = np.array([central(idx, 1e-5) for idx in np.ndindex(point.shape)]).reshape(point.shape)
-    expected[2, 5] = central((2, 5), 1e-5 / 10.0)  # the second step, as the policy computes it
-    np.testing.assert_array_equal(grad, expected)
-
-
-def _offset_model(flavor, rng):
-    """gradient_check's kind of model: in_dim 5, hidden 6, 3 classes, bias off the origin."""
-    model = nn.init_model(flavor, 5, 6, 3, seed=int(rng.integers(2**31)))
-    o = origin(flavor, 6)
-    raw = rng.normal(size=o.coords.shape) * 0.3
-    if flavor is Model.LORENTZ:
-        raw[0] = 0.0
-    return replace(model, bias=exp_map(o, tangent(o, raw)))
-
-
-@pytest.mark.parametrize("batch", [1, 8])
-@pytest.mark.parametrize("key", ["weight", "bias", "readout_weight", "readout_bias"])
-@pytest.mark.parametrize("flavor", list(Model))
-def test_stacked_trial_losses_equal_the_tapes(flavor, key, batch):
-    rng = np.random.default_rng(3)
-    model = _offset_model(flavor, rng)
-    feats, labels = rng.normal(size=(batch, 5)) * 2.0, rng.integers(0, 3, size=batch)
-    current = model.parameter_arrays()[key]
-    trials = current + rng.normal(size=(4, *current.shape)) * 0.3
-    losses, patterns = verify._trial_losses(model, *nn._prepare(model, feats, labels))[key](trials)
-    trial_models = [_with(model, key, trial) for trial in trials]
-    expected = [nn.gradients(trial_model, feats, labels)[0] for trial_model in trial_models]
-    np.testing.assert_allclose(losses, expected, rtol=1e-13, atol=0.0)
-    tangents = np.stack([nn.hidden_tangent(trial_model, feats).T for trial_model in trial_models])
-    np.testing.assert_array_equal(patterns, tangents > 0.0)
+        verify._directional_error(model, ds.features, ds.labels, grads, np.random.default_rng(0))
 
 
 def test_random_matrices_draw_only_each_samples_block():
