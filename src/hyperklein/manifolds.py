@@ -11,7 +11,11 @@ Every formula is written once, as a row kernel (`convert_rows`,
 point or tangent vector per row, and returns (N, d) rows or (N,) scalars.
 Ball rows are Klein or Poincare coordinates, hyperboloid rows are [time,
 spatial...].  Rows may be zero-padded: a point of a lower dimension, with
-zeros appended, maps to the same result with zeros appended.  Each kernel
+zeros appended, maps to the same result with zeros appended.  That holds
+bit for bit because every row reduction goes through `row_dots`, which sums
+each row left to right: numpy sums a C-ordered last axis pairwise, so a
+batch of rows is summed from a Fortran-ordered copy, from an initial -0.0
+that keeps a sum of -0.0 terms at -0.0 (see its docstring).  Each kernel
 that returns points or tangent vectors checks every row for finiteness,
 clamps ball rows to norm 1 - EPS_BALL and puts hyperboloid rows back on the
 sheet, as the point classes do.  The point functions (`exp_map`,
@@ -50,10 +54,20 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows give an (N, 1) column.
 
     Each sum runs left to right, so zero entries appended to a row leave its
-    value unchanged, bit for bit, and no row depends on the others; numpy's
-    pairwise sums would regroup the terms by the row length.
+    value unchanged, bit for bit, and no row depends on the others.  numpy
+    sums a contiguous axis pairwise, in blocks of 8, which would regroup the
+    terms by the row length.  A batch of two or more rows is summed from a
+    Fortran-ordered copy of the products, where numpy adds column j into
+    every row's total in one contiguous pass, in column order;
+    `initial=-0.0` starts each total from the one value that leaves the first
+    term as it is (numpy's default start, +0.0, turns a sum of -0.0 terms
+    into +0.0).  Other shapes keep the prefix sums' last column, which costs
+    the same for one row and less for stacked (N, k, d) products.
     """
-    return np.add.accumulate(a * b, axis=-1)[..., -1:]
+    prod = a * b
+    if prod.ndim == 2 and prod.shape[0] > 1:
+        return np.add.reduce(np.asfortranarray(prod), axis=1, keepdims=True, initial=-0.0)
+    return np.add.accumulate(prod, axis=-1)[..., -1:]
 
 
 def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

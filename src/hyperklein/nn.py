@@ -684,7 +684,8 @@ def load_model(path):
     """Read a checkpoint back; returns (model, full document).
 
     A document that is not a JSON object, or lacks a field the model needs,
-    raises ValueError naming it.
+    raises ValueError naming it, as does a ball bias on or outside the unit
+    sphere, which `save_model` cannot write and the point would clamp.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -694,5 +695,8 @@ def load_model(path):
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} field")
     params = {key: np.asarray(doc[key], dtype=np.float64) for key in _PARAMETERS}
-    params["bias"] = make_point(doc["flavor"], params["bias"])
+    bias = make_point(doc["flavor"], params["bias"])
+    if bias.model is not Model.LORENTZ and np.linalg.norm(params["bias"]) >= 1.0:
+        raise ValueError("bias lies outside the open unit ball")
+    params["bias"] = bias
     return HnnModel(**params), doc

@@ -154,6 +154,10 @@ CORRUPT_CHECKPOINTS = {
         "checkpoint has no 'readout_bias' field",
     ),
     "not_an_object": (lambda doc: [doc], "checkpoint is not a JSON object"),
+    "bias_outside_ball": (
+        lambda doc: {**doc, "bias": [2.0] + [0.0] * (len(doc["bias"]) - 1)},
+        "bias lies outside the open unit ball",
+    ),
 }
 
 

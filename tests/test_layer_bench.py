@@ -5,7 +5,9 @@ of the tree-d10 data and on its first row, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
 gradient_check, where a pass's fixed cost dominates, and of the
 `matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
-draw each sample's matrices at its own size.
+draw each sample's matrices at its own size, and of `manifolds.row_dots` on
+2,000 x 16 and 1 x 16 rows, a batch and a single row, which it sums by
+different paths.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -25,7 +27,7 @@ import pytest
 from hyperklein import nn, verify
 from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
-from hyperklein.manifolds import Model, exp_map, origin, tangent
+from hyperklein.manifolds import Model, exp_map, origin, row_dots, tangent
 
 ROWS, WIDTH, CLASSES = 1234, 16, 11
 
@@ -152,3 +154,10 @@ def test_gradients_small_batch(benchmark, flavor):
 def test_matvec_suite(benchmark, suite):
     report = benchmark(verify.run_suite, suite, samples=2000)
     assert report.passed and report.samples == 2000
+
+
+@pytest.mark.parametrize("rows", [2000, 1])
+def test_row_dots(benchmark, rows):
+    x = np.random.default_rng(6).normal(size=(rows, WIDTH))
+    dots = benchmark(row_dots, x, x)
+    assert dots.shape == (rows, 1) and np.all(dots > 0.0)
