@@ -169,6 +169,8 @@ def _cmd_eval(args) -> int:
     ds = _load_split_dataset(args.data, args.seed)
     if ds.dim != model.in_dim:
         raise DataError(f"feature dimension {ds.dim} does not match model input {model.in_dim}")
+    if ds.n_classes > model.n_classes:
+        raise DataError(f"dataset has {ds.n_classes} classes, more than the {model.n_classes} the model predicts")
     idx = np.arange(ds.n) if args.split == "all" else ds.splits[args.split]
     acc = nn.accuracy(model, ds.features[idx], ds.labels[idx]) if idx.size else None
     print(json.dumps({"split": args.split, "n": int(idx.size), "accuracy": acc}))

@@ -7,30 +7,32 @@ and the layer's tangent-space matrix action applies W to x itself.  With b
 the hidden bias point, R and r the readout weight and bias:
 
     Klein     h = exp_o(W x) (+)_E b                  Einstein addition
-    Poincare  h = exp_o(W x) (+)_M b                  Mobius addition
+    Poincare  h = exp_p(PT_{o->p} log_o b),  p = exp_o(W x), in the ball's chart
     Lorentz   h = exp_p(PT_{o->p} log_o b),  p = exp_o(W x)
     logits    = R relu(log_o h) + r
 
-In the ball models exp_o(W x) is the gyro matrix action on exp_o(x), so
-these layers are the gyrovector closed forms: one matrix action and one
-gyro-addition for the bias.  That is the paper's transport theorem: the
-tangent-space construction of the bias, exp_p(PT_{o->p} log_o b), is exactly
-the Einstein addition in Klein coordinates and the Mobius addition in
-Poincare coordinates.  The Lorentz layer transports the bias explicitly.
+By the paper's transport theorem the tangent-space construction of the bias,
+exp_p(PT_{o->p} log_o b), is the Einstein addition in Klein and the Mobius
+addition in Poincare coordinates.  The Lorentz layer evaluates it exactly,
+and the Poincare layer is the same stage in the ball's chart, not the Mobius
+closed form, whose atanh of a ball norm saturates in float64 (Mishne et al.,
+ICML 2023).  Klein keeps its Einstein closed form, overflow and all, while
+perfbench's counted-failure test relies on that overflow on Texas-shaped data.
 The hyperbolic ReLU exp_o(relu(log_o h)) is followed by the readout's log_o,
 so the readout takes relu(log_o h).
 
 Every one of these steps keeps a row in span(w, b), w = W x, so the whole
 layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
-|b|^2 (for Lorentz, b is the bias's origin tangent log_o b):
+|b|^2 (for the hyperboloid stage, b is the bias's origin tangent log_o b):
 
     Klein     exp_o(w) = tanhc|w| w, then (+)_E with 1/gamma = sqrt(1 - |exp_o(w)|^2);
               z = atanhc|h| h
-    Poincare  exp_o(w) = tanhc|w| w, then (+)_M;  z = atanhc|h| h
     Lorentz   exp_o(w) = (cosh|w|, sinhc|w| w); transport and exp give the
               spatial part h_s = sinhc|w| (cosh t + sinhc(t) k) w + sinhc(t) b,
               k = sinhc|w| (w.b) / (1 + cosh|w|), t the transported b's norm;
               z = asinhc|h_s| h_s
+    Poincare  the Lorentz stage at 2w and 2u, u = log_o b = atanhc|b| b, halved
+              (a Poincare origin tangent is half the hyperboloid's)
 
 A model, `HnnModel`, is flat and frozen: its fields are exactly the four
 parameters W, b, R, r under the names of their gradients (`weight`, `bias`,
@@ -227,29 +229,6 @@ def _klein_coefficients(p, q, s):
     return alpha, beta, back, None
 
 
-def _poincare_coefficients(p, q, s):
-    """Mobius addition exp_o(w) (+)_M b, with exp_o(w) = tanhc(|w|) w."""
-    n = np.sqrt(p + _TINY)
-    tau = smooth_ratio("tanhc", n)
-    sq = tau * tau * p
-    dot = tau * q
-    lift = 1.0 + 2.0 * dot + s
-    inv = 1.0 / (1.0 + 2.0 * dot + sq * s)
-    alpha = lift * tau * inv
-    beta = (1.0 - sq) * inv
-
-    def back(g_alpha, g_beta):
-        g_den = -(g_alpha * alpha + g_beta * beta) * inv
-        g_lift = g_alpha * tau * inv
-        g_sq = g_den * s - g_beta * inv
-        g_dot = 2.0 * (g_den + g_lift)
-        g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
-        g_p = g_sq * tau * tau + g_tau * smooth_slope("tanhc", n, tau) / (2.0 * n)
-        return g_p, g_dot * tau, g_lift + g_den * sq
-
-    return alpha, beta, back, None
-
-
 def _lorentz_coefficients(p, q, s):
     """exp_h(PT_{o->h} v) for h = exp_o(w) = (cosh|w|, sinhc(|w|) w); here b
     is the bias's origin tangent v, and alpha w + beta v is the spatial part.
@@ -278,42 +257,45 @@ def _lorentz_coefficients(p, q, s):
     return alpha, beta, back, lambda: big_c * h_t + big_s * inner
 
 
-def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None):
-    """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b.
-
-    k is the origin log's ratio of |h|, named by `log_ratio`.  The backward
-    takes G1 = gz.w and G2 = gz.b per (width, N) column back through the
-    (1, N) scalars to dL/dp, dL/dq and dL/ds, and then
+def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None, scale=1.0):
+    """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b,
+    run at scale w and scale b and divided by scale: the coefficients take
+    the row scalars times scale^2, and k is the origin log's ratio
+    `log_ratio` of scale |h|.  The backward takes G1 = gz.w and G2 = gz.b
+    per (width, N) column back through the (1, N) scalars to dL/dp, dL/dq
+    and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates (b is the bias itself
     when not given) for grads["bias"].  Returns the stage and a function
-    giving the hidden points' columns, which only `verify` and the tests read.
+    giving the columns of the points scale h (time first on the
+    hyperboloid), which only `verify` and the tests read.
     """
     if b is None:
         b, b_back = bias, lambda g: g
     wd = w.data
+    c2 = scale * scale
     p = (wd * wd).sum(axis=0, keepdims=True)
     q = b @ wd
     s = float(b @ b)
-    alpha, beta, coefficients_back, h_time = coefficients(p, q, s)
+    alpha, beta, coefficients_back, h_time = coefficients(c2 * p, c2 * q, c2 * s)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
     r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
-    k = smooth_ratio(log_ratio, r)
+    k = smooth_ratio(log_ratio, scale * r)
     z *= k
 
     def back(gz):
-        dk = smooth_slope(log_ratio, r, k)
+        dk = scale * smooth_slope(log_ratio, scale * r, k)
         g1 = (gz * wd).sum(axis=0, keepdims=True)
         g2 = b @ gz
         g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
         g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
         g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
         g_p, g_q, g_s = coefficients_back(g_alpha, g_beta)
-        g_p = g_p + g_sq * alpha * alpha
-        g_q = g_q + 2.0 * g_sq * alpha * beta
-        g_s = np.sum(g_s + g_sq * beta * beta)
+        g_p = c2 * g_p + g_sq * alpha * alpha
+        g_q = c2 * g_q + 2.0 * g_sq * alpha * beta
+        g_s = np.sum(c2 * g_s + g_sq * beta * beta)
         gb = gz @ (k * beta)[0] + wd @ g_q[0] + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
         # gz is read; its buffer holds each further summand of gw in turn
@@ -323,32 +305,41 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         return gw
 
     def hidden():
-        return alpha * wd + beta * b[:, None]
+        return (scale * alpha) * wd + (scale * beta) * b[:, None]
 
     if h_time is None:
         return Tensor(z, w, back, name), hidden
     return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden()))
 
 
-def _lorentz_layer(w: Tensor, bias: np.ndarray, grads: dict):
-    """The bias enters through its origin tangent v = asinhc(|b_s|) b_s; the
-    gradient of its time coordinate is zero."""
-    b_s = bias[1:]
+def _hyperboloid_layer(name, ratio, scale, w: Tensor, bias: np.ndarray, grads: dict):
+    """The Lorentz stage, the bias entering through its origin tangent
+    v = ratio(|b_s|) b_s: asinhc of a hyperboloid point's spatial part b_s
+    (its time coordinate's gradient is zero), or atanhc of a Poincare ball
+    point.  A Poincare origin tangent is half the hyperboloid's, so the ball
+    runs the stage at scale 2, and its hidden points are h_s / (1 + h_t)."""
+    ball = bias.size == w.data.shape[0]  # a hyperboloid point has a time coordinate
+    b_s = bias if ball else bias[1:]
     bn = np.sqrt(b_s @ b_s + _TINY)
-    rho = smooth_ratio("asinhc", bn)
-    v = rho * b_s
+    rho = smooth_ratio(ratio, bn)
 
     def b_back(gv):
-        drho = smooth_slope("asinhc", bn, rho)
-        return np.concatenate(([0.0], rho * gv + (gv @ b_s) * drho / bn * b_s))
+        gb = rho * gv + (gv @ b_s) * smooth_slope(ratio, bn, rho) / bn * b_s
+        return gb if ball else np.concatenate(([0.0], gb))
 
-    return _span_layer("lorentz_layer", _lorentz_coefficients, "asinhc", w, bias, grads, v, b_back)
+    stage, points = _span_layer(name, _lorentz_coefficients, "asinhc", w, bias, grads, rho * b_s, b_back, scale)
+
+    def hidden():
+        h = points()
+        return h[1:] / (1.0 + h[:1]) if ball else h
+
+    return stage, hidden
 
 
 _LAYERS = {
     Model.KLEIN: partial(_span_layer, "klein_layer", _klein_coefficients, "atanhc"),
-    Model.POINCARE: partial(_span_layer, "poincare_layer", _poincare_coefficients, "atanhc"),
-    Model.LORENTZ: _lorentz_layer,
+    Model.POINCARE: partial(_hyperboloid_layer, "poincare_layer", "atanhc", 2.0),
+    Model.LORENTZ: partial(_hyperboloid_layer, "lorentz_layer", "asinhc", 1.0),
 }
 
 
@@ -388,11 +379,13 @@ def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return Tensor(per_row.sum() * scale, logits, back, "cross_entropy")
 
 
-def _class_labels(labels, rows: int) -> np.ndarray:
-    """labels as an array, checked to hold one integer per feature row."""
+def _class_labels(labels, rows: int, n_classes: int) -> np.ndarray:
+    """labels as an array, checked to hold one class in [0, n_classes) per feature row."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" or labels.shape != (rows,):
         raise ValueError(f"need one integer label per row ({rows}), got {labels.dtype} {labels.shape}")
+    if ((labels < 0) | (labels >= n_classes)).any():
+        raise ValueError("labels out of range")
     return labels
 
 
@@ -415,9 +408,7 @@ def _prepare(model: HnnModel, features, labels=None):
     if rows.shape[1] != model.in_dim:
         raise ValueError(f"feature dimension {rows.shape[1]} does not match model input {model.in_dim}")
     if labels is not None:
-        labels = _class_labels(labels, len(rows))
-        if ((labels < 0) | (labels >= model.n_classes)).any():
-            raise ValueError("labels out of range")
+        labels = _class_labels(labels, len(rows), model.n_classes)
     return rows, labels
 
 
@@ -426,25 +417,25 @@ class _TapeRun:
 
     The rows x, as `_prepare` capped them (a pass checks no input), are
     origin tangent vectors, so w = W x is the tangent-space matrix action,
-    with no exp/log of x.  By the paper's transport theorem the bias step
-    (exp_o, parallel transport, exp) is the Einstein addition in Klein and
-    the Mobius addition in Poincare coordinates; like the explicit Lorentz
-    transport it keeps each row in span(w, b) (for Lorentz, span(w, v) with
-    v = log_o(b)), and so does the origin log:
+    with no exp/log of x.  The bias step (exp_o, parallel transport, exp) is
+    Einstein addition in closed form for Klein and the hyperboloid stage for
+    Lorentz and, in the ball's chart, Poincare.  Each keeps a row in span(w, b)
+    (span(w, v), v = log_o(b), on the hyperboloid), and so does the origin log:
 
         tangent = log_o(exp_o(w) (+) b) = a w + c b
         logits  = R relu(tangent) + r
 
     where a and c are per-row scalars of |w|^2, w.b and |b|^2 (see
-    `_klein_coefficients`, `_poincare_coefficients`, `_lorentz_coefficients`).
+    `_klein_coefficients`, `_lorentz_coefficients`).
 
     The stages are the tape of the module docstring, cross_entropy only
     when labels are given.  Holds `stages` (in the order they were built),
     `tangent` (the layer stage), `logits`, `loss`, `grads` (filled by
     `loss.backward()`, which runs once) and `hidden_out`, the hidden points
-    as (N, width) rows (with the time coordinate for Lorentz), built when
-    read.  No stage enters np.errstate: a caller that builds a run itself
-    enters it if its inputs can saturate, and reads `hidden_out` inside it.
+    as (N, width) rows in the bias's chart (with the time coordinate for
+    Lorentz), built when read.  No stage enters np.errstate: a caller that
+    builds a run itself enters it if its inputs can saturate, and reads
+    `hidden_out` inside it.
     """
 
     def __init__(self, model: HnnModel, rows: np.ndarray, labels=None):
@@ -616,7 +607,7 @@ class EpochRecord:
 
 def accuracy(model: HnnModel, features, labels) -> float:
     predicted = forward(model, features).argmax(axis=1)
-    labels = _class_labels(labels, len(predicted))
+    labels = _class_labels(labels, len(predicted), model.n_classes)
     return float((predicted == labels).mean()) if labels.size else 0.0
 
 

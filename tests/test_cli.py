@@ -121,7 +121,7 @@ def eval_all(checkpoint, data):
     return cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--split", "all"])
 
 
-@pytest.mark.parametrize("flavor,row", [("klein", 2), ("lorentz", 1)])
+@pytest.mark.parametrize("flavor,row", [("klein", 2), ("poincare", 1), ("lorentz", 1)])
 def test_saturating_checkpoint_exits_3_naming_stage_and_row(tree_file, tmp_path, capsys, flavor, row):
     # hidden weights x1e3 push the layer past float64 saturation
     model = nn.init_model(flavor, 8, 6, 5, seed=42)
@@ -178,6 +178,19 @@ def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys)
     argv = ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"), "--data", str(narrow)]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "feature dimension 6 does not match model input 8" in capsys.readouterr().err
+
+
+def test_eval_on_data_with_more_classes_exits_2(tree_file, tmp_path, capsys):
+    # a 5-class checkpoint on 6-class data used to print an accuracy and exit 0
+    assert cli.main(train_argv(tree_file, tmp_path / "out", epochs=1)) == cli.EXIT_OK
+    deeper = tmp_path / "deeper.json"
+    save_dataset(gen_tree_dataset(5, 8, 0.1, seed=0), deeper)
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"), "--data", str(deeper)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["data error: dataset has 6 classes, more than the 5 the model predicts"]
 
 
 def strict_json(text):
