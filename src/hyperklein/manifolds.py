@@ -295,10 +295,6 @@ def origin(model: Model, dim: int) -> Point:
     return _POINT_TYPES[model](np.zeros(dim))
 
 
-def minkowski_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(minkowski_rows(a[None], b[None])[0, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """Tangent vector attached to a base point; its model is the base's.
@@ -363,10 +359,6 @@ def metric_inner(x: Point, u: TangentVector, v: TangentVector) -> float:
     if u.model is not x.model or v.model is not x.model:
         raise ValueError("tangent vectors do not belong to the model of x")
     return float(metric_inner_rows(x.model, x.coords[None], u.components[None], v.components[None])[0])
-
-
-def metric_norm(x: Point, u: TangentVector) -> float:
-    return float(np.sqrt(max(metric_inner(x, u, u), 0.0)))
 
 
 def klein_metric_inverse(x: KleinPoint) -> np.ndarray:

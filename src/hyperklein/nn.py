@@ -48,13 +48,13 @@ The tape is the chain of the pass's five stages, hidden_linear ->
 with a closed-form backward.  A stage holds a (width, N) array, a column
 per row, so the layer's per-row scalars are (1, N) rows and the readout and
 the loss reduce along contiguous memory.  Each stage builds its output in
-the array it keeps; the layer's hidden points are scaled to z in place and
-rebuilt only when read, and the loss's shifted logits become its
-exponentials.  A backward runs once.  It may overwrite the gradient it is
-handed and the buffers its own closure holds (the loss returns its
-exponentials as the gradient, the relu masks in place, and the layer builds
-its summands in its incoming gradient's buffer), but never a stage's
-`data`, which callers read after the backward.
+the array it keeps: the layer scales its hidden points h to z = log_o h in
+place, as nothing downstream reads h but through log_o, and the loss's
+shifted logits become its exponentials.  A backward runs once.  It may
+overwrite the gradient it is handed and the buffers its own closure holds
+(the loss returns its exponentials as the gradient, the relu masks in
+place, and the layer builds its summands in its incoming gradient's
+buffer), but never a stage's `data`, which callers read after the backward.
 The stages read the model's fields directly: the backward walks the chain
 from the loss to hidden_linear, and each stage writes its own parameters'
 gradients into the pass's `grads`.  The smooth ratios' slopes are computed
@@ -199,9 +199,9 @@ def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
 
 
 # Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
-# s = |b|^2 to the point exp_o(w) (+) b = alpha w + beta b.  They return
-# alpha, beta, a function taking (dL/dalpha, dL/dbeta) to (dL/dp, dL/dq,
-# dL/ds), and a function giving the point's time coordinate (ball: None).
+# s = |b|^2 to the point exp_o(w) (+) b = alpha w + beta b (its spatial
+# part, on the hyperboloid).  They return alpha, beta and a function taking
+# (dL/dalpha, dL/dbeta) to (dL/dp, dL/dq, dL/ds).
 
 
 def _klein_coefficients(p, q, s):
@@ -226,7 +226,7 @@ def _klein_coefficients(p, q, s):
         g_tau = g_alpha * lift * inv + 2.0 * g_sq * tau * p + g_dot * q
         return g_sq * tau * tau + g_tau * smooth_slope("tanhc", n, tau) / (2.0 * n), g_dot * tau, 0.0
 
-    return alpha, beta, back, None
+    return alpha, beta, back
 
 
 def _lorentz_coefficients(p, q, s):
@@ -235,9 +235,8 @@ def _lorentz_coefficients(p, q, s):
     Transport is an isometry, so the transported tangent's norm is t = |v|."""
     n = np.sqrt(p + _TINY)
     sig = smooth_ratio("sinhc", n)
-    h_t = np.cosh(n)
     inner = sig * q  # <h, (0, v)>, the time coordinate of the transported v
-    inv = 1.0 / (1.0 + h_t)
+    inv = 1.0 / (1.0 + np.cosh(n))
     coef = inner * inv
     t = np.sqrt(s + _TINY)
     big_s = smooth_ratio("sinhc", t)
@@ -254,7 +253,7 @@ def _lorentz_coefficients(p, q, s):
         g_n = -g_coef * coef * inv * np.sinh(n) + g_sig * dsig
         return g_n / (2.0 * n), g_inner * sig, g_t / (2.0 * t)
 
-    return alpha, beta, back, lambda: big_c * h_t + big_s * inner
+    return alpha, beta, back
 
 
 def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None, scale=1.0):
@@ -267,9 +266,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates (b is the bias itself
-    when not given) for grads["bias"].  Returns the stage and a function
-    giving the columns of the points scale h (time first on the
-    hyperboloid), which only `verify` and the tests read.
+    when not given) for grads["bias"].  Returns the stage, whose data is z.
     """
     if b is None:
         b, b_back = bias, lambda g: g
@@ -278,7 +275,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
     p = (wd * wd).sum(axis=0, keepdims=True)
     q = b @ wd
     s = float(b @ b)
-    alpha, beta, coefficients_back, h_time = coefficients(c2 * p, c2 * q, c2 * s)
+    alpha, beta, coefficients_back = coefficients(c2 * p, c2 * q, c2 * s)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
     r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
@@ -304,12 +301,7 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
         gw += np.multiply(g_q, b[:, None], out=gz)
         return gw
 
-    def hidden():
-        return (scale * alpha) * wd + (scale * beta) * b[:, None]
-
-    if h_time is None:
-        return Tensor(z, w, back, name), hidden
-    return Tensor(z, w, back, name), lambda: np.concatenate((h_time(), hidden()))
+    return Tensor(z, w, back, name)
 
 
 def _hyperboloid_layer(name, ratio, scale, w: Tensor, bias: np.ndarray, grads: dict):
@@ -317,7 +309,7 @@ def _hyperboloid_layer(name, ratio, scale, w: Tensor, bias: np.ndarray, grads: d
     v = ratio(|b_s|) b_s: asinhc of a hyperboloid point's spatial part b_s
     (its time coordinate's gradient is zero), or atanhc of a Poincare ball
     point.  A Poincare origin tangent is half the hyperboloid's, so the ball
-    runs the stage at scale 2, and its hidden points are h_s / (1 + h_t)."""
+    runs the stage at scale 2."""
     ball = bias.size == w.data.shape[0]  # a hyperboloid point has a time coordinate
     b_s = bias if ball else bias[1:]
     bn = np.sqrt(b_s @ b_s + _TINY)
@@ -327,13 +319,7 @@ def _hyperboloid_layer(name, ratio, scale, w: Tensor, bias: np.ndarray, grads: d
         gb = rho * gv + (gv @ b_s) * smooth_slope(ratio, bn, rho) / bn * b_s
         return gb if ball else np.concatenate(([0.0], gb))
 
-    stage, points = _span_layer(name, _lorentz_coefficients, "asinhc", w, bias, grads, rho * b_s, b_back, scale)
-
-    def hidden():
-        h = points()
-        return h[1:] / (1.0 + h[:1]) if ball else h
-
-    return stage, hidden
+    return _span_layer(name, _lorentz_coefficients, "asinhc", w, bias, grads, rho * b_s, b_back, scale)
 
 
 _LAYERS = {
@@ -403,12 +389,15 @@ def _preprocess(features) -> np.ndarray:
 
 
 def _prepare(model: HnnModel, features, labels=None):
-    """The capped feature rows and checked labels (or None) a pass of model takes."""
+    """The capped feature rows and checked labels (or None) a pass of model
+    takes; a loss, the mean over the labelled rows, needs at least one."""
     rows = _preprocess(features)
     if rows.shape[1] != model.in_dim:
         raise ValueError(f"feature dimension {rows.shape[1]} does not match model input {model.in_dim}")
     if labels is not None:
         labels = _class_labels(labels, len(rows), model.n_classes)
+        if not labels.size:
+            raise ValueError("need at least one row to take a mean loss over")
     return rows, labels
 
 
@@ -430,26 +419,21 @@ class _TapeRun:
 
     The stages are the tape of the module docstring, cross_entropy only
     when labels are given.  Holds `stages` (in the order they were built),
-    `tangent` (the layer stage), `logits`, `loss`, `grads` (filled by
-    `loss.backward()`, which runs once) and `hidden_out`, the hidden points
-    as (N, width) rows in the bias's chart (with the time coordinate for
-    Lorentz), built when read.  No stage enters np.errstate: a caller that
-    builds a run itself enters it if its inputs can saturate, and reads
-    `hidden_out` inside it.
+    `tangent` (the layer stage), `logits`, `loss` and `grads` (filled by
+    `loss.backward()`, which runs once).  No stage enters np.errstate: a
+    caller that builds a run itself enters it if its inputs can saturate.
     """
 
     def __init__(self, model: HnnModel, rows: np.ndarray, labels=None):
         self.grads = {}
         w = _hidden_linear(rows, model.weight, self.grads)
-        self.tangent, self._hidden_points = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
+        self.tangent = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
         active = _relu(self.tangent)
         self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
         self.stages = [w, self.tangent, active, self.logits]
         if labels is not None:
             self.loss = _mean_cross_entropy(self.logits, labels)
             self.stages.append(self.loss)
-
-    hidden_out = property(lambda run: run._hidden_points().T)
 
 
 def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):

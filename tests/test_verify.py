@@ -58,10 +58,28 @@ def test_every_suite_takes_exactly_samples_and_rng():
 
 
 def test_gradient_check_uses_only_the_public_network():
-    # a rewrite of nn's stages leaves the check as it is
-    for fn in (verify._suite_gradient_check, verify._directional_error, verify._cross_entropy):
-        assert "nn._" not in inspect.getsource(fn), fn.__name__
+    # a rewrite of nn's stages leaves every suite as it is: verify names no
+    # private attribute of nn and imports nothing from the tape
+    assert "nn._" not in inspect.getsource(verify)
     assert all(getattr(value, "__module__", None) != "hyperklein.autodiff" for value in vars(verify).values())
+
+
+def test_forward_validity_fails_on_a_non_finite_layer_output(monkeypatch):
+    # a NaN in column 3 of each per-row ratio is a NaN in the layer's row 3
+    exact = nn.smooth_ratio
+
+    def poisoned(name, t):
+        ratio = np.array(exact(name, t))
+        if ratio.ndim == 2:
+            ratio[0, 3] = np.nan
+        return ratio
+
+    monkeypatch.setattr(nn, "smooth_ratio", poisoned)
+    report = verify.run_suite("forward_validity", samples=200)
+    assert report.max_abs_error == np.inf and not report.passed
+    case = json.loads(report.worst_case_input)
+    assert case["error"] == f"numerical overflow in {case['flavor']}_layer at row 3"
+    assert {"in_dim", "hidden", "classes"} <= set(case)
 
 
 _GRADIENT_DEFECTS = {
