@@ -116,6 +116,8 @@ def _cmd_train(args) -> int:
     training = nn.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
     config = RunConfig("train", Model(args.model), args.hidden, args.seed)
     ds = _load_split_dataset(args.data, config.seed)
+    if ds.n_classes < 2:
+        raise DataError(f"training needs at least two classes, the dataset has {ds.n_classes}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -55,12 +55,17 @@ overwrite the gradient it is handed and the buffers its own closure holds
 (the loss returns its exponentials as the gradient, the relu masks in
 place, and the layer builds its summands in its incoming gradient's
 buffer), but never a stage's `data`, which callers read after the backward.
-The stages read the model's fields directly: the backward walks the chain
-from the loss to hidden_linear, and each stage writes its own parameters'
-gradients into the pass's `grads`.  The smooth ratios' slopes are computed
-in the backward only, so a pass that returns logits or tangents computes
-none.  This is the only implementation of the network; the tests hold it
-to the `manifolds` and `gyro` row kernels composed step by step.
+The stages read the model's fields directly, but for the layer, which
+reads the bias through the model's `bias_terms`: the bias-only part of its
+forward (for the hyperboloid stage the origin tangent v, |v|^2, and t,
+sinhc t and cosh t of the transported tangent's norm), derived on the
+model's first pass and kept for every later one.  The backward walks the
+chain from the loss to hidden_linear, and each stage writes its own
+parameters' gradients into the pass's `grads`.  The smooth ratios' slopes,
+the bias terms' among them, are computed in the backward only, so a pass
+that returns logits or tangents computes none.  This is the only
+implementation of the network; the tests hold it to the `manifolds` and
+`gyro` row kernels composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
@@ -74,7 +79,8 @@ NumericalError names the stage and the row, and `train` adds the flavor and
 the epoch.  The pass, its backward included, runs inside one
 np.errstate(all="ignore"), entered by `_checked_pass`; no stage enters its
 own.  A model's parameters need no scan: its checks run whenever one is
-built, and nothing changes a model or its read-only arrays after that.
+built, and nothing changes a model or its read-only arrays after that.  A
+bias term that overflows shows in the layer stage, which the scan names.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -121,7 +127,8 @@ class HnnModel:
     is the model of the bias point.  `dataclasses.replace` derives a new
     model and re-runs these checks, so all are finite; the arrays, copied
     here but for the bias's coordinates, are read-only.  The public entry
-    points check and cap a pass's inputs.
+    points check and cap a pass's inputs.  The cached `bias_terms` is not a
+    field, and a replaced model derives its own.
     """
 
     weight: np.ndarray
@@ -169,6 +176,13 @@ class HnnModel:
     def n_classes(self) -> int:
         return self.readout_bias.size
 
+    @cached_property
+    def bias_terms(self) -> tuple:
+        """The layer stage's bias-only forward terms, `_BIAS_TERMS` of the
+        bias's coordinates: derived on the model's first pass, inside its
+        np.errstate, and read by every later one; read-only, not a field."""
+        return _BIAS_TERMS[self.flavor](self.bias.coords)
+
     def parameter_arrays(self) -> dict:
         """Each parameter's array under its gradient key; the bias's is its coordinates."""
         return {key: self.bias.coords if key == "bias" else getattr(self, key) for key in _PARAMETERS}
@@ -198,13 +212,14 @@ def _hidden_linear(rows: np.ndarray, weight: np.ndarray, grads: dict) -> Tensor:
     return Tensor(weight @ rows.T, None, back, "hidden_linear")
 
 
-# Each flavor's coefficients map the row scalars p = |w|^2, q = w.b and
-# s = |b|^2 to the point exp_o(w) (+) b = alpha w + beta b (its spatial
-# part, on the hyperboloid).  They return alpha, beta and a function taking
-# (dL/dalpha, dL/dbeta) to (dL/dp, dL/dq, dL/ds).
+# Each flavor's coefficients map the row scalars p = |w|^2 and q = w.b, and
+# what they read of the bias's terms (`_BIAS_TERMS`), to the point
+# exp_o(w) (+) b = alpha w + beta b (its spatial part, on the hyperboloid).
+# They return alpha, beta and a function taking (dL/dalpha, dL/dbeta) to
+# (dL/dp, dL/dq, dL/ds), s = |b|^2.
 
 
-def _klein_coefficients(p, q, s):
+def _klein_coefficients(p, q, _):
     """Einstein addition exp_o(w) (+)_E b, with exp_o(w) = tanhc(|w|) w."""
     n = np.sqrt(p + _TINY)
     tau = smooth_ratio("tanhc", n)
@@ -229,18 +244,17 @@ def _klein_coefficients(p, q, s):
     return alpha, beta, back
 
 
-def _lorentz_coefficients(p, q, s):
+def _lorentz_coefficients(p, q, transported):
     """exp_h(PT_{o->h} v) for h = exp_o(w) = (cosh|w|, sinhc(|w|) w); here b
     is the bias's origin tangent v, and alpha w + beta v is the spatial part.
-    Transport is an isometry, so the transported tangent's norm is t = |v|."""
+    Transport is an isometry, so the transported tangent's norm is t = |v|;
+    t, sinhc t and cosh t come with the bias's terms."""
+    t, big_s, big_c = transported
     n = np.sqrt(p + _TINY)
     sig = smooth_ratio("sinhc", n)
     inner = sig * q  # <h, (0, v)>, the time coordinate of the transported v
     inv = 1.0 / (1.0 + np.cosh(n))
     coef = inner * inv
-    t = np.sqrt(s + _TINY)
-    big_s = smooth_ratio("sinhc", t)
-    big_c = np.cosh(t)
     alpha = sig * (big_c + big_s * coef)
     beta = big_s
 
@@ -256,26 +270,25 @@ def _lorentz_coefficients(p, q, s):
     return alpha, beta, back
 
 
-def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b_back=None, scale=1.0):
+def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, grads: dict) -> Tensor:
     """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b,
     run at scale w and scale b and divided by scale: the coefficients take
     the row scalars times scale^2, and k is the origin log's ratio
-    `log_ratio` of scale |h|.  The backward takes G1 = gz.w and G2 = gz.b
-    per (width, N) column back through the (1, N) scalars to dL/dp, dL/dq
-    and dL/ds, and then
+    `log_ratio` of scale |h|.  `terms` are the model's bias terms
+    (`_BIAS_TERMS`): b, s = |b|^2, what the coefficients read of the bias,
+    and `b_back`.  The backward takes G1 = gz.w and G2 = gz.b per (width, N)
+    column back through the (1, N) scalars to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
-    which `b_back` takes on to the bias coordinates (b is the bias itself
-    when not given) for grads["bias"].  Returns the stage, whose data is z.
+    which `b_back` takes on to the bias coordinates for grads["bias"].
+    Returns the stage, whose data is z.
     """
-    if b is None:
-        b, b_back = bias, lambda g: g
+    b, s, bias_terms, b_back = terms
     wd = w.data
     c2 = scale * scale
     p = (wd * wd).sum(axis=0, keepdims=True)
     q = b @ wd
-    s = float(b @ b)
-    alpha, beta, coefficients_back = coefficients(c2 * p, c2 * q, c2 * s)
+    alpha, beta, coefficients_back = coefficients(c2 * p, c2 * q, bias_terms)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
     r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
@@ -304,28 +317,48 @@ def _span_layer(name, coefficients, log_ratio, w: Tensor, bias, grads, b=None, b
     return Tensor(z, w, back, name)
 
 
-def _hyperboloid_layer(name, ratio, scale, w: Tensor, bias: np.ndarray, grads: dict):
-    """The Lorentz stage, the bias entering through its origin tangent
-    v = ratio(|b_s|) b_s: asinhc of a hyperboloid point's spatial part b_s
-    (its time coordinate's gradient is zero), or atanhc of a Poincare ball
-    point.  A Poincare origin tangent is half the hyperboloid's, so the ball
-    runs the stage at scale 2."""
-    ball = bias.size == w.data.shape[0]  # a hyperboloid point has a time coordinate
-    b_s = bias if ball else bias[1:]
+def _klein_terms(b: np.ndarray) -> tuple:
+    """The Klein layer's bias terms: b, s = |b|^2, nothing for its coefficients, no b_back."""
+    return b, float(b @ b), None, lambda gb: gb
+
+
+def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
+    """The hyperboloid stage's bias terms.  The bias enters through its
+    origin tangent v = rho b_s, rho = ratio(|b_s|): asinhc of a hyperboloid
+    point's spatial part b_s = coords[1:] (its time coordinate's gradient
+    is zero), or atanhc of a Poincare ball point b_s = coords.  Returns v,
+    s = |v|^2, the transported tangent's norm t = scale |v| with sinhc t and
+    cosh t for `_lorentz_coefficients`, and `b_back`, which takes dL/dv to
+    the bias coordinates and computes the slope of rho only when called."""
+    b_s = coords[start:]
     bn = np.sqrt(b_s @ b_s + _TINY)
     rho = smooth_ratio(ratio, bn)
+    v = rho * b_s
+    s = float(v @ v)
+    t = np.sqrt(scale * scale * s + _TINY)
+    big_s = smooth_ratio("sinhc", t)
+    v.flags.writeable = False
+    if isinstance(big_s, np.ndarray):  # a 0-d array where sinhc takes its series
+        big_s.flags.writeable = False
 
     def b_back(gv):
         gb = rho * gv + (gv @ b_s) * smooth_slope(ratio, bn, rho) / bn * b_s
-        return gb if ball else np.concatenate(([0.0], gb))
+        return np.concatenate(([0.0], gb)) if start else gb
 
-    return _span_layer(name, _lorentz_coefficients, "asinhc", w, bias, grads, rho * b_s, b_back, scale)
+    return v, s, (t, big_s, np.cosh(t)), b_back
 
 
+# a Poincare origin tangent is half the hyperboloid's, so the ball runs the
+# hyperboloid stage at scale 2, its bias terms included
+_BIAS_TERMS = {
+    Model.KLEIN: _klein_terms,
+    Model.POINCARE: partial(_hyperboloid_terms, "atanhc", 2.0, 0),
+    Model.LORENTZ: partial(_hyperboloid_terms, "asinhc", 1.0, 1),
+}
 _LAYERS = {
-    Model.KLEIN: partial(_span_layer, "klein_layer", _klein_coefficients, "atanhc"),
-    Model.POINCARE: partial(_hyperboloid_layer, "poincare_layer", "atanhc", 2.0),
-    Model.LORENTZ: partial(_hyperboloid_layer, "lorentz_layer", "asinhc", 1.0),
+    Model.KLEIN: partial(_span_layer, "klein_layer", _klein_coefficients, "atanhc", 1.0),
+    Model.POINCARE: partial(_span_layer, "poincare_layer", _lorentz_coefficients, "asinhc", 2.0),
+    Model.LORENTZ: partial(_span_layer, "lorentz_layer", _lorentz_coefficients, "asinhc", 1.0),
 }
 
 
@@ -421,13 +454,14 @@ class _TapeRun:
     when labels are given.  Holds `stages` (in the order they were built),
     `tangent` (the layer stage), `logits`, `loss` and `grads` (filled by
     `loss.backward()`, which runs once).  No stage enters np.errstate: a
-    caller that builds a run itself enters it if its inputs can saturate.
+    caller that builds a run itself enters it if its inputs, or the bias
+    terms a model's first run derives, can saturate.
     """
 
     def __init__(self, model: HnnModel, rows: np.ndarray, labels=None):
         self.grads = {}
         w = _hidden_linear(rows, model.weight, self.grads)
-        self.tangent = _LAYERS[model.flavor](w, model.bias.coords, self.grads)
+        self.tangent = _LAYERS[model.flavor](w, model.bias_terms, self.grads)
         active = _relu(self.tangent)
         self.logits = _readout(active, model.readout_weight, model.readout_bias, self.grads)
         self.stages = [w, self.tangent, active, self.logits]

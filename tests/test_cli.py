@@ -108,6 +108,18 @@ def test_nested_split_indices_exit_2(tree_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_one_class_dataset_exits_2_before_writing(tmp_path, capsys):
+    # it used to exit 1 with "error: need at least two classes" after making the output directory
+    path = tmp_path / "data.json"
+    doc = {"features": np.arange(10.0).reshape(5, 2).tolist(), "labels": [0] * 5}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(train_argv(path, out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: training needs at least two classes, the dataset has 1"]
+    assert not out.exists()
+
+
 def test_numerical_error_in_training_exits_3(tree_file, tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise NumericalError("numerical overflow in klein_layer at row 0 (klein, epoch 0)")

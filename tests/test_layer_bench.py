@@ -1,7 +1,8 @@
 """Microbenchmarks of each flavor's layer stage, forward and backward, on a
 1,234 x 16 batch, of the readout and loss stages, forward and backward, on
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
-of the tree-d10 data and on its first row, and of `nn.gradients` on the
+of the tree-d10 data and on its first row, with the bias at the origin and,
+on the first row, off it, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
 gradient_check, where a pass's fixed cost dominates, and of the
 `matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
@@ -42,10 +43,12 @@ def offset_bias(flavor, width, rng):
 
 
 def layer_inputs(flavor):
-    """A stage input holds one column per row."""
+    """A stage input, which holds one column per row, and the bias
+    coordinates with the terms a model derives from them on its first pass."""
     rng = np.random.default_rng(0)
     w = Tensor(rng.normal(size=(WIDTH, ROWS)) * 0.5)
-    return w, offset_bias(flavor, WIDTH, rng).coords
+    bias = offset_bias(flavor, WIDTH, rng).coords
+    return w, bias, nn._BIAS_TERMS[flavor](bias)
 
 
 def time_backward(benchmark, build):
@@ -55,18 +58,18 @@ def time_backward(benchmark, build):
 
 @pytest.mark.parametrize("flavor", list(Model))
 def test_layer_forward(benchmark, flavor):
-    w, bias = layer_inputs(flavor)
-    z = benchmark(nn._LAYERS[flavor], w, bias, {})
+    w, _, terms = layer_inputs(flavor)
+    z = benchmark(nn._LAYERS[flavor], w, terms, {})
     assert z.data.shape == (WIDTH, ROWS) and z.prev is w
     assert np.all(np.isfinite(z.data))
 
 
 @pytest.mark.parametrize("flavor", list(Model))
 def test_layer_backward(benchmark, flavor):
-    w, bias = layer_inputs(flavor)
+    w, bias, terms = layer_inputs(flavor)
     grads = {}
     gz = np.random.default_rng(1).normal(size=w.data.shape)
-    gw = time_backward(benchmark, lambda: (nn._LAYERS[flavor](w, bias, grads), gz.copy()))
+    gw = time_backward(benchmark, lambda: (nn._LAYERS[flavor](w, terms, grads), gz.copy()))
     gb = grads["bias"]
     assert gw.shape == (WIDTH, ROWS) and gb.shape == bias.shape
     assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
@@ -123,6 +126,15 @@ def test_forward(benchmark, tree, flavor, rows):
     feats = tree.features[:rows]
     logits = benchmark(nn.forward, model, feats)
     assert logits.shape == (rows, 4) and np.all(np.isfinite(logits))
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_forward_offset_bias(benchmark, tree, flavor):
+    # off the origin the bias's ratios take their closed forms, as in a trained model
+    model = nn.init_model(flavor, WIDTH, WIDTH, 4, seed=0)
+    model = replace(model, bias=offset_bias(flavor, WIDTH, np.random.default_rng(3)))
+    logits = benchmark(nn.forward, model, tree.features[:1])
+    assert logits.shape == (1, 4) and np.all(np.isfinite(logits))
 
 
 @pytest.mark.parametrize("flavor", list(Model))

@@ -372,7 +372,8 @@ class TestForward:
 
     @pytest.mark.parametrize("flavor", list(Model))
     def test_forward_only_passes_compute_no_slopes(self, flavor, monkeypatch):
-        # the smooth ratios' slopes are read only by the backward
+        # the smooth ratios' slopes are read only by the backward, and the
+        # patch precedes the model's first pass, which derives its bias terms
         model = offset_bias_model(flavor, 4, 3, 3, seed=26)
         feats = np.random.default_rng(27).normal(size=(6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
@@ -380,6 +381,7 @@ class TestForward:
         def no_slope(name, t, ratio):
             raise AssertionError(f"{name} slope computed")
 
+        assert "bias_terms" not in vars(model)
         monkeypatch.setattr(nn, "smooth_slope", no_slope)
         assert np.all(np.isfinite(nn.forward(model, feats)))
         assert np.all(np.isfinite(nn.hidden_tangent(model, feats)))
@@ -767,6 +769,67 @@ class TestNumericalGuard:
         with pytest.raises(NumericalError, match=r"overflow in klein_layer at row \d+$"):
             nn.gradients(model, ds.features, ds.labels)
         assert nodes[0] == 5
+
+
+    def test_an_overflowing_lorentz_bias_fails_in_its_layer_on_every_pass(self):
+        # the bias's terms overflow on the model's first pass, inside its
+        # np.errstate, and not when the model is built
+        feats = np.random.default_rng(45).normal(size=(5, 3))
+        labels = np.array([0, 1, 2, 0, 1])
+        message = r"^numerical overflow in lorentz_layer at row 0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias = make_point(Model.LORENTZ, [1e200, 1e200, 0.0, 0.0, 0.0])
+            model = replace(nn.init_model(Model.LORENTZ, 3, 4, 3, seed=0), bias=bias)
+            for _ in range(2):
+                with pytest.raises(NumericalError, match=message):
+                    nn.forward(model, feats)
+                with pytest.raises(NumericalError, match=message):
+                    nn.gradients(model, feats, labels)
+
+
+class TestBiasTerms:
+    # a model derives its layer's bias-only terms on its first pass and keeps them
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_a_later_pass_computes_only_the_per_row_ratios(self, flavor, monkeypatch):
+        model = offset_bias_model(flavor, 4, 3, 3, seed=40)
+        feats = np.random.default_rng(41).normal(size=(6, 4))
+        first = nn.forward(model, feats)
+        exact, calls = nn.smooth_ratio, []
+
+        def counted(name, t):
+            calls.append(name)
+            return exact(name, t)
+
+        monkeypatch.setattr(nn, "smooth_ratio", counted)
+        assert nn.forward(model, feats).tobytes() == first.tobytes()
+        # exp_o's ratio of |w| and log_o's of |h|
+        assert calls == (["tanhc", "atanhc"] if flavor is Model.KLEIN else ["sinhc", "asinhc"])
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_two_gradient_passes_agree_byte_for_byte(self, flavor):
+        model = offset_bias_model(flavor, 4, 3, 3, seed=42)
+        feats = np.random.default_rng(43).normal(size=(6, 4))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        (loss, grads), (again, regrads) = (nn.gradients(model, feats, labels) for _ in range(2))
+        assert repr(loss) == repr(again)
+        assert all(grads[key].tobytes() == regrads[key].tobytes() for key in nn._PARAMETERS)
+
+    @pytest.mark.parametrize("offset", [False, True], ids=["origin", "offset"])
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_terms_are_read_only_and_not_a_field(self, flavor, offset):
+        # at the origin the bias's ratios take the series, which returns 0-d arrays
+        build = offset_bias_model if offset else nn.init_model
+        model = build(flavor, 4, 3, 3, seed=44)
+        assert "bias_terms" not in vars(model)
+        nn.forward(model, np.ones((2, 4)))
+        b, s, transported, _ = terms = model.bias_terms
+        assert model.bias_terms is terms and "bias_terms" not in vars(replace(model))
+        assert [f.name for f in fields(nn.HnnModel)] == ["weight", "bias", "readout_weight", "readout_bias"]
+        arrays = [term for term in (b, s, *(transported or ())) if isinstance(term, np.ndarray)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
 
 class TestTapeBuffers:
