@@ -138,15 +138,15 @@ class HnnModel:
 
     def __post_init__(self):
         weight = np.array(self.weight, dtype=np.float64)
-        if weight.ndim != 2 or not np.isfinite(weight).all():
+        if weight.ndim != 2 or np.count_nonzero(np.isfinite(weight)) != weight.size:
             raise ValueError("weight must be a finite 2-d matrix")
         if self.bias.dim != weight.shape[0]:
             raise ValueError("bias dimension must match the weight output dimension")
         readout_weight = np.array(self.readout_weight, dtype=np.float64)
         readout_bias = np.array(self.readout_bias, dtype=np.float64)
-        if readout_weight.ndim != 2 or not np.isfinite(readout_weight).all():
+        if readout_weight.ndim != 2 or np.count_nonzero(np.isfinite(readout_weight)) != readout_weight.size:
             raise ValueError("readout weight must be a finite 2-d matrix")
-        if not np.isfinite(readout_bias).all():
+        if np.count_nonzero(np.isfinite(readout_bias)) != readout_bias.size:
             raise ValueError("readout bias must be finite")
         if readout_weight.shape[1] != weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
@@ -260,8 +260,9 @@ def _lorentz_coefficients(p, q, transported):
 
     def back(g_alpha, g_beta):
         dsig, dbig_s = smooth_slope("sinhc", n, sig), smooth_slope("sinhc", t, big_s)
-        g_t = g_alpha * sig * np.sinh(t) + (g_alpha * sig * coef + g_beta) * dbig_s
-        g_coef = g_alpha * sig * big_s
+        g_alpha_sig = g_alpha * sig
+        g_t = g_alpha_sig * np.sinh(t) + (g_alpha_sig * coef + g_beta) * dbig_s
+        g_coef = g_alpha_sig * big_s
         g_inner = g_coef * inv
         g_sig = g_alpha * (big_c + big_s * coef) + g_inner * q
         g_n = -g_coef * coef * inv * np.sinh(n) + g_sig * dsig
@@ -274,10 +275,12 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b,
     run at scale w and scale b and divided by scale: the coefficients take
     the row scalars times scale^2, and k is the origin log's ratio
-    `log_ratio` of scale |h|.  `terms` are the model's bias terms
-    (`_BIAS_TERMS`): b, s = |b|^2, what the coefficients read of the bias,
-    and `b_back`.  The backward takes G1 = gz.w and G2 = gz.b per (width, N)
-    column back through the (1, N) scalars to dL/dp, dL/dq and dL/ds, and then
+    `log_ratio` of scale |h|.  Only the Poincare stage scales, by 2; the
+    scale-1 Klein and Lorentz stages multiply nothing by it.  `terms` are
+    the model's bias terms (`_BIAS_TERMS`): b, s = |b|^2, what the
+    coefficients read of the bias, and `b_back`.  The backward takes
+    G1 = gz.w and G2 = gz.b per (width, N) column back through the (1, N)
+    scalars to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates for grads["bias"].
@@ -285,27 +288,31 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     """
     b, s, bias_terms, b_back = terms
     wd = w.data
-    c2 = scale * scale
+    scaled, c2 = scale != 1.0, scale * scale
     p = (wd * wd).sum(axis=0, keepdims=True)
     q = b @ wd
-    alpha, beta, coefficients_back = coefficients(c2 * p, c2 * q, bias_terms)
+    alpha, beta, coefficients_back = coefficients(c2 * p if scaled else p, c2 * q if scaled else q, bias_terms)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
     r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
-    k = smooth_ratio(log_ratio, scale * r)
+    scaled_r = scale * r if scaled else r
+    k = smooth_ratio(log_ratio, scaled_r)
     z *= k
 
     def back(gz):
-        dk = scale * smooth_slope(log_ratio, scale * r, k)
+        dk = smooth_slope(log_ratio, scaled_r, k)
         g1 = (gz * wd).sum(axis=0, keepdims=True)
         g2 = b @ gz
-        g_sq = (alpha * g1 + beta * g2) * dk / (2.0 * r)  # of |hidden|^2
-        g_alpha = k * g1 + 2.0 * g_sq * (alpha * p + beta * q)
-        g_beta = k * g2 + 2.0 * g_sq * (alpha * q + beta * s)
+        g_sq = (alpha * g1 + beta * g2) * (scale * dk if scaled else dk) / (2.0 * r)  # of |hidden|^2
+        g_sq2 = 2.0 * g_sq
+        g_alpha = k * g1 + g_sq2 * (alpha * p + beta * q)
+        g_beta = k * g2 + g_sq2 * (alpha * q + beta * s)
         g_p, g_q, g_s = coefficients_back(g_alpha, g_beta)
-        g_p = c2 * g_p + g_sq * alpha * alpha
-        g_q = c2 * g_q + 2.0 * g_sq * alpha * beta
-        g_s = np.sum(c2 * g_s + g_sq * beta * beta)
+        if scaled:
+            g_p, g_q, g_s = c2 * g_p, c2 * g_q, c2 * g_s
+        g_p = g_p + g_sq * alpha * alpha
+        g_q = g_q + g_sq2 * alpha * beta
+        g_s = np.sum(g_s + g_sq * beta * beta)
         gb = gz @ (k * beta)[0] + wd @ g_q[0] + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
         # gz is read; its buffer holds each further summand of gw in turn
@@ -403,7 +410,7 @@ def _class_labels(labels, rows: int, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" or labels.shape != (rows,):
         raise ValueError(f"need one integer label per row ({rows}), got {labels.dtype} {labels.shape}")
-    if ((labels < 0) | (labels >= n_classes)).any():
+    if np.count_nonzero((labels < 0) | (labels >= n_classes)):
         raise ValueError("labels out of range")
     return labels
 
@@ -415,7 +422,7 @@ def _preprocess(features) -> np.ndarray:
         raise ValueError("features must be a 2-d matrix")
     # an idle cap scales by 1; the margin sends each row that np.linalg.norm's
     # summation order could round to the cap, and each non-finite row, to the scaling
-    if (np.einsum("ij,ij->i", feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)).all():
+    if np.count_nonzero(np.einsum("ij,ij->i", feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)) == len(feats):
         return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
@@ -482,7 +489,7 @@ def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
     with np.errstate(all="ignore"):
         run = _TapeRun(model, rows, labels)
         result = outputs(run)
-    if all(np.isfinite(a).all() for a in result):
+    if all(np.count_nonzero(np.isfinite(a)) == np.size(a) for a in result):
         return result
     for node in run.stages:
         ad.check(node)

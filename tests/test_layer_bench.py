@@ -8,7 +8,8 @@ gradient_check, where a pass's fixed cost dominates, and of the
 `matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
 draw each sample's matrices at its own size, and of `manifolds.row_dots` on
 2,000 x 16 and 1 x 16 rows, a batch and a single row, which it sums by
-different paths.
+different paths, and of one `nn.riemannian_adam_step` per flavor, on the
+gradients of a tree-d10 train split with the bias off the origin.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -172,3 +173,16 @@ def test_row_dots(benchmark, rows):
     x = np.random.default_rng(6).normal(size=(rows, WIDTH))
     dots = benchmark(row_dots, x, x)
     assert dots.shape == (rows, 1) and np.all(dots > 0.0)
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_riemannian_adam_step(benchmark, tree, flavor):
+    model = nn.init_model(flavor, WIDTH, WIDTH, tree.n_classes, seed=0)
+    model = replace(model, bias=offset_bias(flavor, WIDTH, np.random.default_rng(3)))
+    _, grads = nn.gradients(model, tree.features[tree.train_idx], tree.labels[tree.train_idx])
+    state = nn.GradState(lr=0.01)
+    nn.riemannian_adam_step(state, model, grads)  # each timed step then updates the moments, as in training
+    stepped = benchmark(nn.riemannian_adam_step, state, model, grads)
+    assert stepped.flavor is flavor and stepped.parameter_arrays().keys() == grads.keys()
+    assert all(np.all(np.isfinite(a)) for a in stepped.parameter_arrays().values())
+    assert not np.array_equal(stepped.weight, model.weight)

@@ -522,10 +522,16 @@ class TestPoincareIsTheLorentzStage:
 
     @pytest.mark.parametrize("mult", [1.0, 3.0, 6.0])
     def test_logits_equal_the_lorentz_counterparts(self, tree, mult):
+        # the Poincare model runs the layer stage at scale 2, its counterpart
+        # at scale 1; the scalings by powers of two are exact, so they agree
+        # byte for byte
         model = nn.init_model(Model.POINCARE, 16, 16, tree.n_classes, seed=0)
         model = replace(model, weight=mult * model.weight)
-        got, want = nn.forward(model, tree.features), nn.forward(lorentz_counterpart(model), tree.features)
-        assert_rows_close(got, want, 1e-12)
+        counterpart = lorentz_counterpart(model)
+        got, want = nn.forward(model, tree.features), nn.forward(counterpart, tree.features)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = 2.0 * nn.hidden_tangent(model, tree.features), nn.hidden_tangent(counterpart, tree.features)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_batch_1_logits_equal_the_full_batch(self, tree):
         model = nn.init_model(Model.POINCARE, 16, 16, tree.n_classes, seed=0)
