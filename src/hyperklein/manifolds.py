@@ -13,9 +13,9 @@ Ball rows are Klein or Poincare coordinates, hyperboloid rows are [time,
 spatial...].  Rows may be zero-padded: a point of a lower dimension, with
 zeros appended, maps to the same result with zeros appended.  That holds
 bit for bit because every row reduction goes through `row_dots`, which sums
-each row left to right: numpy sums a C-ordered last axis pairwise, so a
-batch of rows is summed from a Fortran-ordered copy, from an initial -0.0
-that keeps a sum of -0.0 terms at -0.0 (see its docstring).  Each kernel
+each row left to right: numpy sums a C-ordered last axis pairwise, so two
+or more sums add column-major products term by term, from an initial -0.0,
+and a single sum keeps its prefix sums (see its docstring).  Each kernel
 that returns points or tangent vectors checks every row for finiteness,
 clamps ball rows to norm 1 - EPS_BALL and puts hyperboloid rows back on the
 sheet, as the point classes do.  The point functions (`exp_map`,
@@ -56,18 +56,18 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each sum runs left to right, so zero entries appended to a row leave its
     value unchanged, bit for bit, and no row depends on the others.  numpy
     sums a contiguous axis pairwise, in blocks of 8, which would regroup the
-    terms by the row length.  A batch of two or more rows is summed from a
-    Fortran-ordered copy of the products, where numpy adds column j into
-    every row's total in one contiguous pass, in column order;
-    `initial=-0.0` starts each total from the one value that leaves the first
-    term as it is (numpy's default start, +0.0, turns a sum of -0.0 terms
-    into +0.0).  Other shapes keep the prefix sums' last column, which costs
-    the same for one row and less for stacked (N, k, d) products.
+    terms by the row length.  When the batch holds two or more sums, of any
+    shape, the products are written column-major (Fortran order), where
+    numpy adds term j into every total in one contiguous pass, in term
+    order; `initial=-0.0` starts each total from the one value that leaves
+    the first term as it is (numpy's default start, +0.0, turns a sum of
+    -0.0 terms into +0.0).  A single sum keeps the prefix sums' last term:
+    its column-major buffer would be contiguous, and summed pairwise.
     """
-    prod = a * b
-    if prod.ndim == 2 and prod.shape[0] > 1:
-        return np.add.reduce(np.asfortranarray(prod), axis=1, keepdims=True, initial=-0.0)
-    return np.add.accumulate(prod, axis=-1)[..., -1:]
+    if a.size > a.shape[-1] or b.size > b.shape[-1]:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), order="F")
+        return np.add.reduce(np.multiply(a, b, out=out), axis=-1, keepdims=True, initial=-0.0)
+    return np.add.accumulate(a * b, axis=-1)[..., -1:]
 
 
 def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic datasets written in the on-disk JSON format, a
-row-kernel checker and a known-bad Klein transport."""
+row-kernel checker, a plain-Python reference for `row_dots` and a known-bad
+Klein transport."""
 
 import json
 
@@ -71,6 +72,25 @@ def check_row_kernel():
         _rows_close(padded, whole, 1e-15)
 
     return check
+
+
+@pytest.fixture
+def left_to_right_dots():
+    """`row_dots`' reference: each dot product a plain Python sum in the
+    operands' dtype, first term first, broadcast over the leading axes."""
+
+    def dots(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(a.shape[:-1] + (1,), np.result_type(a, b))
+        for idx in np.ndindex(*a.shape[:-1]):
+            terms = [x * y for x, y in zip(a[idx], b[idx])]
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            out[idx] = total
+        return out
+
+    return dots
 
 
 @pytest.fixture

@@ -4,11 +4,14 @@
 of the tree-d10 data and on its first row, with the bias at the origin and,
 on the first row, off it, and of `nn.gradients` on the
 1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
-gradient_check, where a pass's fixed cost dominates, and of the
-`matvec_compose` and `matvec_orthogonal` suites at 2,000 samples, which
-draw each sample's matrices at its own size, and of `manifolds.row_dots` on
-2,000 x 16 and 1 x 16 rows, a batch and a single row, which it sums by
-different paths, and of one `nn.riemannian_adam_step` per flavor, on the
+gradient_check, where a pass's fixed cost dominates, and of the four
+matvec suites (`matvec_compose`, `matvec_scale`, `matvec_orthogonal`,
+`matvec_tangent`) at 2,000 samples, which draw each sample's matrices at
+its own size, and of `manifolds.row_dots` on 2,000 x 16 and 1 x 16 rows, a
+batch and a single row, which it sums by different paths, on the stacked
+(2,000, 16, 16) . (2,000, 1, 16) products of `gyro.einstein_matvec_rows` and
+on 2,000 x 16 rows against one broadcast 1 x 16 row, and of one
+`nn.riemannian_adam_step` per flavor, on the
 gradients of a tree-d10 train split with the bias off the origin.
 
 A backward runs once per pass and may overwrite the gradient it is handed
@@ -162,17 +165,27 @@ def test_gradients_small_batch(benchmark, flavor):
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
-@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_orthogonal"])
+@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_scale", "matvec_orthogonal", "matvec_tangent"])
 def test_matvec_suite(benchmark, suite):
     report = benchmark(verify.run_suite, suite, samples=2000)
     assert report.passed and report.samples == 2000
 
 
-@pytest.mark.parametrize("rows", [2000, 1])
-def test_row_dots(benchmark, rows):
-    x = np.random.default_rng(6).normal(size=(rows, WIDTH))
-    dots = benchmark(row_dots, x, x)
-    assert dots.shape == (rows, 1) and np.all(dots > 0.0)
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((2000, WIDTH), (2000, WIDTH)),
+        ((1, WIDTH), (1, WIDTH)),
+        ((2000, WIDTH, WIDTH), (2000, 1, WIDTH)),
+        ((2000, WIDTH), (1, WIDTH)),
+    ],
+    ids=["2000", "1", "stacked", "broadcast"],
+)
+def test_row_dots(benchmark, a_shape, b_shape):
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    dots = benchmark(row_dots, a, b)
+    assert dots.shape == np.broadcast_shapes(a_shape, b_shape)[:-1] + (1,) and np.all(np.isfinite(dots))
 
 
 @pytest.mark.parametrize("flavor", list(Model))

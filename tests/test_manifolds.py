@@ -536,19 +536,6 @@ def test_kernel_rows_are_clamped_to_the_ball():
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0 - EPS_BALL, 0.5], rtol=1e-15)
 
 
-def left_to_right_dots(a, b):
-    """Each row's dot product as a plain Python sum, first term first."""
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape[:-1] + (1,))
-    for idx in np.ndindex(*a.shape[:-1]):
-        terms = [float(x) * float(y) for x, y in zip(a[idx], b[idx])]
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        out[idx] = total
-    return out
-
-
 def dot_rows(rng, n, d):
     """n >= 3 rows of d terms of magnitudes 10^+-150 with zero-padded tails;
     row 0's products are all -0.0, row 1 holds an inf and row 2 a nan."""
@@ -561,15 +548,26 @@ def dot_rows(rng, n, d):
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (1, 16), (2, 9), (2, 16), (2000, 16), (301, 17)])
-def test_row_dots_sum_left_to_right_bit_for_bit(n, d):
+def test_row_dots_sum_left_to_right_bit_for_bit(left_to_right_dots, n, d):
     # numpy sums a contiguous axis pairwise; row_dots must not, so padding a
     # row with zeros cannot move its bits.  Its order comes from numpy's
-    # reduction loop, which this holds to a plain sum on every path.
+    # reduction loop, which this holds to a plain sum on every path: one sum,
+    # several sums from either operand or only after both broadcast, stacked
+    # products, an empty batch and float32 rows.
     a, b = dot_rows(np.random.default_rng(n * 100 + d), max(n, 3), d)
     blocks = [(a[i : i + 1], b[i : i + 1]) for i in range(3)] if n == 1 else [(a[:n], b[:n])]
     for a, b in blocks:
         with np.errstate(all="ignore"):
-            cases = [(a, b), (a, a), (a, b[:1]), (np.stack([a, b, a * b], axis=1), b[:, None])]
+            cases = [
+                (a, b),
+                (a, a),
+                (a, b[:1]),
+                (a[:1], b),
+                (np.stack([a, b, a * b], axis=1), b[:, None]),
+                (a[:, None], np.stack([a[0], b[0], a[0] * b[0]])[None]),
+                (a[:0], b[:0]),
+                ((np.sign(a) * b).astype(np.float32), b.astype(np.float32)),
+            ]
             for x, y in cases:
                 got, want = row_dots(x, y), left_to_right_dots(x, y)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hyperklein import nn, verify
+from hyperklein import gyro, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset
 from hyperklein.gyro import einstein_matvec, einstein_scalar
@@ -196,6 +196,16 @@ def test_matvec_worst_case_can_be_replayed(suite, keys, replay):
     assert set(worst) == keys
     err = float(np.max(np.abs(replay(worst))))
     assert err == pytest.approx(report.max_abs_error, rel=1e-6)
+
+
+@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_scale", "matvec_orthogonal", "matvec_tangent"])
+def test_matvec_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
+    # einstein_matvec_rows' dot products, stacked and 2-d, summed by a plain
+    # Python loop on the same host give the same worst error and input
+    shipped = verify.run_suite(suite, samples=50, seed=0)
+    monkeypatch.setattr(gyro, "row_dots", left_to_right_dots)
+    plain = verify.run_suite(suite, samples=50, seed=0)
+    assert (shipped.max_abs_error, shipped.worst_case_input) == (plain.max_abs_error, plain.worst_case_input)
 
 
 def test_worst_reports_the_largest_error_and_its_row():
