@@ -2,12 +2,13 @@
 
 Every pass of the network is the same fixed chain of stages, each one
 (width, N) float64 array, a column per row: hidden_linear -> <flavor>_layer
--> relu -> readout, and cross_entropy, a scalar, for the loss.  A Tensor
-records one stage: its output `data`, its `name`, `prev` (the stage it
-reads, or None for the first) and `back`, a closed-form backward from
-dL/d(output) to dL/d(prev's output) that writes the stage's own parameter
-gradients into the pass's gradient dict.  `Tensor.backward` seeds ones and
-walks the `prev` links, running each `back` once.  `nn` builds the stages.
+-> relu -> readout, and cross_entropy, a float64 scalar, for the loss.  A
+Tensor records one stage: its output `data`, the array its builder hands
+it, kept unconverted; its `name`; `prev` (the stage it reads, or None for
+the first) and `back`, a closed-form backward from dL/d(output) to
+dL/d(prev's output) that writes the stage's own parameter gradients into
+the pass's gradient dict.  `Tensor.backward` seeds ones and walks the
+`prev` links, running each `back` once.  `nn` builds the stages.
 
 Building a stage checks nothing.  `check` raises NumericalError naming a
 stage and the first row (column) that holds a non-finite value; `nn` calls
@@ -24,10 +25,12 @@ class NumericalError(RuntimeError):
 
 
 class Tensor:
+    """One stage; `data` is kept as its builder hands it: float64 arrays, a float64 scalar loss."""
+
     __slots__ = ("data", "name", "prev", "back")
 
     def __init__(self, data, prev=None, back=None, name="input"):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.name = name
         self.prev = prev
         self.back = back

@@ -45,27 +45,28 @@ parameters, the entry points their inputs.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
-with a closed-form backward.  A stage holds a (width, N) array, a column
-per row, so the layer's per-row scalars are (1, N) rows and the readout and
-the loss reduce along contiguous memory.  Each stage builds its output in
-the array it keeps: the layer scales its hidden points h to z = log_o h in
-place, as nothing downstream reads h but through log_o, and the loss's
-shifted logits become its exponentials.  A backward runs once.  It may
-overwrite the gradient it is handed and the buffers its own closure holds
-(the loss returns its exponentials as the gradient, the relu masks in
-place, and the layer builds its summands in its incoming gradient's
-buffer), but never a stage's `data`, which callers read after the backward.
-The stages read the model's fields directly, but for the layer, which
-reads the bias through the model's `bias_terms`: the bias-only part of its
-forward (for the hyperboloid stage the origin tangent v, |v|^2, and t,
-sinhc t and cosh t of the transported tangent's norm), derived on the
-model's first pass and kept for every later one.  The backward walks the
-chain from the loss to hidden_linear, and each stage writes its own
-parameters' gradients into the pass's `grads`.  The smooth ratios' slopes,
-the bias terms' among them, are computed in the backward only, so a pass
-that returns logits or tangents computes none.  This is the only
-implementation of the network; the tests hold it to the `manifolds` and
-`gyro` row kernels composed step by step.
+with a closed-form backward.  A stage holds a (width, N) array, a column per
+row, so the layer's per-row scalars are (1, N) rows and the readout and the
+loss reduce along contiguous memory.  A column sum is one einsum pass (a lone
+column keeps the product and reduce), and the loss picks its label logits by
+flat index.  Each stage builds its output in the array it keeps: the layer
+scales its hidden points h to z = log_o h in place, as nothing downstream
+reads h but through log_o, and the loss's shifted logits become its
+exponentials.  A backward runs once.  It may overwrite the gradient it is
+handed and the buffers its own closure holds (the loss returns its
+exponentials as the gradient, the relu masks in place, and the layer builds
+its summands in its incoming gradient's buffer), but never a stage's `data`,
+which callers read after the backward.  The stages read the model's fields
+directly, but for the layer, which reads the bias through the model's
+`bias_terms`: the bias-only part of its forward (for the hyperboloid stage the
+origin tangent v, |v|^2, and t, sinhc t and cosh t of the transported
+tangent's norm), derived on the model's first pass and kept for every later
+one.  The backward walks the chain from the loss to hidden_linear, and each
+stage writes its own parameters' gradients into the pass's `grads`.  The
+smooth ratios' slopes, the bias terms' among them, are computed in the
+backward only, so a pass that returns logits or tangents computes none.  This
+is the only implementation of the network; the tests hold it to the
+`manifolds` and `gyro` row kernels composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
@@ -271,6 +272,15 @@ def _lorentz_coefficients(p, q, transported):
     return alpha, beta, back
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=0, keepdims=True) of (width, N) arrays, bit for bit:
+    for N >= 2 one einsum pass, which sums each column in the same order
+    with no product array; einsum regroups a lone column's terms."""
+    if a.shape[1] == 1:
+        return np.add.reduce(a * b, axis=0, keepdims=True)
+    return np.einsum("ij,ij->j", a, b)[None]
+
+
 def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, grads: dict) -> Tensor:
     """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b,
     run at scale w and scale b and divided by scale: the coefficients take
@@ -289,19 +299,19 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     b, s, bias_terms, b_back = terms
     wd = w.data
     scaled, c2 = scale != 1.0, scale * scale
-    p = (wd * wd).sum(axis=0, keepdims=True)
+    p = _column_dots(wd, wd)
     q = b @ wd
     alpha, beta, coefficients_back = coefficients(c2 * p if scaled else p, c2 * q if scaled else q, bias_terms)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
-    r = np.sqrt((z * z).sum(axis=0, keepdims=True) + _TINY)
+    r = np.sqrt(_column_dots(z, z) + _TINY)
     scaled_r = scale * r if scaled else r
     k = smooth_ratio(log_ratio, scaled_r)
     z *= k
 
     def back(gz):
         dk = smooth_slope(log_ratio, scaled_r, k)
-        g1 = (gz * wd).sum(axis=0, keepdims=True)
+        g1 = _column_dots(gz, wd)
         g2 = b @ gz
         g_sq = (alpha * g1 + beta * g2) * (scale * dk if scaled else dk) / (2.0 * r)  # of |hidden|^2
         g_sq2 = 2.0 * g_sq
@@ -389,9 +399,10 @@ def _readout(a: Tensor, weight: np.ndarray, bias: np.ndarray, grads: dict) -> Te
 
 def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean of the logit columns' cross-entropies as one stage; gradient (softmax - onehot)/N."""
-    rows = np.arange(labels.size)
+    # each row's label logit by its flat index in the C-ordered (classes, N) buffer
+    at = labels * labels.size + np.arange(labels.size)
     shifted = logits.data - logits.data.max(axis=0)
-    picked = shifted[labels, rows]
+    picked = shifted.take(at)
     e = np.exp(shifted, out=shifted)
     total = e.sum(axis=0)
     scale = 1.0 / labels.size
@@ -399,20 +410,20 @@ def _mean_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     def back(g):
         grad = np.multiply(e, g * scale / total, out=e)
-        grad[labels, rows] -= g * scale
+        grad.ravel()[at] -= g * scale
         return grad
 
     return Tensor(per_row.sum() * scale, logits, back, "cross_entropy")
 
 
 def _class_labels(labels, rows: int, n_classes: int) -> np.ndarray:
-    """labels as an array, checked to hold one class in [0, n_classes) per feature row."""
+    """labels as an intp array, checked to hold one class in [0, n_classes) per feature row."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" or labels.shape != (rows,):
         raise ValueError(f"need one integer label per row ({rows}), got {labels.dtype} {labels.shape}")
     if np.count_nonzero((labels < 0) | (labels >= n_classes)):
         raise ValueError("labels out of range")
-    return labels
+    return labels.astype(np.intp, copy=False)
 
 
 def _preprocess(features) -> np.ndarray:
@@ -489,11 +500,12 @@ def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
     with np.errstate(all="ignore"):
         run = _TapeRun(model, rows, labels)
         result = outputs(run)
-    if all(np.count_nonzero(np.isfinite(a)) == np.size(a) for a in result):
-        return result
-    for node in run.stages:
-        ad.check(node)
-    raise NumericalError("numerical overflow in backward")
+    for a in result:
+        if np.count_nonzero(np.isfinite(a)) != np.size(a):
+            for node in run.stages:
+                ad.check(node)
+            raise NumericalError("numerical overflow in backward")
+    return result
 
 
 def forward(model: HnnModel, features) -> np.ndarray:
@@ -562,15 +574,15 @@ def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
 # that, ~ 16.81, in the Poincare ball; this caps a hyperboloid bias at the
 # Klein clamp's distance
 _MAX_BIAS_DISTANCE = float(np.arctanh(1.0 - EPS_BALL))
+_MAX_BIAS_TIME = float(np.cosh(_MAX_BIAS_DISTANCE))
 _MAX_BIAS_STEP = 1.0
 
 
 def _clamp_lorentz_radius(p: LorentzPoint) -> LorentzPoint:
-    limit = float(np.cosh(_MAX_BIAS_DISTANCE))
-    if p.time <= limit:
+    if p.time <= _MAX_BIAS_TIME:
         return p
     spatial = p.spatial * (np.sinh(_MAX_BIAS_DISTANCE) / np.linalg.norm(p.spatial))
-    return LorentzPoint(np.concatenate(([limit], spatial)))
+    return LorentzPoint(np.concatenate(([_MAX_BIAS_TIME], spatial)))
 
 
 def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnModel:
@@ -633,7 +645,7 @@ class EpochRecord:
 def accuracy(model: HnnModel, features, labels) -> float:
     predicted = forward(model, features).argmax(axis=1)
     labels = _class_labels(labels, len(predicted), model.n_classes)
-    return float((predicted == labels).mean()) if labels.size else 0.0
+    return float(np.count_nonzero(predicted == labels) / labels.size) if labels.size else 0.0
 
 
 def train(model: HnnModel, dataset, config: TrainConfig):

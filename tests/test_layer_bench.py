@@ -10,9 +10,12 @@ matvec suites (`matvec_compose`, `matvec_scale`, `matvec_orthogonal`,
 its own size, and of `manifolds.row_dots` on 2,000 x 16 and 1 x 16 rows, a
 batch and a single row, which it sums by different paths, on the stacked
 (2,000, 16, 16) . (2,000, 1, 16) products of `gyro.einstein_matvec_rows` and
-on 2,000 x 16 rows against one broadcast 1 x 16 row, and of one
-`nn.riemannian_adam_step` per flavor, on the
-gradients of a tree-d10 train split with the bias off the origin.
+on 2,000 x 16 rows against one broadcast 1 x 16 row, of the layer's column
+dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
+different paths, of one `nn.riemannian_adam_step` per flavor, on the
+gradients of a tree-d10 train split with the bias off the origin, and of
+`nn.accuracy` per flavor on the 407-row tree-d10 validation split, the
+pass a training epoch makes after its step.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -188,6 +191,14 @@ def test_row_dots(benchmark, a_shape, b_shape):
     assert dots.shape == np.broadcast_shapes(a_shape, b_shape)[:-1] + (1,) and np.all(np.isfinite(dots))
 
 
+@pytest.mark.parametrize("rows", [2047, 1])
+def test_column_dots(benchmark, rows):
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(WIDTH, rows)), rng.normal(size=(WIDTH, rows))
+    dots = benchmark(nn._column_dots, a, b)
+    assert dots.shape == (1, rows) and np.all(np.isfinite(dots))
+
+
 @pytest.mark.parametrize("flavor", list(Model))
 def test_riemannian_adam_step(benchmark, tree, flavor):
     model = nn.init_model(flavor, WIDTH, WIDTH, tree.n_classes, seed=0)
@@ -199,3 +210,13 @@ def test_riemannian_adam_step(benchmark, tree, flavor):
     assert stepped.flavor is flavor and stepped.parameter_arrays().keys() == grads.keys()
     assert all(np.all(np.isfinite(a)) for a in stepped.parameter_arrays().values())
     assert not np.array_equal(stepped.weight, model.weight)
+
+
+@pytest.mark.parametrize("flavor", list(Model))
+def test_accuracy(benchmark, tree, flavor):
+    model = nn.init_model(flavor, WIDTH, WIDTH, tree.n_classes, seed=0)
+    model = replace(model, bias=offset_bias(flavor, WIDTH, np.random.default_rng(3)))
+    feats, labels = tree.features[tree.val_idx], tree.labels[tree.val_idx]
+    assert feats.shape == (407, WIDTH)
+    acc = benchmark(nn.accuracy, model, feats, labels)
+    assert type(acc) is float and 0.0 <= acc <= 1.0

@@ -244,6 +244,18 @@ class TestCrossEntropy:
         assert node.data.tobytes() == want_loss.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_narrow_and_unsigned_labels_give_the_int64_bits(self, dtype):
+        # the loss indexes its label logits by labels * N + row, so the labels
+        # it takes must not wrap or promote to float at N = 300
+        model = offset_bias_model(Model.LORENTZ, 4, 3, 3, seed=8)
+        feats = np.random.default_rng(9).normal(size=(300, 4))
+        labels = np.arange(300) % 3
+        loss, grads = nn.gradients(model, feats, labels)
+        other, other_grads = nn.gradients(model, feats, labels.astype(dtype))
+        assert repr(other) == repr(loss)
+        assert all(other_grads[key].tobytes() == grads[key].tobytes() for key in nn._PARAMETERS)
+
 
 def norm_capped(feats):
     """The feature cap as a scaling by MAX_FEATURE_NORM / max(|x|, MAX_FEATURE_NORM)."""
@@ -692,7 +704,8 @@ def test_gradients_reject_an_empty_batch():
     # a pass that takes no mean still returns an empty result
     assert nn.forward(model, empty).shape == (0, 3)
     assert nn.hidden_tangent(model, empty).shape == (0, 4)
-    assert nn.accuracy(model, empty, no_labels) == 0.0
+    score = nn.accuracy(model, empty, no_labels)
+    assert type(score) is float and score == 0.0
 
 
 def saturating_model(flavor):
@@ -867,6 +880,82 @@ class TestTapeBuffers:
             tracemalloc.stop()
         assert ds.features.shape == (2047, 16)
         assert peak <= 5 * 16 * 2047 * 8
+
+
+class TestColumnDots:
+    # for N >= 2 einsum sums each column over the width in the product sum's
+    # order; a lone column keeps the product and reduce, as einsum regroups
+    # its terms.  A numpy whose einsum fuses multiply-add fails here.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 407, 2047])
+    @pytest.mark.parametrize("width", [2, 8, 16, 64])
+    def test_bits_equal_the_product_sum(self, width, n):
+        rng = np.random.default_rng(1000 * width + n)
+        a = rng.normal(size=(width, n)) * 10.0 ** rng.integers(-8, 9, size=(width, n))
+        b = rng.normal(size=(width, n))
+        signed_zeros = np.where(rng.random((width, n)) < 0.5, -0.0, 0.0)
+        # terms that cancel only in the summation order of the product sum
+        spread = np.where(rng.random((width, n)) < 0.5, rng.choice([-1e300, 1e300], size=(width, n)), a)
+        pairs = [
+            (a, b),
+            (a, a),
+            (b, b),
+            (signed_zeros, b),
+            (signed_zeros, signed_zeros),
+            (np.full_like(b, -0.0), np.abs(b)),
+            (spread, b),
+            (spread, np.abs(b)),
+        ]
+        for x, y in pairs:
+            want = (x * y).sum(axis=0, keepdims=True)
+            got = nn._column_dots(x, y)
+            assert got.shape == want.shape == (1, n) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
+class TestStageArrays:
+    # a Tensor keeps the array its stage builds, unconverted, so each stage
+    # must build a C-ordered float64 column per row itself
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return gen_tree_dataset(10, 16, 0.1, seed=0)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1)], ids=["train_split", "one_row"])
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_every_stage_of_a_gradients_pass_is_a_float64_column_per_row(self, tree, flavor, rows, monkeypatch):
+        runs = []
+
+        class Recorded(nn._TapeRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        monkeypatch.setattr(nn, "_TapeRun", Recorded)
+        model = offset_bias_model(flavor, 16, 16, tree.n_classes, seed=3)
+        feats, labels = tree.features[tree.train_idx][rows], tree.labels[tree.train_idx][rows]
+        loss, _ = nn.gradients(model, feats, labels)
+        (run,) = runs
+        n = len(labels)
+        widths = [16, 16, 16, tree.n_classes]
+        for node, width in zip(run.stages[:4], widths):
+            assert type(node.data) is np.ndarray and node.data.dtype == np.float64, node.name
+            assert node.data.shape == (width, n) and node.data.flags.c_contiguous, node.name
+        assert type(run.loss.data) is np.float64 and repr(float(run.loss.data)) == repr(loss)
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_tied_logits_count_as_class_zero(self, flavor):
+        # all-zero readout weights and bias tie every logit, and argmax takes class 0
+        ds = gen_tree_dataset(6, 8, 0.1, seed=0)
+        model = offset_bias_model(flavor, 8, 16, ds.n_classes, seed=5)
+        zeros = np.zeros_like(model.readout_weight)
+        model = replace(model, readout_weight=zeros, readout_bias=np.zeros(ds.n_classes))
+        logits = nn.forward(model, ds.features)
+        assert np.count_nonzero(logits) == 0
+        got = nn.accuracy(model, ds.features, ds.labels)
+        assert type(got) is float
+        assert repr(got) == repr(float((logits.argmax(axis=1) == ds.labels).mean()))
+        assert 0.0 < got < 1.0
 
 
 class TestRiemannianAdam:
