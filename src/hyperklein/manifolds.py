@@ -153,7 +153,8 @@ _RATIOS = {
     # atanh is evaluated at most at ATANH_MAX, and so is its slope
     "atanhc": (
         lambda t: np.arctanh(np.minimum(t, ATANH_MAX)),
-        lambda t: 1.0 / (1.0 - np.minimum(t, ATANH_MAX) ** 2),
+        # np.square, as a numpy scalar's ** 2 calls pow, which can round otherwise than x * x
+        lambda t: 1.0 / (1.0 - np.square(np.minimum(t, ATANH_MAX))),
         1.0 / 3.0,
         1.0 / 5.0,
     ),

@@ -46,12 +46,14 @@ parameters, the entry points their inputs.
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
 with a closed-form backward.  A stage holds a (width, N) array, a column per
-row, so the layer's per-row scalars are (1, N) rows and the readout and the
-loss reduce along contiguous memory.  A column sum is one einsum pass (a lone
-column keeps the product and reduce), and the loss picks its label logits by
-flat index.  Each stage builds its output in the array it keeps: the layer
-scales its hidden points h to z = log_o h in place, as nothing downstream
-reads h but through log_o, and the loss's shifted logits become its
+row, so the readout and the loss reduce along contiguous memory and the
+layer's per-row scalars are (1, N) rows, or numpy scalars for a lone row: an
+operation on a (1, 1) array costs several times one on a scalar, and the same
+code does the same IEEE operations on either.  A column sum is one einsum pass
+(a lone column keeps the product and reduce), and the loss picks its label
+logits by flat index.  Each stage builds its output in the array it keeps: the
+layer scales its hidden points h to z = log_o h in place, as nothing
+downstream reads h but through log_o, and the loss's shifted logits become its
 exponentials.  A backward runs once.  It may overwrite the gradient it is
 handed and the buffers its own closure holds (the loss returns its
 exponentials as the gradient, the relu masks in place, and the layer builds
@@ -272,13 +274,20 @@ def _lorentz_coefficients(p, q, transported):
     return alpha, beta, back
 
 
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _column_dots(a: np.ndarray, b: np.ndarray):
     """(a * b).sum(axis=0, keepdims=True) of (width, N) arrays, bit for bit:
-    for N >= 2 one einsum pass, which sums each column in the same order
-    with no product array; einsum regroups a lone column's terms."""
+    for N >= 2 one einsum pass, which sums each column in the same order with
+    no product array; a lone column, whose terms einsum regroups, is a product
+    and reduce to a numpy scalar."""
     if a.shape[1] == 1:
-        return np.add.reduce(a * b, axis=0, keepdims=True)
+        return np.add.reduce(a * b, axis=0)[0]
     return np.einsum("ij,ij->j", a, b)[None]
+
+
+def _bias_dots(b: np.ndarray, a: np.ndarray):
+    """b @ a of a (width, N) array: the (N,) products, or a lone column's numpy scalar."""
+    dots = b @ a
+    return dots[0] if a.shape[1] == 1 else dots
 
 
 def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, grads: dict) -> Tensor:
@@ -288,9 +297,10 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     `log_ratio` of scale |h|.  Only the Poincare stage scales, by 2; the
     scale-1 Klein and Lorentz stages multiply nothing by it.  `terms` are
     the model's bias terms (`_BIAS_TERMS`): b, s = |b|^2, what the
-    coefficients read of the bias, and `b_back`.  The backward takes
-    G1 = gz.w and G2 = gz.b per (width, N) column back through the (1, N)
-    scalars to dL/dp, dL/dq and dL/ds, and then
+    coefficients read of the bias, and `b_back`.  The per-row scalars are
+    (1, N) rows, or a lone row's numpy scalars (`_column_dots`, `_bias_dots`).
+    The backward takes G1 = gz.w and G2 = gz.b per (width, N) column back
+    through them to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
         gb = gz (k beta)^T + w dL/dq^T + 2 sum(dL/ds) b,
     which `b_back` takes on to the bias coordinates for grads["bias"].
@@ -300,7 +310,7 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     wd = w.data
     scaled, c2 = scale != 1.0, scale * scale
     p = _column_dots(wd, wd)
-    q = b @ wd
+    q = _bias_dots(b, wd)
     alpha, beta, coefficients_back = coefficients(c2 * p if scaled else p, c2 * q if scaled else q, bias_terms)
     z = alpha * wd
     z += beta * b[:, None]  # the hidden points h, scaled to z in place below
@@ -312,7 +322,7 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     def back(gz):
         dk = smooth_slope(log_ratio, scaled_r, k)
         g1 = _column_dots(gz, wd)
-        g2 = b @ gz
+        g2 = _bias_dots(b, gz)
         g_sq = (alpha * g1 + beta * g2) * (scale * dk if scaled else dk) / (2.0 * r)  # of |hidden|^2
         g_sq2 = 2.0 * g_sq
         g_alpha = k * g1 + g_sq2 * (alpha * p + beta * q)
@@ -323,7 +333,7 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
         g_p = g_p + g_sq * alpha * alpha
         g_q = g_q + g_sq2 * alpha * beta
         g_s = np.sum(g_s + g_sq * beta * beta)
-        gb = gz @ (k * beta)[0] + wd @ g_q[0] + 2.0 * g_s * b
+        gb = gz @ (k * beta).ravel() + wd @ g_q.ravel() + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
         # gz is read; its buffer holds each further summand of gw in turn
         gw = k * alpha * gz

@@ -168,6 +168,39 @@ class TestSeriesOnlyWhereNeeded:
         np.testing.assert_array_equal(smooth_slope(name, t, value), 0.0)
 
 
+def scalar_grid():
+    """0, both sides of the switch, [0.9, 1), ATANH_MAX and above it, and
+    710 and 711, where sinh and cosh overflow, with random values between."""
+    rng = np.random.default_rng(29)
+    edges = [0.0, BELOW, SWITCH, ABOVE, np.nextafter(ATANH_MAX, 0.0), ATANH_MAX, np.nextafter(ATANH_MAX, 2.0)]
+    return np.concatenate(
+        [
+            edges + [1.0, 1.5, 710.0, 711.0],
+            rng.uniform(0.0, SWITCH, 500),
+            rng.uniform(SWITCH, 0.9, 5000),
+            rng.uniform(0.9, 1.0, 5000),
+            rng.uniform(1.0, 30.0, 500),
+        ]
+    )
+
+
+class TestScalarRatios:
+    # a lone row's per-row scalars are numpy scalars, so a ratio and its slope
+    # must round a scalar as they round it inside a (1, N) row; a scalar's
+    # ** 2 calls pow, which rounds some squares otherwise than an array's
+    @pytest.mark.parametrize("name", sorted(WHERE_FORMS))
+    def test_scalar_bits_match_the_array_bits(self, name):
+        t = scalar_grid()
+        with np.errstate(all="ignore"):  # sinh(711) / 711
+            value = smooth_ratio(name, t[None])
+            slope = smooth_slope(name, t[None], value)
+            for i, x in enumerate(t):
+                got = smooth_ratio(name, x)
+                got_slope = smooth_slope(name, x, got)
+                assert np.float64(got).tobytes() == value[0, i].tobytes(), (name, x)
+                assert np.float64(got_slope).tobytes() == slope[0, i].tobytes(), (name, x)
+
+
 def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):
     """A Klein network with the bias at the origin and two classes."""
     weight = np.array(weight)

@@ -3,8 +3,10 @@
 1,234 rows of 16 hidden units and 11 classes, of the forward-only pass `nn.forward` on 2,047 x 16 rows
 of the tree-d10 data and on its first row, with the bias at the origin and,
 on the first row, off it, and of `nn.gradients` on the
-1,234 x 16 tree-d10 train split and on 8 x 6 rows, the shape of `verify`'s
-gradient_check, where a pass's fixed cost dominates, and of the four
+1,234 x 16 tree-d10 train split, on 8 x 6 rows, the shape of `verify`'s
+gradient_check, where a pass's fixed cost dominates, and on one tree-d10
+row per flavor, gradient_check's batch-1 case, whose layer does its
+per-row scalar algebra on numpy scalars, and of the four
 matvec suites (`matvec_compose`, `matvec_scale`, `matvec_orthogonal`,
 `matvec_tangent`) at 2,000 samples, which draw each sample's matrices at
 its own size, and of `manifolds.row_dots` on 2,000 x 16 and 1 x 16 rows, a
@@ -153,6 +155,15 @@ def test_gradients_tree_train_split(benchmark, tree, flavor):
     assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+@pytest.mark.parametrize("flavor", list(Model))
+def test_gradients_one_row(benchmark, tree, flavor):
+    model = nn.init_model(flavor, WIDTH, WIDTH, tree.n_classes, seed=0)
+    model = replace(model, bias=offset_bias(flavor, WIDTH, np.random.default_rng(3)))
+    loss, grads = benchmark(nn.gradients, model, tree.features[:1], tree.labels[:1])
+    assert np.isfinite(loss) and grads.keys() == model.parameter_arrays().keys()
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 def small_batch(flavor):
     """A model off the origin and 8 x 6 rows with labels, gradient_check's shape."""
     rng = np.random.default_rng(2)
@@ -196,7 +207,7 @@ def test_column_dots(benchmark, rows):
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=(WIDTH, rows)), rng.normal(size=(WIDTH, rows))
     dots = benchmark(nn._column_dots, a, b)
-    assert dots.shape == (1, rows) and np.all(np.isfinite(dots))
+    assert (type(dots) is np.float64 if rows == 1 else dots.shape == (1, rows)) and np.all(np.isfinite(dots))
 
 
 @pytest.mark.parametrize("flavor", list(Model))

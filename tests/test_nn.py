@@ -885,7 +885,8 @@ class TestTapeBuffers:
 class TestColumnDots:
     # for N >= 2 einsum sums each column over the width in the product sum's
     # order; a lone column keeps the product and reduce, as einsum regroups
-    # its terms.  A numpy whose einsum fuses multiply-add fails here.
+    # its terms, and returns its sum as a numpy scalar.  A numpy whose einsum
+    # fuses multiply-add fails here.
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 407, 2047])
     @pytest.mark.parametrize("width", [2, 8, 16, 64])
     def test_bits_equal_the_product_sum(self, width, n):
@@ -908,8 +909,63 @@ class TestColumnDots:
         for x, y in pairs:
             want = (x * y).sum(axis=0, keepdims=True)
             got = nn._column_dots(x, y)
-            assert got.shape == want.shape == (1, n) and got.dtype == np.float64
+            if n == 1:
+                want = want[0, 0]
+                assert type(got) is np.float64
+            else:
+                assert got.shape == want.shape == (1, n) and got.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+
+
+def pass_outputs(model, feats, labels):
+    loss, grads = nn.gradients(model, feats, labels)
+    outputs = [nn.forward(model, feats), nn.hidden_tangent(model, feats), np.float64(loss)]
+    return [a.tobytes() for a in outputs + [grads[key] for key in sorted(grads)]]
+
+
+class TestLoneRow:
+    # a lone row's per-row scalars are numpy scalars, which must take the
+    # same IEEE operations as the (1, 1) arrays they stand for
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return gen_tree_dataset(10, 16, 0.1, seed=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 6.0])
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_scalar_math_matches_the_array_math(self, tree, flavor, scale, monkeypatch):
+        rows = range(0, len(tree.features), 10)
+        klein = offset_bias_model(Model.KLEIN, 16, 16, tree.n_classes, seed=0)
+        klein = replace(klein, weight=klein.weight * scale)
+        # |h| = tanh|z|, and atanhc of the hidden norm nears ATANH_MAX
+        h = np.tanh(np.linalg.norm(nn.hidden_tangent(klein, tree.features[rows]), axis=1))
+        assert np.count_nonzero((h >= 0.95) & (h < 1.0)) >= 20
+        model = offset_bias_model(flavor, 16, 16, tree.n_classes, seed=0)
+        model = replace(model, weight=model.weight * scale)
+        batches = [(tree.features[i : i + 1], tree.labels[i : i + 1]) for i in rows]
+        scalar = [pass_outputs(model, *batch) for batch in batches]
+        column_dots = nn._column_dots
+
+        def array_dots(a, b):
+            return np.add.reduce(a * b, axis=0, keepdims=True) if a.shape[1] == 1 else column_dots(a, b)
+
+        monkeypatch.setattr(nn, "_column_dots", array_dots)
+        monkeypatch.setattr(nn, "_bias_dots", lambda b, a: b @ a)
+        for i, batch, want in zip(rows, batches, scalar):
+            assert pass_outputs(model, *batch) == want, i
+
+    @pytest.mark.parametrize("flavor", [Model.POINCARE, Model.LORENTZ])
+    def test_saturating_lone_row_names_its_layer(self, tree, flavor):
+        # scalar math, like array math, overflows silently in the pass's
+        # np.errstate; Klein's closed form saturates to finite logits here
+        model = nn.init_model(flavor, 16, 16, tree.n_classes, seed=0)
+        model = replace(model, weight=model.weight * 1e3)
+        feats, labels = tree.features[1:2], tree.labels[1:2]
+        message = rf"^numerical overflow in {flavor.value}_layer at row 0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, args in ((nn.forward, ()), (nn.hidden_tangent, ()), (nn.gradients, (labels,))):
+                with pytest.raises(NumericalError, match=message):
+                    call(model, feats, *args)
 
 
 class TestStageArrays:
