@@ -37,11 +37,11 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
 A model, `HnnModel`, is flat and frozen: its fields are exactly the four
 parameters W, b, R, r under the names of their gradients (`weight`, `bias`,
 `readout_weight`, `readout_bias`), and its flavor is the model of its bias
-point.  The optimizer, the checkpoints and the gradient checks address the
-parameters by those names and derive new models only with
-`dataclasses.replace`, which re-runs the model's checks; replacing the bias
-with a point of another model changes the flavor.  A model checks its
-parameters, the entry points their inputs.
+point.  The checkpoints and the gradient checks address the parameters by
+those names, the optimizer by their order.  A new model, built from its four
+fields or derived with `dataclasses.replace`, re-runs the model's checks;
+replacing the bias with a point of another model changes the flavor.  A
+model checks its parameters, the entry points their inputs.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
@@ -61,36 +61,39 @@ its summands in its incoming gradient's buffer), but never a stage's `data`,
 which callers read after the backward.  The stages read the model's fields
 directly, but for the layer, which reads the bias through the model's
 `bias_terms`: the bias-only part of its forward (for the hyperboloid stage the
-origin tangent v, |v|^2, and t, sinhc t and cosh t of the transported
-tangent's norm), derived on the model's first pass and kept for every later
-one.  The backward walks the chain from the loss to hidden_linear, and each
-stage writes its own parameters' gradients into the pass's `grads`.  The
-smooth ratios' slopes, the bias terms' among them, are computed in the
-backward only, so a pass that returns logits or tangents computes none.  This
-is the only implementation of the network; the tests hold it to the
-`manifolds` and `gyro` row kernels composed step by step.
+origin tangent v, |v|^2, t, sinhc t and cosh t of the transported tangent's
+norm, and the hidden point's bias summand beta v, beta = sinhc t; Klein's
+beta is per row, so its pass forms beta b itself), derived on the model's
+first pass and kept for every later one.  The backward walks the chain from
+the loss to hidden_linear, and each stage writes its own parameters'
+gradients into the pass's `grads`.  The smooth ratios' slopes, the bias
+terms' among them, are computed in the backward only, so a pass that returns
+logits or tangents computes none.  This is the only implementation of the
+network; the tests hold it to the `manifolds` and `gyro` row kernels
+composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
 
 `forward`, `hidden_tangent` and `gradients` check and cap their inputs
-(`_prepare`), run one tape pass on them and check only the arrays it
-returns: the logits, the tangent, or the loss and the four gradients.  Only
-when one of those is non-finite are the pass's stages scanned, in the order
-they were built, for the first one that holds a non-finite value; its
-NumericalError names the stage and the row, and `train` adds the flavor and
-the epoch.  The pass, its backward included, runs inside one
-np.errstate(all="ignore"), entered by `_checked_pass`; no stage enters its
-own.  A model's parameters need no scan: its checks run whenever one is
-built, and nothing changes a model or its read-only arrays after that.  A
-bias term that overflows shows in the layer stage, which the scan names.
+(`_prepare`; a feature row with an inf or a nan is a ValueError, an input
+fault), run one tape pass on them and check only the arrays it returns: the
+logits, the tangent, or the loss and the four gradients.  Only when one of
+those is non-finite are the pass's stages scanned, in the order they were
+built, for the first one that holds a non-finite value; its NumericalError
+names the stage and the row, and `train` adds the flavor and the epoch.  The
+pass, its backward included, runs inside one np.errstate(all="ignore"),
+entered by `_checked_pass`; no stage enters its own.  A model's parameters
+need no scan: its checks run whenever one is built, and nothing changes a
+model or its read-only arrays after that.  A bias term that overflows shows
+in the layer stage, which the scan names.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -297,8 +300,10 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     `log_ratio` of scale |h|.  Only the Poincare stage scales, by 2; the
     scale-1 Klein and Lorentz stages multiply nothing by it.  `terms` are
     the model's bias terms (`_BIAS_TERMS`): b, s = |b|^2, what the
-    coefficients read of the bias, and `b_back`.  The per-row scalars are
-    (1, N) rows, or a lone row's numpy scalars (`_column_dots`, `_bias_dots`).
+    coefficients read of the bias, the summand beta b as a (width, 1) column
+    when beta is a constant of the model (None when, as in Klein, it is per
+    row), and `b_back`.  The per-row scalars are (1, N) rows, or a lone
+    row's numpy scalars (`_column_dots`, `_bias_dots`).
     The backward takes G1 = gz.w and G2 = gz.b per (width, N) column back
     through them to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
@@ -306,14 +311,15 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     which `b_back` takes on to the bias coordinates for grads["bias"].
     Returns the stage, whose data is z.
     """
-    b, s, bias_terms, b_back = terms
+    b, s, bias_terms, summand, b_back = terms
     wd = w.data
     scaled, c2 = scale != 1.0, scale * scale
     p = _column_dots(wd, wd)
     q = _bias_dots(b, wd)
     alpha, beta, coefficients_back = coefficients(c2 * p if scaled else p, c2 * q if scaled else q, bias_terms)
     z = alpha * wd
-    z += beta * b[:, None]  # the hidden points h, scaled to z in place below
+    # the hidden points h, scaled to z in place below
+    z += beta * b[:, None] if summand is None else summand
     r = np.sqrt(_column_dots(z, z) + _TINY)
     scaled_r = scale * r if scaled else r
     k = smooth_ratio(log_ratio, scaled_r)
@@ -345,8 +351,9 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
 
 
 def _klein_terms(b: np.ndarray) -> tuple:
-    """The Klein layer's bias terms: b, s = |b|^2, nothing for its coefficients, no b_back."""
-    return b, float(b @ b), None, lambda gb: gb
+    """The Klein layer's bias terms: b, s = |b|^2, nothing for its
+    coefficients, no summand (its beta is per row), no b_back."""
+    return b, float(b @ b), None, None, lambda gb: gb
 
 
 def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
@@ -355,8 +362,9 @@ def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
     point's spatial part b_s = coords[1:] (its time coordinate's gradient
     is zero), or atanhc of a Poincare ball point b_s = coords.  Returns v,
     s = |v|^2, the transported tangent's norm t = scale |v| with sinhc t and
-    cosh t for `_lorentz_coefficients`, and `b_back`, which takes dL/dv to
-    the bias coordinates and computes the slope of rho only when called."""
+    cosh t for `_lorentz_coefficients`, the summand beta v = sinhc(t) v as a
+    (width, 1) column, and `b_back`, which takes dL/dv to the bias
+    coordinates and computes the slope of rho only when called."""
     b_s = coords[start:]
     bn = np.sqrt(b_s @ b_s + _TINY)
     rho = smooth_ratio(ratio, bn)
@@ -364,7 +372,9 @@ def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
     s = float(v @ v)
     t = np.sqrt(scale * scale * s + _TINY)
     big_s = smooth_ratio("sinhc", t)
-    v.flags.writeable = False
+    summand = big_s * v[:, None]
+    for array in (v, summand):
+        array.flags.writeable = False
     if isinstance(big_s, np.ndarray):  # a 0-d array where sinhc takes its series
         big_s.flags.writeable = False
 
@@ -372,7 +382,7 @@ def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
         gb = rho * gv + (gv @ b_s) * smooth_slope(ratio, bn, rho) / bn * b_s
         return np.concatenate(([0.0], gb)) if start else gb
 
-    return v, s, (t, big_s, np.cosh(t)), b_back
+    return v, s, (t, big_s, np.cosh(t)), summand, b_back
 
 
 # a Poincare origin tangent is half the hyperboloid's, so the ball runs the
@@ -437,15 +447,32 @@ def _class_labels(labels, rows: int, n_classes: int) -> np.ndarray:
 
 
 def _preprocess(features) -> np.ndarray:
-    """Cap feature rows at MAX_FEATURE_NORM to keep tanh saturation in check."""
+    """Cap feature rows at MAX_FEATURE_NORM to keep tanh saturation in check.
+
+    The cap is idle, and the rows are returned as given, when every squared
+    norm lies under the cap's square less a 1e-9 margin: a lone row's is one
+    1-d dot product, a batch's one einsum pass.  The two sum in different
+    orders, and so does np.linalg.norm, but the margin sends each row whose
+    norm could round to the cap, and each non-finite row, to the scaling,
+    which multiplies every uncapped row by exactly 1.  A row with an inf or
+    a nan raises ValueError there, naming the first such row.
+    """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
-    # an idle cap scales by 1; the margin sends each row that np.linalg.norm's
-    # summation order could round to the cap, and each non-finite row, to the scaling
-    if np.count_nonzero(np.einsum("ij,ij->i", feats, feats) < MAX_FEATURE_NORM**2 * (1.0 - 1e-9)) == len(feats):
+    limit = MAX_FEATURE_NORM**2 * (1.0 - 1e-9)
+    if len(feats) == 1:
+        row = feats[0]
+        if row.dot(row) < limit:
+            return feats
+    elif np.count_nonzero(np.einsum("ij,ij->i", feats, feats) < limit) == len(feats):
         return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    if np.count_nonzero(np.isfinite(norms)) != len(feats):
+        # an inf or a nan makes a row's norm non-finite, and so may finite entries that overflow it
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"feature row {finite.argmin()} is not finite")
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
 
 
@@ -511,7 +538,7 @@ def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
         run = _TapeRun(model, rows, labels)
         result = outputs(run)
     for a in result:
-        if np.count_nonzero(np.isfinite(a)) != np.size(a):
+        if np.count_nonzero(np.isfinite(a)) != a.size:
             for node in run.stages:
                 ad.check(node)
             raise NumericalError("numerical overflow in backward")
@@ -600,15 +627,14 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     bias's Riemannian gradient in its slot.  The Euclidean parameters add
     their part of the step; the bias retracts along its part."""
     state.step += 1
-    bias = model.bias
-    params = model.parameter_arrays()
-    slots = {**grads, "bias": _riemannian_bias_grad(bias, grads["bias"])}
-    step = -state.lr * state._update(np.concatenate([np.ravel(slots[key]) for key in _PARAMETERS]))
-    moves, start = {}, 0
-    for key, array in params.items():
-        moves[key] = step[start : start + array.size].reshape(array.shape)
-        start += array.size
-    x, v = bias.coords[None], _finite(moves.pop("bias")[None], "components")
+    bias, weight, readout_weight = model.bias, model.weight, model.readout_weight
+    slots = (grads["weight"], _riemannian_bias_grad(bias, grads["bias"]), grads["readout_weight"], grads["readout_bias"])
+    step = -state.lr * state._update(np.concatenate([np.ravel(slot) for slot in slots]))
+    # the parameters' parts of the step, in `_PARAMETERS` order
+    i = weight.size
+    j = i + bias.coords.size
+    k = j + readout_weight.size
+    x, v = bias.coords[None], _finite(step[i:j][None], "components")
     if isinstance(bias, LorentzPoint):
         v = lorentz_tangent_rows(x, v)
         # projecting the coordinate-wise step back to the tangent space can
@@ -621,7 +647,12 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     new_bias = _point_row(bias.model, exp_rows(bias.model, x, v))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
-    return replace(model, bias=new_bias, **{key: params[key] + move for key, move in moves.items()})
+    return HnnModel(
+        weight + step[:i].reshape(weight.shape),
+        new_bias,
+        readout_weight + step[j:k].reshape(readout_weight.shape),
+        model.readout_bias + step[k:],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
 different paths, of one `nn.riemannian_adam_step` per flavor, on the
 gradients of a tree-d10 train split with the bias off the origin, and of
 `nn.accuracy` per flavor on the 407-row tree-d10 validation split, the
-pass a training epoch makes after its step.
+pass a training epoch makes after its step, and of `nn._preprocess`'s
+feature cap on the first tree-d10 row and on all 2,047 rows, which it tests
+by different paths.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -231,3 +233,10 @@ def test_accuracy(benchmark, tree, flavor):
     assert feats.shape == (407, WIDTH)
     acc = benchmark(nn.accuracy, model, feats, labels)
     assert type(acc) is float and 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 2047])
+def test_preprocess(benchmark, tree, rows):
+    feats = tree.features[:rows]
+    capped = benchmark(nn._preprocess, feats)
+    assert capped.tobytes() == feats.tobytes()  # tree rows lie under the cap

@@ -268,6 +268,18 @@ def rows_of_norm(norm):
     return rows * (norm / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
+def rows_rounding_over_the_cap():
+    """Rows at the cap with a wide spread of entries: the row-dot and
+    np.linalg.norm sum them in different orders, so some rows have a squared
+    norm below 25 yet a norm that rounds above 5."""
+    rng = np.random.default_rng(28)
+    rows = rng.normal(size=(4000, 150)) * np.exp(2.0 * rng.normal(size=(4000, 150)))
+    rows *= nn.MAX_FEATURE_NORM / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows[np.einsum("ij,ij->i", rows, rows) < nn.MAX_FEATURE_NORM**2]
+    assert np.any(np.linalg.norm(rows, axis=1) > nn.MAX_FEATURE_NORM)
+    return rows
+
+
 class TestPreprocess:
     @pytest.mark.parametrize(
         "feats",
@@ -288,15 +300,41 @@ class TestPreprocess:
         assert nn._preprocess(feats).tobytes() == norm_capped(feats).tobytes()
 
     def test_rows_whose_norm_rounds_over_the_cap_are_scaled(self):
-        # rows at the cap with a wide spread of entries: the row-dot and
-        # np.linalg.norm sum them in different orders, so some rows have a
-        # squared norm below 25 yet a norm that rounds above 5
-        rng = np.random.default_rng(28)
-        rows = rng.normal(size=(4000, 150)) * np.exp(2.0 * rng.normal(size=(4000, 150)))
-        rows *= nn.MAX_FEATURE_NORM / np.linalg.norm(rows, axis=1, keepdims=True)
-        rows = rows[np.einsum("ij,ij->i", rows, rows) < nn.MAX_FEATURE_NORM**2]
-        assert np.any(np.linalg.norm(rows, axis=1) > nn.MAX_FEATURE_NORM)
+        rows = rows_rounding_over_the_cap()
         assert nn._preprocess(rows).tobytes() == norm_capped(rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "feats",
+        [
+            gen_tree_dataset(6, 16, 0.1, seed=0).features,
+            rows_of_norm(nn.MAX_FEATURE_NORM * (1 - 1e-9)),
+            rows_rounding_over_the_cap(),
+            np.zeros((3, 16)),
+        ],
+        ids=["tree", "just_under_cap", "rounds_over_cap", "zero_row"],
+    )
+    def test_a_lone_row_gets_the_bytes_of_its_batch(self, feats):
+        # a lone row's cap test is a 1-d dot product, a batch's an einsum pass
+        batch = nn._preprocess(feats)
+        for i in range(len(feats)):
+            lone = nn._preprocess(feats[i : i + 1])
+            assert lone.shape == (1, feats.shape[1]) and lone.tobytes() == batch[i].tobytes(), i
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_a_non_finite_row_is_an_input_error(self, flavor):
+        # the scaling rejects it, naming the first one, with no RuntimeWarning
+        model = offset_bias_model(flavor, 4, 3, 3, seed=40)
+        batch = np.random.default_rng(42).normal(size=(6, 4)) * 10.0
+        batch[3, 1], batch[5, 0] = np.nan, np.inf
+        cases = [(np.array([[np.inf, 0.0, 0.0, 0.0]]), 0), (np.array([[0.0, -np.inf, np.nan, 1.0]]), 0), (batch, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for feats, row in cases:
+                labels = np.arange(len(feats)) % 3
+                calls = ((nn.forward, ()), (nn.hidden_tangent, ()), (nn.gradients, (labels,)))
+                for call, args in calls:
+                    with pytest.raises(ValueError, match=rf"^feature row {row} is not finite$"):
+                        call(model, feats, *args)
 
     @pytest.mark.parametrize("flavor", list(Model))
     def test_public_entry_points_cap_what_a_pass_takes_as_given(self, flavor):
@@ -546,12 +584,17 @@ class TestPoincareIsTheLorentzStage:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_batch_1_logits_equal_the_full_batch(self, tree):
-        model = nn.init_model(Model.POINCARE, 16, 16, tree.n_classes, seed=0)
-        model = replace(model, weight=6.0 * model.weight)
-        full = nn.forward(model, tree.features)
-        rows = range(0, len(full), 5)
-        single = np.array([nn.forward(model, tree.features[i : i + 1])[0] for i in rows])
-        assert_rows_close(single, full[::5], 1e-12)
+        # every flavor, with the bias at the origin and off it; Klein's
+        # Einstein closed form saturates at weights x6, so it runs at x1 only
+        cases = [(flavor, mult) for flavor in Model for mult in ((1.0,) if flavor is Model.KLEIN else (1.0, 6.0))]
+        for flavor, mult in cases:
+            for build in (nn.init_model, offset_bias_model):
+                model = build(flavor, 16, 16, tree.n_classes, seed=0)
+                model = replace(model, weight=mult * model.weight)
+                full = nn.forward(model, tree.features)
+                rows = range(0, len(full), 5)
+                single = np.array([nn.forward(model, tree.features[i : i + 1])[0] for i in rows])
+                assert_rows_close(single, full[::5], 1e-12)
 
     @pytest.mark.parametrize("mult", [1.0, 4.0])
     def test_gradients_follow_the_correspondence(self, mult):
@@ -842,10 +885,13 @@ class TestBiasTerms:
         model = build(flavor, 4, 3, 3, seed=44)
         assert "bias_terms" not in vars(model)
         nn.forward(model, np.ones((2, 4)))
-        b, s, transported, _ = terms = model.bias_terms
+        b, s, transported, summand, _ = terms = model.bias_terms
         assert model.bias_terms is terms and "bias_terms" not in vars(replace(model))
         assert [f.name for f in fields(nn.HnnModel)] == ["weight", "bias", "readout_weight", "readout_bias"]
-        arrays = [term for term in (b, s, *(transported or ())) if isinstance(term, np.ndarray)]
+        if flavor is not Model.KLEIN:
+            # the hyperboloid stage's constant summand beta v, beta = sinhc t
+            assert summand.shape == (3, 1) and summand.tobytes() == (transported[1] * b[:, None]).tobytes()
+        arrays = [term for term in (b, s, *(transported or ()), summand) if isinstance(term, np.ndarray)]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
