@@ -65,7 +65,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its column-major buffer would be contiguous, and summed pairwise.
     """
     if a.size > a.shape[-1] or b.size > b.shape[-1]:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), order="F")
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b), order="F")
         return np.add.reduce(np.multiply(a, b, out=out), axis=-1, keepdims=True, initial=-0.0)
     return np.add.accumulate(a * b, axis=-1)[..., -1:]
 
@@ -76,7 +76,7 @@ def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _finite(rows: np.ndarray, what: str = "coordinates") -> np.ndarray:
-    if not np.isfinite(rows).all():
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
         raise ValueError(f"{what} must be finite")
     return rows
 
@@ -89,18 +89,24 @@ def clamp_rows(rows: np.ndarray) -> np.ndarray:
     return rows * (limit / np.maximum(norm, limit))
 
 
+def _mend_overflow(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """norms, a column, in which each inf of a finite row whose squared norm
+    overflowed is replaced, in place, by the norm of the row scaled by its largest |x|."""
+    big = np.isinf(norms[:, 0])
+    if np.count_nonzero(big):
+        rows = rows[big]
+        peak = np.abs(rows).max(axis=1, keepdims=True)
+        norms[big] = peak * np.sqrt(row_dots(rows / peak, rows / peak))
+    return norms
+
+
 def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
     """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s.  Where
     |s|^2 overflows, sqrt(1 + |s|^2) rounds to |s|, so such a row's time is
-    its norm, taken with the row scaled by its largest entry."""
+    its norm, `_mend_overflow`'s."""
     with np.errstate(over="ignore"):
         time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
-    big = np.isinf(time[:, 0])
-    if big.any():
-        rows = spatial[big]
-        peak = np.abs(rows).max(axis=1, keepdims=True)
-        time[big] = peak * np.sqrt(row_dots(rows / peak, rows / peak))
-    return np.concatenate((time, spatial), axis=1)
+    return np.concatenate((_mend_overflow(time, spatial), spatial), axis=1)
 
 
 def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -108,7 +114,7 @@ def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray, tol: float | None =
     comp onto the tangent space at the hyperboloid rows base.  With tol, a
     row whose residual <base, comp> exceeds tol max(1, |comp|) is rejected."""
     residual = minkowski_rows(base, comp)
-    if tol is not None and np.any(np.abs(residual) > tol * np.maximum(1.0, np.sqrt(row_dots(comp, comp)))):
+    if tol is not None and np.count_nonzero(np.abs(residual) > tol * np.maximum(1.0, np.sqrt(row_dots(comp, comp)))):
         raise ValueError("components are not Minkowski-orthogonal to the base")
     return comp + residual * base
 
@@ -163,19 +169,25 @@ _RATIOS = {
 }
 
 
+def _holds_true(mask) -> bool:
+    """Whether a mask holds a True: an array's np.count_nonzero, or a scalar's
+    own truth value, 20x as fast as np.count_nonzero of a numpy scalar."""
+    return np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask
+
+
 def smooth_ratio(name: str, t: np.ndarray) -> np.ndarray:
     """f(t)/t, named tanhc, atanhc, sinhc or asinhc; t >= 0.
 
-    The series runs only when a row is below the switch, tested, as in
-    `nn`, with np.count_nonzero: ndarray.any() and .all() cost 3x as much
-    on one row, in a Python-level wrapper.  Forward passes take only this
-    value; `smooth_slope` gives its slope, which only the network's
-    backward reads.  Overflow gives inf or nan; callers that can overflow
-    run this under np.errstate and check their outputs.
+    The series runs only when a row is below the switch, tested by a lone
+    row's numpy scalar's truth value or an array's np.count_nonzero, as in
+    `nn` (ndarray.any() costs 3x as much on one row).  Forward passes take
+    only this value; `smooth_slope` gives its slope, which only the network's
+    backward reads.  Overflow gives inf or nan; callers that can overflow run
+    this under np.errstate and check their outputs.
     """
     f, _, c2, c4 = _RATIOS[name]
     small = t < _SERIES_SWITCH
-    if not np.count_nonzero(small):
+    if not _holds_true(small):
         return f(t) / t
     s = np.where(small, 1.0, t)
     t2 = t * t
@@ -187,7 +199,7 @@ def smooth_slope(name: str, t: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     closed-form backwards; same switch, series and overflow behaviour."""
     _, df, c2, c4 = _RATIOS[name]
     small = t < _SERIES_SWITCH
-    if not np.count_nonzero(small):
+    if not _holds_true(small):
         return (df(t) - ratio) / t
     s = np.where(small, 1.0, t)
     return np.where(small, t * (2.0 * c2 + 4.0 * c4 * (t * t)), (df(s) - ratio) / s)

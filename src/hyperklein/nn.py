@@ -82,8 +82,9 @@ logits, the tangent, or the loss and the four gradients.  Only when one of
 those is non-finite are the pass's stages scanned, in the order they were
 built, for the first one that holds a non-finite value; its NumericalError
 names the stage and the row, and `train` adds the flavor and the epoch.  The
-pass, its backward included, runs inside one np.errstate(all="ignore"),
-entered by `_checked_pass`; no stage enters its own.  A model's parameters
+input prep and the pass, its backward included, run inside one
+np.errstate(all="ignore"), the decorator of `_checked_pass`, which numpy
+resets after each call; no stage enters its own.  A model's parameters
 need no scan: its checks run whenever one is built, and nothing changes a
 model or its read-only arrays after that.  A bias term that overflows shows
 in the layer stage, which the scan names.
@@ -109,6 +110,7 @@ from .manifolds import (
     Point,
     _checked_lorentz_tangent,
     _finite,
+    _mend_overflow,
     _point_row,
     exp_rows,
     klein_metric_inverse,
@@ -281,9 +283,9 @@ def _column_dots(a: np.ndarray, b: np.ndarray):
     """(a * b).sum(axis=0, keepdims=True) of (width, N) arrays, bit for bit:
     for N >= 2 one einsum pass, which sums each column in the same order with
     no product array; a lone column, whose terms einsum regroups, is a product
-    and reduce to a numpy scalar."""
+    and the same pairwise reduce over all axes, to a numpy scalar."""
     if a.shape[1] == 1:
-        return np.add.reduce(a * b, axis=0)[0]
+        return np.add.reduce(a * b, axis=None)
     return np.einsum("ij,ij->j", a, b)[None]
 
 
@@ -338,7 +340,7 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
             g_p, g_q, g_s = c2 * g_p, c2 * g_q, c2 * g_s
         g_p = g_p + g_sq * alpha * alpha
         g_q = g_q + g_sq2 * alpha * beta
-        g_s = np.sum(g_s + g_sq * beta * beta)
+        g_s = np.add.reduce(g_s + g_sq * beta * beta, axis=None)
         gb = gz @ (k * beta).ravel() + wd @ g_q.ravel() + 2.0 * g_s * b
         grads["bias"] = b_back(gb)
         # gz is read; its buffer holds each further summand of gw in turn
@@ -455,7 +457,8 @@ def _preprocess(features) -> np.ndarray:
     orders, and so does np.linalg.norm, but the margin sends each row whose
     norm could round to the cap, and each non-finite row, to the scaling,
     which multiplies every uncapped row by exactly 1.  A row with an inf or
-    a nan raises ValueError there, naming the first such row.
+    a nan raises ValueError there, naming the first such row; a finite row
+    whose squared norm overflows (silently in `_checked_pass`) is capped too.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -473,6 +476,7 @@ def _preprocess(features) -> np.ndarray:
         finite = np.isfinite(feats).all(axis=1)
         if not finite.all():
             raise ValueError(f"feature row {finite.argmin()} is not finite")
+        _mend_overflow(norms, feats)
     return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
 
 
@@ -525,18 +529,18 @@ class _TapeRun:
             self.stages.append(self.loss)
 
 
-def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
-    """Build one tape pass and return `outputs(run)`, checked once.
+@np.errstate(all="ignore")
+def _checked_pass(model: HnnModel, features, outputs, labels=None):
+    """Check and cap the inputs (`_prepare`), build one tape pass on them and
+    return `outputs(run)`, checked once, all under np.errstate(all="ignore"),
+    a decorator that numpy enters and resets per call.
 
-    The pass and `outputs` run under np.errstate(all="ignore"), so a
-    saturating pass reports only through NumericalError.  If an array that
-    `outputs` returns holds a non-finite value, the first stage that holds
-    one raises its NumericalError; if every stage is finite, the overflow
-    was in the backward.
+    If an array that `outputs` returns holds a non-finite value, the first
+    stage that holds one raises its NumericalError; if every stage is
+    finite, the overflow was in the backward.
     """
-    with np.errstate(all="ignore"):
-        run = _TapeRun(model, rows, labels)
-        result = outputs(run)
+    run = _TapeRun(model, *_prepare(model, features, labels))
+    result = outputs(run)
     for a in result:
         if np.count_nonzero(np.isfinite(a)) != a.size:
             for node in run.stages:
@@ -547,12 +551,12 @@ def _checked_pass(model: HnnModel, rows: np.ndarray, outputs, labels=None):
 
 def forward(model: HnnModel, features) -> np.ndarray:
     """Class logits for each feature row; deterministic, rows independent."""
-    return _checked_pass(model, _prepare(model, features)[0], lambda run: (run.logits.data,))[0].T
+    return _checked_pass(model, features, lambda run: (run.logits.data,))[0].T
 
 
 def hidden_tangent(model: HnnModel, features) -> np.ndarray:
     """Origin-tangent coordinates of the hyperbolic linear layer outputs."""
-    return _checked_pass(model, _prepare(model, features)[0], lambda run: (run.tangent.data,))[0].T
+    return _checked_pass(model, features, lambda run: (run.tangent.data,))[0].T
 
 
 def _loss_and_gradients(run: _TapeRun):
@@ -562,8 +566,7 @@ def _loss_and_gradients(run: _TapeRun):
 
 def gradients(model: HnnModel, features, labels):
     """Mean cross-entropy and its exact gradients for every parameter."""
-    rows, labels = _prepare(model, features, labels)
-    loss, *grads = _checked_pass(model, rows, _loss_and_gradients, labels)
+    loss, *grads = _checked_pass(model, features, _loss_and_gradients, labels)
     return float(loss), dict(zip(_PARAMETERS, grads))
 
 

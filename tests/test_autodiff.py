@@ -187,18 +187,23 @@ def scalar_grid():
 class TestScalarRatios:
     # a lone row's per-row scalars are numpy scalars, so a ratio and its slope
     # must round a scalar as they round it inside a (1, N) row; a scalar's
-    # ** 2 calls pow, which rounds some squares otherwise than an array's
+    # ** 2 calls pow, which rounds some squares otherwise than an array's; a
+    # scalar's switch is tested by its own truth value, an array's by a
+    # count, and nan, +inf and 0-d arrays take the same branches either way
     @pytest.mark.parametrize("name", sorted(WHERE_FORMS))
     def test_scalar_bits_match_the_array_bits(self, name):
-        t = scalar_grid()
+        t = np.concatenate((scalar_grid(), [np.nan, np.inf]))
         with np.errstate(all="ignore"):  # sinh(711) / 711
             value = smooth_ratio(name, t[None])
             slope = smooth_slope(name, t[None], value)
             for i, x in enumerate(t):
-                got = smooth_ratio(name, x)
-                got_slope = smooth_slope(name, x, got)
-                assert np.float64(got).tobytes() == value[0, i].tobytes(), (name, x)
-                assert np.float64(got_slope).tobytes() == slope[0, i].tobytes(), (name, x)
+                for arg in (x, np.array(x)):
+                    got = smooth_ratio(name, arg)
+                    got_slope = smooth_slope(name, arg, got)
+                    assert np.float64(got).tobytes() == value[0, i].tobytes(), (name, x, type(arg))
+                    assert np.float64(got_slope).tobytes() == slope[0, i].tobytes(), (name, x, type(arg))
+            empty = np.zeros((1, 0))
+            assert smooth_ratio(name, empty).shape == smooth_slope(name, empty, empty).shape == (1, 0)
 
 
 def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):

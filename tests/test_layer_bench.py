@@ -17,9 +17,12 @@ dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
 different paths, of one `nn.riemannian_adam_step` per flavor, on the
 gradients of a tree-d10 train split with the bias off the origin, and of
 `nn.accuracy` per flavor on the 407-row tree-d10 validation split, the
-pass a training epoch makes after its step, and of `nn._preprocess`'s
+pass a training epoch makes after its step, of `nn._preprocess`'s
 feature cap on the first tree-d10 row and on all 2,047 rows, which it tests
-by different paths.
+by different paths, of `manifolds.smooth_ratio` and `smooth_slope` on a
+numpy scalar and on a (1, 2,047) row, whose series switch they test by
+different paths, and of `manifolds.lorentz_tangent_rows` on one (1, 17)
+hyperboloid row with a tolerance, the Lorentz Adam step's projection.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -39,7 +42,7 @@ import pytest
 from hyperklein import nn, verify
 from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
-from hyperklein.manifolds import Model, exp_map, origin, row_dots, tangent
+from hyperklein.manifolds import Model, exp_map, lorentz_tangent_rows, origin, row_dots, smooth_ratio, smooth_slope, tangent
 
 ROWS, WIDTH, CLASSES = 1234, 16, 11
 
@@ -240,3 +243,33 @@ def test_preprocess(benchmark, tree, rows):
     feats = tree.features[:rows]
     capped = benchmark(nn._preprocess, feats)
     assert capped.tobytes() == feats.tobytes()  # tree rows lie under the cap
+
+
+def ratio_argument(rows):
+    """A lone row's numpy scalar above the series switch, or a (1, rows) row
+    with every 7th entry below it."""
+    t = np.random.default_rng(8).uniform(0.5, 2.0, size=(1, rows))
+    t[0, 1::7] *= 1e-4
+    return t[0, 0] if rows == 1 else t
+
+
+@pytest.mark.parametrize("rows", [1, 2047])
+def test_smooth_ratio(benchmark, rows):
+    t = ratio_argument(rows)
+    value = benchmark(smooth_ratio, "tanhc", t)
+    assert np.shape(value) == np.shape(t) and np.all(np.isfinite(value))
+
+
+@pytest.mark.parametrize("rows", [1, 2047])
+def test_smooth_slope(benchmark, rows):
+    t = ratio_argument(rows)
+    slope = benchmark(smooth_slope, "tanhc", t, smooth_ratio("tanhc", t))
+    assert np.shape(slope) == np.shape(t) and np.all(np.isfinite(slope))
+
+
+def test_lorentz_tangent_rows(benchmark):
+    bias = offset_bias(Model.LORENTZ, WIDTH, np.random.default_rng(3)).coords[None]
+    comp = np.random.default_rng(9).normal(size=bias.shape)
+    comp = lorentz_tangent_rows(bias, comp)  # tangent, so the tolerance passes
+    projected = benchmark(lorentz_tangent_rows, bias, comp, 1e-6)
+    assert projected.shape == (1, WIDTH + 1) and np.all(np.isfinite(projected))

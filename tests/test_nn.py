@@ -339,18 +339,72 @@ class TestPreprocess:
     @pytest.mark.parametrize("flavor", list(Model))
     def test_public_entry_points_cap_what_a_pass_takes_as_given(self, flavor):
         # a pass takes prepared rows; forward, hidden_tangent and gradients
-        # prepare theirs on entry, so they equal a pass on the capped rows
+        # prepare theirs inside `_checked_pass`, so they equal a pass on the capped rows
         model = offset_bias_model(flavor, 4, 3, 3, seed=40)
         feats = np.random.default_rng(41).normal(size=(6, 4)) * 10.0
         rows, labels = nn._prepare(model, feats, np.arange(6) % 3)
         assert rows.tobytes() == norm_capped(feats).tobytes() != feats.tobytes()
-        for fn, stage in ((nn.forward, "logits"), (nn.hidden_tangent, "tangent")):
-            want = nn._checked_pass(model, rows, lambda run: (getattr(run, stage).data,))[0].T
-            assert fn(model, feats).tobytes() == want.tobytes()
+        with np.errstate(all="ignore"):
+            run = nn._TapeRun(model, rows, labels)
+            want_loss, *want = nn._loss_and_gradients(run)
+        for fn, stage in ((nn.forward, run.logits), (nn.hidden_tangent, run.tangent)):
+            assert fn(model, feats).tobytes() == stage.data.T.tobytes()
         loss, grads = nn.gradients(model, feats, labels)
-        want_loss, *want = nn._checked_pass(model, rows, nn._loss_and_gradients, labels)
         assert np.float64(loss).tobytes() == want_loss.tobytes()
         assert [grads[key].tobytes() for key in nn._PARAMETERS] == [g.tobytes() for g in want]
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_a_row_whose_squared_norm_overflows_is_capped(self, flavor):
+        # 1e200 squared overflows, but the row is finite: it is capped as
+        # [5, 0, 0, 0] is, with no RuntimeWarning, alone and in a batch
+        model = offset_bias_model(flavor, 4, 3, 3, seed=40)
+        big = np.array([[1e200, 0.0, 0.0, 0.0], [1e200, -1e200, 0.0, 0.0]])
+        capped = np.array([[5.0, 0.0, 0.0, 0.0], [5.0 / np.sqrt(2.0), -5.0 / np.sqrt(2.0), 0.0, 0.0]])
+        other = np.random.default_rng(44).normal(size=(3, 4))
+        cases = [(big[:1], capped[:1]), (big[1:], capped[1:]), (np.vstack((other, big)), np.vstack((other, capped)))]
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for feats, want in cases:
+                labels = np.arange(len(feats)) % 3
+                assert close(nn.forward(model, feats), nn.forward(model, want))
+                assert close(nn.hidden_tangent(model, feats), nn.hidden_tangent(model, want))
+                loss, grads = nn.gradients(model, feats, labels)
+                want_loss, want_grads = nn.gradients(model, want, labels)
+                assert close(loss, want_loss)
+                assert all(close(grads[key], want_grads[key]) for key in nn._PARAMETERS)
+
+
+class TestErrorState:
+    # `_checked_pass` ignores floating-point errors under np.errstate as a
+    # decorator; the caller's error state is back after every return and raise
+    @pytest.mark.parametrize("flavor", list(Model))
+    @pytest.mark.parametrize("state", [{}, {"all": "raise"}, {"over": "ignore", "invalid": "warn", "divide": "raise"}])
+    def test_the_callers_error_state_is_restored(self, flavor, state):
+        model = offset_bias_model(flavor, 4, 3, 3, seed=40)
+        feats = np.random.default_rng(45).normal(size=(5, 4)) * 3.0
+        labels = np.arange(5) % 3
+        inf_row = feats.copy()
+        inf_row[2, 1] = np.inf
+        saturating, ds = saturating_model(Model.KLEIN)
+        cases = [
+            (model, feats, labels, None),
+            (model, inf_row, labels, ValueError),
+            (saturating, ds.features, ds.labels, NumericalError),
+        ]
+        with np.errstate(**state):
+            before = np.geterr()
+            for m, x, y, error in cases:
+                for call, args in ((nn.forward, ()), (nn.hidden_tangent, ()), (nn.gradients, (y,))):
+                    if error is None:
+                        call(m, x, *args)
+                    else:
+                        with pytest.raises(error):
+                            call(m, x, *args)
+                    assert np.geterr() == before, (call.__name__, error)
 
 
 def kernel_reference(model, feats):
