@@ -1,67 +1,3 @@
 """Klein-model hyperbolic geometry, gyrovector calculus, and hyperbolic NNs."""
 
-from .manifolds import (
-    EPS_BALL,
-    KleinPoint,
-    LorentzPoint,
-    Model,
-    PoincarePoint,
-    TangentVector,
-    clamp_to_ball,
-    convert_point,
-    distance,
-    exp_map,
-    geodesic_unit,
-    klein_metric_inverse,
-    log_map,
-    lorentz_factor,
-    make_point,
-    metric_inner,
-    origin,
-    pushforward,
-    tangent,
-    transport_from_origin,
-)
-from .gyro import (
-    einstein_add,
-    einstein_matvec,
-    einstein_midpoint,
-    einstein_neg,
-    einstein_scalar,
-    gyration,
-    klein_geodesic_between,
-    mobius_add,
-)
-
-__all__ = [
-    "EPS_BALL",
-    "KleinPoint",
-    "LorentzPoint",
-    "Model",
-    "PoincarePoint",
-    "TangentVector",
-    "clamp_to_ball",
-    "convert_point",
-    "distance",
-    "einstein_add",
-    "einstein_matvec",
-    "einstein_midpoint",
-    "einstein_neg",
-    "einstein_scalar",
-    "exp_map",
-    "geodesic_unit",
-    "gyration",
-    "klein_geodesic_between",
-    "klein_metric_inverse",
-    "log_map",
-    "lorentz_factor",
-    "make_point",
-    "metric_inner",
-    "mobius_add",
-    "origin",
-    "pushforward",
-    "tangent",
-    "transport_from_origin",
-]
-
 __version__ = "0.1.0"

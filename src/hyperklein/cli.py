@@ -200,13 +200,17 @@ def _cmd_convert(args) -> int:
     out_lines = []
     for lineno, values in _parse_point_rows(text):
         try:
-            point = make_point(src, np.asarray(values))
-            if src is not Model.LORENTZ and np.linalg.norm(values) >= 1.0:
+            coords = np.asarray(values)
+            # a finite row with an entry of size >= 1 is outside; below that no square overflows
+            if src is not Model.LORENTZ and np.isfinite(coords).all() and (
+                np.abs(coords).max() >= 1.0 or np.linalg.norm(coords) >= 1.0
+            ):
                 raise ValueError("point lies outside the open unit ball")
+            point = make_point(src, coords)
         except ValueError as err:
             raise DataError(f"row {lineno}: {err}") from err
-        converted = convert_point(point, dst)
-        out_lines.append(",".join(_fmt(c) for c in converted.coords))
+        converted = convert_point(src, dst, point.coords[None])[0]
+        out_lines.append(",".join(_fmt(c) for c in converted))
     Path(args.output).write_text(
         ("\n".join(out_lines) + "\n") if out_lines else "", encoding="utf-8"
     )

@@ -5,23 +5,24 @@ the Lorentz hyperboloid.  All operations are pure functions; conversions
 between models are isometries and tangent vectors move with the associated
 pushforward maps.
 
-Every formula is written once, as a row kernel (`convert_rows`,
-`pushforward_rows`, `metric_inner_rows`, `distance_rows`, `exp_rows`,
-`log_rows`, `geodesic_rows`, `transport_rows`): it takes (N, d) arrays, one
-point or tangent vector per row, and returns (N, d) rows or (N,) scalars.
-Ball rows are Klein or Poincare coordinates, hyperboloid rows are [time,
-spatial...].  Rows may be zero-padded: a point of a lower dimension, with
-zeros appended, maps to the same result with zeros appended.  That holds
-bit for bit because every row reduction goes through `row_dots`, which sums
-each row left to right: numpy sums a C-ordered last axis pairwise, so two
-or more sums add column-major products term by term, from an initial -0.0,
-and a single sum keeps its prefix sums (see its docstring).  Each kernel
-that returns points or tangent vectors checks every row for finiteness,
-clamps ball rows to norm 1 - EPS_BALL and puts hyperboloid rows back on the
-sheet, as the point classes do.  The point functions (`exp_map`,
-`distance`, ...) validate their arguments and call the kernels with N = 1.
-A geodesic is `exp_rows` of t v, and the Mobius addition (`mobius_add_rows`,
-which `gyro` imports) is written here beside the Poincare exp and log.
+Every operation is one function on rows (`convert_point`, `pushforward`,
+`metric_inner`, `distance`, `exp_map`, `log_map`, `geodesic_unit`,
+`transport_from_origin`, `lorentz_factor`, `clamp_to_ball`): it takes (N, d)
+arrays, one point or tangent vector per row, and returns (N, d) rows, (N,)
+scalars or an (N, 1) column; a single point is a (1, d) row.  Ball rows are
+Klein or Poincare coordinates, hyperboloid rows are [time, spatial...].
+Rows may be zero-padded: a point of a lower dimension, with zeros appended,
+maps to the same result with zeros appended.  That holds bit for bit because
+every row reduction goes through `row_dots`, which sums each row left to
+right: numpy sums a C-ordered last axis pairwise, so two or more sums add
+column-major products term by term, from an initial -0.0, and a single sum
+keeps its prefix sums (see its docstring).  Each function that returns
+points or tangent vectors checks every row for finiteness, clamps ball rows
+to norm 1 - EPS_BALL and puts hyperboloid rows back on the sheet, as the
+point classes do.  The point classes hold model parameters and checkpoints;
+the operations do not take them.  A geodesic is `exp_map` of t v, and the
+Mobius addition (`mobius_add`, which `gyro` imports) is written here beside
+the Poincare exp and log.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _finite(rows: np.ndarray, what: str = "coordinates") -> np.ndarray:
     return rows
 
 
-def clamp_rows(rows: np.ndarray) -> np.ndarray:
+def clamp_to_ball(rows: np.ndarray) -> np.ndarray:
     """Check finite ball rows; rescale each onto norm 1 - EPS_BALL when it
     falls outside the ball."""
     limit = 1.0 - EPS_BALL
@@ -89,24 +90,25 @@ def clamp_rows(rows: np.ndarray) -> np.ndarray:
     return rows * (limit / np.maximum(norm, limit))
 
 
-def _mend_overflow(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """norms, a column, in which each inf of a finite row whose squared norm
-    overflowed is replaced, in place, by the norm of the row scaled by its largest |x|."""
-    big = np.isinf(norms[:, 0])
-    if np.count_nonzero(big):
-        rows = rows[big]
-        peak = np.abs(rows).max(axis=1, keepdims=True)
-        norms[big] = peak * np.sqrt(row_dots(rows / peak, rows / peak))
-    return norms
+def _peak_split(rows: np.ndarray):
+    """Columns of each finite row's largest |x| and the norm of the row divided
+    by it: two finite factors of a norm whose square overflows."""
+    peak = np.abs(rows).max(axis=1, keepdims=True)
+    return peak, np.sqrt(row_dots(rows / peak, rows / peak))
 
 
 def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
     """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s.  Where
     |s|^2 overflows, sqrt(1 + |s|^2) rounds to |s|, so such a row's time is
-    its norm, `_mend_overflow`'s."""
+    its norm, the product of `_peak_split`'s factors; a norm past the float64
+    maximum is no point, and raises ValueError."""
     with np.errstate(over="ignore"):
         time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
-    return np.concatenate((_mend_overflow(time, spatial), spatial), axis=1)
+        big = np.isinf(time[:, 0])
+        if np.count_nonzero(big):
+            peak, unit = _peak_split(spatial[big])
+            time[big] = _finite(peak * unit)
+    return np.concatenate((time, spatial), axis=1)
 
 
 def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -124,7 +126,7 @@ def _checked_lorentz_tangent(base: np.ndarray, comp: np.ndarray) -> np.ndarray:
     return lorentz_tangent_rows(base, _finite(comp, "components"), _LORENTZ_INPUT_TOL)
 
 
-def gamma_rows(c: np.ndarray) -> np.ndarray:
+def lorentz_factor(c: np.ndarray) -> np.ndarray:
     """Lorentz factors 1 / sqrt(1 - |c|^2) of Klein rows, as a column."""
     return 1.0 / np.sqrt(1.0 - row_dots(c, c))
 
@@ -134,12 +136,12 @@ def _conformal(x: np.ndarray) -> np.ndarray:
     return 2.0 / (1.0 - row_dots(x, x))
 
 
-def mobius_add_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def mobius_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mobius addition of the rows of a and b on the Poincare ball."""
     dot = row_dots(a, b)
     na, nb = row_dots(a, a), row_dots(b, b)
     num = (1.0 + 2.0 * dot + nb) * a + (1.0 - na) * b
-    return clamp_rows(num / (1.0 + 2.0 * dot + na * nb))
+    return clamp_to_ball(num / (1.0 + 2.0 * dot + na * nb))
 
 
 def _acosh(arg: np.ndarray) -> np.ndarray:
@@ -206,12 +208,7 @@ def smooth_slope(name: str, t: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# points and tangent vectors
-
-
-def clamp_to_ball(coords) -> np.ndarray:
-    """Rescale coords onto norm 1 - EPS_BALL when they fall outside the ball."""
-    return clamp_rows(np.asarray(coords, dtype=np.float64)[None])[0]
+# points
 
 
 def _as_vector(coords, min_size: int) -> np.ndarray:
@@ -228,7 +225,7 @@ class _BallPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", clamp_to_ball(_as_vector(self.coords, 1)))
+        object.__setattr__(self, "coords", clamp_to_ball(_as_vector(self.coords, 1)[None])[0])
 
     @property
     def dim(self) -> int:
@@ -290,8 +287,8 @@ _POINT_TYPES = {
 
 
 def _point_row(model: Model, rows: np.ndarray) -> Point:
-    """The point of model whose coordinates are the one row of a kernel's
-    output; the kernel has checked it, so it is not validated again."""
+    """The point of model whose coordinates are the one row of an operation's
+    output; the operation has checked it, so it is not validated again."""
     point = object.__new__(_POINT_TYPES[model])
     object.__setattr__(point, "coords", rows[0])
     return point
@@ -310,53 +307,11 @@ def origin(model: Model, dim: int) -> Point:
     return _POINT_TYPES[model](np.zeros(dim))
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Tangent vector attached to a base point; its model is the base's.
-
-    Lorentz components are projected onto the Minkowski-orthogonal complement
-    of the base, so <base, components> = 0 holds exactly for stored vectors.
-    """
-
-    base: Point
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=np.float64)
-        if comp.shape != self.base.coords.shape:
-            raise ValueError("components length must match the model dimensionality")
-        _finite(comp, "components")
-        if self.model is Model.LORENTZ:
-            comp = lorentz_tangent_rows(self.base.coords[None], comp[None], _LORENTZ_INPUT_TOL)[0]
-        object.__setattr__(self, "components", comp)
-
-    @property
-    def model(self) -> Model:
-        return self.base.model
-
-
-def _tangent_row(base: Point, rows: np.ndarray) -> TangentVector:
-    """The tangent vector at base held by the one row of a kernel's output."""
-    v = object.__new__(TangentVector)
-    object.__setattr__(v, "base", base)
-    object.__setattr__(v, "components", rows[0])
-    return v
-
-
-def tangent(base: Point, components) -> TangentVector:
-    return TangentVector(base, components)
-
-
 # ---------------------------------------------------------------------------
 # metric quantities
 
 
-def lorentz_factor(x: KleinPoint) -> float:
-    """Dilation factor 1 / sqrt(1 - |x|^2) of a Klein ball point."""
-    return float(gamma_rows(x.coords[None])[0, 0])
-
-
-def metric_inner_rows(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def metric_inner(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Riemannian inner products of tangent rows a and b at the rows x, (N,)."""
     if model is Model.KLEIN:
         s = 1.0 - row_dots(x, x)
@@ -367,13 +322,6 @@ def metric_inner_rows(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray)
     else:
         out = minkowski_rows(a, b)
     return out[:, 0]
-
-
-def metric_inner(x: Point, u: TangentVector, v: TangentVector) -> float:
-    """Riemannian inner product of u and v in the tangent space at x."""
-    if u.model is not x.model or v.model is not x.model:
-        raise ValueError("tangent vectors do not belong to the model of x")
-    return float(metric_inner_rows(x.model, x.coords[None], u.components[None], v.components[None])[0])
 
 
 def klein_metric_inverse(x: KleinPoint) -> np.ndarray:
@@ -389,32 +337,25 @@ def klein_metric_inverse(x: KleinPoint) -> np.ndarray:
 
 def _to_klein(src: Model, x: np.ndarray) -> np.ndarray:
     if src is Model.POINCARE:
-        return clamp_rows(2.0 * x / (1.0 + row_dots(x, x)))
+        return clamp_to_ball(2.0 * x / (1.0 + row_dots(x, x)))
     if src is Model.LORENTZ:
-        return clamp_rows(x[:, 1:] / x[:, :1])
+        return clamp_to_ball(x[:, 1:] / x[:, :1])
     return x
 
 
-def convert_rows(src: Model, dst: Model, x: np.ndarray) -> np.ndarray:
+def convert_point(src: Model, dst: Model, x: np.ndarray) -> np.ndarray:
     """Rows of src-model points in dst-model coordinates."""
     if src is dst:
         return x
     c = _to_klein(src, x)
     if dst is Model.POINCARE:
-        return clamp_rows(c / (1.0 + np.sqrt(1.0 - row_dots(c, c))))
+        return clamp_to_ball(c / (1.0 + np.sqrt(1.0 - row_dots(c, c))))
     if dst is Model.LORENTZ:
-        return lorentz_rows(gamma_rows(c) * c)
+        return lorentz_rows(lorentz_factor(c) * c)
     return c
 
 
-def convert_point(p: Point, dst: Model) -> Point:
-    dst = Model(dst)
-    if p.model is dst:
-        return p
-    return _point_row(dst, convert_rows(p.model, dst, p.coords[None]))
-
-
-def pushforward_rows(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def pushforward(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Tangent rows u at the src-model rows x, carried to the dst model."""
     if src is dst:
         return u
@@ -429,27 +370,18 @@ def pushforward_rows(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np
         s = np.sqrt(1.0 - row_dots(c, c))
         return _finite(u / (1.0 + s) + row_dots(c, u) / (s * (1.0 + s) ** 2) * c, "components")
     if dst is Model.LORENTZ:
-        lam = gamma_rows(c)
+        lam = lorentz_factor(c)
         radial = row_dots(c, u) * lam**3
         comp = np.concatenate((radial, lam * u + radial * c), axis=1)
         return _checked_lorentz_tangent(lorentz_rows(lam * c), comp)
     return u
 
 
-def pushforward(v: TangentVector, dst: Model) -> TangentVector:
-    """Carry v to the corresponding tangent space of the dst model."""
-    dst = Model(dst)
-    if v.model is dst:
-        return v
-    comp = pushforward_rows(v.model, dst, v.base.coords[None], v.components[None])
-    return _tangent_row(convert_point(v.base, dst), comp)
-
-
 # ---------------------------------------------------------------------------
 # distances, geodesics, exponential and logarithmic maps
 
 
-def distance_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def distance(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Geodesic distances between the rows of x and y, (N,)."""
     if model is Model.KLEIN:
         arg = (1.0 - row_dots(x, y)) / np.sqrt((1.0 - row_dots(x, x)) * (1.0 - row_dots(y, y)))
@@ -461,38 +393,18 @@ def distance_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _acosh(arg)[:, 0]
 
 
-def distance(x: Point, y: Point) -> float:
-    """Geodesic distance between two points of the same model."""
-    if x.model is not y.model:
-        raise ValueError("distance requires points of the same model")
-    return float(distance_rows(x.model, x.coords[None], y.coords[None])[0])
-
-
-def _require_based_at(x: Point, v: TangentVector) -> None:
-    if v.model is not x.model:
-        raise ValueError("tangent vector does not belong to the model of x")
-    if not np.array_equal(v.base.coords, x.coords):
-        raise ValueError("tangent vector is not based at x")
-
-
-def geodesic_rows(model: Model, x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Points exp_x(t v) at arclength t (N,) along the unit-speed geodesics from x with velocity v."""
-    speed = metric_inner_rows(model, x, v, v)
+def geodesic_unit(model: Model, x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """Points exp_x(t v) at arclength t, one number or one per row, along the
+    unit-speed geodesics from the rows x with velocities v."""
+    speed = metric_inner(model, x, v, v)
     off = np.abs(speed - 1.0)
     if np.any(off > 1e-8):
         worst = float(speed[np.argmax(off)])
         raise ValueError(f"geodesic velocity must be unit speed, got squared speed {worst}")
-    return exp_rows(model, x, np.asarray(t, dtype=np.float64).reshape(-1, 1) * v)
+    return exp_map(model, x, np.asarray(t, dtype=np.float64).reshape(-1, 1) * v)
 
 
-def geodesic_unit(x: Point, v: TangentVector, t: float) -> Point:
-    """Point at arclength t along the unit-speed geodesic from x with velocity v."""
-    _require_based_at(x, v)
-    out = geodesic_rows(x.model, x.coords[None], v.components[None], np.array([t]))
-    return _point_row(x.model, out)
-
-
-def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def exp_map(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Endpoints of the geodesic segments leaving the rows x with tangents v."""
     if model is Model.KLEIN:
         s, xv = 1.0 - row_dots(x, x), row_dots(x, v)
@@ -500,32 +412,26 @@ def exp_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         lam2 = 1.0 / s
         # tanh(t)/t form of the geodesic: stays finite for arbitrarily long steps
         tc = smooth_ratio("tanhc", t)
-        return clamp_rows(x + tc * v / (1.0 + lam2 * xv * tc))
+        return clamp_to_ball(x + tc * v / (1.0 + lam2 * xv * tc))
     if model is Model.POINCARE:
         half = 0.5 * _conformal(x)
         step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v))) * v
-        return mobius_add_rows(x, clamp_rows(step))
+        return mobius_add(x, clamp_to_ball(step))
     t = np.sqrt(np.maximum(minkowski_rows(v, v), 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # the sheet rows are checked
         out = np.cosh(t) * x + smooth_ratio("sinhc", t) * v
     return lorentz_rows(out[:, 1:])
 
 
-def exp_map(x: Point, v: TangentVector) -> Point:
-    """Endpoint of the geodesic segment leaving x with tangent v."""
-    _require_based_at(x, v)
-    return _point_row(x.model, exp_rows(x.model, x.coords[None], v.components[None]))
-
-
-def log_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def log_map(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tangent rows at x whose exponentials reach the rows y."""
     if model is Model.KLEIN:
         u = y - x
-        un = np.sqrt(metric_inner_rows(model, x, u, u))[:, None]
-        dist = distance_rows(model, x, y)[:, None]
+        un = np.sqrt(metric_inner(model, x, u, u))[:, None]
+        dist = distance(model, x, y)[:, None]
         return _finite(np.where(un > 0.0, dist / np.where(un > 0.0, un, 1.0), 0.0) * u, "components")
     if model is Model.POINCARE:
-        w = mobius_add_rows(clamp_rows(-x), y)
+        w = mobius_add(clamp_to_ball(-x), y)
         scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))
         return _finite(scale * w, "components")
     alpha = np.maximum(-minkowski_rows(x, y), 1.0)
@@ -534,29 +440,11 @@ def log_rows(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _checked_lorentz_tangent(x, ratio * (y - alpha * x))
 
 
-def log_map(x: Point, y: Point) -> TangentVector:
-    """Tangent vector at x whose exponential reaches y."""
-    if x.model is not y.model:
-        raise ValueError("log_map requires points of the same model")
-    return _tangent_row(x, log_rows(x.model, x.coords[None], y.coords[None]))
-
-
 # ---------------------------------------------------------------------------
 # parallel transport from the origin
 
 
-def _require_origin_base(v: TangentVector) -> None:
-    base = v.base.coords
-    at_origin = (
-        abs(base[0] - 1.0) < 1e-12 and float(np.linalg.norm(base[1:])) < 1e-12
-        if v.model is Model.LORENTZ
-        else float(np.linalg.norm(base)) < 1e-12
-    )
-    if not at_origin:
-        raise ValueError("transport_from_origin requires a vector based at the origin")
-
-
-def transport_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def transport_from_origin(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Parallel transport of origin tangent rows v to the tangent spaces at the rows x."""
     if model is Model.KLEIN:
         s = np.sqrt(1.0 - row_dots(x, x))
@@ -567,12 +455,3 @@ def transport_rows(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     o_plus_x[:, 0] += 1.0
     comp = v + minkowski_rows(x, v) / o_plus_x[:, :1] * o_plus_x
     return _checked_lorentz_tangent(x, comp)
-
-
-def transport_from_origin(x: Point, v: TangentVector) -> TangentVector:
-    """Parallel transport of an origin tangent vector to the tangent space at x."""
-    if v.model is not x.model:
-        raise ValueError("tangent vector does not belong to the model of x")
-    _require_origin_base(v)
-    return _tangent_row(x, transport_rows(x.model, x.coords[None], v.components[None]))
-

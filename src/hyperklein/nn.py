@@ -69,7 +69,7 @@ the loss to hidden_linear, and each stage writes its own parameters'
 gradients into the pass's `grads`.  The smooth ratios' slopes, the bias
 terms' among them, are computed in the backward only, so a pass that returns
 logits or tangents computes none.  This is the only implementation of the
-network; the tests hold it to the `manifolds` and `gyro` row kernels
+network; the tests hold it to the `manifolds` and `gyro` operations
 composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
@@ -110,9 +110,9 @@ from .manifolds import (
     Point,
     _checked_lorentz_tangent,
     _finite,
-    _mend_overflow,
+    _peak_split,
     _point_row,
-    exp_rows,
+    exp_map,
     klein_metric_inverse,
     lorentz_tangent_rows,
     make_point,
@@ -457,8 +457,10 @@ def _preprocess(features) -> np.ndarray:
     orders, and so does np.linalg.norm, but the margin sends each row whose
     norm could round to the cap, and each non-finite row, to the scaling,
     which multiplies every uncapped row by exactly 1.  A row with an inf or
-    a nan raises ValueError there, naming the first such row; a finite row
-    whose squared norm overflows (silently in `_checked_pass`) is capped too.
+    a nan raises ValueError there, naming the first such row.  A finite row
+    whose squared norm overflows (silently in `_checked_pass`) is capped too,
+    by the scale (MAX_FEATURE_NORM / peak) / |x / peak| with peak its largest
+    |x|, so neither the square nor a norm past the float64 maximum is formed.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -471,13 +473,16 @@ def _preprocess(features) -> np.ndarray:
     elif np.count_nonzero(np.einsum("ij,ij->i", feats, feats) < limit) == len(feats):
         return feats
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    scale = MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM)
     if np.count_nonzero(np.isfinite(norms)) != len(feats):
         # an inf or a nan makes a row's norm non-finite, and so may finite entries that overflow it
         finite = np.isfinite(feats).all(axis=1)
         if not finite.all():
             raise ValueError(f"feature row {finite.argmin()} is not finite")
-        _mend_overflow(norms, feats)
-    return feats * (MAX_FEATURE_NORM / np.maximum(norms, MAX_FEATURE_NORM))
+        big = np.isinf(norms[:, 0])
+        peak, unit = _peak_split(feats[big])
+        scale[big] = MAX_FEATURE_NORM / peak / unit
+    return feats * scale
 
 
 def _prepare(model: HnnModel, features, labels=None):
@@ -646,8 +651,8 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
         length = float(np.sqrt(max(minkowski_rows(v, v)[0, 0], 0.0)))
         if length > _MAX_BIAS_STEP:
             v = v * (_MAX_BIAS_STEP / length)
-        v = _checked_lorentz_tangent(x, v)  # the projection a TangentVector applies
-    new_bias = _point_row(bias.model, exp_rows(bias.model, x, v))
+        v = _checked_lorentz_tangent(x, v)  # projected again, with the input tangency check
+    new_bias = _point_row(bias.model, exp_map(bias.model, x, v))
     if isinstance(new_bias, LorentzPoint):
         new_bias = _clamp_lorentz_radius(new_bias)
     return HnnModel(

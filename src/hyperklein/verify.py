@@ -10,8 +10,8 @@ closed forms they check.
 
 The geometry suites draw all their samples up front, each of dimension 1 to
 16, zero-padded to width 16, and evaluate each side of their identity with
-one call of a row kernel of `manifolds` or `gyro` (one call per model where
-the suite covers all three).  The kernels keep padding zeros at zero, so a
+one call of a `manifolds` or `gyro` function on rows (one call per model
+where the suite covers all three).  These keep padding zeros at zero, so a
 padded sample gives the same errors as the unpadded one.  The matvec suites
 draw only each sample's own rows x cols block of normals and scatter it into
 the padding; the orthogonal suite factors its blocks with one batched QR per
@@ -30,8 +30,8 @@ the readout trials reuse the sample's own outputs, and each weight or bias
 trial is one `hidden_tangent` call on the model with that parameter moved.
 `forward_validity` takes the same readout of the layer outputs once.
 
-The suites call the library's kernels by module-level name, so a test shows
-that a suite catches a defect by patching one, e.g. `verify.transport_rows`.
+The suites call the library's functions by module-level name, so a test shows
+that a suite catches a defect by patching one, e.g. `verify.transport_from_origin`.
 """
 
 from __future__ import annotations
@@ -44,33 +44,25 @@ import numpy as np
 
 from . import nn
 from .data import gen_tree_dataset
-from .gyro import (
-    einstein_add_rows,
-    einstein_matvec_rows,
-    einstein_scalar_rows,
-    gyration_rows,
-    mobius_add_rows,
-)
+from .gyro import einstein_add, einstein_matvec, einstein_scalar, gyration, mobius_add
 from .manifolds import (
     EPS_BALL,
     Model,
-    clamp_rows,
+    _point_row,
+    clamp_to_ball,
     convert_point,
-    convert_rows,
-    distance_rows,
+    distance,
     exp_map,
-    exp_rows,
-    geodesic_rows,
-    log_rows,
+    geodesic_unit,
+    log_map,
     lorentz_rows,
     lorentz_tangent_rows,
     make_point,
-    metric_inner_rows,
+    metric_inner,
     origin,
-    pushforward_rows,
+    pushforward,
     row_dots,
-    tangent,
-    transport_rows,
+    transport_from_origin,
 )
 
 
@@ -122,7 +114,7 @@ def sample_ball(dims, rng: np.random.Generator) -> np.ndarray:
     flat = norm < 1e-12
     direction = np.where(flat, np.eye(1, WIDTH), direction)
     radius = rng.uniform(0.0, 0.95, size=(dims.size, 1))
-    return clamp_rows(radius * direction / np.where(flat, 1.0, norm))
+    return clamp_to_ball(radius * direction / np.where(flat, 1.0, norm))
 
 
 def _worst(err, **fields):
@@ -157,15 +149,15 @@ def _worst_via(errs, **fields):
 
 def _oracle_distance(x, y, via: Model):
     """Klein distances between the rows of x and y, (N,), computed in the model via."""
-    return distance_rows(via, convert_rows(Model.KLEIN, via, x), convert_rows(Model.KLEIN, via, y))
+    return distance(via, convert_point(Model.KLEIN, via, x), convert_point(Model.KLEIN, via, y))
 
 
 def _oracle_transport(x, v, via: Model = Model.LORENTZ):
     """Klein transport of the origin tangent rows v to the rows x, conjugated
     through the model via: carried there, transported, and carried back."""
-    xv = convert_rows(Model.KLEIN, via, x)
-    moved = transport_rows(via, xv, pushforward_rows(Model.KLEIN, via, np.zeros_like(x), v))
-    return pushforward_rows(via, Model.KLEIN, xv, moved)
+    xv = convert_point(Model.KLEIN, via, x)
+    moved = transport_from_origin(via, xv, pushforward(Model.KLEIN, via, np.zeros_like(x), v))
+    return pushforward(via, Model.KLEIN, xv, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ def _suite_round_trip(samples, rng):
     dims = _dims(rng, samples)
     x = sample_ball(dims, rng)
     errs = [
-        _max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x)) - x)
+        _max_abs(convert_point(via, Model.KLEIN, convert_point(Model.KLEIN, via, x)) - x)
         for via in _VIAS
     ]
     return _worst_via(errs, x=(x, dims))
@@ -185,7 +177,7 @@ def _suite_round_trip(samples, rng):
 def _suite_distance_isometry(samples, rng):
     dims = _dims(rng, samples)
     x, y = sample_ball(dims, rng), sample_ball(dims, rng)
-    d = distance_rows(Model.KLEIN, x, y)
+    d = distance(Model.KLEIN, x, y)
     errs = [np.abs(_oracle_distance(x, y, via) - d) for via in _VIAS]
     return _worst_via(errs, x=(x, dims), y=(y, dims))
 
@@ -194,12 +186,12 @@ def _suite_pushforward_metric(samples, rng):
     dims = _dims(rng, samples)
     x = sample_ball(dims, rng)
     u, w = _normal(rng, dims), _normal(rng, dims)
-    ref = metric_inner_rows(Model.KLEIN, x, u, w)
+    ref = metric_inner(Model.KLEIN, x, u, w)
     errs = []
     for via in _VIAS:
-        y = convert_rows(Model.KLEIN, via, x)
-        pu, pw = (pushforward_rows(Model.KLEIN, via, x, t) for t in (u, w))
-        errs.append(np.abs(metric_inner_rows(via, y, pu, pw) - ref))
+        y = convert_point(Model.KLEIN, via, x)
+        pu, pw = (pushforward(Model.KLEIN, via, x, t) for t in (u, w))
+        errs.append(np.abs(metric_inner(via, y, pu, pw) - ref))
     return _worst_via(errs, x=(x, dims), u=(u, dims), w=(w, dims))
 
 
@@ -229,7 +221,7 @@ def _by_model(samples, dims, check, **extra):
 
 def _unit_tangents(model, x, raw):
     v = _tangent_rows(model, x, raw)
-    n = np.sqrt(np.maximum(metric_inner_rows(model, x, v, v), 0.0))
+    n = np.sqrt(np.maximum(metric_inner(model, x, v, v), 0.0))
     return v / np.where(n == 0.0, 1.0, n)[:, None]
 
 
@@ -239,9 +231,9 @@ def _suite_exp_log_inverse(samples, rng):
     length = rng.uniform(0.0, 3.0, size=(samples, 1))
 
     def check(model, rows):
-        x = convert_rows(Model.KLEIN, model, ball[rows])
+        x = convert_point(Model.KLEIN, model, ball[rows])
         v = _unit_tangents(model, x, raw[rows]) * length[rows]
-        return _max_abs(log_rows(model, x, exp_rows(model, x, v)) - v), {"x": x, "v": v}
+        return _max_abs(log_map(model, x, exp_map(model, x, v)) - v), {"x": x, "v": v}
 
     return _by_model(samples, dims, check)
 
@@ -252,10 +244,10 @@ def _suite_geodesic_speed(samples, rng):
     t = rng.uniform(-5.0, 5.0, size=samples)
 
     def check(model, rows):
-        x = convert_rows(Model.KLEIN, model, ball[rows])
+        x = convert_point(Model.KLEIN, model, ball[rows])
         v = _unit_tangents(model, x, raw[rows])
-        y = geodesic_rows(model, x, v, t[rows])
-        return np.abs(distance_rows(model, x, y) - np.abs(t[rows])), {"x": x, "v": v}
+        y = geodesic_unit(model, x, v, t[rows])
+        return np.abs(distance(model, x, y) - np.abs(t[rows])), {"x": x, "v": v}
 
     return _by_model(samples, dims, check, t=t)
 
@@ -266,11 +258,11 @@ def _suite_transport_isometry(samples, rng):
     raw_u, raw_w = _normal(rng, dims), _normal(rng, dims)
 
     def check(model, rows):
-        x = convert_rows(Model.KLEIN, model, ball[rows])
-        o = convert_rows(Model.KLEIN, model, np.zeros_like(ball[rows]))
+        x = convert_point(Model.KLEIN, model, ball[rows])
+        o = convert_point(Model.KLEIN, model, np.zeros_like(ball[rows]))
         u, w = _tangent_rows(model, o, raw_u[rows]), _tangent_rows(model, o, raw_w[rows])
-        moved = metric_inner_rows(model, x, transport_rows(model, x, u), transport_rows(model, x, w))
-        return np.abs(moved - metric_inner_rows(model, o, u, w)), {"x": x, "u": u, "w": w}
+        moved = metric_inner(model, x, transport_from_origin(model, x, u), transport_from_origin(model, x, w))
+        return np.abs(moved - metric_inner(model, o, u, w)), {"x": x, "u": u, "w": w}
 
     return _by_model(samples, dims, check)
 
@@ -278,7 +270,7 @@ def _suite_transport_isometry(samples, rng):
 def _suite_transport_conjugation(samples, rng):
     dims = _dims(rng, samples)
     x, v = sample_ball(dims, rng), _normal(rng, dims)
-    err = _max_abs(transport_rows(Model.KLEIN, x, v) - _oracle_transport(x, v))
+    err = _max_abs(transport_from_origin(Model.KLEIN, x, v) - _oracle_transport(x, v))
     return _worst(err, x=(x, dims), v=(v, dims))
 
 
@@ -287,8 +279,8 @@ def _suite_scalar_mult_tangent(samples, rng):
     x = sample_ball(dims, rng)
     r = rng.uniform(-3.0, 3.0, size=samples)
     o = np.zeros_like(x)
-    via = exp_rows(Model.KLEIN, o, r[:, None] * log_rows(Model.KLEIN, o, x))
-    return _worst(_max_abs(einstein_scalar_rows(r, x) - via), x=(x, dims), r=r)
+    via = exp_map(Model.KLEIN, o, r[:, None] * log_map(Model.KLEIN, o, x))
+    return _worst(_max_abs(einstein_scalar(r, x) - via), x=(x, dims), r=r)
 
 
 def _suite_transport_gyro(samples, rng):
@@ -296,15 +288,15 @@ def _suite_transport_gyro(samples, rng):
     x, raw = sample_ball(dims, rng), _normal(rng, dims)
     norm = np.sqrt(row_dots(raw, raw))
     v = raw * (rng.uniform(0.0, 2.0, size=(samples, 1)) / np.where(norm == 0.0, 1.0, norm))
-    via = log_rows(Model.KLEIN, x, einstein_add_rows(x, exp_rows(Model.KLEIN, np.zeros_like(x), v)))
-    return _worst(_max_abs(transport_rows(Model.KLEIN, x, v) - via), x=(x, dims), v=(v, dims))
+    via = log_map(Model.KLEIN, x, einstein_add(x, exp_map(Model.KLEIN, np.zeros_like(x), v)))
+    return _worst(_max_abs(transport_from_origin(Model.KLEIN, x, v) - via), x=(x, dims), v=(v, dims))
 
 
 def _random_matrices(rng, rows, cols):
     """(N, WIDTH, WIDTH) matrices, normal / sqrt(cols) in each leading
     rows x cols block and zero outside it.  Only the blocks are drawn, one
     after the other, each in row-major order, and scattered into the zero
-    padding that the row kernels take."""
+    padding that the row operations take."""
     block = _mask(rows)[:, :, None] & _mask(cols)[:, None, :]
     m = np.zeros(block.shape)
     m[block] = rng.normal(size=int((rows * cols).sum())) / np.repeat(np.sqrt(cols), rows * cols)
@@ -348,9 +340,9 @@ def _suite_matvec_compose(samples, rng):
     dims, mid, out = (_dims(rng, samples) for _ in range(3))
     m1, m2 = _random_matrices(rng, out, mid), _random_matrices(rng, mid, dims)
     x = sample_ball(dims, rng)
-    lhs = einstein_matvec_rows(m1 @ m2, x)
-    inner = einstein_matvec_rows(m2, x)
-    rhs = einstein_matvec_rows(m1, inner)
+    lhs = einstein_matvec(m1 @ m2, x)
+    inner = einstein_matvec(m2, x)
+    rhs = einstein_matvec(m1, inner)
     return _worst(
         _matvec_error(lhs, rhs, inner), x=(x, dims), m1=(m1, out, mid), m2=(m2, mid, dims), mid=mid, out=out
     )
@@ -361,9 +353,9 @@ def _suite_matvec_scale(samples, rng):
     m = _random_matrices(rng, out, dims)
     r = rng.uniform(1e-3, 3.0, size=samples)
     x = sample_ball(dims, rng)
-    lhs = einstein_matvec_rows(r[:, None, None] * m, x)
-    inner = einstein_matvec_rows(m, x)
-    rhs = einstein_scalar_rows(r, inner)
+    lhs = einstein_matvec(r[:, None, None] * m, x)
+    inner = einstein_matvec(m, x)
+    rhs = einstein_scalar(r, inner)
     return _worst(_matvec_error(lhs, rhs, inner), x=(x, dims), r=r, m=(m, out, dims))
 
 
@@ -371,7 +363,7 @@ def _suite_matvec_orthogonal(samples, rng):
     dims = _dims(rng, samples)
     q = _random_orthogonal(rng, dims)
     x = sample_ball(dims, rng)
-    err = _max_abs(einstein_matvec_rows(q, x) - _matvec(q, x))
+    err = _max_abs(einstein_matvec(q, x) - _matvec(q, x))
     return _worst(err, x=(x, dims), q=(q, dims, dims))
 
 
@@ -380,17 +372,17 @@ def _suite_matvec_tangent(samples, rng):
     m = _random_matrices(rng, out, dims)
     x = sample_ball(dims, rng)
     o = np.zeros_like(x)
-    via = exp_rows(Model.KLEIN, o, _matvec(m, log_rows(Model.KLEIN, o, x)))
-    err = _max_abs(einstein_matvec_rows(m, x) - via)
+    via = exp_map(Model.KLEIN, o, _matvec(m, log_map(Model.KLEIN, o, x)))
+    err = _max_abs(einstein_matvec(m, x) - via)
     return _worst(err, x=(x, dims), m=(m, out, dims), out=out)
 
 
 def _suite_gyro_group(samples, rng):
     dims = _dims(rng, samples)
     x, y, z = (sample_ball(dims, rng) for _ in range(3))
-    comm = einstein_add_rows(x, y) - gyration_rows(x, y, einstein_add_rows(y, x))
-    assoc = einstein_add_rows(x, einstein_add_rows(y, z)) - einstein_add_rows(
-        einstein_add_rows(x, y), gyration_rows(x, y, z)
+    comm = einstein_add(x, y) - gyration(x, y, einstein_add(y, x))
+    assoc = einstein_add(x, einstein_add(y, z)) - einstein_add(
+        einstein_add(x, y), gyration(x, y, z)
     )
     err = np.maximum(_max_abs(comm), _max_abs(assoc))
     return _worst(err, x=(x, dims), y=(y, dims), z=(z, dims))
@@ -399,16 +391,16 @@ def _suite_gyro_group(samples, rng):
 def _suite_gyration_inner(samples, rng):
     dims = _dims(rng, samples)
     x, y, u, w = (sample_ball(dims, rng) for _ in range(4))
-    gu, gw = gyration_rows(x, y, u), gyration_rows(x, y, w)
+    gu, gw = gyration(x, y, u), gyration(x, y, w)
     err = np.abs(row_dots(gu, gw) - row_dots(u, w))[:, 0]
     return _worst(err, x=(x, dims), y=(y, dims), u=(u, dims), w=(w, dims))
 
 
 def _suite_mobius_einstein(samples, rng):
     dims = _dims(rng, samples)
-    xb, yb = (convert_rows(Model.KLEIN, Model.POINCARE, sample_ball(dims, rng)) for _ in range(2))
-    lhs = convert_rows(Model.POINCARE, Model.KLEIN, mobius_add_rows(xb, yb))
-    rhs = einstein_add_rows(*(convert_rows(Model.POINCARE, Model.KLEIN, p) for p in (xb, yb)))
+    xb, yb = (convert_point(Model.KLEIN, Model.POINCARE, sample_ball(dims, rng)) for _ in range(2))
+    lhs = convert_point(Model.POINCARE, Model.KLEIN, mobius_add(xb, yb))
+    rhs = einstein_add(*(convert_point(Model.POINCARE, Model.KLEIN, p) for p in (xb, yb)))
     return _worst(_max_abs(lhs - rhs), x=(xb, dims), y=(yb, dims))
 
 
@@ -427,10 +419,10 @@ def _corresponding_models(km: nn.HnnModel):
     bm = replace(
         km,
         weight=km.weight / 2.0,
-        bias=convert_point(km.bias, Model.POINCARE),
+        bias=_point_row(Model.POINCARE, convert_point(Model.KLEIN, Model.POINCARE, km.bias.coords[None])),
         readout_weight=2.0 * km.readout_weight,
     )
-    lm = replace(km, bias=convert_point(km.bias, Model.LORENTZ))
+    lm = replace(km, bias=_point_row(Model.LORENTZ, convert_point(Model.KLEIN, Model.LORENTZ, km.bias.coords[None])))
     return bm, lm
 
 
@@ -441,8 +433,8 @@ def _suite_layer_commutation(samples, rng):
         m = int(rng.integers(2, 9))
         c = int(rng.integers(2, 5))
         km = nn.init_model(Model.KLEIN, n, m, c, seed=int(rng.integers(2**31)))
-        o = origin(Model.KLEIN, m)
-        km = replace(km, bias=exp_map(o, tangent(o, rng.normal(size=m) * 0.5)))
+        o = np.zeros((1, m))
+        km = replace(km, bias=_point_row(Model.KLEIN, exp_map(Model.KLEIN, o, rng.normal(size=(1, m)) * 0.5)))
         bm, lm = _corresponding_models(km)
         feats = rng.normal(size=(8, n)) * 2.0
         base = nn.forward(km, feats)
@@ -464,11 +456,11 @@ def _suite_gradient_check(samples, rng):
         c = int(rng.integers(2, 5))
         batch = int(rng.integers(1, 17))
         model = nn.init_model(flavor, n, m, c, seed=int(rng.integers(2**31)))
-        o = origin(flavor, m)
-        raw = rng.normal(size=o.coords.shape) * 0.3
+        o = origin(flavor, m).coords[None]
+        raw = rng.normal(size=o.shape) * 0.3
         if flavor is Model.LORENTZ:
-            raw[0] = 0.0
-        model = replace(model, bias=exp_map(o, tangent(o, raw)))
+            raw[:, 0] = 0.0
+        model = replace(model, bias=_point_row(flavor, exp_map(flavor, o, raw)))
         feats = rng.normal(size=(batch, n)) * 2.0
         labels = rng.integers(0, c, size=batch)
         _, grads = nn.gradients(model, feats, labels)
@@ -576,14 +568,14 @@ def _suite_boundary_stress(samples, rng):
     dims = _dims(rng, samples)
     direction = _normal(rng, dims)
     direction /= np.maximum(np.sqrt(row_dots(direction, direction)), 1e-12)
-    x = clamp_rows((1.0 - rng.uniform(1e-6, 1e-3, size=(samples, 1))) * direction)
+    x = clamp_to_ball((1.0 - rng.uniform(1e-6, 1e-3, size=(samples, 1))) * direction)
     y = sample_ball(dims, rng)
-    values = [distance_rows(Model.KLEIN, x, y)]
+    values = [distance(Model.KLEIN, x, y)]
     for via in _VIAS:
-        values.append(_max_abs(convert_rows(via, Model.KLEIN, convert_rows(Model.KLEIN, via, x))))
-    values.append(_max_abs(exp_rows(Model.KLEIN, x, log_rows(Model.KLEIN, x, y))))
+        values.append(_max_abs(convert_point(via, Model.KLEIN, convert_point(Model.KLEIN, via, x))))
+    values.append(_max_abs(exp_map(Model.KLEIN, x, log_map(Model.KLEIN, x, y))))
     bad = np.where(np.isfinite(values).all(axis=0), 0.0, np.inf)
-    added = einstein_add_rows(x, y)
+    added = einstein_add(x, y)
     overflow = np.maximum(np.sqrt(row_dots(added, added))[:, 0] - 1.0, 0.0)
     return _worst(np.maximum(bad, overflow), x=(x, dims), y=(y, dims))
 

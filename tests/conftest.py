@@ -98,7 +98,7 @@ def broken_klein_transport():
     """Known-bad closed form for the Klein origin transport, row by row.
 
     Its radial component violates metric preservation, so the verification
-    suites must catch it when it stands in for `transport_rows`.
+    suites must catch it when it stands in for `transport_from_origin`.
     """
 
     def transport(x, v):

@@ -1,15 +1,21 @@
 """Tests for the command-line contract: exit codes and byte-identical outputs."""
 
 import json
+import math
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperklein import cli, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset, save_dataset
-from hyperklein.manifolds import Model, transport_rows
+from hyperklein.manifolds import Model, transport_from_origin
 
 
 @pytest.fixture
@@ -253,8 +259,11 @@ def test_convert_round_trip_skips_blank_lines(tmp_path):
         ("poincare", "0.1,0.2\n1.5,0.0\n", "row 2: point lies outside the open unit ball"),
         ("klein", "0.1,0.2\n0.1,abc\n", "row 2: could not convert string to float: 'abc'"),
         ("lorentz", "1.0,0.0\n1.0,0.5\n", "row 2: coordinates do not lie on the upper hyperboloid sheet"),
+        # a squared norm that overflows, and a norm past the float64 maximum, with no RuntimeWarning
+        ("klein", "0.1\n9.5e153,9.5e153\n", "row 2: point lies outside the open unit ball"),
+        ("lorentz", "1.0,0.0\n1e308,1.7e308,1.7e308\n", "row 2: coordinates must be finite"),
     ],
-    ids=["klein_boundary", "poincare_outside", "non_numeric", "off_sheet"],
+    ids=["klein_boundary", "poincare_outside", "non_numeric", "off_sheet", "square_overflows", "norm_overflows"],
 )
 def test_convert_bad_row_exits_2_naming_it(tmp_path, capsys, src, rows, message):
     (tmp_path / "in.csv").write_text(rows)
@@ -268,6 +277,68 @@ def test_convert_empty_input_writes_an_empty_file(tmp_path):
     (tmp_path / "in.csv").write_text("")
     assert convert("klein", "lorentz", tmp_path / "in.csv", tmp_path / "out.csv") == cli.EXIT_OK
     assert (tmp_path / "out.csv").read_bytes() == b""
+
+
+MODELS = [m.value for m in Model]
+_magnitudes = st.one_of(st.floats(1e-320, 1.7e308, allow_subnormal=True), st.sampled_from([1e-320, 1e154, 1.7e308]))
+_finite_values = st.one_of(st.just(0.0), _magnitudes, _magnitudes.map(lambda x: -x))
+_bad_tokens = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e400"])
+
+
+@st.composite
+def _ball_tokens(draw):
+    """A ball row inside, on or past the unit sphere."""
+    coords = draw(st.lists(_finite_values, min_size=1, max_size=6))
+    norm = math.hypot(*coords)
+    if norm == 0.0 or not math.isfinite(norm):
+        return [repr(c) for c in coords]
+    radius = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0), st.floats(1.0, 10.0)))
+    return [repr(c * (radius / norm)) for c in coords]
+
+
+@st.composite
+def _lorentz_tokens(draw):
+    """A hyperboloid row on the sheet, near it, off it, or with any finite time."""
+    spatial = draw(st.lists(_finite_values, min_size=1, max_size=5))
+    time = math.hypot(1.0, *spatial) * draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.001, -1.0, 0.5]))
+    if draw(st.booleans()):
+        time = draw(_finite_values)
+    return [repr(time)] + [repr(s) for s in spatial]
+
+
+def _lines(src):
+    """A blank line, a row of src's shape, a row of the other shape or a row of any tokens."""
+    rows = (_lorentz_tokens(), _ball_tokens()) if src == "lorentz" else (_ball_tokens(), _lorentz_tokens())
+    tokens = st.lists(st.one_of(_finite_values.map(repr), _bad_tokens), min_size=1, max_size=6)
+    return st.one_of(st.just([]), rows[0], rows[0], rows[1], tokens)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_convert_holds_its_contract_on_generated_files(data):
+    # exit 0 or 2 and no RuntimeWarning on any file; an exit 2 writes no
+    # output, and an exit 0 writes finite rows of the target model's width,
+    # the same bytes every run
+    src, dst = data.draw(st.sampled_from(MODELS)), data.draw(st.sampled_from(MODELS))
+    lines = [",".join(tokens) for tokens in data.draw(st.lists(_lines(src), min_size=1, max_size=6))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = convert(src, dst, tmp / "in.csv", tmp / name)
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+            if code != cli.EXIT_OK:
+                assert not (tmp / name).exists()
+                return
+            outs.append((tmp / name).read_bytes())
+    assert outs[0] == outs[1]
+    shift = (dst == "lorentz") - (src == "lorentz")
+    rows = [[float(tok) for tok in line.split(",")] for line in outs[0].decode().splitlines()]
+    assert [len(r) for r in rows] == [line.count(",") + 1 + shift for line in lines if line.strip()]
+    assert all(math.isfinite(v) for r in rows for v in r)
 
 
 def test_selftest_passes():
@@ -286,9 +357,9 @@ def test_injected_transport_defect_exits_4(monkeypatch, capsys, broken_klein_tra
     def transport(model, x, v):
         if model is Model.KLEIN:
             return broken_klein_transport(x, v)
-        return transport_rows(model, x, v)
+        return transport_from_origin(model, x, v)
 
-    monkeypatch.setattr(verify, "transport_rows", transport)
+    monkeypatch.setattr(verify, "transport_from_origin", transport)
     assert cli.main(["selftest", "--samples", "20"]) == cli.EXIT_SELFTEST
     err = capsys.readouterr().err.splitlines()
     failed = [line for line in err if line.startswith("FAILED suites:")]

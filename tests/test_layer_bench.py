@@ -11,7 +11,7 @@ matvec suites (`matvec_compose`, `matvec_scale`, `matvec_orthogonal`,
 `matvec_tangent`) at 2,000 samples, which draw each sample's matrices at
 its own size, and of `manifolds.row_dots` on 2,000 x 16 and 1 x 16 rows, a
 batch and a single row, which it sums by different paths, on the stacked
-(2,000, 16, 16) . (2,000, 1, 16) products of `gyro.einstein_matvec_rows` and
+(2,000, 16, 16) . (2,000, 1, 16) products of `gyro.einstein_matvec` and
 on 2,000 x 16 rows against one broadcast 1 x 16 row, of the layer's column
 dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
 different paths, of one `nn.riemannian_adam_step` per flavor, on the
@@ -42,18 +42,18 @@ import pytest
 from hyperklein import nn, verify
 from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
-from hyperklein.manifolds import Model, exp_map, lorentz_tangent_rows, origin, row_dots, smooth_ratio, smooth_slope, tangent
+from hyperklein.manifolds import Model, _point_row, exp_map, lorentz_tangent_rows, origin, row_dots, smooth_ratio, smooth_slope
 
 ROWS, WIDTH, CLASSES = 1234, 16, 11
 
 
 def offset_bias(flavor, width, rng):
     """A bias point off the origin, as training leaves it."""
-    o = origin(flavor, width)
-    raw = rng.normal(size=o.coords.shape) * 0.3
+    o = origin(flavor, width).coords[None]
+    raw = rng.normal(size=o.shape) * 0.3
     if flavor is Model.LORENTZ:
-        raw[0] = 0.0
-    return exp_map(o, tangent(o, raw))
+        raw[:, 0] = 0.0
+    return _point_row(flavor, exp_map(flavor, o, raw))
 
 
 def layer_inputs(flavor):

@@ -1,4 +1,7 @@
-"""Unit tests for the coordinate models: conversions, metric, geodesics, transport."""
+"""Unit tests for the coordinate models: conversions, metric, geodesics, transport.
+
+Every operation takes (N, d) rows; a single point or tangent vector is a
+(1, d) row."""
 
 import math
 from functools import partial
@@ -11,41 +14,37 @@ from hyperklein.manifolds import (
     KleinPoint,
     LorentzPoint,
     Model,
-    PoincarePoint,
-    TangentVector,
+    _checked_lorentz_tangent,
     clamp_to_ball,
     convert_point,
-    convert_rows,
     distance,
-    distance_rows,
     exp_map,
-    exp_rows,
-    geodesic_rows,
     geodesic_unit,
     klein_metric_inverse,
     log_map,
-    log_rows,
     lorentz_factor,
     lorentz_tangent_rows,
     metric_inner,
-    metric_inner_rows,
     minkowski_rows,
     origin,
     pushforward,
-    pushforward_rows,
     row_dots,
-    tangent,
     transport_from_origin,
-    transport_rows,
 )
 
 LN3 = 1.0986122886681098  # atanh(0.8)
+K, P, L = Model.KLEIN, Model.POINCARE, Model.LORENTZ
+
+
+def row(*coords):
+    """One point or tangent vector as a (1, d) row."""
+    return np.array([coords], dtype=np.float64)
 
 
 def sample_klein(rng, dim, max_norm=0.95):
     direction = rng.normal(size=dim)
     direction /= np.linalg.norm(direction)
-    return KleinPoint(rng.uniform(0.0, max_norm) * direction)
+    return (rng.uniform(0.0, max_norm) * direction)[None]
 
 
 class TestPointTypes:
@@ -72,358 +71,318 @@ class TestPointTypes:
         with pytest.raises(ValueError):
             LorentzPoint([-np.sqrt(2.0), 1.0, 0.0])
 
-    @pytest.mark.parametrize("model", list(Model))
-    def test_tangent_model_is_its_base_model(self, model):
-        base = convert_point(KleinPoint([0.1, 0.2]), model)
-        assert TangentVector(base, np.zeros_like(base.coords)).model is base.model is model
+    def test_lorentz_rejects_a_norm_past_the_float_maximum(self):
+        # the time sqrt(1 + |s|^2) of such a spatial row is not a float64
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            LorentzPoint([1e308, 1.7e308, 1.7e308])
 
     def test_tangent_dim_mismatch(self):
+        # a tangent row whose width is not its base point's does not broadcast
         with pytest.raises(ValueError):
-            TangentVector(KleinPoint([0.1, 0.2]), [1.0, 0.0, 0.0])
+            exp_map(K, row(0.1, 0.2), row(1.0, 0.0, 0.0))
 
     def test_lorentz_tangent_projected_orthogonal(self):
-        x = LorentzPoint([np.sqrt(2.0), 1.0, 0.0])
-        v = TangentVector(x, [1.0 / np.sqrt(2.0), 1.0, 0.3])
-        assert abs(minkowski_rows(x.coords[None], v.components[None])[0, 0]) < 1e-12
+        x = row(np.sqrt(2.0), 1.0, 0.0)
+        v = _checked_lorentz_tangent(x, row(1.0 / np.sqrt(2.0), 1.0, 0.3))
+        assert abs(minkowski_rows(x, v)[0, 0]) < 1e-12
 
     def test_lorentz_tangent_rejects_non_orthogonal(self):
-        x = LorentzPoint([np.sqrt(2.0), 1.0, 0.0])
+        x = row(np.sqrt(2.0), 1.0, 0.0)
         with pytest.raises(ValueError):
-            TangentVector(x, [5.0, 1.0, 0.0])
+            _checked_lorentz_tangent(x, row(5.0, 1.0, 0.0))
 
 
 class TestLorentzFactor:
     def test_origin(self):
-        assert lorentz_factor(KleinPoint([0.0, 0.0])) == 1.0
+        assert lorentz_factor(row(0.0, 0.0))[0, 0] == 1.0
 
     def test_radius_08(self):
-        assert lorentz_factor(KleinPoint([0.8, 0.0])) == pytest.approx(1.6666666667, abs=1e-10)
+        assert lorentz_factor(row(0.8, 0.0))[0, 0] == pytest.approx(1.6666666667, abs=1e-10)
 
     def test_radius_06(self):
-        assert lorentz_factor(KleinPoint([0.6, 0.0])) == pytest.approx(1.25, abs=1e-12)
+        assert lorentz_factor(row(0.6, 0.0))[0, 0] == pytest.approx(1.25, abs=1e-12)
 
 
 class TestMetricInner:
     def test_identity_at_origin(self):
-        o = origin(Model.KLEIN, 2)
-        u = tangent(o, [1.0, 0.0])
-        assert metric_inner(o, u, u) == pytest.approx(1.0)
+        o, u = np.zeros((1, 2)), row(1.0, 0.0)
+        assert metric_inner(K, o, u, u)[0] == pytest.approx(1.0)
 
     def test_klein_radial(self):
-        x = KleinPoint([0.8, 0.0])
-        u = tangent(x, [0.36, 0.0])
-        assert metric_inner(x, u, u) == pytest.approx(1.0, abs=1e-12)
+        x, u = row(0.8, 0.0), row(0.36, 0.0)
+        assert metric_inner(K, x, u, u)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_lorentz_spatial_axis(self):
-        x = LorentzPoint([1.0, 0.0])
-        u = tangent(x, [0.0, 1.0])
-        assert metric_inner(x, u, u) == pytest.approx(1.0)
-
-    def test_model_mismatch_raises(self):
-        x = KleinPoint([0.1, 0.0])
-        u = tangent(PoincarePoint([0.1, 0.0]), [1.0, 0.0])
-        with pytest.raises(ValueError):
-            metric_inner(x, u, u)
+        x, u = row(1.0, 0.0), row(0.0, 1.0)
+        assert metric_inner(L, x, u, u)[0] == pytest.approx(1.0)
 
 
 class TestConversions:
     def test_poincare_to_klein(self):
-        out = convert_point(PoincarePoint([0.5, 0.0]), Model.KLEIN)
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-15)
+        out = convert_point(P, K, row(0.5, 0.0))
+        np.testing.assert_allclose(out[0], [0.8, 0.0], atol=1e-15)
 
     def test_klein_to_poincare(self):
-        out = convert_point(KleinPoint([0.8, 0.0]), Model.POINCARE)
-        np.testing.assert_allclose(out.coords, [0.5, 0.0], atol=1e-15)
+        out = convert_point(K, P, row(0.8, 0.0))
+        np.testing.assert_allclose(out[0], [0.5, 0.0], atol=1e-15)
 
     def test_lorentz_to_klein(self):
-        out = convert_point(LorentzPoint([np.sqrt(2.0), 1.0, 0.0]), Model.KLEIN)
-        np.testing.assert_allclose(out.coords, [0.7071067811865475, 0.0], atol=1e-12)
+        out = convert_point(L, K, row(np.sqrt(2.0), 1.0, 0.0))
+        np.testing.assert_allclose(out[0], [0.7071067811865475, 0.0], atol=1e-12)
 
     def test_klein_to_lorentz(self):
-        out = convert_point(KleinPoint([0.8, 0.0]), Model.LORENTZ)
-        np.testing.assert_allclose(out.coords, [5.0 / 3.0, 4.0 / 3.0, 0.0], atol=1e-12)
+        out = convert_point(K, L, row(0.8, 0.0))
+        np.testing.assert_allclose(out[0], [5.0 / 3.0, 4.0 / 3.0, 0.0], atol=1e-12)
 
     def test_identity_conversion_is_same_point(self):
-        p = KleinPoint([0.3, 0.1])
-        assert convert_point(p, Model.KLEIN) is p
+        p = row(0.3, 0.1)
+        assert convert_point(K, K, p) is p
 
     def test_round_trips(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
             dim = int(rng.integers(1, 17))
             p = sample_klein(rng, dim)
-            for dst in (Model.POINCARE, Model.LORENTZ):
-                back = convert_point(convert_point(p, dst), Model.KLEIN)
-                np.testing.assert_allclose(back.coords, p.coords, atol=1e-12)
+            for dst in (P, L):
+                back = convert_point(dst, K, convert_point(K, dst, p))
+                np.testing.assert_allclose(back, p, atol=1e-12)
 
     def test_poincare_lorentz_direct(self):
         rng = np.random.default_rng(8)
         p = sample_klein(rng, 3)
-        via_b = convert_point(convert_point(p, Model.POINCARE), Model.LORENTZ)
-        direct = convert_point(p, Model.LORENTZ)
-        np.testing.assert_allclose(via_b.coords, direct.coords, atol=1e-12)
+        via_b = convert_point(P, L, convert_point(K, P, p))
+        direct = convert_point(K, L, p)
+        np.testing.assert_allclose(via_b, direct, atol=1e-12)
 
 
 class TestPushforward:
     def test_klein_to_poincare_at_origin(self):
-        v = tangent(origin(Model.KLEIN, 2), [2.0, 0.0])
-        out = pushforward(v, Model.POINCARE)
-        np.testing.assert_allclose(out.components, [1.0, 0.0], atol=1e-15)
+        out = pushforward(K, P, np.zeros((1, 2)), row(2.0, 0.0))
+        np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
 
     def test_poincare_to_klein_at_origin(self):
-        v = tangent(origin(Model.POINCARE, 2), [1.0, 0.0])
-        out = pushforward(v, Model.KLEIN)
-        np.testing.assert_allclose(out.components, [2.0, 0.0], atol=1e-15)
+        out = pushforward(P, K, np.zeros((1, 2)), row(1.0, 0.0))
+        np.testing.assert_allclose(out[0], [2.0, 0.0], atol=1e-15)
 
     def test_klein_to_lorentz_at_origin(self):
-        v = tangent(origin(Model.KLEIN, 2), [1.0, 0.0])
-        out = pushforward(v, Model.LORENTZ)
-        np.testing.assert_allclose(out.components, [0.0, 1.0, 0.0], atol=1e-15)
+        out = pushforward(K, L, np.zeros((1, 2)), row(1.0, 0.0))
+        np.testing.assert_allclose(out[0], [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_metric_preserved(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             dim = int(rng.integers(1, 9))
             x = sample_klein(rng, dim)
-            u = tangent(x, rng.normal(size=dim))
-            w = tangent(x, rng.normal(size=dim))
-            ref = metric_inner(x, u, w)
-            for dst in (Model.POINCARE, Model.LORENTZ):
-                y = convert_point(x, dst)
-                got = metric_inner(y, pushforward(u, dst), pushforward(w, dst))
+            u = rng.normal(size=(1, dim))
+            w = rng.normal(size=(1, dim))
+            ref = metric_inner(K, x, u, w)[0]
+            for dst in (P, L):
+                y = convert_point(K, dst, x)
+                got = metric_inner(dst, y, pushforward(K, dst, x, u), pushforward(K, dst, x, w))[0]
                 assert got == pytest.approx(ref, abs=1e-8)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(12)
         x = sample_klein(rng, 4)
-        u = tangent(x, rng.normal(size=4))
-        back = pushforward(pushforward(u, Model.LORENTZ), Model.KLEIN)
-        np.testing.assert_allclose(back.components, u.components, atol=1e-12)
+        u = rng.normal(size=(1, 4))
+        back = pushforward(L, K, convert_point(K, L, x), pushforward(K, L, x, u))
+        np.testing.assert_allclose(back, u, atol=1e-12)
 
 
 class TestDistance:
     def test_coincident(self):
-        p = KleinPoint([0.3, 0.4])
-        assert distance(p, p) == 0.0
+        p = row(0.3, 0.4)
+        assert distance(K, p, p)[0] == 0.0
 
     def test_origin_to_radius_08(self):
-        assert distance(origin(Model.KLEIN, 2), KleinPoint([0.8, 0.0])) == pytest.approx(LN3, abs=1e-10)
+        assert distance(K, np.zeros((1, 2)), row(0.8, 0.0))[0] == pytest.approx(LN3, abs=1e-10)
 
     def test_two_general_points(self):
-        d = distance(KleinPoint([0.5, 0.0]), KleinPoint([0.0, 0.5]))
+        d = distance(K, row(0.5, 0.0), row(0.0, 0.5))[0]
         assert d == pytest.approx(0.7953654612239056, abs=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         x, y = sample_klein(rng, 5), sample_klein(rng, 5)
-        assert distance(x, y) == pytest.approx(distance(y, x), abs=1e-14)
-
-    def test_model_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(KleinPoint([0.1]), PoincarePoint([0.1]))
+        assert distance(K, x, y)[0] == pytest.approx(distance(K, y, x)[0], abs=1e-14)
 
     def test_isometry_across_models(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             dim = int(rng.integers(1, 17))
             x, y = sample_klein(rng, dim), sample_klein(rng, dim)
-            d = distance(x, y)
-            for dst in (Model.POINCARE, Model.LORENTZ):
-                dd = distance(convert_point(x, dst), convert_point(y, dst))
+            d = distance(K, x, y)[0]
+            for dst in (P, L):
+                dd = distance(dst, convert_point(K, dst, x), convert_point(K, dst, y))[0]
                 assert dd == pytest.approx(d, abs=1e-9)
+
+
+def _unit(model, x, v):
+    """v scaled to unit metric norm at x."""
+    return v / np.sqrt(metric_inner(model, x, v, v)[0])
 
 
 class TestGeodesics:
     def test_klein_through_origin(self):
-        o = origin(Model.KLEIN, 2)
-        v = tangent(o, [1.0, 0.0])
-        out = geodesic_unit(o, v, LN3)
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-12)
+        out = geodesic_unit(K, np.zeros((1, 2)), row(1.0, 0.0), LN3)
+        np.testing.assert_allclose(out[0], [0.8, 0.0], atol=1e-12)
 
     def test_time_zero_returns_start(self):
         rng = np.random.default_rng(5)
         x = sample_klein(rng, 3)
-        raw = tangent(x, rng.normal(size=3))
-        u = tangent(x, raw.components / np.sqrt(metric_inner(x, raw, raw)))
-        out = geodesic_unit(x, u, 0.0)
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-15)
+        u = _unit(K, x, rng.normal(size=(1, 3)))
+        out = geodesic_unit(K, x, u, 0.0)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_lorentz_geodesic(self):
-        x = LorentzPoint([1.0, 0.0])
-        v = tangent(x, [0.0, 1.0])
-        out = geodesic_unit(x, v, 1.0)
-        np.testing.assert_allclose(
-            out.coords, [1.5430806348152437, 1.1752011936438014], atol=1e-10
-        )
+        out = geodesic_unit(L, row(1.0, 0.0), row(0.0, 1.0), 1.0)
+        np.testing.assert_allclose(out[0], [1.5430806348152437, 1.1752011936438014], atol=1e-10)
 
     def test_non_unit_velocity_rejected(self):
-        x = origin(Model.KLEIN, 2)
         with pytest.raises(ValueError):
-            geodesic_unit(x, tangent(x, [2.0, 0.0]), 1.0)
+            geodesic_unit(K, np.zeros((1, 2)), row(2.0, 0.0), 1.0)
 
-    @pytest.mark.parametrize("model", [Model.KLEIN, Model.POINCARE])
+    @pytest.mark.parametrize("model", [K, P])
     def test_long_arclength_reaches_the_clamped_boundary(self, model):
         # sinh and cosh of 800 overflow; the exponential map's tanh form saturates
-        x = convert_point(KleinPoint([0.3, -0.2]), model)
-        raw = tangent(x, [1.0, 0.5])
-        out = geodesic_unit(x, tangent(x, raw.components / np.sqrt(metric_inner(x, raw, raw))), 800.0)
-        assert np.all(np.isfinite(out.coords))
-        assert np.linalg.norm(out.coords) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
+        x = convert_point(K, model, row(0.3, -0.2))
+        out = geodesic_unit(model, x, _unit(model, x, row(1.0, 0.5)), 800.0)
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
 
     def test_lorentz_time_past_the_squared_norm_overflow(self):
         # at 700 the spatial norm is about 5e303, so |s|^2 overflows; the time
         # is the scaled norm, with no RuntimeWarning (which fails the run)
-        x = LorentzPoint([1.0, 0.0, 0.0])
-        out = geodesic_unit(x, tangent(x, [0.0, 0.6, 0.8]), 700.0)
-        assert np.all(np.isfinite(out.coords))
-        assert out.time == pytest.approx(math.hypot(*out.spatial), rel=1e-15)
+        x, v = row(1.0, 0.0, 0.0), row(0.0, 0.6, 0.8)
+        out = geodesic_unit(L, x, v, 700.0)[0]
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(math.hypot(*out[1:]), rel=1e-15)
         # from about 711 on cosh itself overflows
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            geodesic_unit(x, tangent(x, [0.0, 0.6, 0.8]), 712.0)
+            geodesic_unit(L, x, v, 712.0)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_unit_speed(self, model):
         rng = np.random.default_rng(6)
         for _ in range(100):
             dim = int(rng.integers(1, 9))
-            xk = sample_klein(rng, dim)
-            x = convert_point(xk, model)
-            raw = tangent(x, _random_tangent_components(rng, x))
-            u = tangent(x, raw.components / np.sqrt(metric_inner(x, raw, raw)))
+            x = convert_point(K, model, sample_klein(rng, dim))
+            u = _unit(model, x, _random_tangent(rng, model, x))
             t = float(rng.uniform(-5.0, 5.0))
-            y = geodesic_unit(x, u, t)
-            assert distance(x, y) == pytest.approx(abs(t), abs=1e-7)
+            y = geodesic_unit(model, x, u, t)
+            assert distance(model, x, y)[0] == pytest.approx(abs(t), abs=1e-7)
 
 
-def _random_tangent_components(rng, x):
-    if isinstance(x, LorentzPoint):
-        spatial = rng.normal(size=x.dim)
-        raw = np.concatenate(([0.0], spatial))
-        return raw + minkowski_rows(x.coords[None], raw[None])[0, 0] * x.coords
-    return rng.normal(size=x.dim)
+def _random_tangent(rng, model, x):
+    """A normal tangent row at the point row x; a hyperboloid one is projected."""
+    if model is L:
+        return lorentz_tangent_rows(x, np.pad(rng.normal(size=(1, x.shape[1] - 1)), ((0, 0), (1, 0))))
+    return rng.normal(size=x.shape)
 
 
 class TestExpLog:
     def test_exp_origin_radial(self):
-        o = origin(Model.KLEIN, 2)
-        out = exp_map(o, tangent(o, [LN3, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.8, 0.0], atol=1e-12)
+        out = exp_map(K, np.zeros((1, 2)), row(LN3, 0.0))
+        np.testing.assert_allclose(out[0], [0.8, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_exp_zero_is_identity(self, model):
-        x = convert_point(KleinPoint([0.4, -0.2]), model)
-        out = exp_map(x, tangent(x, np.zeros_like(x.coords)))
-        np.testing.assert_allclose(out.coords, x.coords, atol=1e-15)
+        x = convert_point(K, model, row(0.4, -0.2))
+        out = exp_map(model, x, np.zeros_like(x))
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_poincare_origin_exp(self):
-        o = origin(Model.POINCARE, 2)
-        out = exp_map(o, tangent(o, [0.5493061443340548, 0.0]))
-        np.testing.assert_allclose(out.coords, [0.5, 0.0], atol=1e-12)
+        out = exp_map(P, np.zeros((1, 2)), row(0.5493061443340548, 0.0))
+        np.testing.assert_allclose(out[0], [0.5, 0.0], atol=1e-12)
 
     def test_log_origin_radial(self):
-        o = origin(Model.KLEIN, 2)
-        v = log_map(o, KleinPoint([0.8, 0.0]))
-        np.testing.assert_allclose(v.components, [LN3, 0.0], atol=1e-10)
+        v = log_map(K, np.zeros((1, 2)), row(0.8, 0.0))
+        np.testing.assert_allclose(v[0], [LN3, 0.0], atol=1e-10)
 
     def test_log_same_point_is_zero(self):
-        p = KleinPoint([0.3, 0.2])
-        np.testing.assert_array_equal(log_map(p, p).components, [0.0, 0.0])
+        p = row(0.3, 0.2)
+        np.testing.assert_array_equal(log_map(K, p, p)[0], [0.0, 0.0])
 
     def test_klein_general_log_value(self):
-        v = log_map(KleinPoint([0.5, 0.0]), KleinPoint([0.0, 0.5]))
-        np.testing.assert_allclose(
-            v.components, [-0.45092983110185167, 0.45092983110185167], atol=1e-12
-        )
+        v = log_map(K, row(0.5, 0.0), row(0.0, 0.5))
+        np.testing.assert_allclose(v[0], [-0.45092983110185167, 0.45092983110185167], atol=1e-12)
 
     def test_klein_general_exp_value(self):
-        x = KleinPoint([0.5, 0.0])
-        out = exp_map(x, tangent(x, [-0.5, 0.5]))
-        np.testing.assert_allclose(
-            out.coords, [-0.04740120736749149, 0.5474012073674915], atol=1e-12
-        )
+        out = exp_map(K, row(0.5, 0.0), row(-0.5, 0.5))
+        np.testing.assert_allclose(out[0], [-0.04740120736749149, 0.5474012073674915], atol=1e-12)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_exp_log_inversion(self, model):
         rng = np.random.default_rng(13)
         for _ in range(150):
             dim = int(rng.integers(1, 9))
-            x = convert_point(sample_klein(rng, dim), model)
-            raw = tangent(x, _random_tangent_components(rng, x))
-            n = np.sqrt(metric_inner(x, raw, raw))
+            x = convert_point(K, model, sample_klein(rng, dim))
+            raw = _random_tangent(rng, model, x)
+            n = np.sqrt(metric_inner(model, x, raw, raw)[0])
             if n == 0.0:
                 continue
-            v = tangent(x, raw.components * (rng.uniform(0.0, 3.0) / n))
-            y = exp_map(x, v)
-            back = log_map(x, y)
-            np.testing.assert_allclose(back.components, v.components, atol=1e-7)
+            v = raw * (rng.uniform(0.0, 3.0) / n)
+            y = exp_map(model, x, v)
+            back = log_map(model, x, y)
+            np.testing.assert_allclose(back, v, atol=1e-7)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_log_exp_round_trip(self, model):
         rng = np.random.default_rng(14)
         for _ in range(150):
             dim = int(rng.integers(1, 9))
-            x = convert_point(sample_klein(rng, dim), model)
-            y = convert_point(sample_klein(rng, dim), model)
-            if distance(x, y) > 5.0:
+            x = convert_point(K, model, sample_klein(rng, dim))
+            y = convert_point(K, model, sample_klein(rng, dim))
+            if distance(model, x, y)[0] > 5.0:
                 continue
-            out = exp_map(x, log_map(x, y))
-            np.testing.assert_allclose(out.coords, y.coords, atol=1e-8)
+            out = exp_map(model, x, log_map(model, x, y))
+            np.testing.assert_allclose(out, y, atol=1e-8)
 
 
 class TestTransport:
     def test_at_origin_is_identity(self):
-        o = origin(Model.KLEIN, 2)
-        v = tangent(o, [0.3, -0.7])
-        np.testing.assert_allclose(transport_from_origin(o, v).components, v.components)
+        v = row(0.3, -0.7)
+        np.testing.assert_allclose(transport_from_origin(K, np.zeros((1, 2)), v), v)
 
     def test_orthogonal_case(self):
-        o = origin(Model.KLEIN, 2)
-        out = transport_from_origin(KleinPoint([0.8, 0.0]), tangent(o, [0.0, 1.0]))
-        np.testing.assert_allclose(out.components, [0.0, 0.6], atol=1e-12)
+        out = transport_from_origin(K, row(0.8, 0.0), row(0.0, 1.0))
+        np.testing.assert_allclose(out[0], [0.0, 0.6], atol=1e-12)
 
     def test_radial_case(self):
-        o = origin(Model.KLEIN, 2)
-        out = transport_from_origin(KleinPoint([0.8, 0.0]), tangent(o, [1.0, 0.0]))
-        np.testing.assert_allclose(out.components, [0.36, 0.0], atol=1e-12)
+        out = transport_from_origin(K, row(0.8, 0.0), row(1.0, 0.0))
+        np.testing.assert_allclose(out[0], [0.36, 0.0], atol=1e-12)
 
     def test_broken_form_differs_radially(self, broken_klein_transport):
         o, x, v = np.zeros((1, 2)), np.array([[0.8, 0.0]]), np.array([[1.0, 0.0]])
         out = broken_klein_transport(x, v)
         np.testing.assert_allclose(out, [[-1.64, 0.0]], atol=1e-12)
         # the defective form is not a linear isometry
-        moved = metric_inner_rows(Model.KLEIN, x, out, out)[0]
-        assert abs(moved - metric_inner_rows(Model.KLEIN, o, v, v)[0]) > 1.0
-
-    def test_requires_origin_base(self):
-        x = KleinPoint([0.2, 0.0])
-        v = tangent(KleinPoint([0.1, 0.0]), [1.0, 0.0])
-        with pytest.raises(ValueError):
-            transport_from_origin(x, v)
+        moved = metric_inner(K, x, out, out)[0]
+        assert abs(moved - metric_inner(K, o, v, v)[0]) > 1.0
 
     @pytest.mark.parametrize("model", list(Model))
     def test_transport_preserves_metric(self, model):
         rng = np.random.default_rng(15)
         for _ in range(200):
             dim = int(rng.integers(1, 9))
-            x = convert_point(sample_klein(rng, dim), model)
-            o = origin(model, dim)
-            u = tangent(o, _random_tangent_components(rng, o))
-            w = tangent(o, _random_tangent_components(rng, o))
-            lhs = metric_inner(x, transport_from_origin(x, u), transport_from_origin(x, w))
-            assert lhs == pytest.approx(metric_inner(o, u, w), abs=1e-8)
+            x = convert_point(K, model, sample_klein(rng, dim))
+            o = origin(model, dim).coords[None]
+            u = _random_tangent(rng, model, o)
+            w = _random_tangent(rng, model, o)
+            lhs = metric_inner(model, x, transport_from_origin(model, x, u), transport_from_origin(model, x, w))
+            assert lhs[0] == pytest.approx(metric_inner(model, o, u, w)[0], abs=1e-8)
 
     def test_klein_equals_lorentz_conjugation(self):
         rng = np.random.default_rng(16)
         for _ in range(200):
             dim = int(rng.integers(1, 9))
             x = sample_klein(rng, dim)
-            v = tangent(origin(Model.KLEIN, dim), rng.normal(size=dim))
-            direct = transport_from_origin(x, v)
-            xl = convert_point(x, Model.LORENTZ)
-            via = pushforward(
-                transport_from_origin(xl, pushforward(v, Model.LORENTZ)), Model.KLEIN
-            )
-            np.testing.assert_allclose(direct.components, via.components, atol=1e-8)
+            v = rng.normal(size=(1, dim))
+            direct = transport_from_origin(K, x, v)
+            xl = convert_point(K, L, x)
+            moved = transport_from_origin(L, xl, pushforward(K, L, np.zeros((1, dim)), v))
+            via = pushforward(L, K, xl, moved)
+            np.testing.assert_allclose(direct, via, atol=1e-8)
 
 
 class TestKleinMetricInverse:
@@ -442,7 +401,7 @@ class TestKleinMetricInverse:
         rng = np.random.default_rng(17)
         for _ in range(100):
             dim = int(rng.integers(1, 9))
-            x = sample_klein(rng, dim)
+            x = KleinPoint(sample_klein(rng, dim)[0])
             c = x.coords
             s = 1.0 - float(c @ c)
             metric = np.eye(dim) / s + np.outer(c, c) / s**2
@@ -453,14 +412,14 @@ class TestKleinMetricInverse:
 
 class TestClampToBall:
     def test_interior(self):
-        np.testing.assert_array_equal(clamp_to_ball([0.5, 0.0]), [0.5, 0.0])
+        np.testing.assert_array_equal(clamp_to_ball(row(0.5, 0.0))[0], [0.5, 0.0])
 
     def test_boundary(self):
-        np.testing.assert_allclose(clamp_to_ball([1.0, 0.0]), [1.0 - EPS_BALL, 0.0])
+        np.testing.assert_allclose(clamp_to_ball(row(1.0, 0.0))[0], [1.0 - EPS_BALL, 0.0])
 
     def test_rescaling(self):
         np.testing.assert_allclose(
-            clamp_to_ball([3.0, 4.0]), np.array([0.6, 0.8]) * (1.0 - EPS_BALL)
+            clamp_to_ball(row(3.0, 4.0))[0], np.array([0.6, 0.8]) * (1.0 - EPS_BALL)
         )
 
 
@@ -473,7 +432,7 @@ def kernel_points(rng, model, dim=5):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radius = rng.uniform(0.0, 1.0 - 1e-6, size=(ROWS, 1))
     radius[0], radius[1] = 0.0, 1.0 - 1e-6
-    return convert_rows(Model.KLEIN, model, radius * direction)
+    return convert_point(Model.KLEIN, model, radius * direction)
 
 
 def kernel_tangents(rng, model, x):
@@ -482,7 +441,7 @@ def kernel_tangents(rng, model, x):
     raw[0] = 0.0
     if model is Model.LORENTZ:
         raw = lorentz_tangent_rows(x, np.pad(raw, ((0, 0), (1, 0))))
-    norm = np.sqrt(metric_inner_rows(model, x, raw, raw))
+    norm = np.sqrt(metric_inner(model, x, raw, raw))
     return raw * (rng.uniform(0.0, 3.0, size=ROWS) / np.where(norm > 0.0, norm, 1.0))[:, None]
 
 
@@ -492,20 +451,20 @@ def kernel_cases(model):
     u, w = kernel_tangents(rng, model, x), kernel_tangents(rng, model, x)
     unit = kernel_tangents(rng, model, x)
     unit[0] = kernel_tangents(rng, model, x)[1]
-    unit /= np.sqrt(metric_inner_rows(model, x, unit, unit))[:, None]
-    o = convert_rows(Model.KLEIN, model, np.zeros((ROWS, 5)))
+    unit /= np.sqrt(metric_inner(model, x, unit, unit))[:, None]
+    o = convert_point(Model.KLEIN, model, np.zeros((ROWS, 5)))
     cases = {
-        "metric_inner": (partial(metric_inner_rows, model), (x, u, w)),
-        "distance": (partial(distance_rows, model), (x, y)),
-        "exp": (partial(exp_rows, model), (x, u)),
-        "log": (partial(log_rows, model), (x, y)),
-        "geodesic": (partial(geodesic_rows, model), (x, unit, rng.uniform(-5.0, 5.0, size=ROWS))),
-        "transport": (partial(transport_rows, model), (x, kernel_tangents(rng, model, o))),
+        "metric_inner": (partial(metric_inner, model), (x, u, w)),
+        "distance": (partial(distance, model), (x, y)),
+        "exp": (partial(exp_map, model), (x, u)),
+        "log": (partial(log_map, model), (x, y)),
+        "geodesic": (partial(geodesic_unit, model), (x, unit, rng.uniform(-5.0, 5.0, size=ROWS))),
+        "transport": (partial(transport_from_origin, model), (x, kernel_tangents(rng, model, o))),
     }
     for dst in Model:
         if dst is not model:
-            cases[f"convert_{dst.value}"] = (partial(convert_rows, model, dst), (x,))
-            cases[f"pushforward_{dst.value}"] = (partial(pushforward_rows, model, dst), (x, u))
+            cases[f"convert_{dst.value}"] = (partial(convert_point, model, dst), (x,))
+            cases[f"pushforward_{dst.value}"] = (partial(pushforward, model, dst), (x, u))
     return cases
 
 
@@ -527,12 +486,12 @@ def test_exp_rows_check_every_row():
     x = np.zeros((3, 2))
     v = np.array([[0.1, 0.0], [np.nan, 0.0], [0.0, 0.2]])
     with pytest.raises(ValueError, match="must be finite"):
-        exp_rows(Model.KLEIN, x, v)
+        exp_map(Model.KLEIN, x, v)
 
 
 def test_kernel_rows_are_clamped_to_the_ball():
     x = np.array([[0.0, 0.0], [0.5, 0.0]])
-    out = exp_rows(Model.KLEIN, x, np.array([[50.0, 0.0], [0.0, 0.0]]))
+    out = exp_map(Model.KLEIN, x, np.array([[50.0, 0.0], [0.0, 0.0]]))
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0 - EPS_BALL, 0.5], rtol=1e-15)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hyperklein import autodiff, nn, verify
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.data import gen_tree_dataset, load_dataset
-from hyperklein.gyro import einstein_add_rows, mobius_add_rows
+from hyperklein.gyro import einstein_add, mobius_add
 from hyperklein.manifolds import (
     KleinPoint,
     Model,
@@ -19,27 +19,29 @@ from hyperklein.manifolds import (
     convert_point,
     distance,
     exp_map,
-    exp_rows,
     log_map,
-    log_rows,
     make_point,
     minkowski_rows,
     origin,
-    tangent,
-    transport_rows,
+    transport_from_origin,
 )
 
 LN3 = 1.0986122886681098
 
 
+def convert(p, dst):
+    """The point p in the dst model's coordinates."""
+    return _point_row(dst, convert_point(p.model, dst, p.coords[None]))
+
+
 def offset_bias_model(flavor, n, m, c, seed, scale=0.4):
     rng = np.random.default_rng(seed + 1000)
     model = nn.init_model(flavor, n, m, c, seed)
-    o = origin(flavor, m)
-    raw = rng.normal(size=o.coords.shape) * scale
+    o = origin(flavor, m).coords[None]
+    raw = rng.normal(size=o.shape) * scale
     if flavor is Model.LORENTZ:
-        raw[0] = 0.0
-    return replace(model, bias=exp_map(o, tangent(o, raw)))
+        raw[:, 0] = 0.0
+    return replace(model, bias=_point_row(flavor, exp_map(flavor, o, raw)))
 
 
 def layer_model(flavor, weight, bias=None):
@@ -53,8 +55,8 @@ def layer_model(flavor, weight, bias=None):
 
 def features_of(point):
     """The feature row whose input point exp_o(x) is the given point."""
-    o = origin(point.model, point.dim)
-    v = log_map(o, point).components
+    o = origin(point.model, point.dim).coords[None]
+    v = log_map(point.model, o, point.coords[None])[0]
     return (v[1:] if point.model is Model.LORENTZ else v)[None]
 
 
@@ -65,7 +67,7 @@ def hidden_point(model, feats):
     if model.flavor is Model.LORENTZ:
         z = np.pad(z, ((0, 0), (1, 0)))
     o = np.tile(origin(model.flavor, model.hidden_dim).coords, (len(z), 1))
-    return exp_rows(model.flavor, o, z)
+    return exp_map(model.flavor, o, z)
 
 
 class TestKleinLinear:
@@ -103,7 +105,7 @@ class TestPoincareLinear:
     def test_doubling_matches_klein(self):
         xb = make_point(Model.POINCARE, [0.2679491924311227, 0.0])
         out = hidden_point(layer_model(Model.POINCARE, 2.0 * np.eye(2)), features_of(xb))
-        back = convert_point(make_point(Model.POINCARE, out[0]), Model.KLEIN)
+        back = convert(make_point(Model.POINCARE, out[0]), Model.KLEIN)
         np.testing.assert_allclose(back.coords, [0.8, 0.0], atol=1e-12)
 
     def test_commutes_with_isometry(self):
@@ -116,15 +118,15 @@ class TestPoincareLinear:
             bias_k = KleinPoint(rng.uniform(-0.4, 0.4, size=m))
             feats = rng.uniform(-0.4, 0.4, size=(3, n))
             klein_out = hidden_point(layer_model(Model.KLEIN, weight, bias_k), feats)
-            poincare = layer_model(Model.POINCARE, weight / 2.0, convert_point(bias_k, Model.POINCARE))
+            poincare = layer_model(Model.POINCARE, weight / 2.0, convert(bias_k, Model.POINCARE))
             for row, want in zip(hidden_point(poincare, feats), klein_out):
-                got = convert_point(make_point(Model.POINCARE, row), Model.KLEIN)
+                got = convert(make_point(Model.POINCARE, row), Model.KLEIN)
                 np.testing.assert_allclose(got.coords, want, atol=1e-8)
 
 
 class TestLorentzLinear:
     def test_identity(self):
-        x = convert_point(KleinPoint([0.3, -0.2]), Model.LORENTZ)
+        x = convert(KleinPoint([0.3, -0.2]), Model.LORENTZ)
         out = hidden_point(layer_model(Model.LORENTZ, np.eye(2)), features_of(x))
         np.testing.assert_allclose(out, [x.coords], atol=1e-10)
 
@@ -134,10 +136,10 @@ class TestLorentzLinear:
         np.testing.assert_allclose(out, [origin(Model.LORENTZ, 3).coords], atol=1e-12)
 
     def test_doubling_matches_klein(self):
-        x = convert_point(KleinPoint([0.5, 0.0]), Model.LORENTZ)
+        x = convert(KleinPoint([0.5, 0.0]), Model.LORENTZ)
         out = hidden_point(layer_model(Model.LORENTZ, 2.0 * np.eye(2)), features_of(x))
         np.testing.assert_allclose(
-            convert_point(make_point(Model.LORENTZ, out[0]), Model.KLEIN).coords,
+            convert(make_point(Model.LORENTZ, out[0]), Model.KLEIN).coords,
             [0.8, 0.0],
             atol=1e-10,
         )
@@ -145,7 +147,7 @@ class TestLorentzLinear:
     def test_output_on_hyperboloid(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            bias = convert_point(KleinPoint(rng.uniform(-0.3, 0.3, size=4)), Model.LORENTZ)
+            bias = convert(KleinPoint(rng.uniform(-0.3, 0.3, size=4)), Model.LORENTZ)
             model = layer_model(Model.LORENTZ, rng.normal(size=(4, 3)), bias)
             out = hidden_point(model, rng.uniform(-0.4, 0.4, size=(3, 3)))
             assert np.all(np.abs(minkowski_rows(out, out) + 1.0) < 1e-9)
@@ -169,9 +171,8 @@ class TestActivation:
     def test_mixed_sign_value(self):
         feats = features_of(KleinPoint([-0.5, 0.5]))
         active = nn.forward(layer_model(Model.KLEIN, np.eye(2)), feats)[0]
-        o = origin(Model.KLEIN, 2)
-        out = exp_map(o, tangent(o, active))
-        np.testing.assert_allclose(out.coords, [0.0, 0.5533696351790970], atol=1e-12)
+        out = exp_map(Model.KLEIN, np.zeros((1, 2)), active[None])
+        np.testing.assert_allclose(out[0], [0.0, 0.5533696351790970], atol=1e-12)
 
 
 class TestReadout:
@@ -356,12 +357,15 @@ class TestPreprocess:
     @pytest.mark.parametrize("flavor", list(Model))
     def test_a_row_whose_squared_norm_overflows_is_capped(self, flavor):
         # 1e200 squared overflows, but the row is finite: it is capped as
-        # [5, 0, 0, 0] is, with no RuntimeWarning, alone and in a batch
+        # [5, 0, 0, 0] is, with no RuntimeWarning, alone and in a batch; so is
+        # a row whose norm itself passes the float64 maximum
         model = offset_bias_model(flavor, 4, 3, 3, seed=40)
-        big = np.array([[1e200, 0.0, 0.0, 0.0], [1e200, -1e200, 0.0, 0.0]])
-        capped = np.array([[5.0, 0.0, 0.0, 0.0], [5.0 / np.sqrt(2.0), -5.0 / np.sqrt(2.0), 0.0, 0.0]])
+        big = np.array([[1e200, 0.0, 0.0, 0.0], [1e200, -1e200, 0.0, 0.0], [1.5e308, 1.5e308, 0.0, 0.0]])
+        side = 5.0 / np.sqrt(2.0)
+        capped = np.array([[5.0, 0.0, 0.0, 0.0], [side, -side, 0.0, 0.0], [side, side, 0.0, 0.0]])
         other = np.random.default_rng(44).normal(size=(3, 4))
-        cases = [(big[:1], capped[:1]), (big[1:], capped[1:]), (np.vstack((other, big)), np.vstack((other, capped)))]
+        cases = [(big[i : i + 1], capped[i : i + 1]) for i in range(len(big))]
+        cases.append((np.vstack((other, big)), np.vstack((other, capped))))
 
         def close(got, want):
             return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -409,19 +413,19 @@ class TestErrorState:
 
 def kernel_reference(model, feats):
     """The network's tangent and logits composed from the `manifolds` and
-    `gyro` row kernels: exp_o of w = x W^T, the bias step, log_o, ReLU and
+    `gyro` operations: exp_o of w = x W^T, the bias step, log_o, ReLU and
     the readout."""
     flavor, bias = model.flavor, model.bias.coords
     w = nn._preprocess(feats) @ model.weight.T
     o = np.tile(origin(flavor, model.hidden_dim).coords, (len(w), 1))
     b = np.tile(bias, (len(w), 1))
     if flavor is Model.LORENTZ:
-        p = exp_rows(flavor, o, np.concatenate((np.zeros((len(w), 1)), w), axis=1))
-        h = exp_rows(flavor, p, transport_rows(flavor, p, log_rows(flavor, o, b)))
-        z = log_rows(flavor, o, h)[:, 1:]
+        p = exp_map(flavor, o, np.concatenate((np.zeros((len(w), 1)), w), axis=1))
+        h = exp_map(flavor, p, transport_from_origin(flavor, p, log_map(flavor, o, b)))
+        z = log_map(flavor, o, h)[:, 1:]
     else:
-        add = einstein_add_rows if flavor is Model.KLEIN else mobius_add_rows
-        z = log_rows(flavor, o, add(exp_rows(flavor, o, w), b))
+        add = einstein_add if flavor is Model.KLEIN else mobius_add
+        z = log_map(flavor, o, add(exp_map(flavor, o, w), b))
     return z, np.maximum(z, 0.0) @ model.readout_weight.T + model.readout_bias
 
 
@@ -436,8 +440,7 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # capping a zero-norm row must not warn
             logits = nn.forward(model, np.zeros((1, 3)))
-        o = origin(Model.KLEIN, 4)
-        active = np.maximum(log_map(o, model.bias).components, 0.0)
+        active = np.maximum(log_map(Model.KLEIN, np.zeros((1, 4)), model.bias.coords[None])[0], 0.0)
         want = model.readout_weight @ active + model.readout_bias
         np.testing.assert_allclose(logits[0], want, atol=1e-12)
 
@@ -614,7 +617,7 @@ def lorentz_counterpart(model):
     return replace(
         model,
         weight=2.0 * model.weight,
-        bias=convert_point(model.bias, Model.LORENTZ),
+        bias=convert(model.bias, Model.LORENTZ),
         readout_weight=model.readout_weight / 2.0,
     )
 
@@ -1136,7 +1139,7 @@ class TestRiemannianAdam:
             "readout_bias": np.zeros(2),
         }
         out = nn.riemannian_adam_step(nn.GradState(lr=0.1), model, grads)
-        moved = distance(model.bias, out.bias)
+        moved = distance(Model.KLEIN, model.bias.coords[None], out.bias.coords[None])[0]
         assert 0.0 < moved <= 0.1 + 1e-9
 
     def test_lorentz_step_keeps_constraint(self):
@@ -1272,10 +1275,10 @@ class TestFlavorParity:
             bm = replace(
                 km,
                 weight=km.weight / 2.0,
-                bias=convert_point(km.bias, Model.POINCARE),
+                bias=convert(km.bias, Model.POINCARE),
                 readout_weight=2.0 * km.readout_weight,
             )
-            lm = replace(km, bias=convert_point(km.bias, Model.LORENTZ))
+            lm = replace(km, bias=convert(km.bias, Model.LORENTZ))
             feats = rng.normal(size=(6, n)) * 2.0
             base = nn.forward(km, feats)
             np.testing.assert_allclose(nn.forward(bm, feats), base, atol=1e-6)
@@ -1284,7 +1287,7 @@ class TestFlavorParity:
     def test_a_lorentz_bias_makes_a_lorentz_model(self):
         # the flavor is the bias's model, so replacing the bias is the whole change
         km = offset_bias_model(Model.KLEIN, 4, 5, 3, seed=21)
-        lm = replace(km, bias=convert_point(km.bias, Model.LORENTZ))
+        lm = replace(km, bias=convert(km.bias, Model.LORENTZ))
         assert lm.flavor is Model.LORENTZ
         feats = np.random.default_rng(22).normal(size=(6, 4)) * 2.0
         _, expected = verify._corresponding_models(km)

@@ -11,15 +11,7 @@ from hyperklein import gyro, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset
 from hyperklein.gyro import einstein_matvec, einstein_scalar
-from hyperklein.manifolds import (
-    KleinPoint,
-    Model,
-    clamp_rows,
-    exp_map,
-    log_map,
-    origin,
-    tangent,
-)
+from hyperklein.manifolds import Model, clamp_to_ball, exp_map, log_map
 
 
 @pytest.mark.parametrize("seed", [1, 21, 45])
@@ -138,7 +130,7 @@ def test_orthogonal_suite_draws_orthogonal_blocks():
 
 
 def test_matvec_error_compares_directions_only_where_a_point_is_clamped():
-    rim = clamp_rows(np.array([[2.0, 0.0]]))  # on the clamp radius
+    rim = clamp_to_ball(np.array([[2.0, 0.0]]))  # on the clamp radius
     lhs = np.array([[0.5, 0.0], [0.5, 0.0], rim[0], [0.5, 0.0]])
     rhs = np.array([[0.25, 0.0], [0.25, 0.0], [0.25, 0.0], [0.0, 0.5]])
     mid = np.array([[0.1, 0.0], rim[0], [0.1, 0.0], rim[0]])
@@ -157,28 +149,32 @@ def test_matvec_identities_hold_where_a_point_is_clamped(suite, seed, samples):
     assert report.passed, report.max_abs_error
 
 
+def _klein_row(coords):
+    return clamp_to_ball(np.array([coords], dtype=np.float64))
+
+
 def _replay_matvec_compose(w):
-    m1, m2, x = np.asarray(w["m1"]), np.asarray(w["m2"]), KleinPoint(w["x"])
-    assert m1.shape == (w["out"], w["mid"]) and m2.shape == (w["mid"], x.dim)
-    return einstein_matvec(m1 @ m2, x).coords - einstein_matvec(m1, einstein_matvec(m2, x)).coords
+    m1, m2, x = np.asarray(w["m1"]), np.asarray(w["m2"]), _klein_row(w["x"])
+    assert m1.shape == (w["out"], w["mid"]) and m2.shape == (w["mid"], x.shape[1])
+    return einstein_matvec((m1 @ m2)[None], x) - einstein_matvec(m1[None], einstein_matvec(m2[None], x))
 
 
 def _replay_matvec_scale(w):
-    m, r, x = np.asarray(w["m"]), w["r"], KleinPoint(w["x"])
-    return einstein_matvec(r * m, x).coords - einstein_scalar(r, einstein_matvec(m, x)).coords
+    m, r, x = np.asarray(w["m"]), w["r"], _klein_row(w["x"])
+    return einstein_matvec((r * m)[None], x) - einstein_scalar(r, einstein_matvec(m[None], x))
 
 
 def _replay_matvec_orthogonal(w):
-    q, x = np.asarray(w["q"]), KleinPoint(w["x"])
-    return einstein_matvec(q, x).coords - q @ x.coords
+    q, x = np.asarray(w["q"]), _klein_row(w["x"])
+    return einstein_matvec(q[None], x)[0] - q @ x[0]
 
 
 def _replay_matvec_tangent(w):
-    m, x = np.asarray(w["m"]), KleinPoint(w["x"])
-    assert m.shape == (w["out"], x.dim)
-    o_in, o_out = origin(Model.KLEIN, x.dim), origin(Model.KLEIN, w["out"])
-    via = exp_map(o_out, tangent(o_out, m @ log_map(o_in, x).components))
-    return einstein_matvec(m, x).coords - via.coords
+    m, x = np.asarray(w["m"]), _klein_row(w["x"])
+    assert m.shape == (w["out"], x.shape[1])
+    o_in, o_out = np.zeros_like(x), np.zeros((1, w["out"]))
+    via = exp_map(Model.KLEIN, o_out, (m @ log_map(Model.KLEIN, o_in, x)[0])[None])
+    return einstein_matvec(m[None], x) - via
 
 
 @pytest.mark.parametrize(
@@ -200,7 +196,7 @@ def test_matvec_worst_case_can_be_replayed(suite, keys, replay):
 
 @pytest.mark.parametrize("suite", ["matvec_compose", "matvec_scale", "matvec_orthogonal", "matvec_tangent"])
 def test_matvec_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
-    # einstein_matvec_rows' dot products, stacked and 2-d, summed by a plain
+    # einstein_matvec's dot products, stacked and 2-d, summed by a plain
     # Python loop on the same host give the same worst error and input
     shipped = verify.run_suite(suite, samples=50, seed=0)
     monkeypatch.setattr(gyro, "row_dots", left_to_right_dots)
