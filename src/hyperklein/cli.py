@@ -19,7 +19,7 @@ import numpy as np
 from . import nn, verify
 from .autodiff import NumericalError
 from .data import SPLITS, DataError, Dataset, load_dataset, split
-from .manifolds import Model, convert_point, make_point
+from .manifolds import Model, check_point, clamp_to_ball, convert_point, lorentz_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,16 +200,12 @@ def _cmd_convert(args) -> int:
     out_lines = []
     for lineno, values in _parse_point_rows(text):
         try:
-            coords = np.asarray(values)
-            # a finite row with an entry of size >= 1 is outside; below that no square overflows
-            if src is not Model.LORENTZ and np.isfinite(coords).all() and (
-                np.abs(coords).max() >= 1.0 or np.linalg.norm(coords) >= 1.0
-            ):
-                raise ValueError("point lies outside the open unit ball")
-            point = make_point(src, coords)
+            row = check_point(src, np.asarray(values))[None]
         except ValueError as err:
             raise DataError(f"row {lineno}: {err}") from err
-        converted = convert_point(src, dst, point.coords[None])[0]
+        # a ball row goes onto the clamp radius, a hyperboloid row onto the sheet
+        row = lorentz_rows(row[:, 1:]) if src is Model.LORENTZ else clamp_to_ball(row)
+        converted = convert_point(src, dst, row)[0]
         out_lines.append(",".join(_fmt(c) for c in converted))
     Path(args.output).write_text(
         ("\n".join(out_lines) + "\n") if out_lines else "", encoding="utf-8"

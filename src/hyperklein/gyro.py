@@ -8,8 +8,8 @@ The Mobius addition is imported from `manifolds`, whose Poincare exp and log use
 Each operation (`einstein_add`, `einstein_scalar`, `einstein_matvec`,
 `gyration`, `mobius_add`, `klein_geodesic_between`, `einstein_midpoint`) is
 one function on (N, d) arrays of ball points, zero-padded rows allowed, and a
-single point is a (1, d) row; its output rows are checked and clamped like
-the point classes.  The gyrogroup inverse of x is -x.
+single point is a (1, d) row; its output rows are checked and clamped
+(`clamp_to_ball`).  The gyrogroup inverse of x is -x.
 """
 
 from __future__ import annotations

@@ -18,25 +18,25 @@ right: numpy sums a C-ordered last axis pairwise, so two or more sums add
 column-major products term by term, from an initial -0.0, and a single sum
 keeps its prefix sums (see its docstring).  Each function that returns
 points or tangent vectors checks every row for finiteness, clamps ball rows
-to norm 1 - EPS_BALL and puts hyperboloid rows back on the sheet, as the
-point classes do.  The point classes hold model parameters and checkpoints;
-the operations do not take them.  A geodesic is `exp_map` of t v, and the
-Mobius addition (`mobius_add`, which `gyro` imports) is written here beside
-the Poincare exp and log.
+to norm 1 - EPS_BALL and puts hyperboloid rows back on the sheet.  Rows that
+come from outside, a checkpoint's bias or a `convert` input, are checked by
+`check_point`, which rescales nothing.  A geodesic is `exp_map` of t v, and
+the Mobius addition (`mobius_add`, which `gyro` imports) is written here
+beside the Poincare exp and log.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 EPS_BALL = 1e-7
 # largest argument at which atanh is evaluated, here and in the network's tape (`nn`)
 ATANH_MAX = 1.0 - 1e-15
-# input gate for "nearly valid" Lorentz data; stored values are renormalized
+# input gate for "nearly valid" Lorentz data: `check_point` accepts a point this
+# far off the sheet as given (`convert` puts it back on the sheet), and
+# `_checked_lorentz_tangent` a vector this far off tangent
 _LORENTZ_INPUT_TOL = 1e-6
 
 
@@ -97,17 +97,18 @@ def _peak_split(rows: np.ndarray):
     return peak, np.sqrt(row_dots(rows / peak, rows / peak))
 
 
+@np.errstate(over="ignore")
 def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
     """Hyperboloid rows [sqrt(1 + |s|^2), s] from finite spatial rows s.  Where
     |s|^2 overflows, sqrt(1 + |s|^2) rounds to |s|, so such a row's time is
     its norm, the product of `_peak_split`'s factors; a norm past the float64
-    maximum is no point, and raises ValueError."""
-    with np.errstate(over="ignore"):
-        time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
-        big = np.isinf(time[:, 0])
-        if np.count_nonzero(big):
-            peak, unit = _peak_split(spatial[big])
-            time[big] = _finite(peak * unit)
+    maximum is no point, and raises ValueError.  Overflow is ignored by the
+    np.errstate decorator, which numpy enters and resets per call."""
+    time = np.sqrt(1.0 + row_dots(_finite(spatial), spatial))
+    big = np.isinf(time[:, 0])
+    if np.count_nonzero(big):
+        peak, unit = _peak_split(spatial[big])
+        time[big] = _finite(peak * unit)
     return np.concatenate((time, spatial), axis=1)
 
 
@@ -211,100 +212,38 @@ def smooth_slope(name: str, t: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 # points
 
 
-def _as_vector(coords, min_size: int) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < min_size:
-        raise ValueError(f"expected a 1-d vector of length >= {min_size}, got shape {arr.shape}")
-    return _finite(arr)
+def check_point(model: Model, x: np.ndarray, what: str = "point") -> np.ndarray:
+    """Check that the 1-d vector x is a point of model, and return it as given.
 
-
-@dataclass(frozen=True, eq=False)
-class _BallPoint:
-    """Body shared by the two ball models' points; each subclass names its `model`."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", clamp_to_ball(_as_vector(self.coords, 1)[None])[0])
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-
-@dataclass(frozen=True, eq=False)
-class KleinPoint(_BallPoint):
-    """Point of the Klein ball; coordinates are clamped to norm <= 1 - EPS_BALL."""
-
-    model = Model.KLEIN
-
-
-@dataclass(frozen=True, eq=False)
-class PoincarePoint(_BallPoint):
-    """Point of the Poincare ball; same clamping policy as the Klein ball."""
-
-    model = Model.POINCARE
-
-
-@dataclass(frozen=True, eq=False)
-class LorentzPoint:
-    """Point on the upper hyperboloid sheet, stored as [time, spatial...].
-
-    The time component is recomputed as sqrt(1 + |spatial|^2) on construction,
-    so the Minkowski constraint <x, x> = -1 holds for every stored point.
+    Nothing is rescaled.  x holds a coordinate (a time and one more on the
+    hyperboloid), and all are finite.  A ball point has every |x_i| < 1 and
+    then x.dot(x) < 1, so no square overflows; that squared norm is a BLAS
+    dot product, whose last place can differ from `row_dots`'.  The error
+    names a point outside the ball `what`.  A hyperboloid point [time,
+    spatial...] has time > 0, tested before it is compared, and lies within
+    _LORENTZ_INPUT_TOL t of the time t = sqrt(1 + |spatial|^2) >= 1 of
+    `lorentz_rows`.  Raises ValueError.
     """
-
-    coords: np.ndarray
-    model = Model.LORENTZ
-
-    def __post_init__(self):
-        arr = _as_vector(self.coords, 2)
-        out = lorentz_rows(arr[None, 1:])[0]
-        if arr[0] <= 0.0 or abs(arr[0] - out[0]) > _LORENTZ_INPUT_TOL * max(1.0, out[0]):
-            raise ValueError("coordinates do not lie on the upper hyperboloid sheet")
-        object.__setattr__(self, "coords", out)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size - 1
-
-    @property
-    def time(self) -> float:
-        return float(self.coords[0])
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return self.coords[1:]
+    width = 2 if model is Model.LORENTZ else 1
+    if x.ndim != 1 or x.size < width:
+        raise ValueError(f"expected a 1-d vector of length >= {width}, got shape {x.shape}")
+    _finite(x)
+    if model is not Model.LORENTZ:
+        if np.count_nonzero(np.abs(x) >= 1.0) or x.dot(x) >= 1.0:
+            raise ValueError(f"{what} lies outside the open unit ball")
+        return x
+    time, sheet = x[0], lorentz_rows(x[None, 1:])[0, 0]
+    if time <= 0.0 or abs(time - sheet) > _LORENTZ_INPUT_TOL * sheet:
+        raise ValueError("coordinates do not lie on the upper hyperboloid sheet")
+    return x
 
 
-Point = Union[KleinPoint, PoincarePoint, LorentzPoint]
-
-_POINT_TYPES = {
-    Model.KLEIN: KleinPoint,
-    Model.POINCARE: PoincarePoint,
-    Model.LORENTZ: LorentzPoint,
-}
-
-
-def _point_row(model: Model, rows: np.ndarray) -> Point:
-    """The point of model whose coordinates are the one row of an operation's
-    output; the operation has checked it, so it is not validated again."""
-    point = object.__new__(_POINT_TYPES[model])
-    object.__setattr__(point, "coords", rows[0])
-    return point
-
-
-def make_point(model: Model, coords) -> Point:
-    return _POINT_TYPES[Model(model)](coords)
-
-
-def origin(model: Model, dim: int) -> Point:
-    model = Model(model)
-    if model is Model.LORENTZ:
-        coords = np.zeros(dim + 1)
-        coords[0] = 1.0
-        return LorentzPoint(coords)
-    return _POINT_TYPES[model](np.zeros(dim))
+def origin(model: Model, dim: int) -> np.ndarray:
+    """The origin of model, a string or a `Model`, in dimension dim as a (1, d)
+    row: zeros, with time 1 on the hyperboloid."""
+    if Model(model) is Model.LORENTZ:
+        return np.concatenate((np.ones((1, 1)), np.zeros((1, dim))), axis=1)
+    return np.zeros((1, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +261,6 @@ def metric_inner(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
     else:
         out = minkowski_rows(a, b)
     return out[:, 0]
-
-
-def klein_metric_inverse(x: KleinPoint) -> np.ndarray:
-    """Inverse metric matrix (1 - |x|^2)(I - x x^T) of the Klein ball at x."""
-    c = x.coords
-    s = 1.0 - float(c @ c)
-    return s * (np.eye(c.size) - np.outer(c, c))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,15 @@ layer is z = log_o h = a w + c b with per-row scalars a, c of |w|^2, w.b and
     Poincare  the Lorentz stage at 2w and 2u, u = log_o b = atanhc|b| b, halved
               (a Poincare origin tangent is half the hyperboloid's)
 
-A model, `HnnModel`, is flat and frozen: its fields are exactly the four
-parameters W, b, R, r under the names of their gradients (`weight`, `bias`,
-`readout_weight`, `readout_bias`), and its flavor is the model of its bias
-point.  The checkpoints and the gradient checks address the parameters by
-those names, the optimizer by their order.  A new model, built from its four
-fields or derived with `dataclasses.replace`, re-runs the model's checks;
-replacing the bias with a point of another model changes the flavor.  A
-model checks its parameters, the entry points their inputs.
+A model, `HnnModel`, is flat and frozen: its fields are its flavor and its
+four parameters W, b, R, r under the names of their gradients (`weight`,
+`bias`, `readout_weight`, `readout_bias`).  The bias is a coordinate row of
+the flavor's model.  The checkpoints and the gradient checks address the
+parameters by those names, the optimizer by their order.  A new model, built
+from its fields or derived with `dataclasses.replace`, re-runs the model's
+checks, `manifolds.check_point` for the bias; a change of flavor names the
+new flavor and a bias of its model.  A model checks its parameters, the
+entry points their inputs.
 
 The tape is the chain of the pass's five stages, hidden_linear ->
 <flavor>_layer -> relu -> readout -> cross_entropy, each one `autodiff.Tensor`
@@ -94,7 +95,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -103,19 +104,14 @@ from . import autodiff as ad
 from .autodiff import NumericalError, Tensor
 from .manifolds import (
     EPS_BALL,
-    KleinPoint,
-    LorentzPoint,
     Model,
-    PoincarePoint,
-    Point,
     _checked_lorentz_tangent,
     _finite,
     _peak_split,
-    _point_row,
+    check_point,
     exp_map,
-    klein_metric_inverse,
+    lorentz_rows,
     lorentz_tangent_rows,
-    make_point,
     minkowski_rows,
     origin,
     smooth_ratio,
@@ -131,24 +127,30 @@ _TINY = 1e-32
 class HnnModel:
     """Two-layer hyperbolic network: hyperbolic linear + Euclidean readout.
 
-    The fields are the parameters under their gradient keys, and the flavor
-    is the model of the bias point.  `dataclasses.replace` derives a new
-    model and re-runs these checks, so all are finite; the arrays, copied
-    here but for the bias's coordinates, are read-only.  The public entry
-    points check and cap a pass's inputs.  The cached `bias_terms` is not a
-    field, and a replaced model derives its own.
+    The fields are the flavor, a `Model` or its name, and the parameters
+    under their gradient keys; the bias is a point of the flavor's model,
+    with a time coordinate first on the hyperboloid.  `dataclasses.replace`
+    derives a new model and re-runs these checks, so all are finite and the
+    bias passes `check_point`, which rescales nothing: a hyperboloid bias
+    may lie up to `_LORENTZ_INPUT_TOL` times its time off the sheet, and
+    the layer reads only its spatial part.  The arrays, copied here, are
+    read-only.  The public entry points check and cap a pass's inputs.  The
+    cached `bias_terms` is not a field, and a replaced model derives its own.
     """
 
+    flavor: Model
     weight: np.ndarray
-    bias: Point
+    bias: np.ndarray
     readout_weight: np.ndarray
     readout_bias: np.ndarray
 
     def __post_init__(self):
+        flavor = Model(self.flavor)
+        bias = check_point(flavor, np.array(self.bias, dtype=np.float64), "bias")
         weight = np.array(self.weight, dtype=np.float64)
         if weight.ndim != 2 or np.count_nonzero(np.isfinite(weight)) != weight.size:
             raise ValueError("weight must be a finite 2-d matrix")
-        if self.bias.dim != weight.shape[0]:
+        if bias.size != weight.shape[0] + (flavor is Model.LORENTZ):
             raise ValueError("bias dimension must match the weight output dimension")
         readout_weight = np.array(self.readout_weight, dtype=np.float64)
         readout_bias = np.array(self.readout_bias, dtype=np.float64)
@@ -162,15 +164,11 @@ class HnnModel:
             raise ValueError("readout bias length must match the class count")
         if readout_bias.size < 2:
             raise ValueError("need at least two classes")
-        for array in (weight, self.bias.coords, readout_weight, readout_bias):
+        parameters = (weight, bias, readout_weight, readout_bias)
+        for array in parameters:
             array.flags.writeable = False
-        copies = (("weight", weight), ("readout_weight", readout_weight), ("readout_bias", readout_bias))
-        for name, value in copies:
+        for name, value in zip(("flavor", *_PARAMETERS), (flavor, *parameters)):
             object.__setattr__(self, name, value)
-
-    @property
-    def flavor(self) -> Model:
-        return self.bias.model
 
     @property
     def in_dim(self) -> int:
@@ -187,16 +185,17 @@ class HnnModel:
     @cached_property
     def bias_terms(self) -> tuple:
         """The layer stage's bias-only forward terms, `_BIAS_TERMS` of the
-        bias's coordinates: derived on the model's first pass, inside its
-        np.errstate, and read by every later one; read-only, not a field."""
-        return _BIAS_TERMS[self.flavor](self.bias.coords)
+        bias: derived on the model's first pass, inside its np.errstate, and
+        read by every later one; read-only, not a field."""
+        return _BIAS_TERMS[self.flavor](self.bias)
 
     def parameter_arrays(self) -> dict:
-        """Each parameter's array under its gradient key; the bias's is its coordinates."""
-        return {key: self.bias.coords if key == "bias" else getattr(self, key) for key in _PARAMETERS}
+        """Each parameter's array under its gradient key."""
+        return {key: getattr(self, key) for key in _PARAMETERS}
 
 
-_PARAMETERS = tuple(f.name for f in fields(HnnModel))
+# the model's fields after its flavor
+_PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
 
 
 def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed: int) -> HnnModel:
@@ -204,7 +203,7 @@ def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(hidden_dim, in_dim)) / np.sqrt(in_dim)
     wr = rng.uniform(-1.0, 1.0, size=(n_classes, hidden_dim)) / np.sqrt(hidden_dim)
-    return HnnModel(w, origin(flavor, hidden_dim), wr, np.zeros(n_classes))
+    return HnnModel(flavor, w, origin(flavor, hidden_dim)[0], wr, np.zeros(n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +602,20 @@ class GradState:
         return m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _riemannian_bias_grad(bias: Point, grad: np.ndarray) -> np.ndarray:
-    if isinstance(bias, KleinPoint):
-        return klein_metric_inverse(bias) @ grad
-    if isinstance(bias, PoincarePoint):
-        scale = (1.0 - float(bias.coords @ bias.coords)) / 2.0
+def _riemannian_bias_grad(flavor: Model, bias: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Riemannian gradient at the bias of the Euclidean gradient grad: the
+    inverse metric (1 - |c|^2)(I - c c^T) of the Klein ball at c applied to
+    it, ((1 - |x|^2) / 2)^2 times it in the Poincare ball, and on the
+    hyperboloid grad with its time negated, projected onto the tangent space."""
+    if flavor is Model.KLEIN:
+        s = 1.0 - float(bias @ bias)
+        return (s * (np.eye(bias.size) - np.outer(bias, bias))) @ grad
+    if flavor is Model.POINCARE:
+        scale = (1.0 - float(bias @ bias)) / 2.0
         return scale * scale * grad
     h = grad.copy()
     h[0] = -h[0]
-    return lorentz_tangent_rows(bias.coords[None], h[None])[0]
+    return lorentz_tangent_rows(bias[None], h[None])[0]
 
 
 # ball-valued biases are clamped to radius 1 - EPS_BALL by construction, which
@@ -623,11 +627,13 @@ _MAX_BIAS_TIME = float(np.cosh(_MAX_BIAS_DISTANCE))
 _MAX_BIAS_STEP = 1.0
 
 
-def _clamp_lorentz_radius(p: LorentzPoint) -> LorentzPoint:
-    if p.time <= _MAX_BIAS_TIME:
-        return p
-    spatial = p.spatial * (np.sinh(_MAX_BIAS_DISTANCE) / np.linalg.norm(p.spatial))
-    return LorentzPoint(np.concatenate(([_MAX_BIAS_TIME], spatial)))
+def _clamp_lorentz_radius(x: np.ndarray) -> np.ndarray:
+    """The hyperboloid row x, or the point _MAX_BIAS_DISTANCE from the origin
+    in its direction when x lies farther out."""
+    if x[0, 0] <= _MAX_BIAS_TIME:
+        return x
+    s = x[:, 1:]
+    return lorentz_rows(s * (np.sinh(_MAX_BIAS_DISTANCE) / np.linalg.norm(s)))
 
 
 def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnModel:
@@ -635,15 +641,15 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     bias's Riemannian gradient in its slot.  The Euclidean parameters add
     their part of the step; the bias retracts along its part."""
     state.step += 1
-    bias, weight, readout_weight = model.bias, model.weight, model.readout_weight
-    slots = (grads["weight"], _riemannian_bias_grad(bias, grads["bias"]), grads["readout_weight"], grads["readout_bias"])
+    flavor, bias, weight, readout_weight = model.flavor, model.bias, model.weight, model.readout_weight
+    slots = [_riemannian_bias_grad(flavor, bias, grads[key]) if key == "bias" else grads[key] for key in _PARAMETERS]
     step = -state.lr * state._update(np.concatenate([np.ravel(slot) for slot in slots]))
     # the parameters' parts of the step, in `_PARAMETERS` order
     i = weight.size
-    j = i + bias.coords.size
+    j = i + bias.size
     k = j + readout_weight.size
-    x, v = bias.coords[None], _finite(step[i:j][None], "components")
-    if isinstance(bias, LorentzPoint):
+    x, v = bias[None], _finite(step[i:j][None], "components")
+    if flavor is Model.LORENTZ:
         v = lorentz_tangent_rows(x, v)
         # projecting the coordinate-wise step back to the tangent space can
         # inflate its arclength by O(time); a unit trust region keeps the
@@ -652,12 +658,13 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
         if length > _MAX_BIAS_STEP:
             v = v * (_MAX_BIAS_STEP / length)
         v = _checked_lorentz_tangent(x, v)  # projected again, with the input tangency check
-    new_bias = _point_row(bias.model, exp_map(bias.model, x, v))
-    if isinstance(new_bias, LorentzPoint):
+    new_bias = exp_map(flavor, x, v)
+    if flavor is Model.LORENTZ:
         new_bias = _clamp_lorentz_radius(new_bias)
     return HnnModel(
+        flavor,
         weight + step[:i].reshape(weight.shape),
-        new_bias,
+        new_bias[0],
         readout_weight + step[j:k].reshape(readout_weight.shape),
         model.readout_bias + step[k:],
     )
@@ -761,8 +768,9 @@ def load_model(path):
     """Read a checkpoint back; returns (model, full document).
 
     A document that is not a JSON object, or lacks a field the model needs,
-    raises ValueError naming it, as does a ball bias on or outside the unit
-    sphere, which `save_model` cannot write and the point would clamp.
+    raises ValueError naming it, as does a parameter that the model's checks
+    refuse, such as a ball bias on or outside the unit sphere.  The model
+    rescales nothing, so the saved bits come back unchanged.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -771,9 +779,4 @@ def load_model(path):
     for key in ("flavor", *_PARAMETERS):
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} field")
-    params = {key: np.asarray(doc[key], dtype=np.float64) for key in _PARAMETERS}
-    bias = make_point(doc["flavor"], params["bias"])
-    if bias.model is not Model.LORENTZ and np.linalg.norm(params["bias"]) >= 1.0:
-        raise ValueError("bias lies outside the open unit ball")
-    params["bias"] = bias
-    return HnnModel(**params), doc
+    return HnnModel(doc["flavor"], **{key: doc[key] for key in _PARAMETERS}), doc

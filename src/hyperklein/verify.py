@@ -48,7 +48,6 @@ from .gyro import einstein_add, einstein_matvec, einstein_scalar, gyration, mobi
 from .manifolds import (
     EPS_BALL,
     Model,
-    _point_row,
     clamp_to_ball,
     convert_point,
     distance,
@@ -57,7 +56,6 @@ from .manifolds import (
     log_map,
     lorentz_rows,
     lorentz_tangent_rows,
-    make_point,
     metric_inner,
     origin,
     pushforward,
@@ -416,13 +414,15 @@ def _suite_oracle_consistency(samples, rng):
 
 def _corresponding_models(km: nn.HnnModel):
     """Poincare and Lorentz parameter sets computing the same function as km."""
+    bias = km.bias[None]
     bm = replace(
         km,
+        flavor=Model.POINCARE,
         weight=km.weight / 2.0,
-        bias=_point_row(Model.POINCARE, convert_point(Model.KLEIN, Model.POINCARE, km.bias.coords[None])),
+        bias=convert_point(Model.KLEIN, Model.POINCARE, bias)[0],
         readout_weight=2.0 * km.readout_weight,
     )
-    lm = replace(km, bias=_point_row(Model.LORENTZ, convert_point(Model.KLEIN, Model.LORENTZ, km.bias.coords[None])))
+    lm = replace(km, flavor=Model.LORENTZ, bias=convert_point(Model.KLEIN, Model.LORENTZ, bias)[0])
     return bm, lm
 
 
@@ -434,7 +434,7 @@ def _suite_layer_commutation(samples, rng):
         c = int(rng.integers(2, 5))
         km = nn.init_model(Model.KLEIN, n, m, c, seed=int(rng.integers(2**31)))
         o = np.zeros((1, m))
-        km = replace(km, bias=_point_row(Model.KLEIN, exp_map(Model.KLEIN, o, rng.normal(size=(1, m)) * 0.5)))
+        km = replace(km, bias=exp_map(Model.KLEIN, o, rng.normal(size=(1, m)) * 0.5)[0])
         bm, lm = _corresponding_models(km)
         feats = rng.normal(size=(8, n)) * 2.0
         base = nn.forward(km, feats)
@@ -456,11 +456,11 @@ def _suite_gradient_check(samples, rng):
         c = int(rng.integers(2, 5))
         batch = int(rng.integers(1, 17))
         model = nn.init_model(flavor, n, m, c, seed=int(rng.integers(2**31)))
-        o = origin(flavor, m).coords[None]
+        o = origin(flavor, m)
         raw = rng.normal(size=o.shape) * 0.3
         if flavor is Model.LORENTZ:
             raw[:, 0] = 0.0
-        model = replace(model, bias=_point_row(flavor, exp_map(flavor, o, raw)))
+        model = replace(model, bias=exp_map(flavor, o, raw)[0])
         feats = rng.normal(size=(batch, n)) * 2.0
         labels = rng.integers(0, c, size=batch)
         _, grads = nn.gradients(model, feats, labels)
@@ -503,8 +503,6 @@ def _directional_error(model, feats, labels, grads, rng):
             array = current + step * d
             if key == "bias" and model.flavor is Model.LORENTZ:
                 array = lorentz_rows(array[None, 1:])[0]  # back onto the hyperboloid
-            if key == "bias":
-                array = make_point(model.flavor, array)
             moved = replace(model, **{key: array})
             z = nn.hidden_tangent(moved, feats) if key in ("weight", "bias") else base
             return _cross_entropy(moved, z, labels), np.array_equal(z > 0.0, pattern)

@@ -1,5 +1,7 @@
 """Tests for the tape's chain of stages, its numerical guard and the smooth ratios."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from hyperklein import autodiff, nn
 from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.manifolds import _SERIES_SWITCH as SWITCH
-from hyperklein.manifolds import ATANH_MAX, KleinPoint, Model, origin
+from hyperklein.manifolds import ATANH_MAX, Model
 from hyperklein.manifolds import smooth_ratio, smooth_slope
 
 
@@ -209,12 +211,7 @@ class TestScalarRatios:
 def one_unit_model(readout_weight, readout_bias=(0.0, 0.0), weight=((1.0,),)):
     """A Klein network with the bias at the origin and two classes."""
     weight = np.array(weight)
-    return nn.HnnModel(
-        weight,
-        origin(Model.KLEIN, len(weight)),
-        np.array(readout_weight),
-        np.array(readout_bias),
-    )
+    return nn.HnnModel(Model.KLEIN, weight, np.zeros(len(weight)), np.array(readout_weight), np.array(readout_bias))
 
 
 class TestNumericalGuard:
@@ -257,7 +254,7 @@ class TestNumericalGuard:
         with pytest.raises(ValueError, match="weight must be a finite 2-d matrix"):
             one_unit_model([[1.0], [0.0]], weight=[[nan]])
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            KleinPoint([nan])
+            replace(one_unit_model([[1.0], [0.0]]), bias=[nan])
         with pytest.raises(ValueError, match="readout weight must be a finite 2-d matrix"):
             one_unit_model([[nan], [0.0]])
         with pytest.raises(ValueError, match="readout bias must be finite"):

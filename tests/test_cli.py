@@ -176,6 +176,19 @@ CORRUPT_CHECKPOINTS = {
         lambda doc: {**doc, "bias": [2.0] + [0.0] * (len(doc["bias"]) - 1)},
         "bias lies outside the open unit ball",
     ),
+    # its squared norm overflows, which used to warn and read as the origin
+    "bias_squares_overflow": (
+        lambda doc: {**doc, "bias": [1e200] * len(doc["bias"])},
+        "bias lies outside the open unit ball",
+    ),
+    "lorentz_bias_off_sheet": (
+        lambda doc: {**doc, "flavor": "lorentz", "bias": [2.0] + [0.0] * len(doc["bias"])},
+        "coordinates do not lie on the upper hyperboloid sheet",
+    ),
+    "bias_2d": (
+        lambda doc: {**doc, "bias": [doc["bias"]]},
+        "expected a 1-d vector of length >= 1, got shape (1, 6)",
+    ),
 }
 
 
@@ -185,7 +198,9 @@ def test_corrupt_checkpoint_is_rejected_at_load(tree_file, tmp_path, capsys, cas
     nn.save_model(nn.init_model("klein", 8, 6, 5, seed=42), tmp_path / "checkpoint.json")
     doc = json.loads((tmp_path / "checkpoint.json").read_text())
     (tmp_path / "checkpoint.json").write_text(json.dumps(corrupt(doc)))
-    assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
@@ -262,8 +277,17 @@ def test_convert_round_trip_skips_blank_lines(tmp_path):
         # a squared norm that overflows, and a norm past the float64 maximum, with no RuntimeWarning
         ("klein", "0.1\n9.5e153,9.5e153\n", "row 2: point lies outside the open unit ball"),
         ("lorentz", "1.0,0.0\n1e308,1.7e308,1.7e308\n", "row 2: coordinates must be finite"),
+        ("lorentz", "1.0,0.0\n1.0\n", "row 2: expected a 1-d vector of length >= 2, got shape (1,)"),
     ],
-    ids=["klein_boundary", "poincare_outside", "non_numeric", "off_sheet", "square_overflows", "norm_overflows"],
+    ids=[
+        "klein_boundary",
+        "poincare_outside",
+        "non_numeric",
+        "off_sheet",
+        "square_overflows",
+        "norm_overflows",
+        "no_spatial_part",
+    ],
 )
 def test_convert_bad_row_exits_2_naming_it(tmp_path, capsys, src, rows, message):
     (tmp_path / "in.csv").write_text(rows)

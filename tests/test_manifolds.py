@@ -4,25 +4,27 @@ Every operation takes (N, d) rows; a single point or tangent vector is a
 (1, d) row."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperklein.manifolds import (
     EPS_BALL,
-    KleinPoint,
-    LorentzPoint,
     Model,
     _checked_lorentz_tangent,
+    check_point,
     clamp_to_ball,
     convert_point,
     distance,
     exp_map,
     geodesic_unit,
-    klein_metric_inverse,
     log_map,
     lorentz_factor,
+    lorentz_rows,
     lorentz_tangent_rows,
     metric_inner,
     minkowski_rows,
@@ -31,6 +33,7 @@ from hyperklein.manifolds import (
     row_dots,
     transport_from_origin,
 )
+from hyperklein.nn import _clamp_lorentz_radius, _riemannian_bias_grad
 
 LN3 = 1.0986122886681098  # atanh(0.8)
 K, P, L = Model.KLEIN, Model.POINCARE, Model.LORENTZ
@@ -48,33 +51,43 @@ def sample_klein(rng, dim, max_norm=0.95):
 
 
 class TestPointTypes:
+    # a vector from outside is a point of a model if `check_point` accepts
+    # it; it rescales nothing, and `clamp_to_ball` and `lorentz_rows` put an
+    # accepted row onto the ball's clamp radius or back onto the sheet
     def test_klein_clamps_to_ball(self):
-        p = KleinPoint([3.0, 4.0])
-        assert np.linalg.norm(p.coords) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
-        np.testing.assert_allclose(p.coords, np.array([0.6, 0.8]) * (1.0 - EPS_BALL))
+        with pytest.raises(ValueError, match="point lies outside the open unit ball"):
+            check_point(K, np.array([3.0, 4.0]))
+        p = clamp_to_ball(row(3.0, 4.0))[0]
+        assert np.linalg.norm(p) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
+        np.testing.assert_allclose(p, np.array([0.6, 0.8]) * (1.0 - EPS_BALL))
+        assert check_point(K, p) is p
 
     def test_interior_point_unchanged(self):
-        np.testing.assert_array_equal(KleinPoint([0.5, 0.0]).coords, [0.5, 0.0])
+        x = np.array([0.5, 0.0])
+        assert check_point(K, x) is x
+        np.testing.assert_array_equal(clamp_to_ball(x[None])[0], x)
 
     def test_boundary_input_clamps(self):
-        p = KleinPoint([1.0, 0.0])
-        np.testing.assert_allclose(p.coords, [1.0 - EPS_BALL, 0.0])
+        with pytest.raises(ValueError, match="bias lies outside the open unit ball"):
+            check_point(P, np.array([1.0, 0.0]), "bias")
+        np.testing.assert_allclose(clamp_to_ball(row(1.0, 0.0)), [[1.0 - EPS_BALL, 0.0]])
 
     def test_lorentz_time_renormalized(self):
-        p = LorentzPoint([np.sqrt(2.0) + 1e-9, 1.0, 0.0])
-        assert minkowski_rows(p.coords[None], p.coords[None])[0, 0] == pytest.approx(-1.0, abs=1e-9)
-        assert p.time == pytest.approx(np.sqrt(2.0))
+        x = np.array([np.sqrt(2.0) + 1e-9, 1.0, 0.0])
+        assert check_point(L, x) is x
+        p = lorentz_rows(x[None, 1:])
+        assert minkowski_rows(p, p)[0, 0] == pytest.approx(-1.0, abs=1e-9)
+        assert p[0, 0] == pytest.approx(np.sqrt(2.0))
 
     def test_lorentz_rejects_far_off_sheet(self):
-        with pytest.raises(ValueError):
-            LorentzPoint([2.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            LorentzPoint([-np.sqrt(2.0), 1.0, 0.0])
+        for x in ([2.0, 1.0, 0.0], [-np.sqrt(2.0), 1.0, 0.0]):
+            with pytest.raises(ValueError, match="coordinates do not lie on the upper hyperboloid sheet"):
+                check_point(L, np.array(x))
 
     def test_lorentz_rejects_a_norm_past_the_float_maximum(self):
         # the time sqrt(1 + |s|^2) of such a spatial row is not a float64
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            LorentzPoint([1e308, 1.7e308, 1.7e308])
+            check_point(L, np.array([1e308, 1.7e308, 1.7e308]))
 
     def test_tangent_dim_mismatch(self):
         # a tangent row whose width is not its base point's does not broadcast
@@ -90,6 +103,80 @@ class TestPointTypes:
         x = row(np.sqrt(2.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             _checked_lorentz_tangent(x, row(5.0, 1.0, 0.0))
+
+
+_directions = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)
+_huge = st.floats(-1.7e308, 1.7e308)
+
+
+def _unit_row(direction):
+    """direction as a unit (1, d) row; a zero row is the first axis."""
+    u = np.array([direction])
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        u[0, 0], norm = 1.0, 1.0
+    return u / norm
+
+
+def _refuses(model, x):
+    """Whether check_point raises ValueError on x, with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            check_point(model, x)
+        except ValueError:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=st.sampled_from(list(Model)), direction=_directions, length=st.floats(0.0, 1e3))
+def test_check_point_accepts_every_row_the_operations_make(model, direction, length):
+    # exp_map from the origin, the ball clamp, the sheet and the optimizer's
+    # radius cap make rows that check_point accepts as they are, so a
+    # trained model never fails its bias check
+    u = length * _unit_row(direction)
+    if model is Model.LORENTZ:
+        # cosh overflows past 710, where exp_map raises and makes no row; the
+        # radius cap squares the spatial part, which overflows past 355, far
+        # beyond the bias times training reaches (the cap's plus one step)
+        o, v = origin(L, u.shape[1]), np.pad(_unit_row(direction), ((0, 0), (1, 0)))
+        made = [lorentz_rows(u), exp_map(L, o, min(length, 700.0) * v)]
+        made.append(_clamp_lorentz_radius(exp_map(L, o, min(length, 350.0) * v)))
+    else:
+        made = [clamp_to_ball(u), exp_map(model, origin(model, u.shape[1]), u)]
+    for (x,) in made:
+        assert not _refuses(model, x) and check_point(model, x) is x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from([K, P]),
+    rest=st.lists(_huge, max_size=6),
+    big=st.floats(1.0, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    direction=_directions,
+    radius=st.floats(1.0 + 1e-12, 1e300),
+)
+def test_check_point_refuses_ball_rows_on_or_past_the_sphere(model, rest, big, direction, radius):
+    # an entry of size >= 1, anywhere up to the float64 maximum, or a norm >= 1
+    assert _refuses(model, np.array([*rest[:2], big, *rest[2:]]))
+    assert _refuses(model, radius * _unit_row(direction)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    time=st.floats(-1.7e308, 0.0),
+    spatial=st.lists(_huge, min_size=1, max_size=6),
+    direction=_directions,
+    length=st.floats(0.0, 1e300),
+    off=st.floats(2e-6, 1e3).flatmap(lambda x: st.sampled_from([x, -x / (1.0 + x)])),
+)
+def test_check_point_refuses_hyperboloid_rows_off_the_upper_sheet(time, spatial, direction, length, off):
+    # a time <= 0, or a time off sqrt(1 + |s|^2) by a factor 1 + off
+    assert _refuses(L, np.array([time, *spatial]))
+    x = lorentz_rows(length * _unit_row(direction))[0]
+    x[0] *= 1.0 + off
+    assert _refuses(L, x)
 
 
 class TestLorentzFactor:
@@ -366,7 +453,7 @@ class TestTransport:
         for _ in range(200):
             dim = int(rng.integers(1, 9))
             x = convert_point(K, model, sample_klein(rng, dim))
-            o = origin(model, dim).coords[None]
+            o = origin(model, dim)
             u = _random_tangent(rng, model, o)
             w = _random_tangent(rng, model, o)
             lhs = metric_inner(model, x, transport_from_origin(model, x, u), transport_from_origin(model, x, w))
@@ -385,29 +472,34 @@ class TestTransport:
             np.testing.assert_allclose(direct, via, atol=1e-8)
 
 
+def klein_metric_inverse(c):
+    """The inverse metric matrix of the Klein ball at the 1-d point c: the
+    optimizer's Riemannian gradient of each unit vector, a column each."""
+    return _riemannian_bias_grad(K, np.asarray(c, dtype=np.float64), np.eye(len(c)))
+
+
 class TestKleinMetricInverse:
     def test_origin_identity(self):
-        np.testing.assert_array_equal(klein_metric_inverse(KleinPoint([0.0, 0.0])), np.eye(2))
+        np.testing.assert_array_equal(klein_metric_inverse([0.0, 0.0]), np.eye(2))
 
     def test_radius_08(self):
-        out = klein_metric_inverse(KleinPoint([0.8, 0.0]))
+        out = klein_metric_inverse([0.8, 0.0])
         np.testing.assert_allclose(out, [[0.1296, 0.0], [0.0, 0.36]], atol=1e-15)
 
     def test_one_dimensional(self):
-        out = klein_metric_inverse(KleinPoint([0.6]))
+        out = klein_metric_inverse([0.6])
         np.testing.assert_allclose(out, [[0.4096]], atol=1e-15)
 
     def test_product_with_metric_is_identity(self):
+        # the Riemannian gradient of the metric times each unit vector is that
+        # vector: the inverse metric times the metric is the identity
         rng = np.random.default_rng(17)
         for _ in range(100):
             dim = int(rng.integers(1, 9))
-            x = KleinPoint(sample_klein(rng, dim)[0])
-            c = x.coords
+            c = sample_klein(rng, dim)[0]
             s = 1.0 - float(c @ c)
             metric = np.eye(dim) / s + np.outer(c, c) / s**2
-            np.testing.assert_allclose(
-                klein_metric_inverse(x) @ metric, np.eye(dim), atol=1e-10
-            )
+            np.testing.assert_allclose(klein_metric_inverse(c) @ metric, np.eye(dim), atol=1e-10)
 
 
 class TestClampToBall:

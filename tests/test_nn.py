@@ -13,51 +13,50 @@ from hyperklein.autodiff import NumericalError, Tensor
 from hyperklein.data import gen_tree_dataset, load_dataset
 from hyperklein.gyro import einstein_add, mobius_add
 from hyperklein.manifolds import (
-    KleinPoint,
+    EPS_BALL,
     Model,
-    _point_row,
     convert_point,
     distance,
     exp_map,
     log_map,
-    make_point,
+    lorentz_rows,
     minkowski_rows,
     origin,
     transport_from_origin,
 )
 
 LN3 = 1.0986122886681098
+K, P, L = Model.KLEIN, Model.POINCARE, Model.LORENTZ
 
 
-def convert(p, dst):
-    """The point p in the dst model's coordinates."""
-    return _point_row(dst, convert_point(p.model, dst, p.coords[None]))
+def row(*coords):
+    """One point as a (1, d) row."""
+    return np.array([coords], dtype=np.float64)
 
 
 def offset_bias_model(flavor, n, m, c, seed, scale=0.4):
     rng = np.random.default_rng(seed + 1000)
     model = nn.init_model(flavor, n, m, c, seed)
-    o = origin(flavor, m).coords[None]
+    o = origin(flavor, m)
     raw = rng.normal(size=o.shape) * scale
     if flavor is Model.LORENTZ:
         raw[:, 0] = 0.0
-    return replace(model, bias=_point_row(flavor, exp_map(flavor, o, raw)))
+    return replace(model, bias=exp_map(flavor, o, raw)[0])
 
 
 def layer_model(flavor, weight, bias=None):
-    """A network with the given hidden layer, the bias at the origin unless
-    given; the readout copies the hidden tangent's coordinates into the
-    logits (padded to two classes) with a zero bias."""
+    """A network with the given hidden layer, the bias (a 1-d row) at the
+    origin unless given; the readout copies the hidden tangent's coordinates
+    into the logits (padded to two classes) with a zero bias."""
     m = len(weight)
-    bias = origin(flavor, m) if bias is None else bias
-    return nn.HnnModel(weight, bias, np.eye(max(m, 2), m), np.zeros(max(m, 2)))
+    bias = origin(flavor, m)[0] if bias is None else bias
+    return nn.HnnModel(flavor, weight, bias, np.eye(max(m, 2), m), np.zeros(max(m, 2)))
 
 
-def features_of(point):
-    """The feature row whose input point exp_o(x) is the given point."""
-    o = origin(point.model, point.dim).coords[None]
-    v = log_map(point.model, o, point.coords[None])[0]
-    return (v[1:] if point.model is Model.LORENTZ else v)[None]
+def features_of(flavor, x):
+    """The feature row whose input point exp_o(x) is the flavor's (1, d) row x."""
+    v = log_map(flavor, origin(flavor, x.shape[1] - (flavor is Model.LORENTZ)), x)
+    return v[:, 1:] if flavor is Model.LORENTZ else v
 
 
 def hidden_point(model, feats):
@@ -66,7 +65,7 @@ def hidden_point(model, feats):
     z = nn.hidden_tangent(model, feats)
     if model.flavor is Model.LORENTZ:
         z = np.pad(z, ((0, 0), (1, 0)))
-    o = np.tile(origin(model.flavor, model.hidden_dim).coords, (len(z), 1))
+    o = np.tile(origin(model.flavor, model.hidden_dim), (len(z), 1))
     return exp_map(model.flavor, o, z)
 
 
@@ -80,12 +79,12 @@ class TestKleinLinear:
 
     def test_rotation(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = hidden_point(layer_model(Model.KLEIN, rot), features_of(KleinPoint([0.5, 0.0])))
+        out = hidden_point(layer_model(Model.KLEIN, rot), features_of(K, row(0.5, 0.0)))
         np.testing.assert_allclose(out, [[0.0, 0.5]], atol=1e-14)
 
     def test_doubling(self):
         model = layer_model(Model.KLEIN, 2.0 * np.eye(2))
-        out = hidden_point(model, features_of(KleinPoint([0.5, 0.0])))
+        out = hidden_point(model, features_of(K, row(0.5, 0.0)))
         np.testing.assert_allclose(out, [[0.8, 0.0]], atol=1e-14)
 
     def test_dim_mismatch(self):
@@ -98,15 +97,14 @@ class TestKleinLinear:
 
 class TestPoincareLinear:
     def test_identity(self):
-        x = make_point(Model.POINCARE, [0.3, 0.2])
-        out = hidden_point(layer_model(Model.POINCARE, np.eye(2)), features_of(x))
-        np.testing.assert_allclose(out, [x.coords], atol=1e-12)
+        x = row(0.3, 0.2)
+        out = hidden_point(layer_model(Model.POINCARE, np.eye(2)), features_of(P, x))
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_doubling_matches_klein(self):
-        xb = make_point(Model.POINCARE, [0.2679491924311227, 0.0])
-        out = hidden_point(layer_model(Model.POINCARE, 2.0 * np.eye(2)), features_of(xb))
-        back = convert(make_point(Model.POINCARE, out[0]), Model.KLEIN)
-        np.testing.assert_allclose(back.coords, [0.8, 0.0], atol=1e-12)
+        xb = row(0.2679491924311227, 0.0)
+        out = hidden_point(layer_model(Model.POINCARE, 2.0 * np.eye(2)), features_of(P, xb))
+        np.testing.assert_allclose(convert_point(P, K, out), [[0.8, 0.0]], atol=1e-12)
 
     def test_commutes_with_isometry(self):
         # Klein and Poincare layers with corresponding biases give corresponding
@@ -115,39 +113,34 @@ class TestPoincareLinear:
         for _ in range(50):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             weight = rng.normal(size=(m, n))
-            bias_k = KleinPoint(rng.uniform(-0.4, 0.4, size=m))
+            bias_k = rng.uniform(-0.4, 0.4, size=(1, m))
             feats = rng.uniform(-0.4, 0.4, size=(3, n))
-            klein_out = hidden_point(layer_model(Model.KLEIN, weight, bias_k), feats)
-            poincare = layer_model(Model.POINCARE, weight / 2.0, convert(bias_k, Model.POINCARE))
-            for row, want in zip(hidden_point(poincare, feats), klein_out):
-                got = convert(make_point(Model.POINCARE, row), Model.KLEIN)
-                np.testing.assert_allclose(got.coords, want, atol=1e-8)
+            klein_out = hidden_point(layer_model(Model.KLEIN, weight, bias_k[0]), feats)
+            poincare = layer_model(Model.POINCARE, weight / 2.0, convert_point(K, P, bias_k)[0])
+            got = convert_point(P, K, hidden_point(poincare, feats))
+            np.testing.assert_allclose(got, klein_out, atol=1e-8)
 
 
 class TestLorentzLinear:
     def test_identity(self):
-        x = convert(KleinPoint([0.3, -0.2]), Model.LORENTZ)
-        out = hidden_point(layer_model(Model.LORENTZ, np.eye(2)), features_of(x))
-        np.testing.assert_allclose(out, [x.coords], atol=1e-10)
+        x = convert_point(K, L, row(0.3, -0.2))
+        out = hidden_point(layer_model(Model.LORENTZ, np.eye(2)), features_of(L, x))
+        np.testing.assert_allclose(out, x, atol=1e-10)
 
     def test_origin_maps_to_origin(self):
         rng = np.random.default_rng(10)
         out = hidden_point(layer_model(Model.LORENTZ, rng.normal(size=(3, 2))), np.zeros((1, 2)))
-        np.testing.assert_allclose(out, [origin(Model.LORENTZ, 3).coords], atol=1e-12)
+        np.testing.assert_allclose(out, origin(Model.LORENTZ, 3), atol=1e-12)
 
     def test_doubling_matches_klein(self):
-        x = convert(KleinPoint([0.5, 0.0]), Model.LORENTZ)
-        out = hidden_point(layer_model(Model.LORENTZ, 2.0 * np.eye(2)), features_of(x))
-        np.testing.assert_allclose(
-            convert(make_point(Model.LORENTZ, out[0]), Model.KLEIN).coords,
-            [0.8, 0.0],
-            atol=1e-10,
-        )
+        x = convert_point(K, L, row(0.5, 0.0))
+        out = hidden_point(layer_model(Model.LORENTZ, 2.0 * np.eye(2)), features_of(L, x))
+        np.testing.assert_allclose(convert_point(L, K, out), [[0.8, 0.0]], atol=1e-10)
 
     def test_output_on_hyperboloid(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            bias = convert(KleinPoint(rng.uniform(-0.3, 0.3, size=4)), Model.LORENTZ)
+            bias = convert_point(K, L, rng.uniform(-0.3, 0.3, size=(1, 4)))[0]
             model = layer_model(Model.LORENTZ, rng.normal(size=(4, 3)), bias)
             out = hidden_point(model, rng.uniform(-0.4, 0.4, size=(3, 3)))
             assert np.all(np.abs(minkowski_rows(out, out) + 1.0) < 1e-9)
@@ -164,12 +157,12 @@ class TestActivation:
     def test_origin_fixed(self):
         for flavor in Model:
             model = layer_model(flavor, np.ones((3, 2)))
-            o = origin(flavor, 3).coords
-            np.testing.assert_allclose(hidden_point(model, np.zeros((1, 2))), [o], atol=1e-15)
+            o = origin(flavor, 3)
+            np.testing.assert_allclose(hidden_point(model, np.zeros((1, 2))), o, atol=1e-15)
             np.testing.assert_array_equal(nn.forward(model, np.zeros((1, 2))), np.zeros((1, 3)))
 
     def test_mixed_sign_value(self):
-        feats = features_of(KleinPoint([-0.5, 0.5]))
+        feats = features_of(K, row(-0.5, 0.5))
         active = nn.forward(layer_model(Model.KLEIN, np.eye(2)), feats)[0]
         out = exp_map(Model.KLEIN, np.zeros((1, 2)), active[None])
         np.testing.assert_allclose(out[0], [0.0, 0.5533696351790970], atol=1e-12)
@@ -184,7 +177,7 @@ class TestReadout:
 
     def test_identity_weights(self):
         # a zero feature row reaches the hidden layer as the bias point itself
-        model = layer_model(Model.KLEIN, np.eye(2), KleinPoint([0.8, 0.0]))
+        model = layer_model(Model.KLEIN, np.eye(2), np.array([0.8, 0.0]))
         out = nn.forward(model, np.zeros((1, 2)))
         np.testing.assert_allclose(out, [[LN3, 0.0]], atol=1e-10)
 
@@ -415,9 +408,9 @@ def kernel_reference(model, feats):
     """The network's tangent and logits composed from the `manifolds` and
     `gyro` operations: exp_o of w = x W^T, the bias step, log_o, ReLU and
     the readout."""
-    flavor, bias = model.flavor, model.bias.coords
+    flavor, bias = model.flavor, model.bias
     w = nn._preprocess(feats) @ model.weight.T
-    o = np.tile(origin(flavor, model.hidden_dim).coords, (len(w), 1))
+    o = np.tile(origin(flavor, model.hidden_dim), (len(w), 1))
     b = np.tile(bias, (len(w), 1))
     if flavor is Model.LORENTZ:
         p = exp_map(flavor, o, np.concatenate((np.zeros((len(w), 1)), w), axis=1))
@@ -440,7 +433,7 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # capping a zero-norm row must not warn
             logits = nn.forward(model, np.zeros((1, 3)))
-        active = np.maximum(log_map(Model.KLEIN, np.zeros((1, 4)), model.bias.coords[None])[0], 0.0)
+        active = np.maximum(log_map(Model.KLEIN, np.zeros((1, 4)), model.bias[None])[0], 0.0)
         want = model.readout_weight @ active + model.readout_bias
         np.testing.assert_allclose(logits[0], want, atol=1e-12)
 
@@ -520,9 +513,9 @@ def assert_gradients_match_finite_differences(model, feats, labels, h=1e-5, tol=
     _, grads = nn.gradients(model, feats, labels)
 
     def loss_with(key, arr):
-        # a trial bias is taken as given, like a kernel's output row
-        trial = replace(model, **{key: _point_row(model.flavor, arr[None]) if key == "bias" else arr})
-        return nn.gradients(trial, feats, labels)[0]
+        if key == "bias" and model.flavor is Model.LORENTZ:
+            arr = lorentz_rows(arr[None, 1:])[0]  # back onto the hyperboloid
+        return nn.gradients(replace(model, **{key: arr}), feats, labels)[0]
 
     for key, base in model.parameter_arrays().items():
         assert grads[key].shape == base.shape
@@ -565,7 +558,7 @@ class TestLorentzLayerExact:
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         got = nn.hidden_tangent(model, feats)
         for row, x in zip(got, feats):
-            want = mp_lorentz_layer(w_norm * x, model.bias.coords)
+            want = mp_lorentz_layer(w_norm * x, model.bias)
             assert np.linalg.norm(row - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -606,7 +599,7 @@ class TestHyperboloidStageExact:
         model = replace(model, weight=w_norm * np.eye(3))
         feats = np.random.default_rng(37).normal(size=(8, 3))
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-        want = np.array([EXACT_FLAVORS[flavor](w_norm * x, model.bias.coords) for x in feats])
+        want = np.array([EXACT_FLAVORS[flavor](w_norm * x, model.bias) for x in feats])
         assert_rows_close(nn.hidden_tangent(model, feats), want, 1e-12)
 
 
@@ -616,8 +609,9 @@ def lorentz_counterpart(model):
     readout weight halves."""
     return replace(
         model,
+        flavor=Model.LORENTZ,
         weight=2.0 * model.weight,
-        bias=convert(model.bias, Model.LORENTZ),
+        bias=convert_point(P, L, model.bias[None])[0],
         readout_weight=model.readout_weight / 2.0,
     )
 
@@ -710,9 +704,7 @@ class TestGradients:
     def test_inactive_relu_blocks_gradient(self):
         # the single hidden coordinate is negative, so the activation zeroes it
         # and neither the weight nor the bias can receive any signal
-        model = nn.HnnModel(
-            np.array([[-1.0]]), origin(Model.KLEIN, 1), np.array([[1.0], [0.5]]), np.zeros(2)
-        )
+        model = nn.HnnModel(Model.KLEIN, np.array([[-1.0]]), np.zeros(1), np.array([[1.0], [0.5]]), np.zeros(2))
         _, grads = nn.gradients(model, np.array([[1.0]]), np.array([0]))
         assert np.all(grads["weight"] == 0.0)
         assert np.all(grads["bias"] == 0.0)
@@ -898,7 +890,7 @@ class TestNumericalGuard:
         message = r"^numerical overflow in lorentz_layer at row 0$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bias = make_point(Model.LORENTZ, [1e200, 1e200, 0.0, 0.0, 0.0])
+            bias = np.array([1e200, 1e200, 0.0, 0.0, 0.0])
             model = replace(nn.init_model(Model.LORENTZ, 3, 4, 3, seed=0), bias=bias)
             for _ in range(2):
                 with pytest.raises(NumericalError, match=message):
@@ -944,7 +936,8 @@ class TestBiasTerms:
         nn.forward(model, np.ones((2, 4)))
         b, s, transported, summand, _ = terms = model.bias_terms
         assert model.bias_terms is terms and "bias_terms" not in vars(replace(model))
-        assert [f.name for f in fields(nn.HnnModel)] == ["weight", "bias", "readout_weight", "readout_bias"]
+        assert [f.name for f in fields(nn.HnnModel)] == ["flavor", *nn._PARAMETERS]
+        assert nn._PARAMETERS == ("weight", "bias", "readout_weight", "readout_bias")
         if flavor is not Model.KLEIN:
             # the hyperboloid stage's constant summand beta v, beta = sinhc t
             assert summand.shape == (3, 1) and summand.tobytes() == (transported[1] * b[:, None]).tobytes()
@@ -1126,9 +1119,8 @@ class TestRiemannianAdam:
             np.testing.assert_array_equal(out.parameter_arrays()[key], a)
 
     def test_riemannian_gradient_at_origin_is_euclidean(self):
-        bias = origin(Model.KLEIN, 3)
         g = np.array([0.1, -0.2, 0.3])
-        np.testing.assert_allclose(nn._riemannian_bias_grad(bias, g), g, atol=1e-15)
+        np.testing.assert_allclose(nn._riemannian_bias_grad(Model.KLEIN, np.zeros(3), g), g, atol=1e-15)
 
     def test_first_step_magnitude_bounded_by_lr(self):
         model = nn.init_model(Model.KLEIN, 1, 1, 2, seed=12)
@@ -1139,7 +1131,7 @@ class TestRiemannianAdam:
             "readout_bias": np.zeros(2),
         }
         out = nn.riemannian_adam_step(nn.GradState(lr=0.1), model, grads)
-        moved = distance(Model.KLEIN, model.bias.coords[None], out.bias.coords[None])[0]
+        moved = distance(Model.KLEIN, model.bias[None], out.bias[None])[0]
         assert 0.0 < moved <= 0.1 + 1e-9
 
     def test_lorentz_step_keeps_constraint(self):
@@ -1154,7 +1146,7 @@ class TestRiemannianAdam:
         state = nn.GradState(lr=0.05)
         for _ in range(5):
             model = nn.riemannian_adam_step(state, model, grads)
-            c = model.bias.coords[None]
+            c = model.bias[None]
             assert abs(minkowski_rows(c, c)[0, 0] + 1.0) < 1e-9
 
 
@@ -1210,7 +1202,7 @@ class TestTrain:
 class TestModelInvariant:
     # a pass scans no parameter for non-finite values: every model's are
     # finite because no model can be changed after its checks ran
-    @pytest.mark.parametrize("name", [*(f.name for f in fields(nn.HnnModel)), "flavor"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(nn.HnnModel)])
     def test_fields_cannot_be_assigned(self, name):
         model = nn.init_model(Model.KLEIN, 2, 3, 2, seed=0)
         with pytest.raises(FrozenInstanceError):
@@ -1242,7 +1234,7 @@ class TestModelInvariant:
         before = nn.forward(model, feats)
         weight, readout_weight, readout_bias = np.ones((3, 2)), np.ones((2, 3)), np.zeros(2)
         derived = replace(model, weight=weight)
-        built = nn.HnnModel(weight, model.bias, readout_weight, readout_bias)
+        built = nn.HnnModel(model.flavor, weight, model.bias, readout_weight, readout_bias)
         derived_logits, built_logits = nn.forward(derived, feats), nn.forward(built, feats)
         weight[0, 0], readout_weight[0, 0], readout_bias[0] = 7.0, 7.0, 7.0
         np.testing.assert_array_equal(nn.forward(derived, feats), derived_logits)
@@ -1259,11 +1251,39 @@ class TestCheckpoint:
             loaded, doc = nn.load_model(path)
             assert doc["seed"] == 1
             np.testing.assert_allclose(loaded.weight, model.weight, atol=1e-15)
-            np.testing.assert_allclose(loaded.bias.coords, model.bias.coords, atol=1e-15)
+            np.testing.assert_allclose(loaded.bias, model.bias, atol=1e-15)
             feats = np.random.default_rng(16).normal(size=(3, 3))
             np.testing.assert_allclose(
                 nn.forward(loaded, feats), nn.forward(model, feats), atol=1e-12
             )
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_a_bias_at_the_clamp_reloads_bit_for_bit(self, tmp_path, flavor):
+        # the model checks a loaded bias and rescales nothing, so a bias that
+        # the clamp left at its radius, within rounding, keeps its bits
+        rng = np.random.default_rng(51)
+        feats = rng.normal(size=(5, 3))
+        path = tmp_path / "checkpoint.json"
+        for seed in range(64):
+            o = origin(flavor, 4)
+            raw = rng.normal(size=o.shape) * 50.0
+            if flavor is Model.LORENTZ:
+                raw[:, 0] = 0.0
+            # a long step from a point near the origin, in 64 directions
+            base = exp_map(flavor, o, 0.01 * raw)
+            bias = exp_map(flavor, base, transport_from_origin(flavor, base, raw))
+            if flavor is Model.LORENTZ:
+                bias = nn._clamp_lorentz_radius(bias)
+                assert bias[0, 0] == pytest.approx(nn._MAX_BIAS_TIME, rel=1e-12)
+            else:
+                assert np.linalg.norm(bias) == pytest.approx(1.0 - EPS_BALL, rel=1e-15)
+            model = replace(nn.init_model(flavor, 3, 4, 3, seed), bias=bias[0])
+            nn.save_model(model, path)
+            loaded, _ = nn.load_model(path)
+            assert loaded.bias.tobytes() == bias.tobytes(), seed
+            for key, array in model.parameter_arrays().items():
+                assert loaded.parameter_arrays()[key].tobytes() == array.tobytes(), (seed, key)
+            assert nn.forward(loaded, feats).tobytes() == nn.forward(model, feats).tobytes()
 
 
 class TestFlavorParity:
@@ -1274,20 +1294,24 @@ class TestFlavorParity:
             km = offset_bias_model(Model.KLEIN, n, m, c, seed=int(rng.integers(10000)))
             bm = replace(
                 km,
+                flavor=Model.POINCARE,
                 weight=km.weight / 2.0,
-                bias=convert(km.bias, Model.POINCARE),
+                bias=convert_point(K, P, km.bias[None])[0],
                 readout_weight=2.0 * km.readout_weight,
             )
-            lm = replace(km, bias=convert(km.bias, Model.LORENTZ))
+            lm = replace(km, flavor=Model.LORENTZ, bias=convert_point(K, L, km.bias[None])[0])
             feats = rng.normal(size=(6, n)) * 2.0
             base = nn.forward(km, feats)
             np.testing.assert_allclose(nn.forward(bm, feats), base, atol=1e-6)
             np.testing.assert_allclose(nn.forward(lm, feats), base, atol=1e-6)
 
     def test_a_lorentz_bias_makes_a_lorentz_model(self):
-        # the flavor is the bias's model, so replacing the bias is the whole change
+        # a change of flavor names the flavor; a bias of another model is refused
         km = offset_bias_model(Model.KLEIN, 4, 5, 3, seed=21)
-        lm = replace(km, bias=convert(km.bias, Model.LORENTZ))
+        bias = convert_point(K, L, km.bias[None])[0]
+        with pytest.raises(ValueError, match="bias lies outside the open unit ball"):
+            replace(km, bias=bias)
+        lm = replace(km, flavor=Model.LORENTZ, bias=bias)
         assert lm.flavor is Model.LORENTZ
         feats = np.random.default_rng(22).normal(size=(6, 4)) * 2.0
         _, expected = verify._corresponding_models(km)
