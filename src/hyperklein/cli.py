@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
 def _load_split_dataset(path, seed) -> Dataset:
     ds = load_dataset(path)
     if ds.train_idx.size == 0:
-        ds = split(ds, (0.6, 0.2, 0.2), seed=seed)
+        ds = split(ds, seed=seed)
     return ds
 
 

@@ -24,6 +24,8 @@ import numpy as np
 
 
 SPLITS = ("train", "val", "test")
+# the shares of each class that `split` and `gen_tree_dataset` put in each split
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 class DataError(ValueError):
@@ -153,33 +155,29 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write("\n")
 
 
-def _stratified(labels: np.ndarray, rng, cuts, min_held_out: int = 0) -> dict:
+def _stratified(labels: np.ndarray, rng, min_held_out: int) -> dict:
     """Sorted train/val/test indices from one permutation of each class, in
-    class order, cut at the fractions cuts = (train, train + val).  Every
-    class gets at least one train member; a class of fewer than min_held_out
-    members goes to train whole."""
+    class order, cut in the proportions `SPLIT_FRACTIONS`; a class of fewer
+    than min_held_out members goes to train whole."""
     parts = {part: [] for part in SPLITS}
+    train, val, _ = SPLIT_FRACTIONS
     for cls in range(int(labels.max()) + 1):
         members = rng.permutation(np.nonzero(labels == cls)[0])
         b1 = b2 = members.size
         if members.size >= min_held_out:
-            b1 = max(int(round(members.size * cuts[0])), 1)
-            b2 = max(int(round(members.size * cuts[1])), b1)
+            b1, b2 = round(members.size * train), round(members.size * (train + val))
         for part, chunk in zip(SPLITS, np.split(members, [b1, b2])):
             parts[part].append(chunk)
     return {part: np.sort(np.concatenate(chunks)) for part, chunks in parts.items()}
 
 
-def split(ds: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
-    """Stratified-by-class shuffled split, deterministic in the seed."""
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,) or np.any(ratios <= 0.0) or abs(ratios.sum() - 1.0) > 1e-9:
-        raise DataError("ratios must be three positive numbers summing to 1")
+def split(ds: Dataset, seed: int = 0) -> Dataset:
+    """Stratified-by-class shuffled split (`_stratified`), deterministic in
+    the seed.  Every class needs three members, and so gets a train member."""
     small = np.nonzero(np.bincount(ds.labels) < 3)[0]
     if small.size:
         raise DataError(f"class {int(small[0])} too small to stratify")
-    rng = np.random.default_rng(seed)
-    splits = _stratified(ds.labels, rng, (ratios[0], ratios[0] + ratios[1]))
+    splits = _stratified(ds.labels, np.random.default_rng(seed), min_held_out=0)
     return Dataset(ds.features, ds.labels, splits, ds.name)
 
 
@@ -188,9 +186,9 @@ def gen_tree_dataset(depth: int, feature_dim: int, noise_sigma: float, seed: int
 
     Node features are the root-to-node branch signs (+1 right, -1 left),
     zero-padded to feature_dim, plus Gaussian noise.  Labels are node depths,
-    so class k has 2^k members; the shallow classes are too small for the
-    stratified `split`, so proportional per-class splits (train first) are
-    assigned here directly.
+    so class k has 2^k members.  The splits are cut here in the proportions
+    `SPLIT_FRACTIONS`, and a class of fewer than 10 members, too small for
+    held-out copies, goes to train whole.
     """
     if depth < 2:
         raise DataError("tree depth must be at least 2")
@@ -200,17 +198,13 @@ def gen_tree_dataset(depth: int, feature_dim: int, noise_sigma: float, seed: int
     n = 2 ** (depth + 1) - 1
     features = np.zeros((n, feature_dim))
     labels = np.zeros(n, dtype=np.int64)
-    for node in range(2, n + 1):  # 1-based heap order; root keeps the zero vector
-        path = []
-        cursor = node
-        while cursor > 1:
-            path.append(1.0 if cursor % 2 else -1.0)
-            cursor //= 2
-        path.reverse()
+    # 1-based heap order, whose binary digits after the leading 1 spell the
+    # path (1 right); the root keeps the zero vector
+    for node in range(2, n + 1):
+        path = [1.0 if bit == "1" else -1.0 for bit in bin(node)[3:]]
         features[node - 1, : len(path)] = path
         labels[node - 1] = len(path)
     features += rng.normal(scale=noise_sigma, size=features.shape) if noise_sigma > 0 else 0.0
 
-    # shallow levels have too few nodes to support held-out copies
-    splits = _stratified(labels, rng, (0.6, 0.8), min_held_out=10)
+    splits = _stratified(labels, rng, min_held_out=10)
     return Dataset(features, labels, splits, f"tree-d{depth}")

@@ -6,23 +6,24 @@ between models are isometries and tangent vectors move with the associated
 pushforward maps.
 
 Every operation is one function on rows (`convert_point`, `pushforward`,
-`metric_inner`, `distance`, `exp_map`, `log_map`, `geodesic_unit`,
-`transport_from_origin`, `lorentz_factor`, `clamp_to_ball`): it takes (N, d)
-arrays, one point or tangent vector per row, and returns (N, d) rows, (N,)
-scalars or an (N, 1) column; a single point is a (1, d) row.  Ball rows are
-Klein or Poincare coordinates, hyperboloid rows are [time, spatial...].
-Rows may be zero-padded: a point of a lower dimension, with zeros appended,
-maps to the same result with zeros appended.  That holds bit for bit because
-every row reduction goes through `row_dots`, which sums each row left to
-right: numpy sums a C-ordered last axis pairwise, so two or more sums add
-column-major products term by term, from an initial -0.0, and a single sum
-keeps its prefix sums (see its docstring).  Each function that returns
-points or tangent vectors checks every row for finiteness, clamps ball rows
-to norm 1 - EPS_BALL and puts hyperboloid rows back on the sheet.  Rows that
-come from outside, a checkpoint's bias or a `convert` input, are checked by
-`check_point`, which rescales nothing.  A geodesic is `exp_map` of t v, and
-the Mobius addition (`mobius_add`, which `gyro` imports) is written here
-beside the Poincare exp and log.
+`metric_inner`, `distance`, `exp_map`, `log_map`, `transport_from_origin`,
+`lorentz_factor`, `clamp_to_ball`): it takes (N, d) arrays, one point or
+tangent vector per row, and returns (N, d) rows, (N,) scalars or an (N, 1)
+column; a single point is a (1, d) row.  Ball rows are Klein or Poincare
+coordinates, hyperboloid rows are [time, spatial...].  Rows may be
+zero-padded: a point of a lower dimension, with zeros appended, maps to the
+same result with zeros appended.  That holds bit for bit because every row
+reduction goes through `row_dots`, which sums each row left to right: numpy
+sums a C-ordered last axis pairwise, so two or more sums add column-major
+products term by term, from an initial -0.0, and a single sum keeps its
+prefix sums (see its docstring).  Each function that returns points or
+tangent vectors checks every row for finiteness, clamps ball rows to norm
+1 - EPS_BALL and puts hyperboloid rows back on the sheet.  Rows that come from
+outside, a checkpoint's bias or a `convert` input, are checked by
+`check_point`, which rescales nothing.  The geodesic from x with unit
+velocity v is at arclength t the point `exp_map(model, x, t v)`, and the
+Mobius addition (`mobius_add`, which `gyro` imports) is written here beside
+the Poincare exp and log.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _acosh(arg: np.ndarray) -> np.ndarray:
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-# -- smooth ratios f(t)/t (removable singularities at zero) -------------------
+# -- smooth ratio functions f(t)/t (removable singularities at zero) ----------
 
 # Below the switch f(t)/t is its series 1 + c2 t^2 + c4 t^4, which is exact to
 # float64 there.  Above it the slope (f'(t) - f(t)/t)/t subtracts two values
@@ -323,17 +324,6 @@ def distance(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     else:
         arg = -minkowski_rows(x, y)
     return _acosh(arg)[:, 0]
-
-
-def geodesic_unit(model: Model, x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
-    """Points exp_x(t v) at arclength t, one number or one per row, along the
-    unit-speed geodesics from the rows x with velocities v."""
-    speed = metric_inner(model, x, v, v)
-    off = np.abs(speed - 1.0)
-    if np.any(off > 1e-8):
-        worst = float(speed[np.argmax(off)])
-        raise ValueError(f"geodesic velocity must be unit speed, got squared speed {worst}")
-    return exp_map(model, x, np.asarray(t, dtype=np.float64).reshape(-1, 1) * v)
 
 
 def exp_map(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -65,13 +65,13 @@ directly, but for the layer, which reads the bias through the model's
 origin tangent v, |v|^2, t, sinhc t and cosh t of the transported tangent's
 norm, and the hidden point's bias summand beta v, beta = sinhc t; Klein's
 beta is per row, so its pass forms beta b itself), derived on the model's
-first pass and kept for every later one.  The backward walks the chain from
-the loss to hidden_linear, and each stage writes its own parameters'
-gradients into the pass's `grads`.  The smooth ratios' slopes, the bias
-terms' among them, are computed in the backward only, so a pass that returns
-logits or tangents computes none.  This is the only implementation of the
-network; the tests hold it to the `manifolds` and `gyro` operations
-composed step by step.
+first pass and kept for every later one, read-only (|v|^2 and sinhc t are
+floats).  The backward walks the chain from the loss to hidden_linear, and
+each stage writes its own parameters' gradients into the pass's `grads`.
+The slopes of the `smooth_ratio` functions, the bias terms' among them, are
+computed in the backward only, so a pass that returns logits or tangents
+computes none.  This is the only implementation of the network; the tests
+hold it to the `manifolds` and `gyro` operations composed step by step.
 
 Gradients are exact; the optimizer is a Riemannian Adam that retracts
 manifold-valued biases with the exponential map.
@@ -133,9 +133,10 @@ class HnnModel:
     derives a new model and re-runs these checks, so all are finite and the
     bias passes `check_point`, which rescales nothing: a hyperboloid bias
     may lie up to `_LORENTZ_INPUT_TOL` times its time off the sheet, and
-    the layer reads only its spatial part.  The arrays, copied here, are
-    read-only.  The public entry points check and cap a pass's inputs.  The
-    cached `bias_terms` is not a field, and a replaced model derives its own.
+    the layer reads only its spatial part.  The arrays are read-only float64
+    copies, and a bad value is a ValueError naming its field.  The public
+    entry points check and cap a pass's inputs.  The cached `bias_terms` is
+    not a field, and a replaced model derives its own.
     """
 
     flavor: Model
@@ -146,28 +147,20 @@ class HnnModel:
 
     def __post_init__(self):
         flavor = Model(self.flavor)
-        bias = check_point(flavor, np.array(self.bias, dtype=np.float64), "bias")
-        weight = np.array(self.weight, dtype=np.float64)
-        if weight.ndim != 2 or np.count_nonzero(np.isfinite(weight)) != weight.size:
-            raise ValueError("weight must be a finite 2-d matrix")
+        bias = check_point(flavor, _float64(self.bias, "bias must be a 1-d vector of numbers"), "bias")
+        bias.flags.writeable = False
+        weight = _parameter(self.weight, 2, "weight must be a finite 2-d matrix")
         if bias.size != weight.shape[0] + (flavor is Model.LORENTZ):
             raise ValueError("bias dimension must match the weight output dimension")
-        readout_weight = np.array(self.readout_weight, dtype=np.float64)
-        readout_bias = np.array(self.readout_bias, dtype=np.float64)
-        if readout_weight.ndim != 2 or np.count_nonzero(np.isfinite(readout_weight)) != readout_weight.size:
-            raise ValueError("readout weight must be a finite 2-d matrix")
-        if np.count_nonzero(np.isfinite(readout_bias)) != readout_bias.size:
-            raise ValueError("readout bias must be finite")
+        readout_weight = _parameter(self.readout_weight, 2, "readout weight must be a finite 2-d matrix")
+        readout_bias = _parameter(self.readout_bias, 1, "readout bias must be a finite 1-d vector")
         if readout_weight.shape[1] != weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
         if readout_weight.shape[0] != readout_bias.size:
             raise ValueError("readout bias length must match the class count")
         if readout_bias.size < 2:
             raise ValueError("need at least two classes")
-        parameters = (weight, bias, readout_weight, readout_bias)
-        for array in parameters:
-            array.flags.writeable = False
-        for name, value in zip(("flavor", *_PARAMETERS), (flavor, *parameters)):
+        for name, value in zip(("flavor", *_PARAMETERS), (flavor, weight, bias, readout_weight, readout_bias)):
             object.__setattr__(self, name, value)
 
     @property
@@ -196,6 +189,24 @@ class HnnModel:
 
 # the model's fields after its flavor
 _PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
+
+
+def _float64(value, message: str) -> np.ndarray:
+    """A new float64 array of value; one that numpy cannot read as numbers (an
+    object, a string, ragged lists) is a ValueError with the message."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(message) from err
+
+
+def _parameter(value, ndim: int, message: str) -> np.ndarray:
+    """The rule for a Euclidean parameter: a finite, read-only float64 array of ndim axes."""
+    array = _float64(value, message)
+    if array.ndim != ndim or np.count_nonzero(np.isfinite(array)) != array.size:
+        raise ValueError(message)
+    array.flags.writeable = False
+    return array
 
 
 def init_model(flavor: Model, in_dim: int, hidden_dim: int, n_classes: int, seed: int) -> HnnModel:
@@ -362,22 +373,21 @@ def _hyperboloid_terms(ratio, scale, start, coords: np.ndarray) -> tuple:
     origin tangent v = rho b_s, rho = ratio(|b_s|): asinhc of a hyperboloid
     point's spatial part b_s = coords[1:] (its time coordinate's gradient
     is zero), or atanhc of a Poincare ball point b_s = coords.  Returns v,
-    s = |v|^2, the transported tangent's norm t = scale |v| with sinhc t and
-    cosh t for `_lorentz_coefficients`, the summand beta v = sinhc(t) v as a
-    (width, 1) column, and `b_back`, which takes dL/dv to the bias
-    coordinates and computes the slope of rho only when called."""
+    s = |v|^2 and sinhc t as floats, the transported tangent's norm
+    t = scale |v| with sinhc t and cosh t for `_lorentz_coefficients`, the
+    summand beta v = sinhc(t) v as a read-only (width, 1) column, and
+    `b_back`, which takes dL/dv to the bias coordinates and computes the slope
+    of rho only when called."""
     b_s = coords[start:]
     bn = np.sqrt(b_s @ b_s + _TINY)
     rho = smooth_ratio(ratio, bn)
     v = rho * b_s
     s = float(v @ v)
     t = np.sqrt(scale * scale * s + _TINY)
-    big_s = smooth_ratio("sinhc", t)
+    big_s = float(smooth_ratio("sinhc", t))  # the series gives a 0-d array, a float is read-only
     summand = big_s * v[:, None]
     for array in (v, summand):
         array.flags.writeable = False
-    if isinstance(big_s, np.ndarray):  # a 0-d array where sinhc takes its series
-        big_s.flags.writeable = False
 
     def b_back(gv):
         gb = rho * gv + (gv @ b_s) * smooth_slope(ratio, bn, rho) / bn * b_s
@@ -629,11 +639,16 @@ _MAX_BIAS_STEP = 1.0
 
 def _clamp_lorentz_radius(x: np.ndarray) -> np.ndarray:
     """The hyperboloid row x, or the point _MAX_BIAS_DISTANCE from the origin
-    in its direction when x lies farther out."""
+    in its direction when x lies farther out.  A spatial norm whose square
+    overflows is the product of `_peak_split`'s factors, as in `lorentz_rows`."""
     if x[0, 0] <= _MAX_BIAS_TIME:
         return x
     s = x[:, 1:]
-    return lorentz_rows(s * (np.sinh(_MAX_BIAS_DISTANCE) / np.linalg.norm(s)))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(s)
+    if np.isinf(norm):
+        norm = np.multiply(*_peak_split(s))
+    return lorentz_rows(s * (np.sinh(_MAX_BIAS_DISTANCE) / norm))
 
 
 def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnModel:

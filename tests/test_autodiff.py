@@ -257,5 +257,5 @@ class TestNumericalGuard:
             replace(one_unit_model([[1.0], [0.0]]), bias=[nan])
         with pytest.raises(ValueError, match="readout weight must be a finite 2-d matrix"):
             one_unit_model([[nan], [0.0]])
-        with pytest.raises(ValueError, match="readout bias must be finite"):
+        with pytest.raises(ValueError, match="readout bias must be a finite 1-d vector"):
             one_unit_model([[1.0], [0.0]], readout_bias=[0.0, nan])

@@ -1,9 +1,11 @@
 """Tests for the command-line contract: exit codes and byte-identical outputs."""
 
+import io
 import json
 import math
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,7 +164,12 @@ def _nan_at(key, row=None):
 # case maps the saved document to the one written in its place
 CORRUPT_CHECKPOINTS = {
     "nan_weight": (_nan_at("weight", 0), "weight must be a finite 2-d matrix"),
-    "nan_readout_bias": (_nan_at("readout_bias"), "readout bias must be finite"),
+    "nan_readout_bias": (_nan_at("readout_bias"), "readout bias must be a finite 1-d vector"),
+    # it used to load, and eval failed on numpy's broadcast of (5, 31) logits
+    "readout_bias_2d": (
+        lambda doc: {**doc, "readout_bias": [doc["readout_bias"]]},
+        "readout bias must be a finite 1-d vector",
+    ),
     "flat_readout_weight": (
         lambda doc: {**doc, "readout_weight": doc["readout_weight"][0]},
         "readout weight must be a finite 2-d matrix",
@@ -189,6 +196,16 @@ CORRUPT_CHECKPOINTS = {
         lambda doc: {**doc, "bias": [doc["bias"]]},
         "expected a 1-d vector of length >= 1, got shape (1, 6)",
     ),
+    # a JSON object used to raise a TypeError out of cli.main
+    **{
+        f"{key}_object": (lambda doc, key=key: {**doc, key: {"a": doc[key]}}, message)
+        for key, message in [
+            ("weight", "weight must be a finite 2-d matrix"),
+            ("bias", "bias must be a 1-d vector of numbers"),
+            ("readout_weight", "readout weight must be a finite 2-d matrix"),
+            ("readout_bias", "readout bias must be a finite 1-d vector"),
+        ]
+    },
 }
 
 
@@ -202,6 +219,78 @@ def test_corrupt_checkpoint_is_rejected_at_load(tree_file, tmp_path, capsys, cas
         warnings.simplefilter("error", RuntimeWarning)
         assert eval_all(tmp_path / "checkpoint.json", tree_file) == cli.EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def _entry_paths(value, path=()):
+    """The index paths of the numbers in nested lists."""
+    if not isinstance(value, list):
+        return [path]
+    return [leaf for i, item in enumerate(value) for leaf in _entry_paths(item, (*path, i))]
+
+
+@st.composite
+def _corrupt(draw, value):
+    """A flavor name or a parameter's nested lists, swapped for a value one
+    level deeper or of another JSON type; a parameter may also become its
+    signs as bools or an empty list, or lose one entry, or have one set to
+    nan, +-inf or a magnitude from 1e154 to 1e308."""
+    swaps = [[value], 0.5, "abc", {"a": value}, None, True, False]
+    kind = draw(st.sampled_from(["swap", "bools", "empty", "drop", "entry"])) if isinstance(value, list) else "swap"
+    if kind == "swap":
+        return draw(st.sampled_from(swaps))
+    if kind == "empty":
+        return []
+    if kind == "bools":
+        return json.loads(json.dumps(value), parse_float=lambda text: not text.startswith("-"))
+    out = json.loads(json.dumps(value))
+    path = draw(st.sampled_from(_entry_paths(out)))
+    if kind == "drop":
+        path = path[: draw(st.integers(1, len(path)))]
+    parent = out
+    for i in path[:-1]:
+        parent = parent[i]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        huge = st.floats(1e154, 1e308).flatmap(lambda x: st.sampled_from([x, -x]))
+        parent[path[-1]] = draw(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), huge))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_eval_holds_its_contract_on_corrupt_checkpoints(data):
+    # exit 0, 1 or 3 and no RuntimeWarning or escaping exception on any
+    # corruption of one checkpoint field; a refused checkpoint is refused at
+    # load (exit 1, load_model's one line), any other failure writes one
+    # line, and a run repeats its output byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset(gen_tree_dataset(3, 4, 0.1, seed=0), tmp / "tree.json")
+        nn.save_model(nn.init_model("klein", 4, 3, 4, seed=42), tmp / "checkpoint.json")
+        doc = json.loads((tmp / "checkpoint.json").read_text())
+        key = data.draw(st.sampled_from(["flavor", *nn._PARAMETERS]))
+        doc[key] = data.draw(_corrupt(doc[key]))
+        (tmp / "checkpoint.json").write_text(json.dumps(doc))
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = eval_all(tmp / "checkpoint.json", tmp / "tree.json")
+            runs.append((code, out.getvalue(), err.getvalue().splitlines()))
+        try:
+            nn.load_model(tmp / "checkpoint.json")
+            refusal = None
+        except ValueError as refused:
+            refusal = f"error: {refused}"
+    code, _, err = runs[0]
+    assert runs[1] == runs[0]
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC)
+    assert (code == cli.EXIT_USAGE) == (refusal is not None)
+    assert len(err) == (code != cli.EXIT_OK)
+    if refusal:
+        assert err == [refusal]
 
 
 def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys):

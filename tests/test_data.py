@@ -240,7 +240,7 @@ class TestSplit:
         return Dataset(rng.normal(size=(n, 4)), np.arange(n) % classes)
 
     def test_sizes(self):
-        ds = split(self.balanced(), (0.6, 0.2, 0.2), seed=1)
+        ds = split(self.balanced(), seed=1)
         assert ds.train_idx.size == 60
         assert ds.val_idx.size == 20
         assert ds.test_idx.size == 20
@@ -270,29 +270,21 @@ class TestSplit:
         assert np.unique(joined).size == joined.size == 97
 
     def test_stratification_within_one(self):
-        ds = split(self.balanced(97, 4), (0.6, 0.2, 0.2), seed=3)
+        ds = split(self.balanced(97, 4), seed=3)
         for cls in range(4):
             members = (ds.labels == cls).sum()
             got = np.bincount(ds.labels[ds.train_idx], minlength=4)[cls]
             assert abs(got - 0.6 * members) <= 1.0
 
+    def test_every_class_of_three_or_more_has_a_train_member(self):
+        labels = np.repeat(np.arange(10), np.arange(3, 13))
+        ds = split(Dataset(np.ones((labels.size, 2)), labels), seed=4)
+        assert np.bincount(ds.labels[ds.train_idx]).tolist() == [round(0.6 * n) for n in range(3, 13)]
+
     def test_small_class_rejected(self):
         ds = Dataset(np.ones((5, 2)), np.array([0, 0, 0, 1, 1]))
         with pytest.raises(DataError, match="too small to stratify"):
             split(ds, seed=0)
-
-    def test_tiny_ratios_keep_the_splits_disjoint(self):
-        # the train cut is raised to one member per class while the val cut
-        # rounds to zero; the test split used to start at zero and repeat it
-        ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1])
-        ds = split(ds, (0.01, 0.01, 0.98))
-        assert ds.train_idx.tolist() == [2, 5]
-        assert ds.val_idx.tolist() == []
-        assert ds.test_idx.tolist() == [0, 1, 3, 4]
-
-    def test_bad_ratios(self):
-        with pytest.raises(DataError):
-            split(self.balanced(), (0.5, 0.2, 0.2), seed=0)
 
 
 class TestGenTree:

@@ -21,7 +21,6 @@ from hyperklein.manifolds import (
     convert_point,
     distance,
     exp_map,
-    geodesic_unit,
     log_map,
     lorentz_factor,
     lorentz_rows,
@@ -137,12 +136,10 @@ def test_check_point_accepts_every_row_the_operations_make(model, direction, len
     # trained model never fails its bias check
     u = length * _unit_row(direction)
     if model is Model.LORENTZ:
-        # cosh overflows past 710, where exp_map raises and makes no row; the
-        # radius cap squares the spatial part, which overflows past 355, far
-        # beyond the bias times training reaches (the cap's plus one step)
+        # cosh overflows past 710, where exp_map raises and makes no row
         o, v = origin(L, u.shape[1]), np.pad(_unit_row(direction), ((0, 0), (1, 0)))
-        made = [lorentz_rows(u), exp_map(L, o, min(length, 700.0) * v)]
-        made.append(_clamp_lorentz_radius(exp_map(L, o, min(length, 350.0) * v)))
+        far = exp_map(L, o, min(length, 700.0) * v)
+        made = [lorentz_rows(u), far, _clamp_lorentz_radius(far)]
     else:
         made = [clamp_to_ball(u), exp_map(model, origin(model, u.shape[1]), u)]
     for (x,) in made:
@@ -311,29 +308,25 @@ def _unit(model, x, v):
 
 class TestGeodesics:
     def test_klein_through_origin(self):
-        out = geodesic_unit(K, np.zeros((1, 2)), row(1.0, 0.0), LN3)
+        out = exp_map(K, np.zeros((1, 2)), LN3 * row(1.0, 0.0))
         np.testing.assert_allclose(out[0], [0.8, 0.0], atol=1e-12)
 
     def test_time_zero_returns_start(self):
         rng = np.random.default_rng(5)
         x = sample_klein(rng, 3)
         u = _unit(K, x, rng.normal(size=(1, 3)))
-        out = geodesic_unit(K, x, u, 0.0)
+        out = exp_map(K, x, 0.0 * u)
         np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_lorentz_geodesic(self):
-        out = geodesic_unit(L, row(1.0, 0.0), row(0.0, 1.0), 1.0)
+        out = exp_map(L, row(1.0, 0.0), row(0.0, 1.0))
         np.testing.assert_allclose(out[0], [1.5430806348152437, 1.1752011936438014], atol=1e-10)
-
-    def test_non_unit_velocity_rejected(self):
-        with pytest.raises(ValueError):
-            geodesic_unit(K, np.zeros((1, 2)), row(2.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("model", [K, P])
     def test_long_arclength_reaches_the_clamped_boundary(self, model):
         # sinh and cosh of 800 overflow; the exponential map's tanh form saturates
         x = convert_point(K, model, row(0.3, -0.2))
-        out = geodesic_unit(model, x, _unit(model, x, row(1.0, 0.5)), 800.0)
+        out = exp_map(model, x, 800.0 * _unit(model, x, row(1.0, 0.5)))
         assert np.all(np.isfinite(out))
         assert np.linalg.norm(out) == pytest.approx(1.0 - EPS_BALL, abs=1e-15)
 
@@ -341,12 +334,12 @@ class TestGeodesics:
         # at 700 the spatial norm is about 5e303, so |s|^2 overflows; the time
         # is the scaled norm, with no RuntimeWarning (which fails the run)
         x, v = row(1.0, 0.0, 0.0), row(0.0, 0.6, 0.8)
-        out = geodesic_unit(L, x, v, 700.0)[0]
+        out = exp_map(L, x, 700.0 * v)[0]
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(math.hypot(*out[1:]), rel=1e-15)
         # from about 711 on cosh itself overflows
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            geodesic_unit(L, x, v, 712.0)
+            exp_map(L, x, 712.0 * v)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_unit_speed(self, model):
@@ -356,7 +349,7 @@ class TestGeodesics:
             x = convert_point(K, model, sample_klein(rng, dim))
             u = _unit(model, x, _random_tangent(rng, model, x))
             t = float(rng.uniform(-5.0, 5.0))
-            y = geodesic_unit(model, x, u, t)
+            y = exp_map(model, x, t * u)
             assert distance(model, x, y)[0] == pytest.approx(abs(t), abs=1e-7)
 
 
@@ -550,7 +543,7 @@ def kernel_cases(model):
         "distance": (partial(distance, model), (x, y)),
         "exp": (partial(exp_map, model), (x, u)),
         "log": (partial(log_map, model), (x, y)),
-        "geodesic": (partial(geodesic_unit, model), (x, unit, rng.uniform(-5.0, 5.0, size=ROWS))),
+        "geodesic": (partial(exp_map, model), (x, rng.uniform(-5.0, 5.0, size=(ROWS, 1)) * unit)),
         "transport": (partial(transport_from_origin, model), (x, kernel_tangents(rng, model, o))),
     }
     for dst in Model:

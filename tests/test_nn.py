@@ -929,7 +929,8 @@ class TestBiasTerms:
     @pytest.mark.parametrize("offset", [False, True], ids=["origin", "offset"])
     @pytest.mark.parametrize("flavor", list(Model))
     def test_terms_are_read_only_and_not_a_field(self, flavor, offset):
-        # at the origin the bias's ratios take the series, which returns 0-d arrays
+        # at the origin sinhc t takes its series, which returns a 0-d array;
+        # the terms keep sinhc t as a float
         build = offset_bias_model if offset else nn.init_model
         model = build(flavor, 4, 3, 3, seed=44)
         assert "bias_terms" not in vars(model)
@@ -940,6 +941,7 @@ class TestBiasTerms:
         assert nn._PARAMETERS == ("weight", "bias", "readout_weight", "readout_bias")
         if flavor is not Model.KLEIN:
             # the hyperboloid stage's constant summand beta v, beta = sinhc t
+            assert type(transported[1]) is float
             assert summand.shape == (3, 1) and summand.tobytes() == (transported[1] * b[:, None]).tobytes()
         arrays = [term for term in (b, s, *(transported or ()), summand) if isinstance(term, np.ndarray)]
         for array in arrays:
@@ -1150,6 +1152,21 @@ class TestRiemannianAdam:
             assert abs(minkowski_rows(c, c)[0, 0] + 1.0) < 1e-9
 
 
+    def test_radius_cap_keeps_the_direction_of_a_row_whose_square_overflows(self):
+        # past a spatial norm of about 1.3e154 (length 355) the norm's square
+        # overflows; the cap used to warn and put such a row at the origin
+        rng = np.random.default_rng(15)
+        for length in np.linspace(9.0, 700.0, 40):
+            direction = rng.normal(size=int(rng.integers(1, 7)))
+            direction /= np.linalg.norm(direction)
+            far = exp_map(L, origin(L, direction.size), length * np.concatenate(([0.0], direction))[None])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                capped = nn._clamp_lorentz_radius(far)[0]
+            assert capped[0] == pytest.approx(nn._MAX_BIAS_TIME, rel=1e-12)
+            np.testing.assert_allclose(capped[1:] / np.linalg.norm(capped[1:]), direction, rtol=0.0, atol=1e-12)
+
+
 class TestTrain:
     def test_zero_epochs(self):
         ds = gen_tree_dataset(3, 6, 0.0, seed=0)
@@ -1216,7 +1233,7 @@ class TestModelInvariant:
             replace(model, weight=weight)
         readout_bias = model.readout_bias.copy()
         readout_bias[1] = np.inf
-        with pytest.raises(ValueError, match="readout bias must be finite"):
+        with pytest.raises(ValueError, match="readout bias must be a finite 1-d vector"):
             replace(model, readout_bias=readout_bias)
 
     @pytest.mark.parametrize("key", nn._PARAMETERS)
