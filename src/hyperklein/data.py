@@ -82,12 +82,15 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         raise DataError("invalid dataset: need one label per feature row")
     if np.any(labels < 0):
         raise DataError("invalid dataset: labels must be nonnegative")
+    n = features.shape[0]
     n_classes = int(labels.max()) + 1
-    present = np.bincount(labels, minlength=n_classes)
+    # n rows fill at most n classes, so a label >= n leaves a class below n
+    # empty, and only the labels below n are counted: no count array of a
+    # huge label's size is made
+    present = np.bincount(labels[labels < n], minlength=min(n_classes, n))
     missing = np.nonzero(present == 0)[0]
     if missing.size:
         raise DataError(f"invalid dataset: class {int(missing[0])} has no members")
-    n = features.shape[0]
     seen = np.zeros(n, dtype=np.int64)
     for part, idx in splits.items():
         if idx.ndim != 1:
@@ -104,17 +107,19 @@ def _validate(features: np.ndarray, labels: np.ndarray, splits: dict) -> None:
         raise DataError("invalid dataset: every class must appear in the train split")
 
 
-def _numbers(values, kinds: str, what: str, suspect=lambda array: True) -> np.ndarray:
-    """The array numpy infers for values, of one of the dtype kinds.  numpy reads
-    true and false as 1 and 0, so each value's type is checked too, unless
-    `suspect(array)` rules a boolean out."""
+def json_numbers(values, kinds: str, refusal: Exception, suspect=lambda array: True) -> np.ndarray:
+    """The array numpy infers for parsed JSON values, which must be numbers
+    of the dtype kinds: the rule for dataset files and checkpoints.  Any
+    other value, such as a string, an object or ragged rows, raises
+    `refusal`.  numpy reads true and false as 1 and 0, so each value's type
+    is checked too, unless `suspect(array)` rules a boolean out."""
     try:
         array = np.asarray(values)
     except ValueError as err:  # ragged rows
-        raise DataError(f"invalid dataset: {err}") from err
+        raise refusal from err
     items = chain.from_iterable(values) if array.ndim == 2 else values if array.ndim == 1 else ()
     if array.size and (array.dtype.kind not in kinds or suspect(array) and bool in map(type, items)):
-        raise DataError(f"invalid dataset: {what}")
+        raise refusal
     return array
 
 
@@ -133,12 +138,15 @@ def load_dataset(path) -> Dataset:
     def suspect(array):
         return ((array == 0) | (array == 1)).any() and ("true" in text or "false" in text)
 
-    features = _numbers(doc["features"], "iuf", "features must be numbers", suspect)
-    labels = _numbers(doc["labels"], "iu", "labels must be integers")
+    def refusal(what):
+        return DataError(f"invalid dataset: {what}")
+
+    features = json_numbers(doc["features"], "iuf", refusal("features must be numbers"), suspect)
+    labels = json_numbers(doc["labels"], "iu", refusal("labels must be integers"))
     splits = {} if doc.get("splits") is None else doc["splits"]
     if not isinstance(splits, dict):
         raise DataError("invalid dataset: splits must be an object")
-    splits = {k: _numbers(v, "iu", f"{k} indices must be integers") for k, v in splits.items()}
+    splits = {k: json_numbers(v, "iu", refusal(f"{k} indices must be integers")) for k, v in splits.items()}
     return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 
 

@@ -217,10 +217,10 @@ def check_point(model: Model, x: np.ndarray, what: str = "point") -> np.ndarray:
     """Check that the 1-d vector x is a point of model, and return it as given.
 
     Nothing is rescaled.  x holds a coordinate (a time and one more on the
-    hyperboloid), and all are finite.  A ball point has every |x_i| < 1 and
-    then x.dot(x) < 1, so no square overflows; that squared norm is a BLAS
-    dot product, whose last place can differ from `row_dots`'.  The error
-    names a point outside the ball `what`.  A hyperboloid point [time,
+    hyperboloid), and all are finite.  A ball point has every |x_i| < 1, so
+    no square overflows, and then a squared norm below 1, summed by
+    `row_dots` as `clamp_to_ball` sums it, whatever the BLAS build.  The
+    error names a point outside the ball `what`.  A hyperboloid point [time,
     spatial...] has time > 0, tested before it is compared, and lies within
     _LORENTZ_INPUT_TOL t of the time t = sqrt(1 + |spatial|^2) >= 1 of
     `lorentz_rows`.  Raises ValueError.
@@ -230,7 +230,7 @@ def check_point(model: Model, x: np.ndarray, what: str = "point") -> np.ndarray:
         raise ValueError(f"expected a 1-d vector of length >= {width}, got shape {x.shape}")
     _finite(x)
     if model is not Model.LORENTZ:
-        if np.count_nonzero(np.abs(x) >= 1.0) or x.dot(x) >= 1.0:
+        if np.count_nonzero(np.abs(x) >= 1.0) or row_dots(x, x)[0] >= 1.0:
             raise ValueError(f"{what} lies outside the open unit ball")
         return x
     time, sheet = x[0], lorentz_rows(x[None, 1:])[0, 0]
@@ -339,10 +339,16 @@ def exp_map(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         half = 0.5 * _conformal(x)
         step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v))) * v
         return mobius_add(x, clamp_to_ball(step))
+    return lorentz_rows(_lorentz_geodesic_end(x, v)[:, 1:])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the sheet rows are checked
+def _lorentz_geodesic_end(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cosh|v| x + sinhc|v| v, the hyperboloid's exp_x(v) before `lorentz_rows`
+    puts it back on the sheet; overflow is ignored by the np.errstate
+    decorator, which numpy enters and resets per call."""
     t = np.sqrt(np.maximum(minkowski_rows(v, v), 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # the sheet rows are checked
-        out = np.cosh(t) * x + smooth_ratio("sinhc", t) * v
-    return lorentz_rows(out[:, 1:])
+    return np.cosh(t) * x + smooth_ratio("sinhc", t) * v
 
 
 def log_map(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:

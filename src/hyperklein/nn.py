@@ -102,6 +102,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericalError, Tensor
+from .data import json_numbers
 from .manifolds import (
     EPS_BALL,
     Model,
@@ -147,13 +148,13 @@ class HnnModel:
 
     def __post_init__(self):
         flavor = Model(self.flavor)
-        bias = check_point(flavor, _float64(self.bias, "bias must be a 1-d vector of numbers"), "bias")
+        bias = check_point(flavor, _float64(self.bias, _REFUSALS["bias"]), "bias")
         bias.flags.writeable = False
-        weight = _parameter(self.weight, 2, "weight must be a finite 2-d matrix")
+        weight = _parameter(self.weight, 2, _REFUSALS["weight"])
         if bias.size != weight.shape[0] + (flavor is Model.LORENTZ):
             raise ValueError("bias dimension must match the weight output dimension")
-        readout_weight = _parameter(self.readout_weight, 2, "readout weight must be a finite 2-d matrix")
-        readout_bias = _parameter(self.readout_bias, 1, "readout bias must be a finite 1-d vector")
+        readout_weight = _parameter(self.readout_weight, 2, _REFUSALS["readout_weight"])
+        readout_bias = _parameter(self.readout_bias, 1, _REFUSALS["readout_bias"])
         if readout_weight.shape[1] != weight.shape[0]:
             raise ValueError("readout width must match the hidden width")
         if readout_weight.shape[0] != readout_bias.size:
@@ -189,6 +190,13 @@ class HnnModel:
 
 # the model's fields after its flavor
 _PARAMETERS = ("weight", "bias", "readout_weight", "readout_bias")
+# the ValueError message for a parameter value that the model, or a checkpoint, refuses
+_REFUSALS = {
+    "weight": "weight must be a finite 2-d matrix",
+    "bias": "bias must be a 1-d vector of numbers",
+    "readout_weight": "readout weight must be a finite 2-d matrix",
+    "readout_bias": "readout bias must be a finite 1-d vector",
+}
 
 
 def _float64(value, message: str) -> np.ndarray:
@@ -639,16 +647,20 @@ _MAX_BIAS_STEP = 1.0
 
 def _clamp_lorentz_radius(x: np.ndarray) -> np.ndarray:
     """The hyperboloid row x, or the point _MAX_BIAS_DISTANCE from the origin
-    in its direction when x lies farther out.  A spatial norm whose square
-    overflows is the product of `_peak_split`'s factors, as in `lorentz_rows`."""
+    in its direction when x lies farther out."""
     if x[0, 0] <= _MAX_BIAS_TIME:
         return x
     s = x[:, 1:]
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(s)
-    if np.isinf(norm):
-        norm = np.multiply(*_peak_split(s))
-    return lorentz_rows(s * (np.sinh(_MAX_BIAS_DISTANCE) / norm))
+    return lorentz_rows(s * (np.sinh(_MAX_BIAS_DISTANCE) / _spatial_norm(s)))
+
+
+@np.errstate(over="ignore")
+def _spatial_norm(s: np.ndarray):
+    """The norm of the one finite row s.  One whose square overflows is the
+    product of `_peak_split`'s factors, as in `lorentz_rows`; the overflow is
+    ignored by the np.errstate decorator, which numpy enters and resets per call."""
+    norm = np.linalg.norm(s)
+    return np.multiply(*_peak_split(s)) if np.isinf(norm) else norm
 
 
 def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnModel:
@@ -784,8 +796,12 @@ def load_model(path):
 
     A document that is not a JSON object, or lacks a field the model needs,
     raises ValueError naming it, as does a parameter that the model's checks
-    refuse, such as a ball bias on or outside the unit sphere.  The model
-    rescales nothing, so the saved bits come back unchanged.
+    refuse, such as a ball bias on or outside the unit sphere.  A parameter
+    entry must be a JSON number: numpy would read a string such as "0.5" or
+    a boolean as a number, so the values are held to the dataset files' rule
+    (`data.json_numbers`) first, here and not in the model, which the
+    optimizer rebuilds every step.  The model rescales nothing, so the saved
+    bits come back unchanged.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -794,4 +810,5 @@ def load_model(path):
     for key in ("flavor", *_PARAMETERS):
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} field")
-    return HnnModel(doc["flavor"], **{key: doc[key] for key in _PARAMETERS}), doc
+    params = {key: json_numbers(doc[key], "iuf", ValueError(_REFUSALS[key])) for key in _PARAMETERS}
+    return HnnModel(doc["flavor"], **params), doc

@@ -26,9 +26,14 @@ alone, which cap their inputs, so they read nothing of `nn`'s stages.
 direction per parameter, the random-projection check of PyTorch's
 `gradcheck(fast_mode=True)`.  The trial losses are a cross-entropy of this
 module's own readout (`_readout`) of `nn.hidden_tangent`'s layer outputs:
-the readout trials reuse the sample's own outputs, and each weight or bias
-trial is one `hidden_tangent` call on the model with that parameter moved.
+a readout trial reads the moved readout array beside the sample's own
+outputs and builds no model, and each weight or bias trial is one
+`hidden_tangent` call on the model with that parameter moved.
 `forward_validity` takes the same readout of the layer outputs once.
+`training_trend` trains on the generated tree's train split alone.  Its
+check reads only the first and last epochs' training losses, and a
+validation pass never changes an update, so with no validation rows
+`nn.train` computes the same losses without one.
 
 The suites call the library's functions by module-level name, so a test shows
 that a suite catches a defect by patching one, e.g. `verify.transport_from_origin`.
@@ -43,7 +48,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .data import gen_tree_dataset
+from .data import Dataset, gen_tree_dataset
 from .gyro import einstein_add, einstein_matvec, einstein_scalar, gyration, mobius_add
 from .manifolds import (
     EPS_BALL,
@@ -471,14 +476,14 @@ def _suite_gradient_check(samples, rng):
     return worst, arg
 
 
-def _readout(model, z):
-    """model's class logits, (B, C), of the layer outputs z, (B, m): R relu(z) + r."""
-    return np.maximum(z, 0.0) @ model.readout_weight.T + model.readout_bias
+def _readout(z, weight, bias):
+    """Class logits, (B, C), of the layer outputs z, (B, m): R relu(z) + r."""
+    return np.maximum(z, 0.0) @ weight.T + bias
 
 
-def _cross_entropy(model, z, labels):
-    """Mean cross-entropy of model's readout of the layer outputs z, (B, m)."""
-    logits = _readout(model, z)
+def _cross_entropy(z, labels, weight, bias):
+    """Mean cross-entropy of the readout R, r = weight, bias of the layer outputs z, (B, m)."""
+    logits = _readout(z, weight, bias)
     shifted = logits - logits.max(axis=1, keepdims=True)
     return np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels])
 
@@ -488,23 +493,29 @@ def _directional_error(model, feats, labels, grads, rng):
     one unit direction d drawn from rng against a central difference of
     `_cross_entropy` along d.  A step h = 1e-5 that moves an activation
     pattern (z > 0) crosses a ReLU kink, so h shrinks tenfold, down to 1e-8,
-    where the difference is taken as it is."""
+    where the difference is taken as it is.  A weight or bias trial is one
+    `hidden_tangent` call on the model with that parameter moved; a readout
+    trial reads the moved array beside the sample's own layer outputs and
+    builds no model."""
     base = nn.hidden_tangent(model, feats)
     pattern = base > 0.0
+    params = model.parameter_arrays()
     worst = 0.0
-    for key, current in model.parameter_arrays().items():
+    for key, current in params.items():
         d = rng.normal(size=current.shape)
         if key == "bias" and model.flavor is Model.LORENTZ:
             d[0] = 0.0  # the layer reads only the spatial part
         d /= np.sqrt(np.sum(d * d))
 
         def trial(step):
-            array = current + step * d
-            if key == "bias" and model.flavor is Model.LORENTZ:
-                array = lorentz_rows(array[None, 1:])[0]  # back onto the hyperboloid
-            moved = replace(model, **{key: array})
-            z = nn.hidden_tangent(moved, feats) if key in ("weight", "bias") else base
-            return _cross_entropy(moved, z, labels), np.array_equal(z > 0.0, pattern)
+            moved = {**params, key: current + step * d}
+            z = base
+            if key in ("weight", "bias"):
+                if key == "bias" and model.flavor is Model.LORENTZ:
+                    moved["bias"] = lorentz_rows(moved["bias"][None, 1:])[0]  # back onto the hyperboloid
+                z = nn.hidden_tangent(replace(model, **{key: moved[key]}), feats)
+            loss = _cross_entropy(z, labels, moved["readout_weight"], moved["readout_bias"])
+            return loss, np.array_equal(z > 0.0, pattern)
 
         for h in 1e-5 / 10.0 ** np.arange(4):
             (up, same_up), (down, same_down) = trial(h), trial(-h)
@@ -535,7 +546,8 @@ def _suite_forward_validity(samples, rng):
         feats = rng.normal(size=(batch, n)) * float(rng.uniform(0.1, 10.0))
         try:
             z = nn.hidden_tangent(model, feats)
-            bad = ~(np.isfinite(z).all(axis=1) & np.isfinite(_readout(model, z)).all(axis=1))
+            logits = _readout(z, model.readout_weight, model.readout_bias)
+            bad = ~(np.isfinite(z).all(axis=1) & np.isfinite(logits).all(axis=1))
             error = f"non-finite tangent or readout at row {int(np.argmax(bad))}" if bad.any() else None
         except nn.NumericalError as err:
             error = str(err)
@@ -550,9 +562,10 @@ def _suite_forward_validity(samples, rng):
 def _suite_training_trend(samples, rng):
     worst, arg = 0.0, ""
     ds = gen_tree_dataset(depth=4, feature_dim=8, noise_sigma=0.1, seed=int(rng.integers(2**31)))
+    train_only = Dataset(ds.features, ds.labels, {"train": ds.train_idx})
     for flavor in _MODELS:
         model = nn.init_model(flavor, ds.dim, 8, ds.n_classes, seed=int(rng.integers(2**31)))
-        _, metrics = nn.train(model, ds, nn.TrainConfig(lr=0.01, epochs=50, patience=50))
+        _, metrics = nn.train(model, train_only, nn.TrainConfig(lr=0.01, epochs=50))
         drop = metrics[-1].train_loss - metrics[0].train_loss
         err = max(0.0, drop)
         if err >= worst:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hyperklein import cli, nn, verify
 from hyperklein.autodiff import NumericalError
-from hyperklein.data import gen_tree_dataset, save_dataset
+from hyperklein.data import Dataset, gen_tree_dataset, save_dataset, split
 from hyperklein.manifolds import Model, transport_from_origin
 
 
@@ -196,6 +196,15 @@ CORRUPT_CHECKPOINTS = {
         lambda doc: {**doc, "bias": [doc["bias"]]},
         "expected a 1-d vector of length >= 1, got shape (1, 6)",
     ),
+    # numpy read these as numbers, and the checkpoint loaded
+    "string_weight": (
+        lambda doc: {**doc, "weight": [[str(x) for x in row] for row in doc["weight"]]},
+        "weight must be a finite 2-d matrix",
+    ),
+    "boolean_readout_bias": (
+        lambda doc: {**doc, "readout_bias": [True] + doc["readout_bias"][1:]},
+        "readout bias must be a finite 1-d vector",
+    ),
     # a JSON object used to raise a TypeError out of cli.main
     **{
         f"{key}_object": (lambda doc, key=key: {**doc, key: {"a": doc[key]}}, message)
@@ -228,12 +237,19 @@ def _entry_paths(value, path=()):
     return [leaf for i, item in enumerate(value) for leaf in _entry_paths(item, (*path, i))]
 
 
+# nan, +-inf and magnitudes from 1e154 to 1e308
+_BAD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(1e154, 1e308).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
 @st.composite
-def _corrupt(draw, value):
-    """A flavor name or a parameter's nested lists, swapped for a value one
-    level deeper or of another JSON type; a parameter may also become its
-    signs as bools or an empty list, or lose one entry, or have one set to
-    nan, +-inf or a magnitude from 1e154 to 1e308."""
+def _corrupt(draw, value, entries=_BAD_FLOATS):
+    """A flavor name or a field's nested lists, swapped for a value one
+    level deeper or of another JSON type; a list may also become its signs
+    as bools or an empty list, or lose one entry, or have one set to a value
+    from `entries`."""
     swaps = [[value], 0.5, "abc", {"a": value}, None, True, False]
     kind = draw(st.sampled_from(["swap", "bools", "empty", "drop", "entry"])) if isinstance(value, list) else "swap"
     if kind == "swap":
@@ -252,9 +268,17 @@ def _corrupt(draw, value):
     if kind == "drop":
         del parent[path[-1]]
     else:
-        huge = st.floats(1e154, 1e308).flatmap(lambda x: st.sampled_from([x, -x]))
-        parent[path[-1]] = draw(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), huge))
+        parent[path[-1]] = draw(entries)
     return out
+
+
+def _run_cli(argv):
+    """cli.main's exit code, stdout and stderr lines, with RuntimeWarnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue().splitlines()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -272,13 +296,8 @@ def test_eval_holds_its_contract_on_corrupt_checkpoints(data):
         key = data.draw(st.sampled_from(["flavor", *nn._PARAMETERS]))
         doc[key] = data.draw(_corrupt(doc[key]))
         (tmp / "checkpoint.json").write_text(json.dumps(doc))
-        runs = []
-        for _ in range(2):
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-                warnings.simplefilter("error", RuntimeWarning)
-                code = eval_all(tmp / "checkpoint.json", tmp / "tree.json")
-            runs.append((code, out.getvalue(), err.getvalue().splitlines()))
+        paths = ["--checkpoint", str(tmp / "checkpoint.json"), "--data", str(tmp / "tree.json")]
+        runs = [_run_cli(["eval", *paths, "--split", "all"]) for _ in range(2)]
         try:
             nn.load_model(tmp / "checkpoint.json")
             refusal = None
@@ -291,6 +310,94 @@ def test_eval_holds_its_contract_on_corrupt_checkpoints(data):
     assert len(err) == (code != cli.EXIT_OK)
     if refusal:
         assert err == [refusal]
+
+
+# labels and split indices out of range, of any size a JSON integer takes;
+# a label up to the int64 maximum used to size a count array by itself
+_BAD_INDICES = st.one_of(
+    st.integers(-3, 40), st.integers(2**31, 2**63 - 1), st.integers(-(2**64), 2**70), _BAD_FLOATS
+)
+
+
+@st.composite
+def _corrupt_dataset(draw, doc):
+    """The text of the dataset document doc with one defect: a field or a
+    split corrupted by `_corrupt`, a split emptied or cut to one class, one
+    class for every row, no stored splits, or the text cut short."""
+    doc = json.loads(json.dumps(doc))
+    splits = doc["splits"]
+    kinds = ["features", "labels", "splits", "split", "empty", "one_class", "one_label", "no_splits", "truncated"]
+    kind = draw(st.sampled_from(kinds))
+    part = draw(st.sampled_from(sorted(splits)))
+    if kind == "features":
+        doc["features"] = draw(_corrupt(doc["features"]))
+    elif kind == "labels":
+        doc["labels"] = draw(_corrupt(doc["labels"], _BAD_INDICES))
+    elif kind == "splits":
+        doc["splits"] = draw(_corrupt(splits))
+    elif kind == "split":
+        splits[part] = draw(_corrupt(splits[part], _BAD_INDICES))
+    elif kind == "empty":
+        splits[part] = []
+    elif kind == "one_class":
+        label = doc["labels"][draw(st.sampled_from(splits[part]))]
+        splits[part] = [i for i in splits[part] if doc["labels"][i] == label]
+    elif kind == "one_label":
+        doc["labels"] = [0] * len(doc["labels"])
+    elif kind == "no_splits":
+        doc["splits"] = draw(st.sampled_from([None, {}]))
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text) - 1))] if kind == "truncated" else text
+
+
+def _small_dataset():
+    """24 rows of 4 features in 3 classes of 8 rows, cut by `data.split`,
+    which can cut them again when a file holds no splits."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3), 8)
+    return split(Dataset(rng.normal(size=(24, 4)) + labels[:, None], labels), seed=0)
+
+
+def _without_timing(text):
+    """A train run's printed or written metrics without its one timing field."""
+    return {**json.loads(text), "mean_epoch_seconds": None} if text else text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_train_and_eval_hold_their_contract_on_generated_datasets(data):
+    # exit 0, 2 or 3 and no RuntimeWarning or escaping exception on any
+    # defect of one dataset file; a failure prints one line to stderr, and
+    # nothing to stdout or the output directory, and a run repeats byte for
+    # byte but for its epoch timing
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset(_small_dataset(), tmp / "base.json")
+        doc = json.loads((tmp / "base.json").read_text())
+        (tmp / "data.json").write_text(data.draw(_corrupt_dataset(doc)))
+        flavor = data.draw(st.sampled_from(MODELS))
+        nn.save_model(nn.init_model(flavor, 4, 3, 3, seed=42), tmp / "checkpoint.json")
+        part = data.draw(st.sampled_from(["train", "val", "test", "all"]))
+        path = str(tmp / "data.json")
+        commands = {
+            "train": ["train", "--data", path, "--model", flavor, "--hidden", "3", "--epochs", "3"],
+            "eval": ["eval", "--checkpoint", str(tmp / "checkpoint.json"), "--data", path, "--split", part],
+        }
+        for name, argv in commands.items():
+            runs = []
+            for run in ("a", "b"):
+                out = tmp / name / run
+                code, stdout, err = _run_cli(argv + (["--out", str(out)] if name == "train" else []))
+                written = {p.name: p.read_text() for p in sorted(out.glob("*"))} if out.exists() else {}
+                if "metrics.json" in written:
+                    written["metrics.json"] = _without_timing(written["metrics.json"])
+                runs.append((code, _without_timing(stdout) if name == "train" else stdout, err, written))
+            code, stdout, err, written = runs[0]
+            assert runs[1] == runs[0]
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC), (name, err)
+            assert len(err) == (code != cli.EXIT_OK)
+            if code != cli.EXIT_OK:
+                assert not stdout and not written
 
 
 def test_eval_with_mismatched_feature_width_exits_2(tree_file, tmp_path, capsys):

@@ -162,6 +162,20 @@ def test_check_point_refuses_ball_rows_on_or_past_the_sphere(model, rest, big, d
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
+    model=st.sampled_from([K, P]),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=16),
+    ulps=st.integers(-4, 4),
+)
+def test_check_point_sums_a_ball_row_as_the_clamp_does(model, direction, ulps):
+    # a row within a few ulps of the sphere is a point exactly when `row_dots`,
+    # the clamp's left-to-right sum, puts its squared norm below 1; the BLAS
+    # dot product it used to take sums in another order
+    x = _unit_row(direction)[0] * (1.0 + ulps * np.finfo(float).epsneg)
+    assert _refuses(model, x) == (row_dots(x, x)[0] >= 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
     time=st.floats(-1.7e308, 0.0),
     spatial=st.lists(_huge, min_size=1, max_size=6),
     direction=_directions,

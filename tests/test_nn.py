@@ -10,7 +10,7 @@ import pytest
 
 from hyperklein import autodiff, nn, verify
 from hyperklein.autodiff import NumericalError, Tensor
-from hyperklein.data import gen_tree_dataset, load_dataset
+from hyperklein.data import Dataset, gen_tree_dataset, load_dataset
 from hyperklein.gyro import einstein_add, mobius_add
 from hyperklein.manifolds import (
     EPS_BALL,
@@ -1190,6 +1190,20 @@ class TestTrain:
         model = nn.init_model(flavor, ds.dim, 8, ds.n_classes, seed=4)
         _, metrics = nn.train(model, ds, nn.TrainConfig(epochs=50, patience=50))
         assert metrics[-1].train_loss < metrics[0].train_loss
+
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_validation_split_leaves_the_train_loss_stream_unchanged(self, flavor):
+        # verify's training_trend trains without its validation split, as with
+        # patience >= epochs validation picks the returned model and changes no update
+        ds = gen_tree_dataset(4, 8, 0.1, seed=2)
+        train_only = Dataset(ds.features, ds.labels, {"train": ds.train_idx})
+        streams = []
+        for data in (ds, train_only):
+            model = nn.init_model(flavor, ds.dim, 8, ds.n_classes, seed=4)
+            _, metrics = nn.train(model, data, nn.TrainConfig(epochs=30, patience=30))
+            streams.append([m.train_loss for m in metrics])
+        assert ds.val_idx.size and len(streams[0]) == 30
+        assert streams[0] == streams[1]
 
     def test_each_epoch_calls_the_module_level_step_functions(self, monkeypatch):
         # perfbench times and samples each epoch by swapping nn.gradients and
