@@ -146,7 +146,8 @@ def load_dataset(path) -> Dataset:
     splits = {} if doc.get("splits") is None else doc["splits"]
     if not isinstance(splits, dict):
         raise DataError("invalid dataset: splits must be an object")
-    splits = {k: json_numbers(v, "iu", refusal(f"{k} indices must be integers")) for k, v in splits.items()}
+    splits = {k: json_numbers(v, "iu", refusal(f"{k} indices must be integers")) if k in SPLITS else v
+              for k, v in splits.items()}
     return Dataset(features, labels, splits, str(doc.get("name", "dataset")))
 
 

@@ -3,7 +3,9 @@
 The Klein ball with Einstein addition and scalar multiplication forms a
 gyrovector space; these operations realize hyperbolic translation and
 geodesic scaling directly in Klein coordinates, without exp/log round trips.
-The Mobius addition is imported from `manifolds`, whose Poincare exp and log use it.
+The Mobius addition is imported from `manifolds`, whose Poincare exp uses it.
+A Klein geodesic is a chord, the hyperboloid's projected: from x to y, d apart, the point
+at t is (a x + c y) / (a + c), a = sinh((1 - t) d) gamma_x / d, c = sinh(t d) gamma_y / d.
 
 Each operation (`einstein_add`, `einstein_scalar`, `einstein_matvec`,
 `gyration`, `mobius_add`, `klein_geodesic_between`, `einstein_midpoint`) is
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import ATANH_MAX, clamp_to_ball, lorentz_factor, mobius_add, row_dots
+from .manifolds import ATANH_MAX, Model, clamp_to_ball, distance, lorentz_factor, mobius_add, row_dots, smooth_ratio
 
 
 def einstein_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,9 +57,11 @@ def einstein_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def klein_geodesic_between(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
-    """Points at t (one number or one per row) on the geodesics through the
-    rows x at t=0 and y at t=1, as the gyrovector expression x + t (-x + y)."""
-    return einstein_add(x, einstein_scalar(t, einstein_add(-x, y)))
+    """Points at t, one number or one per row, on the geodesics from the rows x (t=0) to y (t=1)."""
+    t, d = np.reshape(t, (-1, 1)), distance(Model.KLEIN, x, y)[:, None]
+    a = (1.0 - t) * smooth_ratio("sinhc", np.abs(1.0 - t) * d) * lorentz_factor(x)
+    c = t * smooth_ratio("sinhc", np.abs(t) * d) * lorentz_factor(y)
+    return clamp_to_ball((a * x + c * y) / (a + c))
 
 
 def einstein_midpoint(points: np.ndarray, weights=None) -> np.ndarray:

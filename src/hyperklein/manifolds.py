@@ -23,7 +23,7 @@ outside, a checkpoint's bias or a `convert` input, are checked by
 `check_point`, which rescales nothing.  The geodesic from x with unit
 velocity v is at arclength t the point `exp_map(model, x, t v)`, and the
 Mobius addition (`mobius_add`, which `gyro` imports) is written here beside
-the Poincare exp and log.
+the Poincare exp.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import enum
 import numpy as np
 
 EPS_BALL = 1e-7
-# largest argument at which atanh is evaluated, here and in the network's tape (`nn`)
+# largest atanh argument, of `_RATIOS["atanhc"]` in `nn`'s tape and of `gyro.einstein_scalar`
 ATANH_MAX = 1.0 - 1e-15
 # input gate for "nearly valid" Lorentz data: `check_point` accepts a point this
 # far off the sheet as given (`convert` puts it back on the sheet), and
@@ -133,21 +133,12 @@ def lorentz_factor(c: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 - row_dots(c, c))
 
 
-def _conformal(x: np.ndarray) -> np.ndarray:
-    """Conformal scales 2 / (1 - |x|^2) of Poincare rows, as a column."""
-    return 2.0 / (1.0 - row_dots(x, x))
-
-
 def mobius_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mobius addition of the rows of a and b on the Poincare ball."""
     dot = row_dots(a, b)
     na, nb = row_dots(a, a), row_dots(b, b)
     num = (1.0 + 2.0 * dot + nb) * a + (1.0 - na) * b
     return clamp_to_ball(num / (1.0 + 2.0 * dot + na * nb))
-
-
-def _acosh(arg: np.ndarray) -> np.ndarray:
-    return np.arccosh(np.maximum(arg, 1.0))
 
 
 # -- smooth ratio functions f(t)/t (removable singularities at zero) ----------
@@ -257,8 +248,7 @@ def metric_inner(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
         s = 1.0 - row_dots(x, x)
         out = row_dots(a, b) / s + row_dots(x, a) * row_dots(x, b) / s**2
     elif model is Model.POINCARE:
-        rho = _conformal(x)
-        out = rho * rho * row_dots(a, b)
+        out = np.square(2.0 / (1.0 - row_dots(x, x))) * row_dots(a, b)  # the conformal factor, squared
     else:
         out = minkowski_rows(a, b)
     return out[:, 0]
@@ -314,16 +304,27 @@ def pushforward(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndar
 # distances, geodesics, exponential and logarithmic maps
 
 
-def distance(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Geodesic distances between the rows of x and y, (N,)."""
-    if model is Model.KLEIN:
-        arg = (1.0 - row_dots(x, y)) / np.sqrt((1.0 - row_dots(x, x)) * (1.0 - row_dots(y, y)))
-    elif model is Model.POINCARE:
-        d = x - y
-        arg = 1.0 + 2.0 * row_dots(d, d) / ((1.0 - row_dots(x, x)) * (1.0 - row_dots(y, y)))
+def _distance(model: Model, x: np.ndarray, y: np.ndarray):
+    """`distance` as a column, and 1 - |p|^2 of the ball points p of x and y."""
+    if model is Model.LORENTZ:
+        up_x, up_y = 1.0 + x[:, :1], 1.0 + y[:, :1]
+        x, y, sx, sy = x[:, 1:] / up_x, y[:, 1:] / up_y, 2.0 / up_x, 2.0 / up_y
     else:
-        arg = -minkowski_rows(x, y)
-    return _acosh(arg)[:, 0]
+        sx, sy = 1.0 - row_dots(x, x), 1.0 - row_dots(y, y)
+    u = y - x
+    if model is Model.KLEIN:
+        return np.arcsinh(np.sqrt((sx * row_dots(u, u) + row_dots(x, u) ** 2) / (sx * sy))), sx, sy
+    return 2.0 * np.arcsinh(np.sqrt(row_dots(u, u) / (sx * sy))), sx, sy
+
+
+def distance(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Geodesic distances between the rows of x and y, (N,), from cosh d - 1 =
+    2 sinh^2(d/2), which keeps the digits of nearby points.  With u = y - x and
+    s_p = 1 - |p|^2: sinh^2 d = (s_x |u|^2 + (x.u)^2) / (s_x s_y) on the Klein
+    ball, sinh^2(d/2) = |u|^2 / (s_x s_y) on the Poincare ball, and hyperboloid
+    rows [t, z] take the Poincare form at p = z / (1 + t), s_p = 2 / (1 + t):
+    their own sinh^2(d/2) = <u, u> / 4 cancels for far-apart rows."""
+    return _distance(model, x, y)[0][:, 0]
 
 
 def exp_map(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -336,7 +337,7 @@ def exp_map(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         tc = smooth_ratio("tanhc", t)
         return clamp_to_ball(x + tc * v / (1.0 + lam2 * xv * tc))
     if model is Model.POINCARE:
-        half = 0.5 * _conformal(x)
+        half = 1.0 / (1.0 - row_dots(x, x))  # half the conformal factor
         step = half * smooth_ratio("tanhc", half * np.sqrt(row_dots(v, v))) * v
         return mobius_add(x, clamp_to_ball(step))
     return lorentz_rows(_lorentz_geodesic_end(x, v)[:, 1:])
@@ -352,20 +353,16 @@ def _lorentz_geodesic_end(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def log_map(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tangent rows at x whose exponentials reach the rows y."""
+    """Tangent rows at x, of metric length d = `distance`, whose exponentials
+    reach the rows y.  The Mobius difference (-x) + y and the hyperboloid's
+    y - cosh(d) x are written as y - x less a multiple of sinh^2(d/2) x."""
+    d, sx, sy = _distance(model, x, y)
     if model is Model.KLEIN:
-        u = y - x
-        un = np.sqrt(metric_inner(model, x, u, u))[:, None]
-        dist = distance(model, x, y)[:, None]
-        return _finite(np.where(un > 0.0, dist / np.where(un > 0.0, un, 1.0), 0.0) * u, "components")
+        return _finite(np.sqrt(sx / sy) / smooth_ratio("sinhc", d) * (y - x), "components")
+    q = np.square(np.sinh(0.5 * d))
     if model is Model.POINCARE:
-        w = mobius_add(clamp_to_ball(-x), y)
-        scale = 2.0 / _conformal(x) * smooth_ratio("atanhc", np.sqrt(row_dots(w, w)))
-        return _finite(scale * w, "components")
-    alpha = np.maximum(-minkowski_rows(x, y), 1.0)
-    denom = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))
-    ratio = np.where(denom > 0.0, _acosh(alpha) / np.where(denom > 0.0, denom, 1.0), 1.0)
-    return _checked_lorentz_tangent(x, ratio * (y - alpha * x))
+        return _finite(sx / sy * (y - x - sy * q * x) / smooth_ratio("sinhc", d), "components")
+    return _checked_lorentz_tangent(x, (y - x - 2.0 * q * x) / smooth_ratio("sinhc", d))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ def test_unknown_split_exits_2(tree_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_split_of_strings_exits_2_naming_it(tmp_path, capsys):
+    # the split's type used to be refused first: "a indices must be integers"
+    path = tmp_path / "data.json"
+    doc = {"features": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "labels": [0, 1, 1], "splits": {"a": "x"}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(train_argv(path, out)) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: invalid dataset: unknown split 'a'"]
+    assert not out.exists()
+
+
 def test_nested_split_indices_exit_2(tree_file, tmp_path, capsys):
     # a nested index list used to exit 1 with "object too deep for desired array"
     doc = json.loads(tree_file.read_text())

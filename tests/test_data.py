@@ -195,9 +195,12 @@ class TestLoad:
         with pytest.raises(DataError, match="disjoint"):
             Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), {"train": [0, 1], "val": [2, 2]})
 
-    @pytest.mark.parametrize("indices", [[2], [1, 4, 99]], ids=["in_range", "out_of_range"])
+    @pytest.mark.parametrize(
+        "indices", [[2], [1, 4, 99], "x", [True]], ids=["in_range", "out_of_range", "string", "boolean"]
+    )
     def test_unknown_split_rejected(self, tmp_path, indices):
-        # a misspelled split used to load as an empty val split, even out of range
+        # a misspelled split used to load as an empty val split, even out of
+        # range; one of non-integers was refused as "valid indices must be integers"
         doc = {**VALID_DOC, "splits": {"train": [0, 1], "valid": indices, "test": []}}
         path = tmp_path / "valid.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 Every operation takes (N, d) rows; a single point is a (1, d) row."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,38 @@ class TestGeodesicBetween:
                 assert np.linalg.norm(off) < 1e-9
 
 
+MP_DIGITS = 60
+
+
+def _mp_lift(p):
+    """The hyperboloid point gamma (1, p) of the float Klein row p, at MP_DIGITS."""
+    p = [mpmath.mpf(float(c)) for c in p]
+    gamma = 1 / mpmath.sqrt(1 - mpmath.fsum(c * c for c in p))
+    return [gamma] + [gamma * c for c in p]
+
+
+def _mp_cosh_distance(a, b):
+    return a[0] * b[0] - mpmath.fsum(p * q for p, q in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("radius,bound", [(0.99999, 1e-10), (1.0 - 1e-7, 1e-8)])
+def test_geodesic_points_lie_on_the_hyperboloid_geodesic(radius, bound):
+    # a coordinate rounding at radius r moves a point about ulp / (1 - r^2):
+    # 6e-12 and 6e-10 here.  The Einstein expression x + t (-x + y) missed by
+    # up to 3.4 and 8.1, as its inner -x + y was clamped at 1 - EPS_BALL.
+    rng = np.random.default_rng(22)
+    with mpmath.workdps(MP_DIGITS):
+        for _ in range(150):
+            dim = int(rng.integers(2, 9))
+            x, y = (radius * v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
+            t = rng.uniform(0.0, 1.0)
+            xl, yl = _mp_lift(x), _mp_lift(y)
+            d, s = mpmath.acosh(_mp_cosh_distance(xl, yl)), mpmath.mpf(t)
+            want = [(mpmath.sinh((1 - s) * d) * a + mpmath.sinh(s * d) * b) / mpmath.sinh(d) for a, b in zip(xl, yl)]
+            got = _mp_lift(klein_geodesic_between(x[None], y[None], t)[0])
+            assert float(mpmath.acosh(max(_mp_cosh_distance(want, got), 1))) <= bound
+
+
 class TestEinsteinMidpoint:
     def test_singleton(self):
         x = row(0.4, 0.1)
@@ -307,12 +340,13 @@ class TestEinsteinMidpoint:
 
     def test_two_rows_give_the_geodesic_midpoint(self):
         # the gamma-weighted average of two points is the point halfway along
-        # their geodesic, x + 1/2 (-x + y) in Einstein operations
+        # their geodesic; the Einstein expression x + 1/2 (-x + y), which
+        # klein_geodesic_between was, missed it by up to 1.2e-13 here
         rng = np.random.default_rng(14)
         worst = 0.0
         for _ in range(2000):
             dim = int(rng.integers(1, 9))
-            x, y = sample_klein(rng, dim, max_norm=0.99), sample_klein(rng, dim, max_norm=0.99)
+            x, y = sample_klein(rng, dim, max_norm=1.0 - 1e-7), sample_klein(rng, dim, max_norm=1.0 - 1e-7)
             mid = einstein_midpoint(np.vstack((x, y)))
             worst = max(worst, float(np.abs(mid - klein_geodesic_between(x, y, 0.5)).max()))
             d = distance(K, x, mid)[0]
@@ -337,7 +371,9 @@ def gyro_kernel_cases():
     x, y, z = ball_rows(rng), ball_rows(rng), ball_rows(rng)
     xb, yb = (convert_point(K, P, p) for p in (x, y))
     r = rng.uniform(-3.0, 3.0, size=ROWS)
+    t = rng.uniform(-1.0, 2.0, size=ROWS)
     return {
+        "klein_geodesic_between": (klein_geodesic_between, (x, y, t)),
         "einstein_add": (einstein_add, (x, y)),
         "einstein_scalar": (einstein_scalar, (r, x)),
         "gyration": (gyration, (x, y, z)),

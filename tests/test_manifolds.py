@@ -7,6 +7,7 @@ import math
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -431,6 +432,150 @@ class TestExpLog:
                 continue
             out = exp_map(model, x, log_map(model, x, y))
             np.testing.assert_allclose(out, y, atol=1e-8)
+
+
+def _boundary_rows(rng, n, dim):
+    """n rows of radius 1 - 10^-U(0, 7), up to the clamp's 1 - EPS_BALL."""
+    direction = rng.normal(size=(n, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return direction * (1.0 - 10.0 ** -rng.uniform(0.0, 7.0, size=(n, 1)))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_log_has_the_distance_as_its_metric_length(model):
+    # the Poincare log used to cap its length at 16.81: it scaled by atanh of
+    # the Mobius difference's norm, which mobius_add clamps at 1 - EPS_BALL
+    rng = np.random.default_rng(18)
+    for dim in range(1, 9):
+        x, y = _boundary_rows(rng, 200, dim), _boundary_rows(rng, 200, dim)
+        if model is not P:
+            # ball rows of the Klein chart; on the hyperboloid that is as far out
+            # as the network's bias goes (time cosh 8.41), past which the
+            # Minkowski norm of a tangent cancels in float64
+            x, y = convert_point(K, model, x), convert_point(K, model, y)
+        v = log_map(model, x, y)
+        length = np.sqrt(metric_inner(model, x, v, v))
+        np.testing.assert_allclose(length, distance(model, x, y), rtol=1e-6)
+
+
+def test_poincare_log_of_opposite_boundary_points():
+    x = row(0.99999, 0.0)
+    v = log_map(P, x, -x)
+    length = np.sqrt(metric_inner(P, x, v, v))[0]
+    assert length == pytest.approx(distance(P, x, -x)[0], rel=1e-12)
+    assert length == pytest.approx(4.0 * math.atanh(0.99999), rel=1e-9)
+
+
+MP_DIGITS = 60
+
+
+def _mp(values):
+    return [mpmath.mpf(float(v)) for v in values]
+
+
+def _mp_dot(a, b):
+    return mpmath.fsum(p * q for p, q in zip(a, b))
+
+
+def _mp_klein(x, y):
+    """The Klein distance and log of the float rows x and y, at MP_DIGITS."""
+    x, y = _mp(x), _mp(y)
+    sx, sy = 1 - _mp_dot(x, x), 1 - _mp_dot(y, y)
+    d = mpmath.acosh((1 - _mp_dot(x, y)) / mpmath.sqrt(sx * sy))
+    u = [b - a for a, b in zip(x, y)]
+    norm = mpmath.sqrt(_mp_dot(u, u) / sx + _mp_dot(x, u) ** 2 / sx**2)
+    return d, [d / norm * c for c in u]
+
+
+def _mp_poincare(x, y):
+    """The Poincare distance and log, (1 - |x|^2) atanh|w| w / |w| with w the
+    Mobius difference (-x) + y, of the float rows x and y, at MP_DIGITS."""
+    x, y = _mp(x), _mp(y)
+    sx, sy = 1 - _mp_dot(x, x), 1 - _mp_dot(y, y)
+    u = [b - a for a, b in zip(x, y)]
+    d = mpmath.acosh(1 + 2 * _mp_dot(u, u) / (sx * sy))
+    xy, yy = _mp_dot(x, y), _mp_dot(y, y)
+    w = [((1 - 2 * xy + yy) * -a + sx * b) / (1 - 2 * xy + _mp_dot(x, x) * yy) for a, b in zip(x, y)]
+    nw = mpmath.sqrt(_mp_dot(w, w))
+    return d, [sx * mpmath.atanh(nw) / nw * c for c in w]
+
+
+def _mp_lorentz_distance(zx, zy):
+    """The distance of the hyperboloid points whose spatial parts are the float
+    rows zx and zy, with their exact times, at MP_DIGITS."""
+    zx, zy = _mp(zx), _mp(zy)
+    tx, ty = mpmath.sqrt(1 + _mp_dot(zx, zx)), mpmath.sqrt(1 + _mp_dot(zy, zy))
+    return mpmath.acosh(tx * ty - _mp_dot(zx, zy))
+
+
+def _relative(got, want):
+    """|got - want| / |want| for a float and an mpf, or two vectors."""
+    if np.ndim(got) == 0:
+        return abs(float((mpmath.mpf(float(got)) - want) / want))
+    diff = [mpmath.mpf(float(g)) - w for g, w in zip(got, want)]
+    return float(mpmath.sqrt(_mp_dot(diff, diff) / _mp_dot(want, want)))
+
+
+def _unit_rows(rng, dim):
+    v = rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+class TestAgainstMpmath:
+    """`distance` and `log_map` against MP_DIGITS-digit references evaluated on
+    the same float inputs.  cosh d of points 1e-10 apart is 1 + 5e-21, which
+    float64 rounds to 1, so a form that takes arccosh of it loses every digit.
+
+    Not held here: the Lorentz log, whose rows' rounded times (an ulp of t)
+    are a relative error of t ulp / separation in y - x, about 1e-3 at
+    separation 1e-10; it has nothing exact to compare with finer than that.
+    """
+
+    SEPARATIONS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+
+    @pytest.mark.parametrize("model,reference", [(K, _mp_klein), (P, _mp_poincare)], ids=["klein", "poincare"])
+    def test_ball_distance_and_log_of_nearby_points(self, model, reference):
+        rng = np.random.default_rng(19)
+        with mpmath.workdps(MP_DIGITS):
+            for sep in self.SEPARATIONS:
+                for _ in range(20):
+                    dim = int(rng.integers(1, 9))
+                    x = rng.uniform(0.0, 0.9) * _unit_rows(rng, dim)
+                    y = x + sep * _unit_rows(rng, dim)
+                    d_ref, log_ref = reference(x, y)
+                    assert _relative(distance(model, x[None], y[None])[0], d_ref) <= 1e-14
+                    assert _relative(log_map(model, x[None], y[None])[0], log_ref) <= 1e-14
+
+    def test_lorentz_distance_of_nearby_points(self):
+        # each row's time is rounded, an error of an ulp of t against the
+        # separation: up to about 2e-10 at 1e-5 for these times, up to cosh 2
+        rng = np.random.default_rng(20)
+        with mpmath.workdps(MP_DIGITS):
+            for sep in (1e-1, 1e-3, 1e-5):
+                for _ in range(20):
+                    dim = int(rng.integers(1, 9))
+                    zx = math.sinh(rng.uniform(0.0, 2.0)) * _unit_rows(rng, dim)
+                    zy = zx + sep * _unit_rows(rng, dim)
+                    d = distance(L, lorentz_rows(zx[None]), lorentz_rows(zy[None]))[0]
+                    assert _relative(d, _mp_lorentz_distance(zx, zy)) <= 1e-9
+
+    def test_lorentz_distance_far_from_the_origin(self):
+        # -<x, y> is a difference of products up to 4e4 for times up to 200,
+        # which cancels to cosh d
+        rng = np.random.default_rng(21)
+        with mpmath.workdps(MP_DIGITS):
+            for _ in range(100):
+                dim = int(rng.integers(1, 9))
+                while True:
+                    zx = math.sinh(rng.uniform(2.0, math.acosh(200.0))) * _unit_rows(rng, dim)
+                    x = lorentz_rows(zx[None])
+                    v = _unit(L, x, _random_tangent(rng, L, x)) * rng.uniform(0.1, 8.0)
+                    zy = exp_map(L, x, v)[0, 1:]
+                    if 1.0 + zy @ zy <= 200.0**2:
+                        break
+                want = _mp_lorentz_distance(zx, zy)
+                assert 0.1 <= want <= 8.0
+                assert _relative(distance(L, x, lorentz_rows(zy[None]))[0], want) <= 1e-12
 
 
 class TestTransport:
