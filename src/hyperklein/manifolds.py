@@ -14,8 +14,9 @@ coordinates, hyperboloid rows are [time, spatial...].  Rows may be
 zero-padded: a point of a lower dimension, with zeros appended, maps to the
 same result with zeros appended.  That holds bit for bit because every row
 reduction goes through `row_dots`, which sums each row left to right: numpy
-sums a C-ordered last axis pairwise, so two or more sums add column-major
-products term by term, from an initial -0.0, and a single sum keeps its
+sums a C-ordered last axis pairwise, so two or more sums write their
+products with the summed axis outermost (column-major for (N, d) rows) and
+add them term by term, from an initial -0.0, and a single sum keeps its
 prefix sums (see its docstring).  Each function that returns points or
 tangent vectors checks every row for finiteness, clamps ball rows to norm
 1 - EPS_BALL and puts hyperboloid rows back on the sheet.  Rows that come from
@@ -59,15 +60,19 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value unchanged, bit for bit, and no row depends on the others.  numpy
     sums a contiguous axis pairwise, in blocks of 8, which would regroup the
     terms by the row length.  When the batch holds two or more sums, of any
-    shape, the products are written column-major (Fortran order), where
-    numpy adds term j into every total in one contiguous pass, in term
-    order; `initial=-0.0` starts each total from the one value that leaves
-    the first term as it is (numpy's default start, +0.0, turns a sum of
-    -0.0 terms into +0.0).  A single sum keeps the prefix sums' last term:
-    its column-major buffer would be contiguous, and summed pairwise.
+    shape, the products are written to a buffer whose summed last axis is
+    outermost and whose other axes are in C order: column-major for (N, d)
+    rows, and for stacked (N, k, d) matrices the order in which the product
+    reads them, so the multiply writes as it reads.  numpy then adds term j
+    into every total in one contiguous pass, in term order; `initial=-0.0`
+    starts each total from the one value that leaves the first term as it
+    is (numpy's default start, +0.0, turns a sum of -0.0 terms into +0.0).
+    A single sum keeps the prefix sums' last term: that buffer would be
+    contiguous, and summed pairwise.
     """
     if a.size > a.shape[-1] or b.size > b.shape[-1]:
-        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b), order="F")
+        shape = np.broadcast(a, b).shape
+        out = np.empty(shape[-1:] + shape[:-1], np.result_type(a, b)).transpose((*range(1, len(shape)), 0))
         return np.add.reduce(np.multiply(a, b, out=out), axis=-1, keepdims=True, initial=-0.0)
     return np.add.accumulate(a * b, axis=-1)[..., -1:]
 
@@ -255,7 +260,10 @@ def metric_inner(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 
 
 # ---------------------------------------------------------------------------
-# conversions between models (through Klein coordinates)
+# conversions between models: through Klein coordinates, except that Poincare
+# and Lorentz rows convert directly.  A Klein row is clamped 8.41 from the
+# origin (atanh(1 - EPS_BALL)), where the Poincare clamp sits 16.8 out, so a
+# Poincare point past 8.41 would come back from Klein coordinates at 8.41.
 
 
 def _to_klein(src: Model, x: np.ndarray) -> np.ndarray:
@@ -267,9 +275,15 @@ def _to_klein(src: Model, x: np.ndarray) -> np.ndarray:
 
 
 def convert_point(src: Model, dst: Model, x: np.ndarray) -> np.ndarray:
-    """Rows of src-model points in dst-model coordinates."""
+    """Rows of src-model points in dst-model coordinates.  Poincare rows x map
+    to the hyperboloid rows of spatial part 2x / (1 - |x|^2), and hyperboloid
+    rows [t, s] to the Poincare rows s / (1 + t)."""
     if src is dst:
         return x
+    if src is Model.POINCARE and dst is Model.LORENTZ:
+        return lorentz_rows(2.0 * x / (1.0 - row_dots(x, x)))
+    if src is Model.LORENTZ and dst is Model.POINCARE:
+        return clamp_to_ball(x[:, 1:] / (1.0 + x[:, :1]))
     c = _to_klein(src, x)
     if dst is Model.POINCARE:
         return clamp_to_ball(c / (1.0 + np.sqrt(1.0 - row_dots(c, c))))
@@ -279,9 +293,20 @@ def convert_point(src: Model, dst: Model, x: np.ndarray) -> np.ndarray:
 
 
 def pushforward(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Tangent rows u at the src-model rows x, carried to the dst model."""
+    """Tangent rows u at the src-model rows x, carried to the dst model by the
+    differentials of `convert_point`'s maps, so Poincare and Lorentz tangents
+    also pass directly.  A Poincare tangent's hyperboloid time is s.ds / t,
+    tangent at the row [t, s] up to rounding: the Minkowski projection that
+    the Klein route applies would scale the rounding of its residual by t^2."""
     if src is dst:
         return u
+    if src is Model.POINCARE and dst is Model.LORENTZ:
+        q, y = 1.0 - row_dots(x, x), convert_point(src, dst, x)
+        ds = 2.0 * u / q + 4.0 * row_dots(x, u) / q**2 * x
+        return _finite(np.concatenate((row_dots(y[:, 1:], ds) / y[:, :1], ds), axis=1), "components")
+    if src is Model.LORENTZ and dst is Model.POINCARE:
+        up = 1.0 + x[:, :1]
+        return _finite((u[:, 1:] - u[:, :1] * x[:, 1:] / up) / up, "components")
     if src is Model.POINCARE:
         q = 1.0 + row_dots(x, x)
         u = _finite(2.0 * u / q - 4.0 * row_dots(x, u) / q**2 * x, "components")

@@ -12,12 +12,16 @@ The geometry suites draw all their samples up front, each of dimension 1 to
 16, zero-padded to width 16, and evaluate each side of their identity with
 one call of a `manifolds` or `gyro` function on rows (one call per model
 where the suite covers all three).  These keep padding zeros at zero, so a
-padded sample gives the same errors as the unpadded one.  The matvec suites
-draw only each sample's own rows x cols block of normals and scatter it into
-the padding; the orthogonal suite factors its blocks with one batched QR per
-dimension.  Where the clamp to the ball's radius has moved a point of an
-identity of Einstein matvecs along its ray, that identity fixes only the
-directions, and those are compared.  The network suites
+padded sample gives the same errors as the unpadded one.  `_normal` zeroes
+the padding of its draws in place.  `sample_ball` scales them to radii in
+[0, 0.95], inside the clamp radius, so it calls no `clamp_to_ball`; it
+builds the e_0 stand-in for a direction too short to normalise only when a
+row needs one.  The matvec suites draw only each sample's own rows x cols
+block of normals and scatter it into the padding; the orthogonal suite
+factors its blocks with one batched QR per dimension.  Where the clamp to
+the ball's radius has moved a point of an identity of Einstein matvecs along
+its ray, that identity fixes only the directions, and those are compared; a
+batch with no such point compares coordinates alone.  The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
 `training_trend`) run the batched network through its public entry points
 alone, which cap their inputs, so they read nothing of `nn`'s stages.
@@ -101,7 +105,9 @@ def _mask(sizes):
 
 def _normal(rng, dims):
     """Standard normal rows, zero past each row's dimension."""
-    return rng.normal(size=(dims.size, WIDTH)) * _mask(dims)
+    rows = rng.normal(size=(dims.size, WIDTH))
+    rows *= _mask(dims)
+    return rows
 
 
 def _max_abs(diff):
@@ -110,13 +116,16 @@ def _max_abs(diff):
 
 def sample_ball(dims, rng: np.random.Generator) -> np.ndarray:
     """Klein rows of the given dimensions, zero-padded to WIDTH: uniform
-    direction on the sphere, radius uniform in [0, 0.95]."""
+    direction on the sphere, radius uniform in [0, 0.95].  A normal row too
+    short to give a direction (norm below 1e-12) takes e_0.  No row needs
+    `clamp_to_ball`: at radius 0.95 its scale would be exactly 1."""
     direction = _normal(rng, dims)
     norm = np.sqrt(row_dots(direction, direction))
     flat = norm < 1e-12
-    direction = np.where(flat, np.eye(1, WIDTH), direction)
+    if np.count_nonzero(flat):
+        direction, norm = np.where(flat, np.eye(1, WIDTH), direction), np.where(flat, 1.0, norm)
     radius = rng.uniform(0.0, 0.95, size=(dims.size, 1))
-    return clamp_to_ball(radius * direction / np.where(flat, 1.0, norm))
+    return radius * direction / norm
 
 
 def _worst(err, **fields):
@@ -214,7 +223,9 @@ def _by_model(samples, dims, check, **extra):
         rows = slice(k, None, len(_MODELS))
         err[rows], arrays = check(model, rows)
         for key, value in arrays.items():
-            record.setdefault(key, np.zeros((samples, WIDTH + 1)))[rows, : value.shape[1]] = value
+            if key not in record:
+                record[key] = np.zeros((samples, WIDTH + 1))
+            record[key][rows, : value.shape[1]] = value
     kind = np.arange(samples) % len(_MODELS)
     width = dims + (kind == 2)  # hyperboloid rows carry a time coordinate
     fields = {key: (value, width) for key, value in record.items()}
@@ -330,6 +341,8 @@ def _matvec_error(lhs, rhs, mid):
     coordinates are."""
     nl, nr, nm = (np.sqrt(row_dots(p, p)) for p in (lhs, rhs, mid))
     clamped = np.maximum(np.maximum(nl, nr), nm)[:, 0] >= _CLAMPED
+    if not np.count_nonzero(clamped):
+        return _max_abs(lhs - rhs)
     direction = lhs / np.where(nl == 0.0, 1.0, nl) - rhs / np.where(nr == 0.0, 1.0, nr)
     return np.where(clamped, _max_abs(direction), _max_abs(lhs - rhs))
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hyperklein import cli, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import Dataset, gen_tree_dataset, save_dataset, split
-from hyperklein.manifolds import Model, transport_from_origin
+from hyperklein.manifolds import EPS_BALL, Model, transport_from_origin
 
 
 @pytest.fixture
@@ -502,6 +502,23 @@ def test_convert_bad_row_exits_2_naming_it(tmp_path, capsys, src, rows, message)
     assert convert(src, dst, tmp_path / "in.csv", tmp_path / "out.csv") == cli.EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_convert_between_poincare_and_lorentz_keeps_far_points(tmp_path):
+    # the Poincare clamp, 1 - 1e-7, is cosh d = 9999999.5 (d = 16.81) out;
+    # through Klein coordinates it came back at time 2236.07 (d = 8.41), and a
+    # hyperboloid row 710 out at the Poincare radius 0.99955 of the Klein clamp
+    (tmp_path / "ball.csv").write_text("0.99999999999999,0\n")
+    assert convert("poincare", "lorentz", tmp_path / "ball.csv", tmp_path / "sheet.csv") == cli.EXIT_OK
+    time, spatial, zero = np.loadtxt(tmp_path / "sheet.csv", delimiter=",")
+    radius = 1.0 - EPS_BALL
+    assert [time, spatial] == pytest.approx(np.array([1.0 + radius**2, 2.0 * radius]) / (1.0 - radius**2), rel=1e-8)
+    assert math.acosh(time) == pytest.approx(2.0 * math.atanh(radius), rel=1e-9) and zero == 0.0
+    assert convert("lorentz", "poincare", tmp_path / "sheet.csv", tmp_path / "back.csv") == cli.EXIT_OK
+    assert np.loadtxt(tmp_path / "back.csv", delimiter=",") == pytest.approx([radius, 0.0], rel=1e-15)
+    (tmp_path / "far.csv").write_text("1.7e308,1.7e308\n")
+    assert convert("lorentz", "poincare", tmp_path / "far.csv", tmp_path / "rim.csv") == cli.EXIT_OK
+    assert (tmp_path / "rim.csv").read_text() == f"{radius!r}\n"
 
 
 def test_convert_empty_input_writes_an_empty_file(tmp_path):

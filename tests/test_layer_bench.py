@@ -9,9 +9,11 @@ row per flavor, gradient_check's batch-1 case, whose layer does its
 per-row scalar algebra on numpy scalars, and of the four
 matvec suites (`matvec_compose`, `matvec_scale`, `matvec_orthogonal`,
 `matvec_tangent`) at 2,000 samples, which draw each sample's matrices at
-its own size, and of `manifolds.row_dots` on 2,000 x 16 and 1 x 16 rows, a
-batch and a single row, which it sums by different paths, on the stacked
-(2,000, 16, 16) . (2,000, 1, 16) products of `gyro.einstein_matvec` and
+its own size, of `verify.sample_ball` and `verify._normal` on 2,000 rows,
+the samplers every geometry suite draws from, and of `manifolds.row_dots`
+on 2,000 x 16 and 1 x 16 rows, a batch and a single row, which it sums by
+different paths, on the stacked (2,000, 16, 16) . (2,000, 1, 16) products
+of `gyro.einstein_matvec`, whose buffer puts the summed axis outermost, and
 on 2,000 x 16 rows against one broadcast 1 x 16 row, of the layer's column
 dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
 different paths, of one `nn.riemannian_adam_step` per flavor, on the
@@ -188,6 +190,17 @@ def test_gradients_small_batch(benchmark, flavor):
 def test_matvec_suite(benchmark, suite):
     report = benchmark(verify.run_suite, suite, samples=2000)
     assert report.passed and report.samples == 2000
+
+
+@pytest.mark.parametrize("sampler", ["sample_ball", "normal"])
+def test_sampler(benchmark, sampler):
+    rng = np.random.default_rng(10)
+    dims = verify._dims(rng, 2000)
+    if sampler == "sample_ball":
+        rows = benchmark(verify.sample_ball, dims, rng)
+    else:
+        rows = benchmark(verify._normal, rng, dims)
+    assert rows.shape == (2000, verify.WIDTH) and np.all(rows[~verify._mask(dims)] == 0.0)
 
 
 @pytest.mark.parametrize(

@@ -578,6 +578,56 @@ class TestAgainstMpmath:
                 assert _relative(distance(L, x, lorentz_rows(zy[None]))[0], want) <= 1e-12
 
 
+class TestPoincareLorentzConversion:
+    """Poincare and Lorentz rows convert directly, at MP_DIGITS-digit
+    references evaluated on the same float inputs.  Through Klein
+    coordinates, whose clamp sits 8.41 from the origin, both points at these
+    radii (12.2 and 16.8 from the origin) came back 8.41 out."""
+
+    RADII = (0.99999, 1.0 - 1e-7)
+
+    @staticmethod
+    def _rows(rng, radius):
+        """A Poincare row at radius, its tangent, and the hyperboloid row of
+        the same point, with a tangent there."""
+        dim = int(rng.integers(1, 9))
+        unit = _unit_rows(rng, dim)
+        x, u = radius * unit, rng.normal(size=dim)
+        z = math.sinh(2.0 * math.atanh(radius)) * unit
+        xl = lorentz_rows(z[None])
+        return x, u, xl, np.concatenate(([u @ z / xl[0, 0]], u))  # t dt = z . dz
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_poincare_to_lorentz(self, radius):
+        rng = np.random.default_rng(22)
+        with mpmath.workdps(MP_DIGITS):
+            for _ in range(20):
+                x, u, _, _ = self._rows(rng, radius)
+                y = convert_point(P, L, x[None])[0]
+                X, U = _mp(x), _mp(u)
+                q, xu = 1 - _mp_dot(X, X), _mp_dot(X, U)
+                d = 2 * mpmath.atanh(mpmath.sqrt(_mp_dot(X, X)))
+                assert _relative(math.acosh(y[0]), d) <= 1e-8
+                assert _relative(y, [(2 - q) / q] + [2 * c / q for c in X]) <= 1e-8
+                dt = 4 * xu / q**2
+                pushed = pushforward(P, L, x[None], u[None])[0]
+                assert _relative(pushed, [dt] + [2 * a / q + dt * c for a, c in zip(U, X)]) <= 1e-8
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_lorentz_to_poincare(self, radius):
+        rng = np.random.default_rng(23)
+        with mpmath.workdps(MP_DIGITS):
+            for _ in range(20):
+                _, _, xl, ul = self._rows(rng, radius)
+                p = convert_point(L, P, xl)[0]
+                (T, *Z), (UT, *UZ) = _mp(xl[0]), _mp(ul)
+                d = mpmath.asinh(mpmath.sqrt(_mp_dot(Z, Z)))
+                assert _relative(2.0 * math.atanh(np.linalg.norm(p)), d) <= 1e-8
+                assert _relative(p, [c / (1 + T) for c in Z]) <= 1e-8
+                pushed = pushforward(L, P, xl, ul[None])[0]
+                assert _relative(pushed, [(a - c * UT / (1 + T)) / (1 + T) for a, c in zip(UZ, Z)]) <= 1e-8
+
+
 class TestTransport:
     def test_at_origin_is_identity(self):
         v = row(0.3, -0.7)

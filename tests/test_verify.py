@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hyperklein import gyro, nn, verify
+from hyperklein import gyro, manifolds, nn, verify
 from hyperklein.autodiff import NumericalError
 from hyperklein.data import gen_tree_dataset
 from hyperklein.gyro import einstein_matvec, einstein_scalar
@@ -138,6 +138,10 @@ def test_matvec_error_compares_directions_only_where_a_point_is_clamped():
     # is, and those still differ when the sides do not share a ray
     err = verify._matvec_error(lhs, rhs, mid)
     np.testing.assert_allclose(err, [0.25, 0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+    # a batch with no point on the clamp radius compares coordinates alone,
+    # even where the two sides share a ray
+    err = verify._matvec_error(lhs[[0, 0]], np.array([[0.25, 0.0], [0.5, 1e-3]]), mid[[0, 0]])
+    np.testing.assert_array_equal(err, [0.25, 1e-3])
 
 
 @pytest.mark.parametrize("seed,samples", [(4, None), (21, 2000), (36, 2000)])
@@ -194,14 +198,56 @@ def test_matvec_worst_case_can_be_replayed(suite, keys, replay):
     assert err == pytest.approx(report.max_abs_error, rel=1e-6)
 
 
-@pytest.mark.parametrize("suite", ["matvec_compose", "matvec_scale", "matvec_orthogonal", "matvec_tangent"])
-def test_matvec_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
-    # einstein_matvec's dot products, stacked and 2-d, summed by a plain
-    # Python loop on the same host give the same worst error and input
+# the suites that draw their samples as rows; the others run the network
+GEOMETRY_SUITES = [
+    name
+    for name in verify.suite_names()
+    if name not in ("layer_commutation", "gradient_check", "forward_validity", "training_trend")
+]
+
+
+@pytest.mark.parametrize("suite", GEOMETRY_SUITES)
+def test_geometry_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
+    # every dot product of a suite, stacked and 2-d, summed by a plain
+    # Python loop on the same host gives the same worst error and input
     shipped = verify.run_suite(suite, samples=50, seed=0)
-    monkeypatch.setattr(gyro, "row_dots", left_to_right_dots)
+    for module in (manifolds, gyro, verify):
+        monkeypatch.setattr(module, "row_dots", left_to_right_dots)
     plain = verify.run_suite(suite, samples=50, seed=0)
     assert (shipped.max_abs_error, shipped.worst_case_input) == (plain.max_abs_error, plain.worst_case_input)
+
+
+class _FlatRows:
+    """A seeded rng whose normal draws are zero in the given rows, too short
+    for `sample_ball` to take a direction from."""
+
+    def __init__(self, seed, flat):
+        self.rng, self.flat = np.random.default_rng(seed), flat
+
+    def normal(self, size):
+        rows = self.rng.normal(size=size)
+        rows[self.flat] = 0.0
+        return rows
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_sample_ball_draws_rows_inside_the_clamp_radius(seed):
+    dims = np.tile(np.arange(1, verify.WIDTH + 1), 25)
+    flat = [0, 17, 399]
+    x = verify.sample_ball(dims, _FlatRows(seed, flat))
+    assert x.shape == (dims.size, verify.WIDTH) and np.all(np.isfinite(x))
+    assert np.all(x[~verify._mask(dims)] == 0.0)
+    assert np.max(np.linalg.norm(x, axis=1)) <= 0.95 * (1.0 + 1e-12)
+    # so clamp_to_ball would scale every row by exactly 1
+    assert clamp_to_ball(x).tobytes() == x.tobytes()
+    # a flat row lies on e_0 at its drawn radius, the same draw an unforced rng makes
+    reference = np.random.default_rng(seed)
+    reference.normal(size=x.shape)
+    radius = reference.uniform(0.0, 0.95, size=(dims.size, 1))
+    np.testing.assert_array_equal(x[flat], radius[flat] * np.eye(1, verify.WIDTH))
 
 
 def test_worst_reports_the_largest_error_and_its_row():
