@@ -206,8 +206,10 @@ GEOMETRY_SUITES = [
 ]
 
 
-@pytest.mark.parametrize("suite", GEOMETRY_SUITES)
-def test_geometry_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
+MATVEC_SUITES = [name for name in GEOMETRY_SUITES if name.startswith("matvec_")]
+
+
+def _assert_matches_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
     # every dot product of a suite, stacked and 2-d, summed by a plain
     # Python loop on the same host gives the same worst error and input
     shipped = verify.run_suite(suite, samples=50, seed=0)
@@ -215,6 +217,16 @@ def test_geometry_suites_match_plain_left_to_right_sums(monkeypatch, left_to_rig
         monkeypatch.setattr(module, "row_dots", left_to_right_dots)
     plain = verify.run_suite(suite, samples=50, seed=0)
     assert (shipped.max_abs_error, shipped.worst_case_input) == (plain.max_abs_error, plain.worst_case_input)
+
+
+@pytest.mark.parametrize("suite", MATVEC_SUITES)
+def test_matvec_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
+    _assert_matches_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite)
+
+
+@pytest.mark.parametrize("suite", [name for name in GEOMETRY_SUITES if name not in MATVEC_SUITES])
+def test_geometry_suites_match_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite):
+    _assert_matches_plain_left_to_right_sums(monkeypatch, left_to_right_dots, suite)
 
 
 class _FlatRows:
