@@ -20,8 +20,8 @@ row needs one.  The matvec suites draw only each sample's own rows x cols
 block of normals and scatter it into the padding; the orthogonal suite
 factors its blocks with one batched QR per dimension.  Where the clamp to
 the ball's radius has moved a point of an identity of Einstein matvecs along
-its ray, that identity fixes only the directions, and those are compared; a
-batch with no such point compares coordinates alone.  The network suites
+its ray, that identity fixes only the directions, and those are compared.
+The network suites
 (`layer_commutation`, `gradient_check`, `forward_validity`,
 `training_trend`) run the batched network through its public entry points
 alone, which cap their inputs, so they read nothing of `nn`'s stages.
@@ -341,8 +341,6 @@ def _matvec_error(lhs, rhs, mid):
     coordinates are."""
     nl, nr, nm = (np.sqrt(row_dots(p, p)) for p in (lhs, rhs, mid))
     clamped = np.maximum(np.maximum(nl, nr), nm)[:, 0] >= _CLAMPED
-    if not np.count_nonzero(clamped):
-        return _max_abs(lhs - rhs)
     direction = lhs / np.where(nl == 0.0, 1.0, nl) - rhs / np.where(nr == 0.0, 1.0, nr)
     return np.where(clamped, _max_abs(direction), _max_abs(lhs - rhs))
 
