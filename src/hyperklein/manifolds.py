@@ -19,7 +19,9 @@ products with the summed axis outermost (column-major for (N, d) rows) and
 add them term by term, from an initial -0.0, and a single sum keeps its
 prefix sums (see its docstring).  Each function that returns points or
 tangent vectors checks every row for finiteness, clamps ball rows to norm
-1 - EPS_BALL and puts hyperboloid rows back on the sheet.  Rows that come from
+1 - EPS_BALL and puts hyperboloid rows back on the sheet; the hyperboloid
+tangents built here are tangent by construction, and only a vector that is
+not is projected, once (`lorentz_tangent_rows`).  Rows that come from
 outside, a checkpoint's bias or a `convert` input, are checked by
 `check_point`, which rescales nothing.  The geodesic from x with unit
 velocity v is at arclength t the point `exp_map(model, x, t v)`, and the
@@ -37,8 +39,7 @@ EPS_BALL = 1e-7
 # largest atanh argument, of `_RATIOS["atanhc"]` in `nn`'s tape and of `gyro.einstein_scalar`
 ATANH_MAX = 1.0 - 1e-15
 # input gate for "nearly valid" Lorentz data: `check_point` accepts a point this
-# far off the sheet as given (`convert` puts it back on the sheet), and
-# `_checked_lorentz_tangent` a vector this far off tangent
+# far off the sheet, relative to its time, as given (`convert` puts it back on the sheet)
 _LORENTZ_INPUT_TOL = 1e-6
 
 
@@ -118,19 +119,11 @@ def lorentz_rows(spatial: np.ndarray) -> np.ndarray:
     return np.concatenate((time, spatial), axis=1)
 
 
-def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray, tol: float | None = None) -> np.ndarray:
+def lorentz_tangent_rows(base: np.ndarray, comp: np.ndarray) -> np.ndarray:
     """Rows comp + <base, comp> base: the Minkowski-orthogonal projection of
-    comp onto the tangent space at the hyperboloid rows base.  With tol, a
-    row whose residual <base, comp> exceeds tol max(1, |comp|) is rejected."""
-    residual = minkowski_rows(base, comp)
-    if tol is not None and np.count_nonzero(np.abs(residual) > tol * np.maximum(1.0, np.sqrt(row_dots(comp, comp)))):
-        raise ValueError("components are not Minkowski-orthogonal to the base")
-    return comp + residual * base
-
-
-def _checked_lorentz_tangent(base: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """Project finite rows that are nearly tangent at base."""
-    return lorentz_tangent_rows(base, _finite(comp, "components"), _LORENTZ_INPUT_TOL)
+    comp onto the tangent space at the hyperboloid rows base, for vectors
+    that are not tangent: it multiplies comp's rounding by base's time squared."""
+    return comp + minkowski_rows(base, comp) * base
 
 
 def lorentz_factor(c: np.ndarray) -> np.ndarray:
@@ -296,8 +289,9 @@ def pushforward(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndar
     """Tangent rows u at the src-model rows x, carried to the dst model by the
     differentials of `convert_point`'s maps, so Poincare and Lorentz tangents
     also pass directly.  A Poincare tangent's hyperboloid time is s.ds / t,
-    tangent at the row [t, s] up to rounding: the Minkowski projection that
-    the Klein route applies would scale the rounding of its residual by t^2."""
+    tangent at the row [t, s] up to rounding, and a Klein tangent u at c
+    becomes [r, lam u + r c], r = lam^3 c.u, with lam the Lorentz factor of c,
+    tangent at [lam, lam c]; both are returned as built, not projected."""
     if src is dst:
         return u
     if src is Model.POINCARE and dst is Model.LORENTZ:
@@ -320,8 +314,7 @@ def pushforward(src: Model, dst: Model, x: np.ndarray, u: np.ndarray) -> np.ndar
     if dst is Model.LORENTZ:
         lam = lorentz_factor(c)
         radial = row_dots(c, u) * lam**3
-        comp = np.concatenate((radial, lam * u + radial * c), axis=1)
-        return _checked_lorentz_tangent(lorentz_rows(lam * c), comp)
+        return _finite(np.concatenate((radial, lam * u + radial * c), axis=1), "components")
     return u
 
 
@@ -380,14 +373,18 @@ def _lorentz_geodesic_end(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def log_map(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tangent rows at x, of metric length d = `distance`, whose exponentials
     reach the rows y.  The Mobius difference (-x) + y and the hyperboloid's
-    y - cosh(d) x are written as y - x less a multiple of sinh^2(d/2) x."""
+    y - cosh(d) x are written as y - x less a multiple of sinh^2(d/2) x; on
+    the hyperboloid its spatial part, whose time is x_s.u_s / x_t, so the
+    rows' rounded times stay out of y - x."""
     d, sx, sy = _distance(model, x, y)
     if model is Model.KLEIN:
         return _finite(np.sqrt(sx / sy) / smooth_ratio("sinhc", d) * (y - x), "components")
     q = np.square(np.sinh(0.5 * d))
     if model is Model.POINCARE:
         return _finite(sx / sy * (y - x - sy * q * x) / smooth_ratio("sinhc", d), "components")
-    return _checked_lorentz_tangent(x, (y - x - 2.0 * q * x) / smooth_ratio("sinhc", d))
+    xs = x[:, 1:]
+    us = (y[:, 1:] - xs - 2.0 * q * xs) / smooth_ratio("sinhc", d)
+    return _finite(np.concatenate((row_dots(xs, us) / x[:, :1], us), axis=1), "components")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +392,8 @@ def log_map(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def transport_from_origin(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Parallel transport of origin tangent rows v to the tangent spaces at the rows x."""
+    """Parallel transport of origin tangent rows v to the tangent spaces at the
+    rows x; on the hyperboloid v + <x, v> / (1 + t) (o + x) at x = [t, s]."""
     if model is Model.KLEIN:
         s = np.sqrt(1.0 - row_dots(x, x))
         return _finite(s * (v - row_dots(x, v) / (1.0 + s) * x), "components")
@@ -403,5 +401,4 @@ def transport_from_origin(model: Model, x: np.ndarray, v: np.ndarray) -> np.ndar
         return _finite((1.0 - row_dots(x, x)) * v, "components")
     o_plus_x = x.copy()
     o_plus_x[:, 0] += 1.0
-    comp = v + minkowski_rows(x, v) / o_plus_x[:, :1] * o_plus_x
-    return _checked_lorentz_tangent(x, comp)
+    return _finite(v + minkowski_rows(x, v) / o_plus_x[:, :1] * o_plus_x, "components")

@@ -106,7 +106,6 @@ from .data import json_numbers
 from .manifolds import (
     EPS_BALL,
     Model,
-    _checked_lorentz_tangent,
     _finite,
     _peak_split,
     check_point,
@@ -677,14 +676,14 @@ def riemannian_adam_step(state: GradState, model: HnnModel, grads: dict) -> HnnM
     k = j + readout_weight.size
     x, v = bias[None], _finite(step[i:j][None], "components")
     if flavor is Model.LORENTZ:
+        # Adam's coordinate step is not tangent: it is projected once, and the
+        # projection can inflate its arclength by O(time); a unit trust region
+        # keeps the retraction well-conditioned in hyperboloid coordinates, and
+        # its rescaling keeps the step tangent
         v = lorentz_tangent_rows(x, v)
-        # projecting the coordinate-wise step back to the tangent space can
-        # inflate its arclength by O(time); a unit trust region keeps the
-        # retraction well-conditioned in hyperboloid coordinates
         length = float(np.sqrt(max(minkowski_rows(v, v)[0, 0], 0.0)))
         if length > _MAX_BIAS_STEP:
             v = v * (_MAX_BIAS_STEP / length)
-        v = _checked_lorentz_tangent(x, v)  # projected again, with the input tangency check
     new_bias = exp_map(flavor, x, v)
     if flavor is Model.LORENTZ:
         new_bias = _clamp_lorentz_radius(new_bias)

@@ -23,8 +23,9 @@ pass a training epoch makes after its step, of `nn._preprocess`'s
 feature cap on the first tree-d10 row and on all 2,047 rows, which it tests
 by different paths, of `manifolds.smooth_ratio` and `smooth_slope` on a
 numpy scalar and on a (1, 2,047) row, whose series switch they test by
-different paths, and of `manifolds.lorentz_tangent_rows` on one (1, 17)
-hyperboloid row with a tolerance, the Lorentz Adam step's projection.
+different paths, of `manifolds.lorentz_tangent_rows` on one (1, 17)
+hyperboloid row, the Lorentz Adam step's projection, and of the Lorentz
+`transport_from_origin` and `log_map` on 2,000 rows of 17 coordinates.
 
 A backward runs once per pass and may overwrite the gradient it is handed
 and the buffers its stage holds, so each backward round times a stage and
@@ -44,7 +45,18 @@ import pytest
 from hyperklein import nn, verify
 from hyperklein.autodiff import Tensor
 from hyperklein.data import gen_tree_dataset
-from hyperklein.manifolds import Model, exp_map, lorentz_tangent_rows, origin, row_dots, smooth_ratio, smooth_slope
+from hyperklein.manifolds import (
+    Model,
+    exp_map,
+    log_map,
+    lorentz_rows,
+    lorentz_tangent_rows,
+    origin,
+    row_dots,
+    smooth_ratio,
+    smooth_slope,
+    transport_from_origin,
+)
 
 ROWS, WIDTH, CLASSES = 1234, 16, 11
 
@@ -283,6 +295,23 @@ def test_smooth_slope(benchmark, rows):
 def test_lorentz_tangent_rows(benchmark):
     bias = offset_bias(Model.LORENTZ, WIDTH, np.random.default_rng(3))[None]
     comp = np.random.default_rng(9).normal(size=bias.shape)
-    comp = lorentz_tangent_rows(bias, comp)  # tangent, so the tolerance passes
-    projected = benchmark(lorentz_tangent_rows, bias, comp, 1e-6)
+    projected = benchmark(lorentz_tangent_rows, bias, comp)
     assert projected.shape == (1, WIDTH + 1) and np.all(np.isfinite(projected))
+
+
+def hyperboloid_rows(seed):
+    """2,000 hyperboloid rows with spatial parts of standard normal entries."""
+    return lorentz_rows(np.random.default_rng(seed).normal(size=(2000, WIDTH)))
+
+
+def test_lorentz_transport_from_origin(benchmark):
+    x = hyperboloid_rows(10)
+    v = np.pad(np.random.default_rng(11).normal(size=(2000, WIDTH)), ((0, 0), (1, 0)))
+    moved = benchmark(transport_from_origin, Model.LORENTZ, x, v)
+    assert moved.shape == x.shape and np.all(np.isfinite(moved))
+
+
+def test_lorentz_log_map(benchmark):
+    x, y = hyperboloid_rows(12), hyperboloid_rows(13)
+    v = benchmark(log_map, Model.LORENTZ, x, y)
+    assert v.shape == x.shape and np.all(np.isfinite(v))
