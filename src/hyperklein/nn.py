@@ -50,8 +50,9 @@ with a closed-form backward.  A stage holds a (width, N) array, a column per
 row, so the readout and the loss reduce along contiguous memory and the
 layer's per-row scalars are (1, N) rows, or numpy scalars for a lone row: an
 operation on a (1, 1) array costs several times one on a scalar, and the same
-code does the same IEEE operations on either.  A column sum is one einsum pass
-(a lone column keeps the product and reduce), and the loss picks its label
+code does the same IEEE operations on either.  Column sums and bias outer
+products are one einsum pass each but for a lone column (`_outer`: 19 against
+34 us at 16 x 2,047, +0.0 for a -0.0 product).  The loss picks its label
 logits by flat index.  Each stage builds its output in the array it keeps: the
 layer scales its hidden points h to z = log_o h in place, as nothing
 downstream reads h but through log_o, and the loss's shifted logits become its
@@ -312,6 +313,12 @@ def _bias_dots(b: np.ndarray, a: np.ndarray):
     return dots[0] if a.shape[1] == 1 else dots
 
 
+def _outer(col: np.ndarray, row: np.ndarray, out=None) -> np.ndarray:
+    """col[:, None] * row of a (width,) column and an (N,) row, into out if
+    given; einsum adds each product into a zeroed output, so a zero is +0.0."""
+    return np.einsum("i,j->ij", col, row, out=out)
+
+
 def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, grads: dict) -> Tensor:
     """One stage for z = log_o(exp_o(w) (+) b) = k h, h = alpha w + beta b,
     run at scale w and scale b and divided by scale: the coefficients take
@@ -322,7 +329,10 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     coefficients read of the bias, the summand beta b as a (width, 1) column
     when beta is a constant of the model (None when, as in Klein, it is per
     row), and `b_back`.  The per-row scalars are (1, N) rows, or a lone
-    row's numpy scalars (`_column_dots`, `_bias_dots`).
+    row's numpy scalars (`_column_dots`, `_bias_dots`).  For N >= 2 Klein's
+    beta b and the backward's dL/dq b (into gz's buffer) are `_outer`'s
+    einsum, 19 against 34 us for broadcasting at 16 x 2,047; its +0.0 for a
+    -0.0 product meets a nonzero term or BLAS's sums, so no output bit moves.
     The backward takes G1 = gz.w and G2 = gz.b per (width, N) column back
     through them to dL/dp, dL/dq and dL/ds, and then
         gw = k alpha gz + 2 dL/dp w + dL/dq b
@@ -332,13 +342,15 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
     """
     b, s, bias_terms, summand, b_back = terms
     wd = w.data
-    scaled, c2 = scale != 1.0, scale * scale
+    scaled, c2, lone = scale != 1.0, scale * scale, wd.shape[1] == 1
     p = _column_dots(wd, wd)
     q = _bias_dots(b, wd)
     alpha, beta, coefficients_back = coefficients(c2 * p if scaled else p, c2 * q if scaled else q, bias_terms)
     z = alpha * wd
     # the hidden points h, scaled to z in place below
-    z += beta * b[:, None] if summand is None else summand
+    if summand is None:
+        summand = beta * b[:, None] if lone else _outer(b, beta[0])
+    z += summand
     r = np.sqrt(_column_dots(z, z) + _TINY)
     scaled_r = scale * r if scaled else r
     k = smooth_ratio(log_ratio, scaled_r)
@@ -363,7 +375,7 @@ def _span_layer(name, coefficients, log_ratio, scale, w: Tensor, terms: tuple, g
         # gz is read; its buffer holds each further summand of gw in turn
         gw = k * alpha * gz
         gw += np.multiply(2.0 * g_p, wd, out=gz)
-        gw += np.multiply(g_q, b[:, None], out=gz)
+        gw += np.multiply(g_q, b[:, None], out=gz) if lone else _outer(b, g_q[0], out=gz)
         return gw
 
     return Tensor(z, w, back, name)

@@ -16,8 +16,10 @@ different paths, on the stacked (2,000, 16, 16) . (2,000, 1, 16) products
 of `gyro.einstein_matvec`, whose buffer puts the summed axis outermost, and
 on 2,000 x 16 rows against one broadcast 1 x 16 row, of the layer's column
 dot products on (16, 2,047) and (16, 1) stage arrays, which it also sums by
-different paths, of one `nn.riemannian_adam_step` per flavor, on the
-gradients of a tree-d10 train split with the bias off the origin, and of
+different paths, of its bias outer product `nn._outer` at 16 x 2,047 and
+16 x 8, either side of einsum's fixed cost, of one
+`nn.riemannian_adam_step` per flavor, on the gradients of a tree-d10 train
+split with the bias off the origin, and of
 `nn.accuracy` per flavor on the 407-row tree-d10 validation split, the
 pass a training epoch makes after its step, of `nn._preprocess`'s
 feature cap on the first tree-d10 row and on all 2,047 rows, which it tests
@@ -238,6 +240,14 @@ def test_column_dots(benchmark, rows):
     a, b = rng.normal(size=(WIDTH, rows)), rng.normal(size=(WIDTH, rows))
     dots = benchmark(nn._column_dots, a, b)
     assert (type(dots) is np.float64 if rows == 1 else dots.shape == (1, rows)) and np.all(np.isfinite(dots))
+
+
+@pytest.mark.parametrize("rows", [2047, 8])
+def test_outer(benchmark, rows):
+    rng = np.random.default_rng(14)
+    b, beta = rng.normal(size=WIDTH), rng.normal(size=rows)
+    product = benchmark(nn._outer, b, beta)
+    assert product.shape == (WIDTH, rows) and np.all(np.isfinite(product))
 
 
 @pytest.mark.parametrize("flavor", list(Model))

@@ -979,6 +979,24 @@ class TestTapeBuffers:
         assert ds.features.shape == (2047, 16)
         assert peak <= 5 * 16 * 2047 * 8
 
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_backward_peak_memory(self, flavor):
+        # the backward builds its gw summands in gz's buffer: beyond the gw it
+        # returns it holds (1, N) per-row scalars, about 14 rows' worth, and no
+        # (16, N) array
+        model = offset_bias_model(flavor, 16, 16, 11, seed=0)
+        w = Tensor(np.random.default_rng(35).normal(size=(16, 2047)))
+        stage = nn._LAYERS[flavor](w, model.bias_terms, {})
+        gz = np.random.default_rng(36).normal(size=(16, 2047))
+        tracemalloc.start()
+        try:
+            gw = stage.back(gz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gw.shape == (16, 2047)
+        assert peak < 2 * gw.nbytes
+
 
 class TestColumnDots:
     # for N >= 2 einsum sums each column over the width in the product sum's
@@ -1015,10 +1033,84 @@ class TestColumnDots:
             assert got.tobytes() == want.tobytes()
 
 
+def broadcast_outer(col, row, out=None):
+    """The broadcasting product that `nn._outer` stands for."""
+    return np.multiply(col[:, None], row, out=out)
+
+
+class TestOuter:
+    # einsum adds each product into a zeroed output: every nonzero product,
+    # inf and nan among them, keeps its bits, and a zero is +0.0
+    @pytest.mark.parametrize("n", [0, 2, 3, 17, 407, 2047])
+    @pytest.mark.parametrize("width", [2, 16, 64])
+    def test_bits_equal_the_broadcasting_product(self, width, n):
+        rng = np.random.default_rng(1000 * width + n)
+        col = rng.normal(size=width) * 10.0 ** rng.integers(-200, 200, size=width)
+        row = rng.normal(size=n) * 10.0 ** rng.integers(-200, 200, size=n)
+        # signed zeros, infs, nans and subnormals; the exponents above overflow
+        # and underflow some products
+        col[::5], col[1::7], col[2::6] = -0.0, np.inf, 5e-324
+        row[::4], row[1::6], row[2::9], row[3::5] = 0.0, -np.inf, np.nan, -1e-310
+        with np.errstate(all="ignore"):
+            want = broadcast_outer(col, row)
+            got = nn._outer(col, row)
+        assert got.shape == want.shape == (width, n) and got.dtype == np.float64
+        zero = want == 0.0
+        assert got[~zero].tobytes() == want[~zero].tobytes()
+        assert np.count_nonzero(got[zero]) == 0 and not np.signbit(got[zero]).any()
+
+    def test_out_is_filled_and_returned(self):
+        rng = np.random.default_rng(3)
+        col, row = rng.normal(size=16), rng.normal(size=407)
+        out = np.full((16, 407), np.nan)
+        assert nn._outer(col, row, out=out) is out
+        assert out.tobytes() == broadcast_outer(col, row).tobytes()
+
+
 def pass_outputs(model, feats, labels):
     loss, grads = nn.gradients(model, feats, labels)
     outputs = [nn.forward(model, feats), nn.hidden_tangent(model, feats), np.float64(loss)]
     return [a.tobytes() for a in outputs + [grads[key] for key in sorted(grads)]]
+
+
+class TestBiasOuterProducts:
+    # the layer's einsum outer products write +0.0 where the broadcasting
+    # product writes -0.0; such a zero meets a nonzero term or BLAS's sums,
+    # so every output keeps its bytes
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return gen_tree_dataset(10, 16, 0.1, seed=0)
+
+    def model(self, tree, flavor, bias):
+        if bias == "offset":
+            return offset_bias_model(flavor, 16, 16, tree.n_classes, seed=0)
+        model = nn.init_model(flavor, 16, 16, tree.n_classes, seed=0)
+        if bias == "trained":
+            state = nn.GradState(lr=0.05)
+            feats, labels = tree.features[tree.train_idx], tree.labels[tree.train_idx]
+            for _ in range(20):
+                model = nn.riemannian_adam_step(state, model, nn.gradients(model, feats, labels)[1])
+        return model
+
+    @pytest.mark.parametrize("bias", ["origin", "offset", "trained"])
+    @pytest.mark.parametrize("n", [2, 8, 1234])
+    @pytest.mark.parametrize("flavor", list(Model))
+    def test_outputs_equal_the_broadcasting_products(self, tree, flavor, n, bias, monkeypatch):
+        model = self.model(tree, flavor, bias)
+        feats, labels = tree.features[:n].copy(), tree.labels[:n]
+        feats[n // 2] = 0.0
+        want = pass_outputs(model, feats, labels)
+        einsum, flipped = nn._outer, []
+
+        def recorded(col, row, out=None):
+            product = broadcast_outer(col, row, out)
+            flipped.append(np.signbit(product).tobytes() != np.signbit(einsum(col, row)).tobytes())
+            return product
+
+        monkeypatch.setattr(nn, "_outer", recorded)
+        assert pass_outputs(model, feats, labels) == want
+        # at the origin the bias's zero coordinates make signed zero products
+        assert flipped and (bias != "origin" or any(flipped))
 
 
 class TestLoneRow:
